@@ -130,32 +130,71 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def load_input(path: Path) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
+    """The checked input object and, for matrix input, its exact entries.
+
+    The matrix is parsed here once; every later stage takes the parsed
+    rows.  A field of the wrong type or shape raises InputFormatError
+    naming the field.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputFormatError(f"{path}: input must be a JSON object")
     for key in ("labels", "prime"):
         if key not in obj:
             raise InputFormatError(f"{path}: missing field {key!r}")
+    if not isinstance(obj["labels"], list):
+        raise InputFormatError(f"{path}: field 'labels' must be a list")
+    prime = obj["prime"]
+    if not (_is_int(prime) and is_prime(prime)):
+        raise InputFormatError(f"{path}: field 'prime' must be a prime integer, got {prime!r}")
     if ("matrix" in obj) == ("padic_points" in obj):
         raise InputFormatError(
             f"{path}: exactly one of 'matrix' or 'padic_points' is required"
         )
-    if "matrix" in obj and len(obj["matrix"]) != len(obj["labels"]):
+    n = len(obj["labels"])
+    if "padic_points" in obj:
+        points = obj["padic_points"]
+        if not (
+            isinstance(points, list)
+            and all(isinstance(stream, list) and all(map(_is_int, stream)) for stream in points)
+        ):
+            raise InputFormatError(
+                f"{path}: field 'padic_points' must be a list of digit lists"
+            )
+        if len(points) != n:
+            raise InputFormatError(f"{path}: field 'padic_points' does not match 'labels'")
+        return obj, None
+    matrix = obj["matrix"]
+    if not isinstance(matrix, list) or len(matrix) != n:
         raise InputFormatError(f"{path}: field 'matrix' does not match 'labels'")
-    if "padic_points" in obj and len(obj["padic_points"]) != len(obj["labels"]):
-        raise InputFormatError(f"{path}: field 'padic_points' does not match 'labels'")
-    return obj
+    rows = []
+    for i, row in enumerate(matrix):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputFormatError(f"{path}: field 'matrix' row {i} is not a list of {n} entries")
+        try:
+            rows.append([Fraction(entry) for entry in row])
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputFormatError(
+                f"{path}: field 'matrix' row {i} holds an entry that is not rational: {exc}"
+            ) from exc
+    return obj, rows
 
 
-def _space_from_input(obj: dict, config: PipelineConfig, report: RunReport) -> UltraSpace | None:
+def _space_from_input(
+    obj: dict, rows: list[list[Fraction]] | None, config: PipelineConfig, report: RunReport
+) -> UltraSpace | None:
     """Run the validate/round stages; None means validation failed."""
     prime = config.prime or obj["prime"]
     labels = [str(s) for s in obj["labels"]]
     do_validate = "validate" in config.stages
     do_round = "round" in config.stages
 
-    if "padic_points" in obj:
+    if rows is None:
         t0 = time.perf_counter()
         try:
             # the digit budget truncates long streams; truncation is exact
@@ -170,43 +209,42 @@ def _space_from_input(obj: dict, config: PipelineConfig, report: RunReport) -> U
         if do_validate:
             report.add("validate", "passed", time.perf_counter() - t0, violations=[])
         if do_round:
+            t0 = time.perf_counter()
             space, merges = quotient_zero(space)
-            report.add("round", "passed", 0.0, merged=sorted(merges.items()))
+            report.add("round", "passed", time.perf_counter() - t0, merged=sorted(merges.items()))
         return space
 
-    matrix = obj["matrix"]
-    t0 = time.perf_counter()
-    violations = validate_ultrametric(labels, matrix)
-    if do_validate and violations and not do_round:
-        i, j, k = violations[0]
-        report.add(
-            "validate",
-            "failed",
-            time.perf_counter() - t0,
-            violating_triple=[labels[i], labels[j], labels[k]],
-            violation_count=len(violations),
-        )
-        return None
     if do_validate:
+        t0 = time.perf_counter()
+        violations = validate_ultrametric(labels, rows)
+        if violations and not do_round:
+            i, j, k = violations[0]
+            report.add(
+                "validate",
+                "failed",
+                time.perf_counter() - t0,
+                violating_triple=[labels[i], labels[j], labels[k]],
+                violation_count=len(violations),
+            )
+            return None
         report.add(
             "validate", "passed", time.perf_counter() - t0, violations=len(violations)
         )
-    t0 = time.perf_counter()
     if do_round:
-        closed = subdominant_closure(matrix)
+        t0 = time.perf_counter()
+        closed = subdominant_closure(rows)
         space = round_space(labels, closed, prime)
         space, merges = quotient_zero(space)
         report.add("round", "passed", time.perf_counter() - t0, merged=sorted(merges.items()))
         return space
     # without rounding the entries must already sit in the value group
-    for row in matrix:
-        for entry in row:
-            g = round_to_gamma(entry, prime)
-            if g.as_fraction(prime) != Fraction(entry):
+    for raw_row, row in zip(obj["matrix"], rows):
+        for entry, value in zip(raw_row, row):
+            if round_to_gamma(value, prime).as_fraction(prime) != value:
                 raise InputFormatError(
                     f"entry {entry!r} is not a power of {prime}; request the 'round' stage"
                 )
-    return round_space(labels, matrix, prime)
+    return round_space(labels, rows, prime)
 
 
 def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule:
@@ -313,8 +351,8 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
     """Execute the configured stages; returns (report, outputs, exit code)."""
     report = RunReport()
     outputs: dict[str, dict] = {}
-    obj = load_input(input_path)
-    space = _space_from_input(obj, config, report)
+    obj, rows = load_input(input_path)
+    space = _space_from_input(obj, rows, config, report)
     if space is None:
         return report, outputs, EXIT_VERIFY
 

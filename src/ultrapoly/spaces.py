@@ -13,9 +13,11 @@ embedding turns those strings into an exact isometry.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from operator import itemgetter
 
 from .padic import GAMMA_ZERO, GammaValue, PAdic, RationalLike, check_prime, round_to_gamma
 
@@ -53,43 +55,157 @@ class UnseparatedSpaceError(ValueError):
 
 
 def _as_fraction_matrix(matrix: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+    """Exact entries of a checked dissimilarity matrix; Fraction entries are kept."""
     n = len(matrix)
-    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    rows = [
+        [entry if type(entry) is Fraction else Fraction(entry) for entry in row]
+        for row in matrix
+    ]
     if any(len(row) != n for row in rows):
         raise MatrixShapeError("distance matrix must be square")
     for i in range(n):
-        if rows[i][i] != 0:
-            raise NonzeroDiagonalError(f"diagonal entry at index {i} is {rows[i][i]}")
+        row_i = rows[i]
+        if row_i[i] != 0:
+            raise NonzeroDiagonalError(f"diagonal entry at index {i} is {row_i[i]}")
         for j in range(i + 1, n):
-            if rows[i][j] < 0:
+            if row_i[j] < 0:
                 raise NegativeDistanceError(f"entry ({i},{j}) is negative")
-            if rows[i][j] != rows[j][i]:
+            if row_i[j] != rows[j][i]:
                 raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
     return rows
 
 
+class Violations(Sequence[tuple[int, int, int]]):
+    """The violating triples of a matrix, as a read-only sequence.
+
+    It behaves like the list of triples (i, j, k), i < k, with
+    d(i,k) > max(d(i,j), d(j,k)), in scan order (i, then k, then j
+    ascending): ``len`` is the exact count, indexing and iteration follow
+    the scan order, and it compares equal to that list.  Only one bitset
+    of middle points j per violating pair (i, k) is stored; the triples
+    themselves are produced on demand.
+    """
+
+    def __init__(self, masks: list[tuple[int, int, int]]):
+        self._masks = masks  # (i, k, bitset of the middle points j)
+        self._count = sum(mask.bit_count() for _, _, mask in masks)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        for i, k, mask in self._masks:
+            while mask:
+                low = mask & -mask
+                yield (i, low.bit_length() - 1, k)
+                mask ^= low
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("violation index out of range")
+        return next(islice(self, index, None))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Violations):
+            return self._masks == other._masks
+        if isinstance(other, (list, tuple)):
+            return len(other) == self._count and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        if not self._count:
+            return "Violations(count=0)"
+        return f"Violations(count={self._count}, first={self[0]})"
+
+
+def _violation_masks(rows: list[list[Fraction]]) -> list[tuple[int, int, int]]:
+    # below[i][k] is the bitset of j with d(i,j) < d(i,k); (i, j, k)
+    # violates exactly when j is in below[i][k] and in below[k][i].  j = i
+    # and j = k never are, because d(k,i) < d(k,i) and d(i,k) < d(i,k) fail.
+    n = len(rows)
+    below = []
+    for row in rows:
+        sets = [0] * n
+        closer = tied = 0
+        last = None
+        for j in sorted(range(n), key=row.__getitem__):
+            if row[j] != last:
+                closer |= tied
+                tied = 0
+                last = row[j]
+            sets[j] = closer
+            tied |= 1 << j
+        below.append(sets)
+    masks = []
+    for i in range(n):
+        below_i = below[i]
+        for k in range(i + 1, n):
+            mask = below_i[k] & below[k][i]
+            if mask:
+                masks.append((i, k, mask))
+    return masks
+
+
 def validate_ultrametric(
     labels: Sequence[str], matrix: Sequence[Sequence[RationalLike]]
-) -> list[tuple[int, int, int]]:
-    """All triples (i, j, k) with d(i,k) > max(d(i,j), d(j,k)).
+) -> Violations:
+    """All triples (i, j, k) with d(i,k) > max(d(i,j), d(j,k)), as ``Violations``.
 
-    An empty list means the matrix is an ultrametric.  Malformed input
+    An empty result means the matrix is an ultrametric.  Malformed input
     (non-square, asymmetric, negative entries, nonzero diagonal) raises
     the matching error instead of being reported as a violation.
+
+    Cost: each row is sorted once (O(n^2 log n) comparisons), then one
+    AND of two n-bit sets per pair i < k gives its middle points, so the
+    count stays exact without storing the triples.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
-    rows = _as_fraction_matrix(matrix)
+    return Violations(_violation_masks(_as_fraction_matrix(matrix)))
+
+
+def _single_linkage(
+    rows: list[list[Fraction]],
+) -> Iterator[tuple[Fraction, list[int], list[int]]]:
+    """Merges of the single-linkage dendrogram, in ascending weight order.
+
+    Each merge is (weight, block, block); the blocks are live lists, valid
+    until the next merge.  Every pair of points is joined by exactly one
+    merge, and its weight is their minimax path distance.  Prim's spanning
+    tree takes O(n^2) comparisons.
+    """
     n = len(rows)
-    out = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(n):
-                if j == i or j == k:
-                    continue
-                if rows[i][k] > max(rows[i][j], rows[j][k]):
-                    out.append((i, j, k))
-    return out
+    if n == 0:
+        return
+    best = list(rows[0])
+    via = [0] * n
+    remaining = list(range(1, n))
+    edges = []
+    while remaining:
+        u = min(remaining, key=best.__getitem__)
+        remaining.remove(u)
+        edges.append((best[u], via[u], u))
+        row_u = rows[u]
+        for v in remaining:
+            if row_u[v] < best[v]:
+                best[v] = row_u[v]
+                via[v] = u
+    edges.sort(key=itemgetter(0))
+    block_of = [[i] for i in range(n)]
+    for weight, u, v in edges:
+        a, b = block_of[u], block_of[v]
+        yield weight, a, b
+        if len(a) < len(b):
+            a, b = b, a
+        a.extend(b)
+        for x in b:
+            block_of[x] = a
 
 
 def subdominant_closure(
@@ -98,21 +214,19 @@ def subdominant_closure(
     """Maximal ultrametric pointwise below the input (minimax path distance).
 
     Idempotent, and the identity exactly when the input is already an
-    ultrametric.
+    ultrametric.  Computed as single linkage: Prim's spanning tree in
+    O(n^2) comparisons, then each merge's weight is written into the
+    block it joins, so every output entry is an input entry.
     """
     rows = _as_fraction_matrix(matrix)
     n = len(rows)
-    d = [row[:] for row in rows]
-    for mid in range(n):
-        for i in range(n):
-            dim = d[i][mid]
-            row_mid = d[mid]
-            row_i = d[i]
-            for j in range(n):
-                cand = dim if dim > row_mid[j] else row_mid[j]
-                if cand < row_i[j]:
-                    row_i[j] = cand
-    return d
+    out = [[rows[i][i]] * n for i in range(n)]
+    for weight, a, b in _single_linkage(rows):
+        for x in a:
+            out_x = out[x]
+            for y in b:
+                out_x[y] = out[y][x] = weight
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,15 +388,31 @@ def round_space(
     Every entry lands on the largest p^(-e) below it, which keeps the
     strong triangle inequality (the rounding map is monotone) and the
     sandwich rounded <= original <= p * rounded.
+
+    The matrix is an ultrametric exactly when each single-linkage merge
+    weight equals every entry across the blocks it joins, so the check
+    costs O(n^2) comparisons and stops at the first mismatch; the
+    witness is then the first violating triple in scan order.  Each
+    distinct merge weight (at most n - 1 of them) is rounded once.
     """
-    violations = validate_ultrametric(labels, matrix)
-    if violations:
-        raise NotUltrametricError(violations[0], labels)
+    if len(labels) != len(matrix):
+        raise MatrixShapeError("labels and matrix size differ")
     rows = _as_fraction_matrix(matrix)
-    dist = tuple(
-        tuple(round_to_gamma(entry, p) for entry in row) for row in rows
+    n = len(rows)
+    dist = [[GAMMA_ZERO] * n for _ in range(n)]
+    last = rounded = None
+    for weight, a, b in _single_linkage(rows):
+        if weight != last:  # merges come in ascending order, so ties are adjacent
+            last, rounded = weight, round_to_gamma(weight, p)
+        for x in a:
+            row_x, dist_x = rows[x], dist[x]
+            for y in b:
+                if row_x[y] != weight:
+                    raise NotUltrametricError(Violations(_violation_masks(rows))[0], labels)
+                dist_x[y] = dist[y][x] = rounded
+    return UltraSpace(
+        labels=tuple(labels), prime=p, dist=tuple(tuple(row) for row in dist)
     )
-    return UltraSpace(labels=tuple(labels), prime=p, dist=dist)
 
 
 def space_from_points(

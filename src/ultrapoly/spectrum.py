@@ -81,16 +81,20 @@ class Schedule:
     def auto(cls, space: UltraSpace, k_shift: int = 0, b_shift: int = 0) -> "Schedule":
         """Default schedule: consecutive scales from one-block to separating.
 
-        j runs from min(0, smallest exponent) through largest exponent + 1
-        (further by k_shift, so a positive threshold factor still ends on a
-        separating level); k(m) = k_shift, b(m) = p^-(j(m) + b_shift).
+        j runs from min(0, smallest exponent) through largest exponent + 1,
+        further by k_shift - b_shift when that is positive: the threshold
+        p^k * b is p^-(j + b_shift - k_shift), so the last level then still
+        separates the points.  k(m) = k_shift, b(m) = p^-(j(m) + b_shift).
         b_shift > k_shift makes thresholds tighter than the ball diameters
         and is rejected when the nerves are built.
         """
         exponents = space.finite_exponents()
         if exponents:
             js = tuple(
-                range(min(0, exponents[0]), exponents[-1] + 2 + max(0, k_shift))
+                range(
+                    min(0, exponents[0]),
+                    exponents[-1] + 2 + max(0, k_shift - b_shift),
+                )
             )
         else:
             js = (0,)

@@ -68,6 +68,32 @@ def trial_division_valuation(num: int, den: int, p: int) -> int:
     return v
 
 
+def violating_triples(matrix: list[list[Fraction]]) -> list[tuple[int, int, int]]:
+    """Every (i, j, k), i < k, with d(i,k) > max(d(i,j), d(j,k)), by a full scan.
+
+    Scan order is i, then k, then j ascending.
+    """
+    n = len(matrix)
+    out = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j != i and j != k and matrix[i][k] > max(matrix[i][j], matrix[j][k]):
+                    out.append((i, j, k))
+    return out
+
+
+def floyd_warshall_closure(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Minimax path distance by the Floyd-Warshall recurrence over (max, min)."""
+    n = len(matrix)
+    d = [[Fraction(entry) for entry in row] for row in matrix]
+    for mid in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], max(d[i][mid], d[mid][j]))
+    return d
+
+
 def minimax_paths(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Minimax path distance by enumerating every simple path (n <= 6)."""
     n = len(matrix)

@@ -182,6 +182,7 @@ def test_digit_budget_truncates_streams(tmp_path, capsys):
     assert main(["expand", path, "--config", config, "--out", str(out)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["stages"]["round"]["merged"] == [["y", "x"]]
+    assert report["stages"]["round"]["seconds"] > 0
 
 
 def test_theta_csv_emission(tmp_path):
@@ -216,6 +217,52 @@ def test_missing_field_is_schema_error(tmp_path, capsys):
     assert main(["validate", path]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "matrix" in err or "padic_points" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prime", "2"),
+        ("prime", 4),
+        ("prime", True),
+        ("labels", "abc"),
+        ("matrix", [1, 2, 3]),
+        ("matrix", [["0", "1", "1"], ["1", "0"], ["1", "1", "0"]]),
+        ("matrix", [["0", "x", "1"], ["x", "0", "1"], ["1", "1", "0"]]),
+        ("matrix", [["0", "1/0", "1"], ["1/0", "0", "1"], ["1", "1", "0"]]),
+        ("padic_points", [[0, 1], "ab", [1, 1]]),
+        ("padic_points", [[0, 1], [1, "1"], [1, 1]]),
+    ],
+)
+def test_malformed_field_is_named(tmp_path, capsys, field, value):
+    obj = {
+        "labels": ["a", "b", "c"],
+        "prime": 2,
+        "matrix": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+    }
+    if field == "padic_points":
+        del obj["matrix"]
+    obj[field] = value
+    path = _write(tmp_path / "bad.json", obj)
+    assert main(["expand", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"error: {path}: field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", [-1, -2])
+def test_auto_schedule_with_negative_b_separates(tmp_path, b):
+    path = _write(
+        tmp_path / "three.json",
+        {
+            "labels": ["a", "b", "c"],
+            "prime": 2,
+            "matrix": [["0", "1/4", "1/2"], ["1/4", "0", "1/2"], ["1/2", "1/2", "0"]],
+        },
+    )
+    config = _write(tmp_path / "cfg.json", {"schedule": {"b": b}})
+    out = tmp_path / "out"
+    assert main(["expand", path, "--config", config, "--out", str(out)]) == EXIT_OK
+    bundle = json.loads((out / "expansion.json").read_text())
+    assert len(bundle["levels"][-1]["maximal_simplexes"]) == 3
 
 
 def test_config_env_var_supplies_defaults(ultra_input, tmp_path, monkeypatch):

@@ -30,8 +30,11 @@ from corpus import random_code_space
 from oracles import (
     closure_classes,
     first_difference,
+    floyd_warshall_closure,
+    gamma_floor,
     minimax_paths,
     sparse_vector_distance,
+    violating_triples,
 )
 
 
@@ -129,6 +132,58 @@ def test_closure_is_monotone(data, n):
             d2[i][j] = d2[j][i] = Fraction(hi, 7)
     c1, c2 = subdominant_closure(d1), subdominant_closure(d2)
     assert all(c1[i][j] <= c2[i][j] for i in range(n) for j in range(n))
+
+
+# ------------------------------------------- ingest kernels vs oracles
+
+@st.composite
+def dissimilarity_matrices(draw):
+    """Symmetric matrices over a small value pool, so ties and zeros are common."""
+    n = draw(st.integers(1, 16))
+    pool = draw(
+        st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6), min_size=1, max_size=6)
+    )
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.sampled_from(pool))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=dissimilarity_matrices(), p=st.sampled_from([2, 3, 5]))
+def test_ingest_kernels_match_oracles(matrix, p):
+    n = len(matrix)
+    labels = [f"v{i}" for i in range(n)]
+    brute = violating_triples(matrix)
+    found = validate_ultrametric(labels, matrix)
+    assert found == brute
+    assert list(found) == brute
+    assert len(found) == len(brute)
+    assert [found[t] for t in range(len(found))] == brute
+    if brute:
+        assert found[0] == brute[0] and found[-1] == brute[-1]
+        with pytest.raises(NotUltrametricError) as err:
+            round_space(labels, matrix, p)
+        assert err.value.triple == brute[0]
+
+    closed = subdominant_closure(matrix)
+    assert closed == floyd_warshall_closure(matrix)
+    if n <= 6:
+        assert closed == minimax_paths(matrix)
+    assert validate_ultrametric(labels, closed) == []
+    space = round_space(labels, closed, p)
+    for i in range(n):
+        for j in range(n):
+            assert space.dist[i][j].exponent == gamma_floor(closed[i][j], p)
+
+
+def test_closure_at_scale_is_ultrametric_and_idempotent():
+    rng = random.Random(192)
+    matrix = _random_symmetric(rng, 192)
+    closed = subdominant_closure(matrix)
+    assert len(validate_ultrametric([str(i) for i in range(192)], closed)) == 0
+    assert subdominant_closure(closed) == closed
 
 
 # -------------------------------------------------------------- rounding
