@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
-from .padic import GammaValue, PAdic, is_prime, round_to_gamma
+from .padic import GammaValue, PAdic, PrimalityUnknownError, is_prime, round_to_gamma
 from .spaces import (
     NotUltrametricError,
     UltraSpace,
@@ -71,8 +71,8 @@ class PipelineConfig:
                 raise InputFormatError(f"unknown stage {stage!r}")
         if self.precision < 1:
             raise InputFormatError("precision must be >= 1")
-        if self.prime is not None and not is_prime(self.prime):
-            raise InputFormatError(f"prime must be a prime number, got {self.prime}")
+        if self.prime is not None:
+            _check_prime_field(self.prime, "prime")
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "PipelineConfig":
@@ -82,6 +82,7 @@ class PipelineConfig:
             data = _load_json(Path(path))
             if not isinstance(data, dict):
                 raise InputFormatError("config file must hold a JSON object")
+            _check_config(data, path)
         schedule = data.get("schedule", {})
         merged = {
             "prime": data.get("prime"),
@@ -96,6 +97,47 @@ class PipelineConfig:
             if value is not None:
                 merged[key] = value
         return cls(**merged)
+
+
+def _check_config(data: dict, path: str) -> None:
+    """Type-check the config fields; a bad one raises InputFormatError naming it."""
+
+    def require(field: str, ok: bool, want: str, value) -> None:
+        if not ok:
+            raise InputFormatError(
+                f"{path}: config field {field!r} must be {want}, got {value!r}"
+            )
+
+    if "precision" in data:
+        value = data["precision"]
+        require("precision", _is_int(value) and value >= 1, "a positive integer", value)
+    if data.get("prime") is not None:
+        require("prime", _is_int(data["prime"]), "an integer", data["prime"])
+    if "stages" in data:
+        value = data["stages"]
+        ok = isinstance(value, list) and all(isinstance(stage, str) for stage in value)
+        require("stages", ok, "a list of stage names", value)
+    if data.get("out") is not None:
+        require("out", isinstance(data["out"], str), "a path string", data["out"])
+    schedule = data.get("schedule", {})
+    require("schedule", isinstance(schedule, dict), "an object", schedule)
+    for key in ("j", "k"):
+        if key in schedule:
+            value = schedule[key]
+            ok = value == "auto" or (isinstance(value, list) and all(map(_is_int, value)))
+            require(f"schedule.{key}", ok, "'auto' or a list of integers", value)
+    if schedule.get("b") is not None:
+        require("schedule.b", _is_int(schedule["b"]), "an integer", schedule["b"])
+
+
+def _check_prime_field(value, field: str, where: str = "") -> None:
+    """Raise InputFormatError naming the field unless value is a prime integer."""
+    try:
+        ok = _is_int(value) and is_prime(value)
+    except PrimalityUnknownError as exc:
+        raise InputFormatError(f"{where}field {field!r}: {exc}") from exc
+    if not ok:
+        raise InputFormatError(f"{where}field {field!r} must be a prime integer, got {value!r}")
 
 
 @dataclass
@@ -126,8 +168,11 @@ def _load_json(path: Path):
 
 
 def _dump_json(path: Path, obj) -> None:
+    # written as it is encoded: the whole indented text would set the peak memory
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    with path.open("w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _is_int(value) -> bool:
@@ -149,9 +194,7 @@ def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
             raise InputFormatError(f"{path}: missing field {key!r}")
     if not isinstance(obj["labels"], list):
         raise InputFormatError(f"{path}: field 'labels' must be a list")
-    prime = obj["prime"]
-    if not (_is_int(prime) and is_prime(prime)):
-        raise InputFormatError(f"{path}: field 'prime' must be a prime integer, got {prime!r}")
+    _check_prime_field(obj["prime"], "prime", f"{path}: ")
     if ("matrix" in obj) == ("padic_points" in obj):
         raise InputFormatError(
             f"{path}: exactly one of 'matrix' or 'padic_points' is required"
@@ -451,11 +494,44 @@ def _cmd_expand(args) -> int:
     return code
 
 
+def _load_bundle(path: Path, shadow: bool) -> dict:
+    """The expansion bundle at path, with the fields its command reads checked.
+
+    DOT export reads ``space.labels`` and ``levels``; shadow also reads
+    ``bonding`` and, for p-adic bundles, ``space.padic_points`` and
+    ``space.prime``.  A missing or mistyped field raises InputFormatError
+    naming its path in the bundle.
+    """
+    bundle = _load_json(path)
+    if not isinstance(bundle, dict):
+        raise InputFormatError(f"{path}: a bundle must hold a JSON object")
+
+    def require(obj: dict, key: str, field: str, kind: type, want: str):
+        if key not in obj:
+            raise InputFormatError(f"{path}: missing bundle field {field!r}")
+        if not isinstance(obj[key], kind):
+            raise InputFormatError(f"{path}: bundle field {field!r} must be {want}")
+        return obj[key]
+
+    space = require(bundle, "space", "space", dict, "an object")
+    require(space, "labels", "space.labels", list, "a list")
+    lists = ("levels", "bonding") if shadow else ("levels",)
+    for key in lists:
+        for i, item in enumerate(require(bundle, key, key, list, "a list")):
+            if not isinstance(item, dict):
+                raise InputFormatError(f"{path}: bundle field '{key}[{i}]' must be an object")
+    if shadow and "padic_points" in space:
+        require(space, "padic_points", "space.padic_points", list, "a list")
+        prime = require(space, "prime", "space.prime", int, "an integer")
+        _check_prime_field(prime, "space.prime", f"{path}: bundle ")
+    return bundle
+
+
 def _cmd_shadow(args) -> int:
     try:
-        bundle = _load_json(Path(args.bundle))
+        bundle = _load_bundle(Path(args.bundle), shadow=True)
         result = shadow_bundle(bundle)
-    except (ParseError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = Path(args.out or ".")
@@ -519,9 +595,9 @@ def _residue_digits(r: int, p: int, depth: int) -> list[int]:
 
 def _cmd_export_dot(args) -> int:
     try:
-        bundle = _load_json(Path(args.bundle))
+        bundle = _load_bundle(Path(args.bundle), shadow=False)
         paths = export_dot(bundle, Path(args.out or "."))
-    except (ParseError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     for path in paths:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Union
+from functools import lru_cache, total_ordering
+from math import gcd
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -30,19 +31,102 @@ class NotPrimeError(ValueError):
     """The base of a p-adic field must be prime."""
 
 
+class PrimalityUnknownError(ValueError):
+    """A large integer whose primality the exact test cannot decide."""
+
+
+#: The Miller-Rabin bases: the primes up to 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Miller-Rabin to the bases above is exact for every n below this bound
+#: (Sorenson & Webster 2015).
+MR_EXACT_BELOW = 3317044064679887385961981
+#: Trial-division limit when factoring n - 1 for a Pocklington certificate.
+_POCKLINGTON_TRIAL = 1 << 16
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: False proves n composite; True proves nothing alone."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _pocklington(n: int) -> bool | None:
+    """Prove n prime from a factored part F of n - 1 with F^2 > n.
+
+    Pocklington-Lehmer: if every prime q | F has a base a with
+    a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n), every prime
+    factor of n is 1 mod F, hence above sqrt(n).  Returns False when a
+    base proves n composite, None when n - 1 does not factor far enough
+    by trial division or no base certifies a factor.
+    """
+    rest, factored, factors = n - 1, 1, []
+    for q in (2, *range(3, _POCKLINGTON_TRIAL, 2)):
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+                factored *= q
+    if 1 < rest < MR_EXACT_BELOW and is_prime(rest):
+        factors.append(rest)
+        factored *= rest
+    if factored * factored <= n:
+        return None
+    for q in factors:
+        for a in range(2, 200):
+            if pow(a, n - 1, n) != 1:
+                return False
+            g = gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+        else:
+            return None
+    return True
+
+
+@lru_cache(maxsize=32)
 def is_prime(n: int) -> bool:
+    """Exact primality test; never a probabilistic guess.
+
+    Trial division by the primes up to 41, then Miller-Rabin to those 13
+    bases, which is exact below ``MR_EXACT_BELOW`` (about 3.3e24).  A
+    larger n that passes needs a Pocklington certificate built by trial
+    factoring n - 1.
+
+    Raises:
+        PrimalityUnknownError: n >= MR_EXACT_BELOW passes Miller-Rabin
+            but has no certificate.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    if n < MR_EXACT_BELOW:
+        return True
+    verdict = _pocklington(n)
+    if verdict is None:
+        raise PrimalityUnknownError(
+            f"cannot decide whether {n} is prime: it lies above {MR_EXACT_BELOW}, "
+            "where Miller-Rabin is not exact, and n - 1 does not factor far enough "
+            "for a Pocklington certificate"
+        )
+    return verdict
 
 
 def check_prime(p: int) -> int:
@@ -302,6 +386,55 @@ class PAdic:
 
     def __repr__(self) -> str:
         return f"PAdic({self.to_text()!r})"
+
+
+def difference_exponents(points: Sequence[PAdic]) -> list[list[int | None]]:
+    """Exponent of |x_i - x_j|_p for every pair (None: zero), building no PAdic.
+
+    Equal to ``(x_i - x_j).norm().exponent`` entry by entry.  A zero
+    operand leaves the other's valuation.  For two nonzero points,
+    subtraction keeps the window [start, end) with start the smaller
+    valuation and end the smaller window end.  With every value scaled
+    to the integer X = unit * p^(valuation - base), base the least
+    valuation, that is (X_i - X_j) mod p^(end - base): zero there means
+    the difference vanishes at that precision, and otherwise its
+    valuation plus base is the exponent.  One integer subtraction and
+    one reduction per pair, O(n^2) pairs.
+    """
+    if not points:
+        return []
+    p = points[0].prime
+    if any(x.prime != p for x in points):
+        raise PrimeMismatchError("all points must share one prime")
+    base = min((x.valuation for x in points if not x.is_zero), default=0)
+    # per point: None for zero, else (valuation, X, p^(end - base))
+    scaled = [
+        None
+        if x.is_zero
+        else (x.valuation, x.unit_int() * p ** (x.valuation - base), p ** (x.known_upto() - base))
+        for x in points
+    ]
+    n = len(points)
+    out: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        out_i, point_i = out[i], scaled[i]
+        for j in range(i + 1, n):
+            point_j = scaled[j]
+            if point_i is None:
+                e = None if point_j is None else point_j[0]
+            elif point_j is None:
+                e = point_i[0]
+            else:
+                total = (point_i[1] - point_j[1]) % min(point_i[2], point_j[2])
+                if total == 0:
+                    e = None
+                else:
+                    e = base
+                    while total % p == 0:
+                        total //= p
+                        e += 1
+            out_i[j] = out[j][i] = e
+    return out
 
 
 def _digits_of(unit: int, p: int, length: int) -> tuple[int, ...]:

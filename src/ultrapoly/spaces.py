@@ -19,7 +19,15 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .padic import GAMMA_ZERO, GammaValue, PAdic, RationalLike, check_prime, round_to_gamma
+from .padic import (
+    GAMMA_ZERO,
+    GammaValue,
+    PAdic,
+    RationalLike,
+    check_prime,
+    difference_exponents,
+    round_to_gamma,
+)
 
 
 class MatrixShapeError(ValueError):
@@ -208,6 +216,22 @@ def _single_linkage(
             block_of[x] = a
 
 
+def _is_single_linkage(rows: list[list]) -> bool:
+    """True when rows is an ultrametric.
+
+    A symmetric matrix with zero diagonal is an ultrametric exactly when
+    every entry equals the weight of the single-linkage merge that joins
+    its pair (the minimax path distance never exceeds the entry, with
+    equality for all pairs only in an ultrametric).
+    """
+    for weight, a, b in _single_linkage(rows):
+        for x in a:
+            row_x = rows[x]
+            if any(row_x[y] != weight for y in b):
+                return False
+    return True
+
+
 def subdominant_closure(
     matrix: Sequence[Sequence[RationalLike]],
 ) -> list[list[Fraction]]:
@@ -251,54 +275,23 @@ class UltraSpace:
             raise ValueError("labels must be unique")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise MatrixShapeError("distance matrix must be square over the labels")
+        expo = [[d.exponent for d in row] for row in self.dist]
         for i in range(n):
-            if not self.dist[i][i].is_zero:
+            if expo[i][i] is not None:
                 raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
             for j in range(i + 1, n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self._check_strong_triangle()
+        self._check_strong_triangle(expo)
 
-    def _check_strong_triangle(self) -> None:
-        # d is ultrametric iff every closed-ball relation {d <= p^-j} is
-        # transitive: checking the union-find closure of each threshold
-        # graph against the raw relation costs n^2 per distinct value
-        # instead of the naive n^3 triple scan.  One threshold above the
-        # largest exponent covers the zero-distance relation, where two
-        # zero legs force the third distance to vanish.
-        n = self.n_points
-        expo = [
-            [self.dist[i][j].exponent for j in range(n)] for i in range(n)
-        ]
-        values = {e for row in expo for e in row if e is not None}
-        has_zero_pair = any(
-            expo[i][j] is None for i in range(n) for j in range(i + 1, n)
-        )
-        if values and has_zero_pair:
-            values.add(max(values) + 1)
-        for j in sorted(values):
-            parent = list(range(n))
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for a in range(n):
-                for b in range(a + 1, n):
-                    e = expo[a][b]
-                    if e is None or e >= j:
-                        ra, rb = find(a), find(b)
-                        if ra != rb:
-                            parent[rb] = ra
-            for a in range(n):
-                for b in range(a + 1, n):
-                    e = expo[a][b]
-                    if e is not None and e < j and find(a) == find(b):
-                        raise NotUltrametricError(
-                            self._find_violating_triple(), self.labels
-                        )
+    def _check_strong_triangle(self, expo: list[list[int | None]]) -> None:
+        # Single linkage over exponents, as in round_space: weight -e, so a
+        # larger weight is a larger distance, and the metric value 0 gets a
+        # weight below every finite one.  O(n^2) comparisons.
+        top = max((e for row in expo for e in row if e is not None), default=-1) + 1
+        weights = [[-top if e is None else -e for e in row] for row in expo]
+        if not _is_single_linkage(weights):
+            raise NotUltrametricError(self._find_violating_triple(), self.labels)
 
     def _find_violating_triple(self) -> tuple[int, int, int]:
         # slow path, only runs to name a witness once failure is certain
@@ -418,7 +411,11 @@ def round_space(
 def space_from_points(
     points: Sequence[PAdic], labels: Sequence[str] | None = None
 ) -> UltraSpace:
-    """Distance matrix |x_i - x_j|_p over a family of p-adic values."""
+    """Distance matrix |x_i - x_j|_p over a family of p-adic values.
+
+    The exponents come from ``difference_exponents``: integer arithmetic
+    on each point's digit window, with no PAdic built per pair.
+    """
     if not points:
         raise ValueError("need at least one point")
     p = points[0].prime
@@ -426,15 +423,16 @@ def space_from_points(
         raise ValueError("all points must share one prime")
     if labels is None:
         labels = [f"x{i}" for i in range(len(points))]
-    n = len(points)
-    dist = [[GAMMA_ZERO for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (points[i] - points[j]).norm()
-            dist[i][j] = d
-            dist[j][i] = d
+    exponents = difference_exponents(points)
+    values = {None: GAMMA_ZERO}
+    for row in exponents:
+        for e in row:
+            if e not in values:
+                values[e] = GammaValue(e)
     return UltraSpace(
-        labels=tuple(labels), prime=p, dist=tuple(tuple(row) for row in dist)
+        labels=tuple(labels),
+        prime=p,
+        dist=tuple(tuple(values[e] for e in row) for row in exponents),
     )
 
 

@@ -14,6 +14,7 @@ levels of the infinite-system picture are constant and carry nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .nerve import (
@@ -226,25 +227,69 @@ class NonstretchReport:
         return not self.violations
 
 
+@lru_cache(maxsize=2)
+def _realized_exponents(
+    vectors: tuple[C0Vector, ...],
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Exponents of ``vectors[v].distance(vectors[w])`` for all pairs, and INFINITY's stand-in.
+
+    Each vector's keys are sorted once without repeats.  Two sorted key
+    lists agree up to their first mismatch, and the smaller key there (or
+    the longer list's next key, when one list is a prefix of the other)
+    is the least key of the symmetric difference, whose level is the
+    distance exponent.  Equal key sets, the metric value 0, read as the
+    stand-in: one above every key level, so a smaller entry is always a
+    larger distance.  Cached by the equality of the vectors, so every
+    level of one expansion shares one table; two are kept, for a fine
+    and a coarse embedding that differ.
+    """
+    keys = [sorted(set(vector.keys)) for vector in vectors]
+    top = max((k[-1][0] for k in keys if k), default=0) + 1
+    n = len(keys)
+    table = [[top] * n for _ in range(n)]
+    for v in range(n):
+        keys_v, row_v = keys[v], table[v]
+        for w in range(v + 1, n):
+            keys_w = keys[w]
+            for x, y in zip(keys_v, keys_w):
+                if x != y:
+                    e = min(x, y)[0]
+                    break
+            else:
+                shorter, longer = sorted((keys_v, keys_w), key=len)
+                if len(shorter) == len(longer):
+                    continue
+                e = longer[len(shorter)][0]
+            row_v[w] = table[w][v] = e
+    return tuple(map(tuple, table)), top
+
+
 def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> NonstretchReport:
+    """Compare every fine vertex pair's realized distance with its image's.
+
+    Distances are integer exponents read from one table per embedding
+    (see ``_realized_exponents``), so the pair loop compares ints only.
+    """
+    src_table, top = _realized_exponents(tuple(fine.realization.vectors))
+    img_table, _ = _realized_exponents(tuple(coarse.realization.vectors))
+    step = fine.cover.level - 1  # exponent of a one-scale-step merged pair
+    if step >= top:
+        step = None  # no finite exponent reaches it, and INFINITY must not match
     verts = fine.nerve.vertices
+    images = [bmap.vertex_map[v] for v in verts]
     violations = []
     merged = []
     preserved = 0
-    fine_scale = fine.cover.level
     single_step = True
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            v, w = verts[a], verts[b]
-            src = fine.realization.position(v).distance(fine.realization.position(w))
-            iv, iw = bmap.vertex_map[v], bmap.vertex_map[w]
+    for a, (v, iv) in enumerate(zip(verts, images)):
+        src_row, img_row = src_table[v], img_table[iv]
+        for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
+            src = src_row[w]
             if iv == iw:
                 merged.append((v, w))
-                if src.exponent != fine_scale - 1:
+                if src != step:
                     single_step = False
-                continue
-            img = coarse.realization.position(iv).distance(coarse.realization.position(iw))
-            if img > src:
+            elif img_row[iw] < src:
                 violations.append((v, w))
             else:
                 preserved += 1

@@ -8,6 +8,11 @@ from ultrapoly import GAMMA_ZERO, GammaValue, UltraSpace
 
 PRIMES = (2, 3, 5)
 
+#: A safe prime 2q + 1 above the range where Miller-Rabin is exact; n - 1
+#: = 2q has no factor below 2^16 but 2, so no primality certificate is
+#: found and the primality test must refuse to decide.
+UNDECIDABLE_PRIME = 2535301200456458802993406412663
+
 
 def random_code_space(rng: random.Random, p: int, n: int, depth: int | None = None) -> UltraSpace:
     """Separated ultrametric space from distinct random digit codes.

@@ -211,3 +211,94 @@ def residue_blocks(order: int, modulus: int) -> list[tuple[int, ...]]:
     for x in range(order):
         classes.setdefault(x % modulus, []).append(x)
     return sorted((tuple(v) for v in classes.values()), key=lambda cls: cls[0])
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def strong_triangle_by_thresholds(exponents: list[list[int | None]]) -> bool:
+    """Ultrametric test: every closed-ball relation {e >= j} is transitive.
+
+    For each distinct exponent j (plus one threshold above the largest,
+    for the zero-distance relation), the union-find closure of the
+    threshold graph must add no pair outside it.  None stands for
+    distance zero, which lies inside every threshold.
+    """
+    n = len(exponents)
+    values = {e for row in exponents for e in row if e is not None}
+    has_zero_pair = any(
+        exponents[i][j] is None for i in range(n) for j in range(i + 1, n)
+    )
+    if values and has_zero_pair:
+        values.add(max(values) + 1)
+    for j in sorted(values):
+        parent = list(range(n))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for a in range(n):
+            for b in range(a + 1, n):
+                e = exponents[a][b]
+                if e is None or e >= j:
+                    ra, rb = find(a), find(b)
+                    if ra != rb:
+                        parent[rb] = ra
+        for a in range(n):
+            for b in range(a + 1, n):
+                e = exponents[a][b]
+                if e is not None and e < j and find(a) == find(b):
+                    return False
+    return True
+
+
+def pairwise_nonstretching(
+    vertices: list[int],
+    vertex_map: dict[int, int],
+    fine_keys: list[list[tuple[int, int]]],
+    coarse_keys: list[list[tuple[int, int]]],
+    p: int,
+    fine_scale: int,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, bool]:
+    """Non-stretching witnesses of a vertex map by a scan over vertex pairs.
+
+    fine_keys[v] and coarse_keys[v] are the sparse-vector keys realizing
+    point v at the two levels, taken as sets (a repeated key counts once,
+    as in ``C0Vector``); distances are exact fractions from
+    ``sparse_vector_distance``.  Returns (violations, merged, preserved,
+    single_step): pairs whose image distance exceeds the source
+    distance, pairs sent to one vertex, the count of the other pairs,
+    and whether every merged pair sat at p^-(fine_scale - 1).
+    """
+    step = Fraction(p) ** (1 - fine_scale)
+    fine_keys = [list(set(keys)) for keys in fine_keys]
+    coarse_keys = [list(set(keys)) for keys in coarse_keys]
+    violations, merged = [], []
+    preserved = 0
+    single_step = True
+    for a in range(len(vertices)):
+        for b in range(a + 1, len(vertices)):
+            v, w = vertices[a], vertices[b]
+            src = sparse_vector_distance(fine_keys[v], fine_keys[w], p)
+            iv, iw = vertex_map[v], vertex_map[w]
+            if iv == iw:
+                merged.append((v, w))
+                if src != step:
+                    single_step = False
+            elif sparse_vector_distance(coarse_keys[iv], coarse_keys[iw], p) > src:
+                violations.append((v, w))
+            else:
+                preserved += 1
+    return tuple(violations), tuple(merged), preserved, single_step

@@ -12,6 +12,8 @@ from ultrapoly.cli import (
     main,
 )
 
+from corpus import UNDECIDABLE_PRIME
+
 
 def _write(path, obj):
     path.write_text(json.dumps(obj))
@@ -288,3 +290,80 @@ def test_config_rejects_unknown_stage():
 
     with pytest.raises(InputFormatError):
         PipelineConfig(stages=("validate", "warp"))
+
+
+@pytest.mark.parametrize("command", [["shadow"], ["export", "dot"]])
+@pytest.mark.parametrize(
+    "bundle, field",
+    [
+        ([1, 2], "a bundle must hold a JSON object"),
+        ({"levels": []}, "'space'"),
+        ({"space": {"labels": ["a"]}}, "'levels'"),
+        ({"space": {"labels": 5}, "levels": []}, "'space.labels'"),
+        ({"space": {"labels": ["a"]}, "levels": [1]}, "'levels[0]'"),
+    ],
+)
+def test_malformed_bundle_is_an_input_error(tmp_path, capsys, command, bundle, field):
+    path = _write(tmp_path / "bundle.json", bundle)
+    assert main([*command, path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert field in capsys.readouterr().err
+
+
+def test_shadow_names_bad_bonding_and_prime(tmp_path, capsys):
+    out = tmp_path / "demo"
+    main(["demo", "zp", "--prime", "2", "--depth", "2", "--out", str(out)])
+    capsys.readouterr()
+    bundle = json.loads((out / "expansion.json").read_text())
+    bad_bonding = _write(tmp_path / "bonding.json", dict(bundle, bonding="x"))
+    assert main(["shadow", bad_bonding, "--out", str(tmp_path / "sh")]) == EXIT_INPUT
+    assert "'bonding'" in capsys.readouterr().err
+    bundle["space"]["prime"] = 4
+    bad_prime = _write(tmp_path / "prime.json", bundle)
+    assert main(["shadow", bad_prime, "--out", str(tmp_path / "sh")]) == EXIT_INPUT
+    assert "'space.prime'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"precision": "x"}, "precision"),
+        ({"precision": 0}, "precision"),
+        ({"stages": "validate"}, "stages"),
+        ({"stages": ["validate", 3]}, "stages"),
+        ({"prime": "3"}, "prime"),
+        ({"out": 5}, "out"),
+        ({"schedule": "auto"}, "schedule"),
+        ({"schedule": {"j": "x", "k": "auto"}}, "schedule.j"),
+        ({"schedule": {"j": [0, 1], "k": [0, None]}}, "schedule.k"),
+        ({"schedule": {"b": "1"}}, "schedule.b"),
+    ],
+)
+def test_malformed_config_field_is_named(ultra_input, tmp_path, capsys, config, field):
+    path = _write(tmp_path / "cfg.json", config)
+    code = main(["expand", ultra_input, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_mersenne_prime_input_is_accepted(tmp_path, capsys):
+    path = _write(
+        tmp_path / "big.json",
+        {"labels": ["x", "y"], "prime": 2**61 - 1, "padic_points": [[0, 1], [1, 1]]},
+    )
+    assert main(["validate", path]) == EXIT_OK
+
+
+def test_undecidable_prime_is_an_input_error(tmp_path, capsys):
+    path = _write(
+        tmp_path / "big.json",
+        {"labels": ["x", "y"], "prime": UNDECIDABLE_PRIME, "padic_points": [[0, 1], [1, 1]]},
+    )
+    assert main(["expand", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"error: {path}: field 'prime': cannot decide" in capsys.readouterr().err
+    config = _write(tmp_path / "cfg.json", {"prime": UNDECIDABLE_PRIME})
+    small = _write(
+        tmp_path / "small.json",
+        {"labels": ["x", "y"], "prime": 2, "padic_points": [[0, 1], [1, 1]]},
+    )
+    assert main(["expand", small, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "field 'prime': cannot decide" in capsys.readouterr().err
