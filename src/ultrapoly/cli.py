@@ -179,6 +179,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_dict(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _is_exponent(value) -> bool:
+    return value == "INF" or _is_int(value)
+
+
 def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
     """The checked input object and, for matrix input, its exact entries.
 
@@ -497,32 +509,77 @@ def _cmd_expand(args) -> int:
 def _load_bundle(path: Path, shadow: bool) -> dict:
     """The expansion bundle at path, with the fields its command reads checked.
 
-    DOT export reads ``space.labels`` and ``levels``; shadow also reads
-    ``bonding`` and, for p-adic bundles, ``space.padic_points`` and
-    ``space.prime``.  A missing or mistyped field raises InputFormatError
-    naming its path in the bundle.
+    DOT export reads ``space.labels`` and each ``levels[i]`` (``level``,
+    ``scale``, ``threshold``, ``vertices``, ``maximal_simplexes``,
+    ``dimL``); shadow also reads ``schedule``, each ``bonding[i]``
+    (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
+    ``space.padic_points`` and ``space.prime``.  Vertices are point
+    indices into the labels.  A missing or mistyped field raises
+    InputFormatError naming its path in the bundle.  One pass over the
+    decoded bundle.
     """
     bundle = _load_json(path)
     if not isinstance(bundle, dict):
         raise InputFormatError(f"{path}: a bundle must hold a JSON object")
 
-    def require(obj: dict, key: str, field: str, kind: type, want: str):
+    def require(obj: dict, key: str, field: str, ok, want: str):
         if key not in obj:
             raise InputFormatError(f"{path}: missing bundle field {field!r}")
-        if not isinstance(obj[key], kind):
+        if not ok(obj[key]):
             raise InputFormatError(f"{path}: bundle field {field!r} must be {want}")
         return obj[key]
 
-    space = require(bundle, "space", "space", dict, "an object")
-    require(space, "labels", "space.labels", list, "a list")
-    lists = ("levels", "bonding") if shadow else ("levels",)
-    for key in lists:
-        for i, item in enumerate(require(bundle, key, key, list, "a list")):
+    def items(key: str) -> list:
+        found = require(bundle, key, key, _is_list, "a list")
+        for i, item in enumerate(found):
             if not isinstance(item, dict):
                 raise InputFormatError(f"{path}: bundle field '{key}[{i}]' must be an object")
-    if shadow and "padic_points" in space:
-        require(space, "padic_points", "space.padic_points", list, "a list")
-        prime = require(space, "prime", "space.prime", int, "an integer")
+        return found
+
+    space = require(bundle, "space", "space", _is_dict, "an object")
+    n = len(require(space, "labels", "space.labels", _is_list, "a list"))
+
+    def points(value) -> bool:
+        return type(value) is list and all(type(v) is int and 0 <= v < n for v in value)
+
+    def simplexes(value) -> bool:
+        return type(value) is list and value != [] and all(s != [] and points(s) for s in value)
+
+    for i, level in enumerate(items("levels")):
+        for key in ("level", "scale", "dimL"):
+            require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
+        require(level, "threshold", f"levels[{i}].threshold", _is_exponent, 'an integer or "INF"')
+        require(level, "vertices", f"levels[{i}].vertices", points, "a list of point indices")
+        require(
+            level,
+            "maximal_simplexes",
+            f"levels[{i}].maximal_simplexes",
+            simplexes,
+            "a non-empty list of non-empty lists of point indices",
+        )
+    if not shadow:
+        return bundle
+    for i, bmap in enumerate(items("bonding")):
+        for key in ("from", "to"):
+            require(bmap, key, f"bonding[{i}].{key}", _is_int, "an integer")
+        require(
+            bmap,
+            "vertex_map",
+            f"bonding[{i}].vertex_map",
+            lambda value: _is_dict(value) and all(map(_is_int, value.values())),
+            "an object of integers",
+        )
+    require(bundle, "schedule", "schedule", _is_dict, "an object")
+    if "padic_points" in space:
+        require(
+            space,
+            "padic_points",
+            "space.padic_points",
+            lambda value: _is_list(value)
+            and all(_is_list(s) and all(map(_is_int, s)) for s in value),
+            "a list of digit lists",
+        )
+        prime = require(space, "prime", "space.prime", _is_int, "an integer")
         _check_prime_field(prime, "space.prime", f"{path}: bundle ")
     return bundle
 

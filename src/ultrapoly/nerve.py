@@ -137,11 +137,15 @@ def build_nerve(
     """Span simplexes over blocks within set distance p^k * b of each other.
 
     b defaults to the largest block diameter.  The threshold must
-    dominate every block diameter; that makes the proximity relation
-    transitive, so its classes are well-defined maximal simplexes.
+    dominate every block diameter; then each block lies in one ball of
+    the threshold radius, and two blocks are within the threshold
+    exactly when they lie in the same ball.  So the maximal simplexes
+    are the cut of the space's merge tree at the threshold, grouped over
+    the blocks: O(n) with the diameters.
     """
-    diams = [space.diameter(block) for block in cover.blocks]
-    sup_diam = max(diams) if diams else GAMMA_ZERO
+    tree = space.tree
+    diams = [e for e in map(tree.diameter, cover.blocks) if e is not None]
+    sup_diam = GammaValue(min(diams)) if diams else GAMMA_ZERO
     if b is None:
         b = sup_diam
     threshold = b.scaled(k)
@@ -149,28 +153,17 @@ def build_nerve(
         raise ThresholdError(
             f"threshold {threshold!r} is below the block diameter bound {sup_diam!r}"
         )
-    n_blocks = len(cover.blocks)
-    classes: list[list[int]] = []
-    for idx in range(n_blocks):
-        for cls in classes:
-            if space.set_distance(cover.blocks[cls[0]], cover.blocks[idx]) <= threshold:
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-    # transitivity is implied by threshold >= sup_diam; verify anyway
-    for cls in classes:
-        for a in range(len(cls)):
-            for b_ in range(a + 1, len(cls)):
-                if space.set_distance(cover.blocks[cls[a]], cover.blocks[cls[b_]]) > threshold:
-                    raise ThresholdError("proximity classes are not cliques")
+    ball = tree.cut(threshold.exponent)
+    classes: dict[int, list[int]] = {}
     reps = cover.representatives
+    for rep in reps:
+        classes.setdefault(ball[rep], []).append(rep)
     return NerveComplex(
         level=cover.level if level is None else level,
         scale=cover.level,
         threshold=threshold,
         vertices=reps,
-        maximal_simplexes=tuple(tuple(reps[i] for i in cls) for cls in classes),
+        maximal_simplexes=tuple(map(tuple, classes.values())),
     )
 
 
@@ -207,7 +200,10 @@ def realize(
     nerve: NerveComplex,
     vectors: Sequence[C0Vector],
 ) -> Realization:
-    """Attach embedded positions and ball certificates to a nerve."""
+    """Attach embedded positions and ball certificates to a nerve.
+
+    A cell's radius is its support's diameter, read off the merge tree.
+    """
     rep_to_block = {block[0]: block for block in cover.blocks}
     cells = []
     for simplex in nerve.maximal_simplexes:
@@ -217,7 +213,7 @@ def realize(
                 simplex=simplex,
                 support=support,
                 center=support[0],
-                radius=space.diameter(support),
+                radius=GammaValue(space.tree.diameter(support)),
             )
         )
     return Realization(vectors=tuple(vectors), cells=tuple(cells))
@@ -231,17 +227,20 @@ class UniformReport:
 
 
 def check_uniform(space: UltraSpace, realization: Realization) -> UniformReport:
-    """Witness the bounded-diameter / positive-separation conditions exactly."""
+    """Witness the bounded-diameter / positive-separation conditions exactly.
+
+    inf_dist is the smallest distance between points of different
+    cells, from one sort of the cells' members along the merge tree (see
+    ``MergeTree.closest``); cells may share points, as after arbitrary
+    subdivisions.
+    """
     cells = realization.cells
     if not cells:
         raise ValueError("empty complex")
     sup_diam = max(cell.radius for cell in cells)
     inf_dist: GammaValue | None = None
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            d = space.set_distance(cells[a].support, cells[b].support)
-            if inf_dist is None or d < inf_dist:
-                inf_dist = d
+    if len(cells) > 1:
+        inf_dist = GammaValue(space.tree.closest([cell.support for cell in cells]))
     is_uniform = inf_dist is None or not inf_dist.is_zero
     return UniformReport(sup_diam=sup_diam, inf_dist=inf_dist, is_uniform=is_uniform)
 
@@ -302,26 +301,31 @@ def isolated_point_check(
 ) -> IsolationReport:
     """Outliers degenerate: past the level where both the ball scale and the
     nerve threshold drop below a point's nearest-neighbor distance, its
-    simplex must be the single vertex of its singleton block."""
+    simplex must be the single vertex of its singleton block.
+
+    A point's nearest-neighbour distance is read off the merge tree, and
+    its block and simplex from lookups built once per level.
+    """
     n = space.n_points
+    bounds = [max(GammaValue(cover.level), nerve.threshold) for cover, nerve in levels]
+    block_at: list[dict[int, tuple[int, ...]]] = []
+    simplex_at: list[dict[int, tuple[int, ...]]] = []
+    for cover, nerve in levels:
+        block_at.append({x: block for block in cover.blocks for x in block})
+        simplex_at.append({v: s for s in nerve.maximal_simplexes for v in s})
     first_level: dict[int, int | None] = {}
     violations = []
     for x in range(n):
-        others = [space.dist[x][y] for y in range(n) if y != x]
-        delta = min(others) if others else None
-        start: int | None = None
-        for m, (cover, nerve) in enumerate(levels):
-            scale = GammaValue(cover.level)
-            if delta is None or max(scale, nerve.threshold) < delta:
-                start = m
-                break
+        delta = GammaValue(space.tree.nearest(x)) if n > 1 else None
+        start = next(
+            (m for m, bound in enumerate(bounds) if delta is None or bound < delta), None
+        )
         first_level[x] = start
         if start is None:
             continue
         for m in range(start, len(levels)):
-            cover, nerve = levels[m]
-            block = cover.block_of(x)
-            simplex = nerve.maximal_simplexes[nerve.simplex_index_of(block[0])]
+            block = block_at[m][x]
+            simplex = simplex_at[m][block[0]]
             if block != (x,) or simplex != (x,):
                 violations.append((x, m))
     return IsolationReport(first_level=first_level, violations=tuple(violations))

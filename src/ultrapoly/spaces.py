@@ -184,9 +184,12 @@ def _single_linkage(
     """Merges of the single-linkage dendrogram, in ascending weight order.
 
     Each merge is (weight, block, block); the blocks are live lists, valid
-    until the next merge.  Every pair of points is joined by exactly one
-    merge, and its weight is their minimax path distance.  Prim's spanning
-    tree takes O(n^2) comparisons.
+    until the next merge, when the first is extended by the second.  After
+    the last merge, its first block lists every point in a leaf order of
+    the dendrogram: each block of the dendrogram is a contiguous run of
+    it.  Every pair of points is joined by exactly one merge, and its
+    weight is their minimax path distance.  Prim's spanning tree takes
+    O(n^2) comparisons.
     """
     n = len(rows)
     if n == 0:
@@ -208,28 +211,30 @@ def _single_linkage(
     block_of = [[i] for i in range(n)]
     for weight, u, v in edges:
         a, b = block_of[u], block_of[v]
-        yield weight, a, b
         if len(a) < len(b):
             a, b = b, a
+        yield weight, a, b
         a.extend(b)
         for x in b:
             block_of[x] = a
 
 
-def _is_single_linkage(rows: list[list]) -> bool:
-    """True when rows is an ultrametric.
+def _ultrametric_order(rows: list[list]) -> list[int] | None:
+    """A leaf order of the single-linkage dendrogram; None when rows is not an ultrametric.
 
     A symmetric matrix with zero diagonal is an ultrametric exactly when
     every entry equals the weight of the single-linkage merge that joins
     its pair (the minimax path distance never exceeds the entry, with
     equality for all pairs only in an ultrametric).
     """
+    order = [0] if rows else []
     for weight, a, b in _single_linkage(rows):
         for x in a:
             row_x = rows[x]
             if any(row_x[y] != weight for y in b):
-                return False
-    return True
+                return None
+        order = a
+    return order
 
 
 def subdominant_closure(
@@ -253,6 +258,95 @@ def subdominant_closure(
     return out
 
 
+class MergeTree:
+    """The single-linkage dendrogram of an ultrametric space, in integers.
+
+    ``order`` lists the points so that every ball of the space is a
+    contiguous run, and ``heights[i]`` is the exponent of the merge that
+    joins ``order[i]`` and ``order[i + 1]`` (None: distance 0).  Two
+    points meet at their lowest common merge: the smallest height between
+    their positions, which is their entry in ``exponents``.  So the balls
+    of radius p^-j are the runs left when the order is cut at every
+    height below j, and a set's diameter is the distance of its first
+    and last points in the order.
+    """
+
+    def __init__(self, exponents: tuple[tuple[int | None, ...], ...], order: Sequence[int]):
+        self.exponents = exponents
+        self.order = tuple(order)
+        self.heights = tuple(exponents[x][y] for x, y in zip(order, order[1:]))
+        position = [0] * len(order)
+        for i, x in enumerate(order):
+            position[x] = i
+        self.position = tuple(position)
+
+    @property
+    def separated(self) -> bool:
+        return None not in self.heights
+
+    def finite_heights(self) -> list[int]:
+        """The distinct finite distance exponents: every pair meets at one height."""
+        return sorted({h for h in self.heights if h is not None})
+
+    def cut(self, j: int | None) -> list[int]:
+        """Block number of each point under {d <= p^-j}; j=None means {d = 0}.
+
+        Blocks are numbered along the order.  O(n).
+        """
+        block = [0] * len(self.order)
+        number = 0
+        for x, h in zip(self.order[1:], self.heights):
+            if h is not None and (j is None or h < j):
+                number += 1
+            block[x] = number
+        return block
+
+    def classes(self, j: int | None) -> list[tuple[int, ...]]:
+        """The blocks of ``cut(j)``, sorted by smallest member."""
+        members: dict[int, list[int]] = {}
+        for x, number in enumerate(self.cut(j)):
+            members.setdefault(number, []).append(x)
+        return [tuple(cls) for cls in members.values()]
+
+    def diameter(self, points: Iterable[int]) -> int | None:
+        """Exponent of the largest distance within points (None: 0, or fewer than two points)."""
+        ranks = [self.position[x] for x in points]
+        if not ranks:
+            return None
+        return self.exponents[self.order[min(ranks)]][self.order[max(ranks)]]
+
+    def nearest(self, x: int) -> int | None:
+        """Exponent of x's distance to its nearest other point (None: 0).
+
+        The nearest point is a neighbour in the order.  Needs two points.
+        """
+        i = self.position[x]
+        sides = self.heights[max(i - 1, 0) : i + 1]
+        return None if None in sides else max(sides)
+
+    def closest(self, groups: Sequence[Sequence[int]]) -> int | None:
+        """Exponent of the smallest distance between points of different groups (None: 0).
+
+        With the members of all groups sorted by position, a closest
+        such pair sits side by side: a pair further apart spans every
+        height between them.  So one sort and one pass suffice; a point
+        in two groups is a pair at distance 0.  Needs two groups or more.
+        """
+        if not all(groups):
+            raise ValueError("set distance of an empty block")
+        position, order, exponents = self.position, self.order, self.exponents
+        entries = sorted((position[x], g) for g, group in enumerate(groups) for x in group)
+        best = None
+        for (i, g), (k, h) in zip(entries, entries[1:]):
+            if g != h:
+                e = exponents[order[i]][order[k]]
+                if e is None:
+                    return None
+                if best is None or e > best:
+                    best = e
+        return best
+
+
 @dataclass(frozen=True)
 class UltraSpace:
     """A finite labeled point set with exponent-encoded ultrametric distances.
@@ -260,6 +354,10 @@ class UltraSpace:
     The diagonal holds INFINITY entries (metric value 0).  Off-diagonal
     INFINITY entries are permitted until ``quotient_zero`` enforces
     separation.  Immutable; safe to share between threads.
+
+    The constructor's strong-triangle check leaves ``tree``, the
+    ``MergeTree`` of the space with its integer exponent matrix; it is an
+    attribute, not a field, so equality, hashing and JSON ignore it.
     """
 
     labels: tuple[str, ...]
@@ -275,23 +373,25 @@ class UltraSpace:
             raise ValueError("labels must be unique")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise MatrixShapeError("distance matrix must be square over the labels")
-        expo = [[d.exponent for d in row] for row in self.dist]
+        expo = tuple(tuple([d.exponent for d in row]) for row in self.dist)
         for i in range(n):
             if expo[i][i] is not None:
                 raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
             for j in range(i + 1, n):
                 if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self._check_strong_triangle(expo)
+        object.__setattr__(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
 
-    def _check_strong_triangle(self, expo: list[list[int | None]]) -> None:
+    def _check_strong_triangle(self, expo: Sequence[Sequence[int | None]]) -> list[int]:
         # Single linkage over exponents, as in round_space: weight -e, so a
         # larger weight is a larger distance, and the metric value 0 gets a
         # weight below every finite one.  O(n^2) comparisons.
         top = max((e for row in expo for e in row if e is not None), default=-1) + 1
         weights = [[-top if e is None else -e for e in row] for row in expo]
-        if not _is_single_linkage(weights):
+        order = _ultrametric_order(weights)
+        if order is None:
             raise NotUltrametricError(self._find_violating_triple(), self.labels)
+        return order
 
     def _find_violating_triple(self) -> tuple[int, int, int]:
         # slow path, only runs to name a witness once failure is certain
@@ -315,44 +415,17 @@ class UltraSpace:
 
     @property
     def is_separated(self) -> bool:
-        n = self.n_points
-        return all(
-            not self.dist[i][j].is_zero for i in range(n) for j in range(i + 1, n)
-        )
+        return self.tree.separated
 
     def finite_exponents(self) -> list[int]:
-        n = self.n_points
-        return sorted(
-            {
-                self.dist[i][j].exponent
-                for i in range(n)
-                for j in range(i + 1, n)
-                if self.dist[i][j].exponent is not None
-            }
-        )
+        return self.tree.finite_heights()
 
     def set_distance(self, block_a: Iterable[int], block_b: Iterable[int]) -> GammaValue:
         """min over member pairs; exact for balls, the convention otherwise."""
-        block_b = tuple(block_b)
-        best: GammaValue | None = None
-        for a in block_a:
-            for b in block_b:
-                d = self.dist[a][b]
-                if best is None or d < best:
-                    best = d
-        if best is None:
-            raise ValueError("set distance of an empty block")
-        return best
+        return GammaValue(self.tree.closest([tuple(block_a), tuple(block_b)]))
 
     def diameter(self, block: Iterable[int]) -> GammaValue:
-        block = tuple(block)
-        best = GAMMA_ZERO
-        for x in range(len(block)):
-            for y in range(x + 1, len(block)):
-                d = self.dist[block[x]][block[y]]
-                if d > best:
-                    best = d
-        return best
+        return GammaValue(self.tree.diameter(block))
 
     def to_json(self) -> dict:
         return {
@@ -461,21 +534,10 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
 def threshold_classes(space: UltraSpace, j: int | None) -> list[tuple[int, ...]]:
     """Equivalence classes of {d <= p^-j}; j=None means {d = 0}.
 
-    The threshold relation is transitive by the strong triangle
-    inequality, so comparing against one representative per class is
-    enough.  Classes are sorted by smallest member index.
+    A cut of the space's merge tree, O(n).  Classes are sorted by
+    smallest member index.
     """
-    n = space.n_points
-    classes: list[list[int]] = []
-    for i in range(n):
-        for cls in classes:
-            d = space.dist[cls[0]][i]
-            if d.is_zero or (j is not None and d.exponent is not None and d.exponent >= j):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    return [tuple(cls) for cls in classes]
+    return space.tree.classes(j)
 
 
 @dataclass(frozen=True)
@@ -519,21 +581,17 @@ def baire_encode(space: UltraSpace) -> BaireCodes:
         depth = exponents[-1] + 1
     else:
         start, depth = 1, 1
+    by_label = sorted(range(space.n_points), key=space.labels.__getitem__)
     codes = [[] for _ in space.labels]
     for pos in range(start, depth + 1):
-        # class under {d < p^-pos} == {exponent >= pos+1}
-        classes = threshold_classes(space, pos + 1)
-        ordered = sorted(
-            range(len(classes)),
-            key=lambda c: min(space.labels[m] for m in classes[c]),
-        )
-        symbol_of_class = {cls_idx: sym for sym, cls_idx in enumerate(ordered)}
-        member_symbol: dict[int, int] = {}
-        for cls_idx, cls in enumerate(classes):
-            for member in cls:
-                member_symbol[member] = symbol_of_class[cls_idx]
-        for i in range(space.n_points):
-            codes[i].append(member_symbol[i])
+        # class under {d < p^-pos} == {exponent >= pos+1}: a cut of the tree;
+        # a class's symbol is its rank by smallest label
+        block = space.tree.cut(pos + 1)
+        symbol: dict[int, int] = {}
+        for x in by_label:
+            symbol.setdefault(block[x], len(symbol))
+        for x, code in enumerate(codes):
+            code.append(symbol[block[x]])
     return BaireCodes(
         prime=space.prime,
         start=start,

@@ -14,7 +14,7 @@ levels of the infinite-system picture are constant and carry nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .nerve import (
@@ -366,15 +366,55 @@ class Expansion:
         return current
 
     def verify_functoriality(self) -> list[tuple[int, int]]:
-        """Level pairs where composites disagree with direct containment."""
-        bad = []
-        for fine_m in range(self.depth):
-            for coarse_m in range(fine_m + 1):
-                if self.composite_vertex_map(fine_m, coarse_m) != self.direct_vertex_map(
-                    fine_m, coarse_m
-                ):
-                    bad.append((fine_m, coarse_m))
-        return bad
+        """Level pairs where composites disagree with direct containment.
+
+        Decided once per expansion, whose levels and maps are not to be
+        changed afterwards: an O(depth * n) certificate (see
+        ``_functorial``), and only when it fails a comparison of every
+        level pair, so the failing pairs are always the exhaustive ones.
+        """
+        return list(self._functoriality_failures)
+
+    @cached_property
+    def _functoriality_failures(self) -> tuple[tuple[int, int], ...]:
+        if self._functorial():
+            return ()
+        return tuple(
+            (fine_m, coarse_m)
+            for fine_m in range(self.depth)
+            for coarse_m in range(fine_m + 1)
+            if self.composite_vertex_map(fine_m, coarse_m)
+            != self.direct_vertex_map(fine_m, coarse_m)
+        )
+
+    def _functorial(self) -> bool:
+        """Certificate that every composite map equals direct containment.
+
+        It asks that every vertex be its own representative, that each
+        consecutive map be direct containment into the coarser vertices,
+        and that representatives compose:
+        ``rep_of[c][rep_of[c + 1][x]] == rep_of[c][x]`` for every point x
+        of level c + 1.  Then, by induction down the levels, the composite
+        from level f to level c sends each vertex v to ``rep_of[c][v]``,
+        which is the direct map.
+        """
+        levels = self.levels
+        if len(self.bonding) < len(levels) - 1:
+            return False
+        for level in levels:
+            if any(level.rep_of.get(v) != v for v in level.nerve.vertices):
+                return False
+        for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
+            rep_of = coarse.rep_of
+            direct = {v: rep_of.get(v) for v in fine.nerve.vertices}
+            if bmap.vertex_map != direct or not set(coarse.nerve.vertices).issuperset(
+                direct.values()
+            ):
+                return False
+            for x, rep in fine.rep_of.items():
+                if x not in rep_of or rep_of.get(rep) != rep_of[x]:
+                    return False
+        return True
 
     def thread(self, point: int) -> Thread:
         if not 0 <= point < self.space.n_points:
@@ -430,7 +470,9 @@ def assemble_expansion(space: UltraSpace, schedule: Schedule | None = None) -> E
 
     The finest level must separate: every block a singleton and every
     simplex a single vertex.  Functoriality of the bonding maps is
-    verified exhaustively before returning.
+    checked before returning (``Expansion.verify_functoriality``, whose
+    result the verify stage reuses).  Every cover, nerve and Baire code
+    is a cut of the space's merge tree, O(n) per level.
     """
     if schedule is None:
         schedule = Schedule.auto(space)
@@ -526,22 +568,27 @@ def reconstruct(expansion: Expansion, thread_: Thread) -> frozenset[int]:
     return expansion.reconstruct(thread_)
 
 
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+#: Largest group Z/p^depth that ``residue_space`` builds in full: its
+#: space stores (p^depth)^2 distances, 4M at the cap.
+MAX_RESIDUE_ORDER = 2048
 
 
 def residue_space(p: int, depth: int, subset: Iterable[int] | None = None) -> UltraSpace:
-    """The additive group Z/p^depth (or a subset) under |x - y|_p."""
-    check_prime(p)
+    """The additive group Z/p^depth (or a subset) under |x - y|_p.
+
+    The full group is refused above ``MAX_RESIDUE_ORDER`` points, before
+    anything is built.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    # 2^depth <= p^depth, so a long depth is refused before p^depth is formed
+    if subset is None and (
+        depth >= MAX_RESIDUE_ORDER.bit_length() or p**depth > MAX_RESIDUE_ORDER
+    ):
+        raise ValueError(
+            f"depth {depth} is too large: prime ** depth must not exceed {MAX_RESIDUE_ORDER}"
+        )
+    check_prime(p)
     order = p**depth
     if subset is None:
         points = list(range(order))
@@ -555,6 +602,16 @@ def residue_space(p: int, depth: int, subset: Iterable[int] | None = None) -> Ul
     return space_from_points(padics, labels=[str(r) for r in points])
 
 
+def _shift_invariant(exponents: Sequence[Sequence[int | None]]) -> bool:
+    """True when d(x + 1, y + 1) = d(x, y) for all points, indices taken mod n."""
+    n = len(exponents)
+    return all(
+        row[y] == shifted[(y + 1) % n]
+        for row, shifted in zip(exponents, exponents[1:] + exponents[:1])
+        for y in range(n)
+    )
+
+
 def group_expansion(
     p: int, depth: int, subset: Iterable[int] | None = None
 ) -> tuple[Expansion, dict]:
@@ -562,8 +619,10 @@ def group_expansion(
 
     For the full residue set the report certifies that level i carries
     exactly p^i blocks, that each bonding map is reduction mod p^i on
-    representatives, and that the metric is invariant under adding any
-    residue (mod p^depth).  Subsets skip the count and invariance checks.
+    representatives, and that the space's metric is invariant under
+    adding any residue (mod p^depth): adding 1 generates the group, so
+    that one shift is checked, over every pair, in O(p^(2 depth)).
+    Subsets skip the count and invariance checks.
     """
     space = residue_space(p, depth, subset)
     expansion = assemble_expansion(space)
@@ -581,18 +640,5 @@ def group_expansion(
                 if w != v % modulus:
                     reduction_ok = False
         report["bonding_is_mod_reduction"] = reduction_ok
-        order = p**depth
-        invariant = True
-        for c in range(order):
-            for x in range(order):
-                for y in range(x + 1, order):
-                    dx = (x + c) % order - (y + c) % order
-                    if _vp(dx, p) != _vp(x - y, p):
-                        invariant = False
-                        break
-                if not invariant:
-                    break
-            if not invariant:
-                break
-        report["translation_invariant"] = invariant
+        report["translation_invariant"] = _shift_invariant(space.tree.exponents)
     return expansion, report

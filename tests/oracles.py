@@ -302,3 +302,158 @@ def pairwise_nonstretching(
             else:
                 preserved += 1
     return tuple(violations), tuple(merged), preserved, single_step
+
+
+# -- the former pairwise routes of covers, nerves and checks -------------
+#
+# Each takes a distance matrix of exact fractions (0 for distance zero)
+# and reproduces a scan the library made before its merge tree.
+
+
+def greedy_threshold_classes(
+    dist: list[list[Fraction]], threshold: Fraction
+) -> list[tuple[int, ...]]:
+    """Classes of {d <= threshold}, comparing each point with one member per class."""
+    classes: list[list[int]] = []
+    for i in range(len(dist)):
+        for cls in classes:
+            if dist[cls[0]][i] <= threshold:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return [tuple(cls) for cls in classes]
+
+
+def pairwise_diameter(dist: list[list[Fraction]], block) -> Fraction:
+    """Largest distance over member pairs; 0 below two members."""
+    block = tuple(block)
+    return max(
+        (dist[x][y] for a, x in enumerate(block) for y in block[a + 1 :]),
+        default=Fraction(0),
+    )
+
+
+def pairwise_set_distance(dist: list[list[Fraction]], block_a, block_b) -> Fraction:
+    """Smallest distance over member pairs."""
+    values = [dist[a][b] for a in block_a for b in block_b]
+    if not values:
+        raise ValueError("set distance of an empty block")
+    return min(values)
+
+
+def pairwise_nerve(
+    dist: list[list[Fraction]],
+    blocks: list[tuple[int, ...]],
+    factor: Fraction,
+    b: Fraction | None,
+) -> tuple[Fraction, list[tuple[int, ...]]] | None:
+    """Threshold and maximal simplexes of the nerve at threshold factor * b.
+
+    b None means the largest block diameter.  Blocks join the first
+    class whose first block lies within the threshold, and every class
+    is then checked to be a clique.  None when the threshold lies below
+    a block diameter.
+    """
+    sup = max((pairwise_diameter(dist, block) for block in blocks), default=Fraction(0))
+    threshold = (sup if b is None else b) * factor
+    if threshold < sup:
+        return None
+    classes: list[list[int]] = []
+    for idx, block in enumerate(blocks):
+        for cls in classes:
+            if pairwise_set_distance(dist, blocks[cls[0]], block) <= threshold:
+                cls.append(idx)
+                break
+        else:
+            classes.append([idx])
+    for cls in classes:
+        for a in cls:
+            for b_ in cls:
+                assert pairwise_set_distance(dist, blocks[a], blocks[b_]) <= threshold
+    return threshold, [tuple(blocks[i][0] for i in cls) for cls in classes]
+
+
+def pairwise_separation(dist: list[list[Fraction]], supports) -> Fraction | None:
+    """Smallest set distance over pairs of supports; None for one support."""
+    return min(
+        (
+            pairwise_set_distance(dist, supports[a], supports[b])
+            for a in range(len(supports))
+            for b in range(a + 1, len(supports))
+        ),
+        default=None,
+    )
+
+
+def pairwise_isolation(
+    dist: list[list[Fraction]],
+    levels: list[tuple[Fraction, Fraction, list[tuple[int, ...]], list[tuple[int, ...]]]],
+) -> tuple[dict[int, int | None], list[tuple[int, int]]]:
+    """First isolating level of each point and the (point, level) violations.
+
+    levels holds (ball scale, nerve threshold, blocks, maximal
+    simplexes).  A point's first level is the first whose scale and
+    threshold both lie below its nearest-neighbour distance; from there
+    on its block and simplex must be the point alone.
+    """
+    n = len(dist)
+    first: dict[int, int | None] = {}
+    violations = []
+    for x in range(n):
+        others = [dist[x][y] for y in range(n) if y != x]
+        delta = min(others) if others else None
+        first[x] = next(
+            (
+                m
+                for m, (scale, threshold, _, _) in enumerate(levels)
+                if delta is None or max(scale, threshold) < delta
+            ),
+            None,
+        )
+        if first[x] is None:
+            continue
+        for m in range(first[x], len(levels)):
+            _, _, blocks, simplexes = levels[m]
+            block = next(block for block in blocks if x in block)
+            simplex = next(s for s in simplexes if block[0] in s)
+            if block != (x,) or simplex != (x,):
+                violations.append((x, m))
+    return first, violations
+
+
+def label_ranked_codes(
+    exponents: list[list[int | None]], labels: list[str], start: int, depth: int
+) -> list[tuple[int, ...]]:
+    """Digit codes: at position i, the rank of a point's {e >= i + 1} class by smallest label."""
+    codes: list[list[int]] = [[] for _ in labels]
+    for pos in range(start, depth + 1):
+        classes = sorted(
+            closure_classes(exponents, pos + 1), key=lambda c: min(labels[x] for x in c)
+        )
+        for symbol, cls in enumerate(classes):
+            for x in cls:
+                codes[x].append(symbol)
+    return [tuple(code) for code in codes]
+
+
+def all_pairs_functoriality(
+    rep_of: list[dict[int, int]],
+    vertices: list[list[int]],
+    vertex_maps: list[dict[int, int]],
+) -> list[tuple[int, int]]:
+    """Level pairs (fine, coarse) where the chain of maps differs from containment.
+
+    vertex_maps[m] sends level m + 1 to level m; containment sends each
+    fine vertex v to rep_of[coarse][v].  Raises KeyError where a chain
+    leaves a map's domain.
+    """
+    bad = []
+    for fine in range(len(vertices)):
+        for coarse in range(fine + 1):
+            chain = {v: v for v in vertices[fine]}
+            for m in range(fine, coarse, -1):
+                chain = {v: vertex_maps[m - 1][w] for v, w in chain.items()}
+            if chain != {v: rep_of[coarse][v] for v in vertices[fine]}:
+                bad.append((fine, coarse))
+    return bad

@@ -367,3 +367,66 @@ def test_undecidable_prime_is_an_input_error(tmp_path, capsys):
     )
     assert main(["expand", small, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "field 'prime': cannot decide" in capsys.readouterr().err
+
+
+@pytest.fixture
+def demo_bundle(tmp_path, capsys):
+    out = tmp_path / "demo"
+    main(["demo", "zp", "--prime", "2", "--depth", "2", "--out", str(out)])
+    capsys.readouterr()
+    return json.loads((out / "expansion.json").read_text())
+
+
+def _set_field(bundle, path, value):
+    *parents, last = path
+    obj = bundle
+    for key in parents:
+        obj = obj[key]
+    obj[last] = value
+    return bundle
+
+
+@pytest.mark.parametrize(
+    "command, path, value, field",
+    [
+        (["export", "dot"], ("levels", 0, "vertices"), 5, "levels[0].vertices"),
+        (["shadow"], ("levels", 0, "vertices"), 5, "levels[0].vertices"),
+        (["shadow"], ("bonding", 0, "vertex_map"), [1, 2], "bonding[0].vertex_map"),
+        (
+            ["export", "dot"],
+            ("levels", 1, "maximal_simplexes"),
+            [[0], "x"],
+            "levels[1].maximal_simplexes",
+        ),
+        (["shadow"], ("levels", 1, "maximal_simplexes"), [[0], "x"], "levels[1].maximal_simplexes"),
+        (["export", "dot"], ("levels", 1, "vertices"), [0, 9], "levels[1].vertices"),
+        (["shadow"], ("levels", 0, "threshold"), "x", "levels[0].threshold"),
+        (["shadow"], ("levels", 0, "dimL"), None, "levels[0].dimL"),
+        (["shadow"], ("bonding", 0, "to"), "0", "bonding[0].to"),
+        (["shadow"], ("space", "padic_points", 0), 1, "space.padic_points"),
+        (["shadow"], ("schedule",), [], "schedule"),
+    ],
+)
+def test_bad_level_and_map_fields_are_named(
+    tmp_path, capsys, demo_bundle, command, path, value, field
+):
+    bad = _write(tmp_path / "bad.json", _set_field(demo_bundle, path, value))
+    assert main([*command, bad, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"bundle field '{field}'" in capsys.readouterr().err
+
+
+def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
+    bonding = _set_field(demo_bundle, ("bonding", 0, "vertex_map"), [1, 2])
+    bad = _write(tmp_path / "bad.json", bonding)
+    assert main(["export", "dot", bad, "--out", str(tmp_path / "dots")]) == EXIT_OK
+    assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
+
+
+@pytest.mark.parametrize("prime, depth", [(2, 64), (3, 7), (2, 10**9)])
+def test_demo_zp_refuses_groups_above_the_cap(tmp_path, capsys, prime, depth):
+    # each fails the cap check before any space is built
+    out = tmp_path / "zp"
+    code = main(["demo", "zp", "--prime", str(prime), "--depth", str(depth), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert f"depth {depth} is too large" in capsys.readouterr().err
+    assert not out.exists()

@@ -359,3 +359,20 @@ def test_group_expansion_rejects_bad_parameters():
         group_expansion(4, 2)
     with pytest.raises(ValueError):
         group_expansion(3, 0)
+
+
+def test_translation_check_reads_the_space_distances():
+    from ultrapoly.spectrum import _shift_invariant
+
+    assert _shift_invariant(residue_space(3, 3).tree.exponents)
+    # 27 random codes of one space, in code order: not a cyclic group
+    assert not _shift_invariant(random_code_space(random.Random(5), 3, 27).tree.exponents)
+
+
+def test_residue_space_cap_is_checked_before_building():
+    from ultrapoly.spectrum import MAX_RESIDUE_ORDER
+
+    assert residue_space(2, MAX_RESIDUE_ORDER.bit_length() - 1, subset=[0, 1]).n_points == 2
+    for p, depth in [(2, MAX_RESIDUE_ORDER.bit_length()), (3, 7), (2, 10**12)]:
+        with pytest.raises(ValueError, match=f"depth {depth} is too large"):
+            residue_space(p, depth)
