@@ -16,6 +16,7 @@ from ultrapoly import (
     theta_nonstretch_check,
     theta_table_csv,
 )
+from ultrapoly.shadow import theta_samples
 
 p, n = 3, 3
 
@@ -52,7 +53,6 @@ print(f"shadow bonding maps mirror the source maps: "
 
 print()
 print("== theta table for the residues (CSV head) ==")
-table = theta_table_csv(
-    [[(r // 3**i) % 3 for i in range(2)] for r in range(9)], 3
-)
+residues = [[(r // 3**i) % 3 for i in range(2)] for r in range(9)]
+table = theta_table_csv(theta_samples(residues, [str(r) for r in range(9)], 3))
 print("\n".join(table.splitlines()[:5]))

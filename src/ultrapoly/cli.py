@@ -8,6 +8,7 @@ stdout), and every dict is serialized with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
 from .padic import GammaValue, PAdic, PrimalityUnknownError, is_prime, round_to_gamma
@@ -28,16 +29,11 @@ from .spaces import (
     subdominant_closure,
     validate_ultrametric,
 )
-from .shadow import shadow_bundle
-from .spectrum import (
-    Schedule,
-    ScheduleError,
-    assemble_expansion,
-    group_expansion,
-    limit_isometry_check,
-    verify_nondegenerate,
-    verify_nonstretching,
-)
+
+# spectrum and shadow are imported by the commands that run them, so
+# `export dot`, `shadow` and `validate` never load what they do not use
+if TYPE_CHECKING:
+    from .spectrum import Schedule
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -168,11 +164,72 @@ def _load_json(path: Path):
 
 
 def _dump_json(path: Path, obj) -> None:
-    # written as it is encoded: the whole indented text would set the peak memory
+    """Write obj as ``json.dump(obj, fh, sort_keys=True, indent=2)`` does, then a newline.
+
+    The bytes are the same; the speed is not.  ``json.dump`` with an
+    indent always runs json's pure-Python encoder, while the C encoder
+    serves one-shot dumps without one.  Most of a bundle sits in leaf
+    containers (lists and objects of scalars: matrix rows, blocks,
+    simplexes, vertex maps), so each leaf is one C-encoder call and only
+    the containers above the leaves are walked in Python.  Pieces are
+    written as they are made: the whole text would set the peak memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        _write_json(fh.write, obj, 0)
         fh.write("\n")
+
+
+_SCALAR_TYPES = frozenset({int, str, bool, type(None)})
+
+
+@functools.cache
+def _leaf_encoder(depth: int):
+    """Compact encoding of a leaf at depth whose item separator breaks the line and indents."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _write_json(write, obj, depth: int) -> None:
+    """Write obj nested depth levels deep, in pieces: its items are indented depth + 1 levels."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        write(json.dumps(obj))
+        return
+    if not obj:
+        write(brackets)
+        return
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        # the encoder puts every item after the first on its own line;
+        # the first item and the closing bracket get theirs here
+        text = _leaf_encoder(depth)(obj)
+        write(f"{brackets[0]}{inner}{text[1:-1]}{outer}{brackets[1]}")
+        return
+    if isinstance(obj, dict):
+        entries = [(f"{_json_key(key)}: ", value) for key, value in sorted(obj.items())]
+    else:
+        entries = [("", value) for value in obj]
+    separator = brackets[0] + inner
+    for prefix, value in entries:
+        write(separator + prefix)
+        _write_json(write, value, depth + 1)
+        separator = "," + inner
+    write(outer + brackets[1])
+
+
+def _json_key(key) -> str:
+    """An object key as json writes it: a string, or the JSON text of a non-string key."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def _is_int(value) -> bool:
@@ -303,6 +360,8 @@ def _space_from_input(
 
 
 def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule:
+    from .spectrum import Schedule, ScheduleError
+
     if config.schedule_j == "auto" and config.schedule_k == "auto":
         return Schedule.auto(space, b_shift=config.b_shift)
     if config.schedule_j == "auto" or config.schedule_k == "auto":
@@ -315,6 +374,8 @@ def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule
 
 def _verify_expansion(expansion, report: RunReport) -> dict:
     """All report-style checks; returns the deterministic bundle summary."""
+    from .spectrum import limit_isometry_check, verify_nondegenerate, verify_nonstretching
+
     t0 = time.perf_counter()
     summaries: dict = {}
     ok = True
@@ -411,15 +472,19 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
     if space is None:
         return report, outputs, EXIT_VERIFY
 
+    # the bundle's space is space.json less the raw matrix: one build serves both
     space_json = space.to_json()
-    if "matrix" in obj:
-        space_json["matrix"] = [[str(e) for e in row] for row in obj["matrix"]]
     if "padic_points" in obj:
         space_json["padic_points"] = [list(s) for s in obj["padic_points"]]
+    bundle_space = dict(space_json)
+    if "matrix" in obj:
+        space_json["matrix"] = [[str(e) for e in row] for row in obj["matrix"]]
     outputs["space.json"] = space_json
 
     if "expand" not in config.stages:
         return report, outputs, EXIT_OK if not report.failed else EXIT_VERIFY
+
+    from .spectrum import assemble_expansion
 
     t0 = time.perf_counter()
     schedule = _schedule_from_config(space, config)
@@ -435,12 +500,12 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
     if "verify" in config.stages:
         summaries = _verify_expansion(expansion, report)
 
-    bundle = expansion.to_bundle(summaries)
-    if "padic_points" in obj:
-        bundle["space"]["padic_points"] = [list(s) for s in obj["padic_points"]]
+    bundle = expansion.to_bundle(summaries, space=bundle_space)
     outputs["expansion.json"] = bundle
 
     if "shadow" in config.stages:
+        from .shadow import shadow_bundle
+
         t0 = time.perf_counter()
         outputs["shadow.json"] = shadow_bundle(bundle)
         report.add("shadow", "passed", time.perf_counter() - t0)
@@ -485,6 +550,8 @@ def _cmd_expand(args) -> int:
     }
     if args.stages:
         overrides["stages"] = tuple(args.stages.split(","))
+    from .spectrum import ScheduleError
+
     try:
         config = PipelineConfig.load(args.config, overrides)
         report, outputs, code = run(config, Path(args.input))
@@ -585,6 +652,8 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
 
 
 def _cmd_shadow(args) -> int:
+    from .shadow import shadow_bundle
+
     try:
         bundle = _load_bundle(Path(args.bundle), shadow=True)
         result = shadow_bundle(bundle)
@@ -594,23 +663,24 @@ def _cmd_shadow(args) -> int:
     out_dir = Path(args.out or ".")
     _dump_json(out_dir / "shadow.json", result)
     if args.csv:
-        _write_theta_csv(bundle, out_dir)
+        _write_theta_csv(result, out_dir)
     return EXIT_OK
 
 
-def _write_theta_csv(bundle: dict, out_dir: Path) -> None:
-    space = bundle.get("space", {})
-    if "padic_points" not in space:
+def _write_theta_csv(shadow: dict, out_dir: Path) -> None:
+    """theta.csv from the shadow bundle's theta samples, when it has them."""
+    if "theta_samples" not in shadow:
         return
     from .shadow import theta_table_csv
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "theta.csv").write_text(
-        theta_table_csv(space["padic_points"], space["prime"])
-    )
+    (out_dir / "theta.csv").write_text(theta_table_csv(shadow["theta_samples"]))
 
 
 def _cmd_demo_zp(args) -> int:
+    from .shadow import shadow_bundle
+    from .spectrum import group_expansion
+
     t0 = time.perf_counter()
     try:
         expansion, group_report = group_expansion(args.prime, args.depth)
@@ -637,7 +707,7 @@ def _cmd_demo_zp(args) -> int:
     out_dir = Path(args.out or ".")
     _write_outputs(outputs, out_dir)
     if args.csv:
-        _write_theta_csv(bundle, out_dir)
+        _write_theta_csv(outputs["shadow.json"], out_dir)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_VERIFY if report.failed else EXIT_OK
 

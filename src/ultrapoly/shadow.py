@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .nerve import NerveComplex, Realization
 from .padic import PAdic, check_prime
-from .spectrum import BondingMap, Expansion
+
+if TYPE_CHECKING:
+    from .spectrum import BondingMap, Expansion
 
 
 class UnitBallError(ValueError):
@@ -275,15 +277,15 @@ def theta_samples(
     return out
 
 
-def theta_table_csv(padic_points: Sequence[Sequence[int]], p: int) -> str:
-    """CSV of (digit stream, exact theta value) rows for external plotting."""
+def theta_table_csv(samples: Sequence[dict]) -> str:
+    """CSV of (digit stream, exact theta value) rows for external plotting.
+
+    A view of ``theta_samples``: no theta is computed again.
+    """
     lines = ["digits,theta_num,theta_den"]
-    for stream in padic_points:
-        x = PAdic.from_digit_stream(stream, p)
-        value = theta(x, len(tuple(stream))) if not x.is_zero else Fraction(0)
-        lines.append(
-            f"{':'.join(str(d) for d in stream)},{value.numerator},{value.denominator}"
-        )
+    for sample in samples:
+        num, den = sample["theta"].split("/")
+        lines.append(f"{':'.join(str(d) for d in sample['digits'])},{num},{den}")
     return "\n".join(lines) + "\n"
 
 
@@ -302,9 +304,10 @@ def shadow_bundle(bundle: dict) -> dict:
             vertices=nerve.vertices,
             cells=tuple(RealSimplex(vertices=s) for s in nerve.maximal_simplexes),
         )
-        if shadow.to_json()["dimR"] != level_obj["dimL"]:
+        shadow_json = shadow.to_json()
+        if shadow_json["dimR"] != level_obj["dimL"]:
             dims_ok = False
-        levels_json.append(shadow.to_json())
+        levels_json.append(shadow_json)
     bonding_json = [
         {
             "from": bmap["from"],

@@ -428,10 +428,13 @@ class UltraSpace:
         return GammaValue(self.tree.diameter(block))
 
     def to_json(self) -> dict:
+        # the tree's integer exponents, as GammaValue.to_json writes them
         return {
             "labels": list(self.labels),
             "prime": self.prime,
-            "gamma_matrix": [[d.to_json() for d in row] for row in self.dist],
+            "gamma_matrix": [
+                ["INF" if e is None else e for e in row] for row in self.tree.exponents
+            ],
         }
 
     @classmethod
@@ -513,8 +516,10 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
     """Merge zero-distance points; the report maps dropped labels to keepers.
 
     The result satisfies the separation invariant: off-diagonal entries
-    are never INFINITY.
+    are never INFINITY.  A space that already does is returned as it is.
     """
+    if space.is_separated:
+        return space, {}
     classes = threshold_classes(space, None)
     reps = [cls[0] for cls in classes]
     report = {

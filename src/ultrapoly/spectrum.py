@@ -448,10 +448,11 @@ class Expansion:
             points = support if points is None else points & support
         return frozenset(points or set())
 
-    def to_bundle(self, reports: dict | None = None) -> dict:
+    def to_bundle(self, reports: dict | None = None, space: dict | None = None) -> dict:
+        """The bundle object; ``space`` is the space's JSON when the caller has built it."""
         bundle = {
             "schedule": self.schedule.to_json(),
-            "space": self.space.to_json(),
+            "space": self.space.to_json() if space is None else space,
             "levels": [
                 dict(
                     level.nerve.to_json(),

@@ -1,15 +1,18 @@
 """Pipeline driver: commands, exit codes, determinism, exports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from ultrapoly import UltraSpace
 from ultrapoly.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
     PipelineConfig,
     main,
+    run,
 )
 
 from corpus import UNDECIDABLE_PRIME
@@ -98,6 +101,18 @@ def test_expand_full_pipeline_bundle(ultra_input, tmp_path):
     assert [len(level["vertices"]) for level in bundle["levels"]] == [1, 1, 2, 4]
     shadow = json.loads((out / "shadow.json").read_text())
     assert shadow["reports"]["dim_preserved"]
+
+
+def test_space_is_serialized_once_for_both_outputs(ultra_input, monkeypatch):
+    calls = []
+    to_json = UltraSpace.to_json
+    monkeypatch.setattr(UltraSpace, "to_json", lambda self: calls.append(1) or to_json(self))
+    _, outputs, code = run(PipelineConfig(), Path(ultra_input))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    space, bundle_space = outputs["space.json"], outputs["expansion.json"]["space"]
+    assert bundle_space["gamma_matrix"] is space["gamma_matrix"]
+    assert "matrix" in space and "matrix" not in bundle_space
 
 
 def test_expand_requires_value_group_entries_without_round(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The digit-reading quotient onto [0,1] and real shadows of expansions."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,11 +20,15 @@ from ultrapoly import (
     theta_boundary_pairs,
     theta_nonstretch_check,
 )
+from ultrapoly.cli import main
 from ultrapoly.shadow import (
     MismatchedComplexError,
     PrecisionError,
+    ShadowComplex,
     UnitBallError,
     UnrealizedComplexError,
+    theta_samples,
+    theta_table_csv,
 )
 
 from corpus import random_code_space
@@ -301,3 +306,36 @@ def test_theta_samples_exact_values():
     # residue r with bits (b0,b1,b2) reads as b0/2 + b1/4 + b2/8
     assert samples["1"] == "1/2"
     assert samples["6"] == "3/8"  # bits (0,1,1) -> 1/4 + 1/8
+
+
+def test_theta_table_is_a_view_of_the_samples():
+    streams = [[1, 0, 1], [0, 0, 0], [2, 2, 1]]
+    samples = theta_samples(streams, ["a", "b", "c"], 3)
+    rows = theta_table_csv(samples).splitlines()
+    assert rows[0] == "digits,theta_num,theta_den"
+    for row, stream in zip(rows[1:], streams):
+        value = theta_digits(stream, 3, 3)
+        assert row == f"{':'.join(map(str, stream))},{value.numerator},{value.denominator}"
+
+
+def test_shadow_csv_reads_each_stream_once(tmp_path, monkeypatch, capsys):
+    assert main(["demo", "zp", "--prime", "3", "--depth", "3", "--out", str(tmp_path)]) == 0
+    levels = len(json.loads((tmp_path / "expansion.json").read_text())["levels"])
+    demo_shadow = (tmp_path / "shadow.json").read_text()
+    reads, views = [], []
+    from_digit_stream = PAdic.from_digit_stream.__func__
+    to_json = ShadowComplex.to_json
+
+    def counting_read(cls, stream, p):
+        reads.append(tuple(stream))
+        return from_digit_stream(cls, stream, p)
+
+    monkeypatch.setattr(PAdic, "from_digit_stream", classmethod(counting_read))
+    monkeypatch.setattr(ShadowComplex, "to_json", lambda self: views.append(1) or to_json(self))
+    out = tmp_path / "shadow"
+    assert main(["shadow", str(tmp_path / "expansion.json"), "--csv", "--out", str(out)]) == 0
+    assert len(reads) == len(set(reads)) == 27
+    assert len(views) == levels
+    assert (out / "shadow.json").read_text() == demo_shadow
+    rows = (out / "theta.csv").read_text().splitlines()
+    assert len(rows) == 28 and rows[1] == "0:0:0,0,1"

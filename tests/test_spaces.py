@@ -277,6 +277,12 @@ def test_quotient_merges_identical_points():
     assert merged.labels == ("a", "c")
     assert report == {"b": "a"}
     assert merged.is_separated
+    assert merged == UltraSpace(
+        labels=("a", "c"),
+        prime=2,
+        dist=((GAMMA_ZERO, GammaValue(1)), (GammaValue(1), GAMMA_ZERO)),
+    )
+    assert merged.tree.exponents == ((None, 1), (1, None))
 
 
 def test_quotient_is_identity_without_zero_pairs():
@@ -284,6 +290,13 @@ def test_quotient_is_identity_without_zero_pairs():
     merged, report = quotient_zero(space)
     assert merged.labels == space.labels
     assert report == {}
+    assert merged is space  # a separated space is not rebuilt
+
+
+def test_to_json_writes_each_distance_as_its_gamma_value():
+    for space in (_space_with_zero_pair(), random_code_space(random.Random(7), 3, 9)):
+        expected = [[d.to_json() for d in row] for row in space.dist]
+        assert space.to_json()["gamma_matrix"] == expected
 
 
 def test_quotient_collapses_zero_classes():
