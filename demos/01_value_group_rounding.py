@@ -8,19 +8,19 @@ the norms, and that sandwich on a handful of values.
 
 from fractions import Fraction
 
-from ultrapoly import PAdic, padic_add, padic_norm, round_to_gamma
+from ultrapoly import PAdic, round_to_gamma
 
 # --- digit arithmetic ---------------------------------------------------
 
 print("== digit arithmetic in Z_3 ==")
 a = PAdic.from_int(1, 3, 8)
 b = PAdic.from_int(2, 3, 8)
-s = padic_add(a, b)
+s = a + b
 print(f"1 + 2            -> {s.to_text()}   (carry creates a leading 3)")
 
 minus_one = PAdic.from_int(-1, 3, 8)
 print(f"-1               -> {minus_one.to_text()}   (all twos)")
-print(f"-1 + 1           -> {padic_add(minus_one, a).to_text()}")
+print(f"-1 + 1           -> {(minus_one + a).to_text()}")
 
 half = PAdic.from_fraction(Fraction(1, 2), 3, 8)
 print(f"1/2              -> {half.to_text()}   (2 * this is 1 mod 3^8)")
@@ -31,9 +31,9 @@ print()
 print("== norms live in {3^k} u {0} ==")
 for value in (9, 10, 27, -54):
     x = PAdic.from_int(value, 3, 8)
-    norm = padic_norm(x)
+    norm = x.norm()
     print(f"|{value:>4}|_3 = 3^-{norm.exponent}   = {norm.as_fraction(3)}")
-print(f"|0|_3    = {padic_norm(PAdic.zero(3, 8)).as_fraction(3)}")
+print(f"|0|_3    = {PAdic.zero(3, 8).norm().as_fraction(3)}")
 
 # --- rounding real dissimilarities into the value group ------------------
 

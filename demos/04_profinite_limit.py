@@ -32,7 +32,7 @@ for point in (5, 13, 26):
     thread = expansion.thread(point)
     cells = [
         expansion.levels[m].nerve.maximal_simplexes[idx]
-        for m, idx in enumerate(thread.simplexes)
+        for m, idx in enumerate(thread)
     ]
     recovered = expansion.reconstruct(thread)
     print(f"point {space.labels[point]:>2}: thread {cells} -> {sorted(recovered)}")

@@ -10,13 +10,12 @@ from itertools import product
 from ultrapoly import (
     PAdic,
     group_expansion,
-    shadow_expansion,
+    shadow_bundle,
     theta,
     theta_boundary_pairs,
     theta_nonstretch_check,
     theta_table_csv,
 )
-from ultrapoly.shadow import theta_samples
 
 p, n = 3, 3
 
@@ -44,15 +43,17 @@ print(f"example: {bp.low.to_text()}  ~  {bp.high.to_text()}")
 print()
 print("== shadow of the Z/9 expansion ==")
 expansion, _ = group_expansion(3, 2)
-shadows, maps = shadow_expansion(expansion)
-for level, shadow in zip(expansion.levels, shadows):
-    dims = [cell.dim_r for cell in shadow.cells]
+bundle = expansion.to_bundle()
+# residue r's two base-3 digits, so the shadow carries theta samples
+bundle["space"]["padic_points"] = [[(r // 3**i) % 3 for i in range(2)] for r in range(9)]
+shadow = shadow_bundle(bundle)
+for level, shadow_level in zip(expansion.levels, shadow["levels"]):
+    dims = shadow_level["dimR_per_simplex"]
     print(f"level {level.m}: source dims {list(level.nerve.dims)} -> shadow dims {dims}")
 print(f"shadow bonding maps mirror the source maps: "
-      f"{all(m.vertex_map == b.vertex_map for m, b in zip(maps, expansion.bonding))}")
+      f"{all(m['vertex_map'] == b['vertex_map'] for m, b in zip(shadow['bonding'], bundle['bonding']))}")
 
 print()
 print("== theta table for the residues (CSV head) ==")
-residues = [[(r // 3**i) % 3 for i in range(2)] for r in range(9)]
-table = theta_table_csv(theta_samples(residues, [str(r) for r in range(9)], 3))
+table = theta_table_csv(shadow["theta_samples"])
 print("\n".join(table.splitlines()[:5]))

@@ -23,8 +23,6 @@ _EXPORTS = {
         "NotPrimeError",
         "PAdic",
         "PrimeMismatchError",
-        "padic_add",
-        "padic_norm",
         "round_to_gamma",
     ),
     "spaces": (
@@ -67,26 +65,17 @@ _EXPORTS = {
         "Schedule",
         "ScheduleError",
         "SeparationError",
-        "Thread",
         "assemble_expansion",
         "bonding_map",
         "group_expansion",
         "limit_isometry_check",
-        "reconstruct",
         "residue_space",
-        "thread",
         "verify_nondegenerate",
         "verify_nonstretching",
     ),
     "shadow": (
         "BoundaryPair",
-        "RealSimplex",
-        "ShadowBonding",
-        "ShadowComplex",
-        "shadow_bonding",
         "shadow_bundle",
-        "shadow_complex",
-        "shadow_expansion",
         "theta",
         "theta_boundary_pairs",
         "theta_nonstretch_check",

@@ -40,7 +40,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 CONFIG_ENV = "ULTRAPOLY_CONFIG"
-ALL_STAGES = ("validate", "round", "expand", "verify", "shadow", "demo")
+ALL_STAGES = ("validate", "round", "expand", "verify", "shadow")
 
 
 class ParseError(ValueError):

@@ -251,14 +251,19 @@ def subdivide(space: UltraSpace, realization: Realization, j: int) -> Realizatio
 
     Composing subdivisions adds the exponents: subdividing by j1 then j2
     yields the same supports and radii as one subdivision by j1 + j2.
+    The sub-balls are a cut of the space's merge tree; parts are ordered
+    by their first member in the support's order.
     """
     if j < 1:
         raise ValueError("subdivision exponent must be >= 1")
     new_cells = []
     for cell in realization.cells:
         sub_radius = cell.radius.scaled(-j)
-        parts = _partition_within(space, cell.support, sub_radius)
-        for part in parts:
+        ball = space.tree.cut(sub_radius.exponent)
+        parts: dict[int, list[int]] = {}
+        for point in cell.support:
+            parts.setdefault(ball[point], []).append(point)
+        for part in map(tuple, parts.values()):
             new_cells.append(
                 RealizedCell(
                     simplex=cell.simplex,
@@ -268,20 +273,6 @@ def subdivide(space: UltraSpace, realization: Realization, j: int) -> Realizatio
                 )
             )
     return Realization(vectors=realization.vectors, cells=tuple(new_cells))
-
-
-def _partition_within(
-    space: UltraSpace, points: Sequence[int], threshold: GammaValue
-) -> list[tuple[int, ...]]:
-    classes: list[list[int]] = []
-    for point in points:
-        for cls in classes:
-            if space.dist[cls[0]][point] <= threshold:
-                cls.append(point)
-                break
-        else:
-            classes.append([point])
-    return [tuple(cls) for cls in classes]
 
 
 @dataclass(frozen=True)

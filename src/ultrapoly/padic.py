@@ -445,11 +445,3 @@ def _digits_of(unit: int, p: int, length: int) -> tuple[int, ...]:
         out.append(d)
     return tuple(out)
 
-
-def padic_add(a: PAdic, b: PAdic) -> PAdic:
-    """Sum truncated to the shared exactly-known digit window."""
-    return a + b
-
-
-def padic_norm(a: PAdic) -> GammaValue:
-    return a.norm()

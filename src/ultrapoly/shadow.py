@@ -7,22 +7,21 @@ It is monotone for the digit-lexicographic order, non-stretching, and
 identifies tail-(p-1) expansions with their successors; those boundary
 pairs are the only collisions.
 
-Shadows replace each simplex by a real cube cell on the same vertex set,
-preserving the face poset and the dimension, and bonding maps carry over
-on vertices with affine extensions.
+A shadow replaces each simplex by a real cube cell on the same vertex
+set, so it has the nerve's face poset and dimensions: a cell on q+1
+vertices spans q axes (the first vertex is the base point) and has real
+dimension q.  The shadow is therefore a JSON view of an expansion
+bundle, with the nerve's cells and a real dimension per cell; bonding
+maps carry over on vertices with affine extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .nerve import NerveComplex, Realization
 from .padic import PAdic, check_prime
-
-if TYPE_CHECKING:
-    from .spectrum import BondingMap, Expansion
 
 
 class UnitBallError(ValueError):
@@ -31,14 +30,6 @@ class UnitBallError(ValueError):
 
 class PrecisionError(ValueError):
     """Requested digits beyond the exactly-known window."""
-
-
-class UnrealizedComplexError(ValueError):
-    """Shadow construction needs a realized source complex."""
-
-
-class MismatchedComplexError(ValueError):
-    """Bonding data does not fit the given shadow complexes."""
 
 
 def theta(x: PAdic, n: int) -> Fraction:
@@ -140,125 +131,6 @@ def _digits_of_int(code: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RealSimplex:
-    """Real cube cell on the inherited vertex set.
-
-    The cell is cut out by the constraints 0 <= e^j(y) <= 1 over the
-    coordinate axes; with q+1 vertices the cell spans q axes (the first
-    vertex is the base point), so its real dimension is q.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def dim_r(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def base(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def axes(self) -> tuple[int, ...]:
-        return self.vertices[1:]
-
-
-@dataclass(frozen=True)
-class ShadowComplex:
-    """Combinatorial mirror of a nerve complex over the real field."""
-
-    level: int
-    vertices: tuple[int, ...]
-    cells: tuple[RealSimplex, ...]
-
-    @property
-    def dim_r(self) -> int:
-        return max(cell.dim_r for cell in self.cells)
-
-    def has_face(self, vs) -> bool:
-        face = set(vs)
-        return any(face <= set(cell.vertices) for cell in self.cells)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "vertices": list(self.vertices),
-            "maximal_simplexes": [list(cell.vertices) for cell in self.cells],
-            "dimR_per_simplex": [cell.dim_r for cell in self.cells],
-            "dimR": self.dim_r,
-        }
-
-
-def shadow_complex(nerve: NerveComplex, realization: Realization | None) -> ShadowComplex:
-    """Mirror a realized nerve cell-for-cell into real cube cells."""
-    if realization is None:
-        raise UnrealizedComplexError("source complex carries no realization")
-    if len(realization.cells) != len(nerve.maximal_simplexes):
-        raise UnrealizedComplexError("realization does not match the complex")
-    return ShadowComplex(
-        level=nerve.level,
-        vertices=nerve.vertices,
-        cells=tuple(RealSimplex(vertices=s) for s in nerve.maximal_simplexes),
-    )
-
-
-@dataclass(frozen=True)
-class ShadowBonding:
-    """Shadow of a bonding map: same vertex map, affine on every cell."""
-
-    fine: int
-    coarse: int
-    vertex_map: dict[int, int]
-    cell_images: tuple[tuple[tuple[int, ...], int], ...]
-    affine: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "from": self.fine,
-            "to": self.coarse,
-            "vertex_map": {str(v): w for v, w in sorted(self.vertex_map.items())},
-            "affine": self.affine,
-        }
-
-
-def shadow_bonding(
-    bmap: BondingMap, source: ShadowComplex, target: ShadowComplex
-) -> ShadowBonding:
-    """Carry a bonding map over to the shadows on vertices.
-
-    The map is simplicial on the source cells, so the affine extension
-    per cell is well-defined; compositions mirror the source side.
-    """
-    if bmap.fine != source.level or bmap.coarse != target.level:
-        raise MismatchedComplexError("bonding map levels do not match the shadows")
-    if set(bmap.vertex_map) != set(source.vertices):
-        raise MismatchedComplexError("vertex map domain differs from the source shadow")
-    for image, container in bmap.simplex_images:
-        if not set(image) <= set(target.cells[container].vertices):
-            raise MismatchedComplexError("image cell missing from the target shadow")
-    return ShadowBonding(
-        fine=bmap.fine,
-        coarse=bmap.coarse,
-        vertex_map=dict(bmap.vertex_map),
-        cell_images=bmap.simplex_images,
-    )
-
-
-def shadow_expansion(
-    expansion: Expansion,
-) -> tuple[list[ShadowComplex], list[ShadowBonding]]:
-    """Shadow every level and every bonding map of an expansion."""
-    shadows = [
-        shadow_complex(level.nerve, level.realization) for level in expansion.levels
-    ]
-    maps = [
-        shadow_bonding(bmap, shadows[bmap.fine], shadows[bmap.coarse])
-        for bmap in expansion.bonding
-    ]
-    return shadows, maps
-
-
 def theta_samples(
     padic_points: Sequence[Sequence[int]], labels: Sequence[str], p: int
 ) -> list[dict]:
@@ -292,22 +164,26 @@ def theta_table_csv(samples: Sequence[dict]) -> str:
 def shadow_bundle(bundle: dict) -> dict:
     """Shadow counterpart of an expansion bundle (pure JSON to JSON).
 
-    Levels mirror the source combinatorics with real dimensions; theta
+    Each level keeps its nerve's vertices and maximal simplexes, and a
+    simplex on q+1 vertices becomes a cell of real dimension q; theta
     samples appear when the bundle's space carries p-adic digit points.
     """
     levels_json = []
     dims_ok = True
-    for level_obj in bundle["levels"]:
-        nerve = NerveComplex.from_json(level_obj)
-        shadow = ShadowComplex(
-            level=nerve.level,
-            vertices=nerve.vertices,
-            cells=tuple(RealSimplex(vertices=s) for s in nerve.maximal_simplexes),
+    for level in bundle["levels"]:
+        cells = [list(s) for s in level["maximal_simplexes"]]
+        dims = [len(cell) - 1 for cell in cells]
+        dim = max(dims)
+        levels_json.append(
+            {
+                "level": level["level"],
+                "vertices": list(level["vertices"]),
+                "maximal_simplexes": cells,
+                "dimR_per_simplex": dims,
+                "dimR": dim,
+            }
         )
-        shadow_json = shadow.to_json()
-        if shadow_json["dimR"] != level_obj["dimL"]:
-            dims_ok = False
-        levels_json.append(shadow_json)
+        dims_ok = dims_ok and dim == level["dimL"]
     bonding_json = [
         {
             "from": bmap["from"],

@@ -132,7 +132,7 @@ class Violations(Sequence[tuple[int, int, int]]):
         return f"Violations(count={self._count}, first={self[0]})"
 
 
-def _violation_masks(rows: list[list[Fraction]]) -> list[tuple[int, int, int]]:
+def _violation_masks(rows: Sequence[Sequence]) -> list[tuple[int, int, int]]:
     # below[i][k] is the bitset of j with d(i,j) < d(i,k); (i, j, k)
     # violates exactly when j is in below[i][k] and in below[k][i].  j = i
     # and j = k never are, because d(k,i) < d(k,i) and d(i,k) < d(i,k) fail.
@@ -390,21 +390,9 @@ class UltraSpace:
         weights = [[-top if e is None else -e for e in row] for row in expo]
         order = _ultrametric_order(weights)
         if order is None:
-            raise NotUltrametricError(self._find_violating_triple(), self.labels)
+            # the witness is the first violating triple in scan order
+            raise NotUltrametricError(Violations(_violation_masks(weights))[0], self.labels)
         return order
-
-    def _find_violating_triple(self) -> tuple[int, int, int]:
-        # slow path, only runs to name a witness once failure is certain
-        n = self.n_points
-        for i in range(n):
-            for k in range(i + 1, n):
-                dik = self.dist[i][k]
-                for j in range(n):
-                    if j == i or j == k:
-                        continue
-                    if dik > max(self.dist[i][j], self.dist[j][k]):
-                        return (i, j, k)
-        raise AssertionError("no violating triple despite failed closure check")
 
     @property
     def n_points(self) -> int:
@@ -615,7 +603,6 @@ class C0Vector:
     of those, i.e. p^(-smallest present position).
     """
 
-    prime: int
     keys: tuple[tuple[int, int], ...]
 
     def norm(self) -> GammaValue:
@@ -635,7 +622,6 @@ def c0_embed(codes: BaireCodes) -> tuple[C0Vector, ...]:
     """One sparse vector per point; pairwise distances equal the source metric."""
     return tuple(
         C0Vector(
-            prime=codes.prime,
             keys=tuple((pos, code[offset]) for offset, pos in enumerate(codes.positions)),
         )
         for code in codes.codes

@@ -326,14 +326,6 @@ def verify_nondegenerate(bmap: BondingMap, fine: Level) -> DegeneracyReport:
 
 
 @dataclass(frozen=True)
-class Thread:
-    """One simplex per level, all containing the point's block."""
-
-    point: int
-    simplexes: tuple[int, ...]  # maximal simplex index per level
-
-
-@dataclass(frozen=True)
 class Expansion:
     """The assembled inverse sequence over one space."""
 
@@ -416,34 +408,28 @@ class Expansion:
                     return False
         return True
 
-    def thread(self, point: int) -> Thread:
+    def thread(self, point: int) -> tuple[int, ...]:
+        """The maximal simplex index, per level, of the simplex containing the point's block."""
         if not 0 <= point < self.space.n_points:
             raise KeyError(f"unknown point index {point}")
-        simplexes = tuple(
-            level.simplex_of[level.rep_of[point]] for level in self.levels
-        )
-        return Thread(point=point, simplexes=simplexes)
+        return tuple(level.simplex_of[level.rep_of[point]] for level in self.levels)
 
-    def check_thread(self, thread: Thread) -> None:
+    def check_thread(self, thread: Sequence[int]) -> None:
         """Coherence: each bonding map sends the finer simplex into the coarser."""
         for m in range(self.depth - 1):
-            fine_simplex = self.levels[m + 1].nerve.maximal_simplexes[
-                thread.simplexes[m + 1]
-            ]
+            fine_simplex = self.levels[m + 1].nerve.maximal_simplexes[thread[m + 1]]
             image = {self.bonding[m].vertex_map[v] for v in fine_simplex}
-            coarse_simplex = set(
-                self.levels[m].nerve.maximal_simplexes[thread.simplexes[m]]
-            )
+            coarse_simplex = set(self.levels[m].nerve.maximal_simplexes[thread[m]])
             if not image <= coarse_simplex:
                 raise IncoherentThreadError(
                     f"thread breaks between levels {m + 1} and {m}"
                 )
 
-    def reconstruct(self, thread: Thread) -> frozenset[int]:
+    def reconstruct(self, thread: Sequence[int]) -> frozenset[int]:
         """Intersect the preimages of the thread's simplexes over all levels."""
         self.check_thread(thread)
         points: set[int] | None = None
-        for level, idx in zip(self.levels, thread.simplexes):
+        for level, idx in zip(self.levels, thread):
             support = set(level.realization.cells[idx].support)
             points = support if points is None else points & support
         return frozenset(points or set())
@@ -541,7 +527,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> IsometryRep
         for y in range(x + 1, space.n_points):
             first = None
             for m in range(expansion.depth):
-                if threads[x].simplexes[m] != threads[y].simplexes[m]:
+                if threads[x][m] != threads[y][m]:
                     first = m
                     break
             actual = space.dist[x][y].exponent
@@ -557,16 +543,6 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> IsometryRep
     return IsometryReport(
         mismatches=tuple(mismatches), max_gap=max_gap, bound=bound
     )
-
-
-def thread(expansion: Expansion, point: int) -> Thread:
-    """The simplex containing the point's block, at every level."""
-    return expansion.thread(point)
-
-
-def reconstruct(expansion: Expansion, thread_: Thread) -> frozenset[int]:
-    """Intersection of the thread's simplex preimages across the levels."""
-    return expansion.reconstruct(thread_)
 
 
 #: Largest group Z/p^depth that ``residue_space`` builds in full: its

@@ -23,7 +23,7 @@ from ultrapoly import (
     limit_isometry_check,
     round_to_gamma,
     scale_cover,
-    shadow_expansion,
+    shadow_bundle,
     theta,
     theta_boundary_pairs,
     theta_nonstretch_check,
@@ -167,14 +167,15 @@ def test_criterion_6_interval_shadow():
         )
         expansions.append(assemble_expansion(space, schedule))
     for expansion in expansions:
-        shadows, smaps = shadow_expansion(expansion)
-        for level, shadow in zip(expansion.levels, shadows):
-            assert shadow.vertices == level.nerve.vertices
-            for s, cell in zip(level.nerve.maximal_simplexes, shadow.cells):
-                assert cell.vertices == s  # same face poset, cell by cell
-                assert cell.dim_r == len(s) - 1  # dimR = dimL
-        for bmap, smap in zip(expansion.bonding, smaps):
-            assert smap.vertex_map == bmap.vertex_map
+        shadow = shadow_bundle(expansion.to_bundle())
+        for level, shadow_level in zip(expansion.levels, shadow["levels"]):
+            assert shadow_level["vertices"] == list(level.nerve.vertices)
+            cells = shadow_level["maximal_simplexes"]
+            # same face poset, cell by cell, and dimR = dimL
+            assert cells == [list(s) for s in level.nerve.maximal_simplexes]
+            assert shadow_level["dimR_per_simplex"] == [len(s) - 1 for s in cells]
+        for bmap, smap in zip(expansion.bonding, shadow["bonding"]):
+            assert {int(v): w for v, w in smap["vertex_map"].items()} == bmap.vertex_map
     _report(6, "interval shadow", time.perf_counter() - start, 10)
 
 

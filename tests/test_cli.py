@@ -307,6 +307,20 @@ def test_config_rejects_unknown_stage():
         PipelineConfig(stages=("validate", "warp"))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_demo_is_not_a_pipeline_stage(ultra_input, tmp_path, capsys, source):
+    # `demo` is a command; as a stage it would run nothing and report no stages
+    out = tmp_path / "out"
+    if source == "flag":
+        args = ["--stages", "validate,demo"]
+    else:
+        args = ["--config", _write(tmp_path / "cfg.json", {"stages": ["validate", "demo"]})]
+    assert main(["expand", ultra_input, *args, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "unknown stage 'demo'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", [["shadow"], ["export", "dot"]])
 @pytest.mark.parametrize(
     "bundle, field",

@@ -11,23 +11,30 @@ import pytest
 import ultrapoly
 from ultrapoly.cli import main
 
-# the public names of the package as it was when every submodule loaded eagerly
+# the public names: one shadow route (shadow_bundle), threads as tuples of
+# simplex indices read through Expansion, and no pass-through wrappers
 PUBLIC_NAMES = {
     "AsymmetricMatrixError", "BaireCodes", "BondingMap", "BoundaryPair", "C0Vector",
-    "Expansion", "GAMMA_ZERO", "GammaValue", "IncoherentThreadError", "MatrixShapeError",
-    "NegativeDistanceError", "NerveComplex", "NestingError", "NonzeroDiagonalError",
-    "NotPrimeError", "NotUltrametricError", "PAdic", "PrimeMismatchError", "RealSimplex",
-    "Realization", "ScaleCover", "Schedule", "ScheduleError", "SeparationError",
-    "ShadowBonding", "ShadowComplex", "Thread", "ThresholdError", "UltraSpace",
-    "UnseparatedSpaceError", "assemble_expansion", "baire_encode", "bonding_map",
-    "build_nerve", "c0_embed", "check_uniform", "cover_tower", "group_expansion",
-    "isolated_point_check", "limit_isometry_check", "nerve", "nerve_to_dot", "padic",
-    "padic_add", "padic_norm", "quotient_zero", "realize", "reconstruct", "residue_space",
-    "round_space", "round_to_gamma", "scale_cover", "shadow", "shadow_bonding",
-    "shadow_bundle", "shadow_complex", "shadow_expansion", "space_from_points", "spaces",
-    "spectrum", "subdivide", "subdominant_closure", "theta", "theta_boundary_pairs",
-    "theta_nonstretch_check", "theta_table_csv", "thread", "validate_ultrametric",
-    "verify_nondegenerate", "verify_nonstretching",
+    "Expansion", "GAMMA_ZERO", "GammaValue", "IncoherentThreadError",
+    "MatrixShapeError", "NegativeDistanceError", "NerveComplex", "NestingError",
+    "NonzeroDiagonalError", "NotPrimeError", "NotUltrametricError", "PAdic",
+    "PrimeMismatchError", "Realization", "ScaleCover", "Schedule", "ScheduleError",
+    "SeparationError", "ThresholdError", "UltraSpace", "UnseparatedSpaceError",
+    "assemble_expansion", "baire_encode", "bonding_map", "build_nerve", "c0_embed",
+    "check_uniform", "cover_tower", "group_expansion", "isolated_point_check",
+    "limit_isometry_check", "nerve", "nerve_to_dot", "padic", "quotient_zero",
+    "realize", "residue_space", "round_space", "round_to_gamma", "scale_cover",
+    "shadow", "shadow_bundle", "space_from_points", "spaces", "spectrum", "subdivide",
+    "subdominant_closure", "theta", "theta_boundary_pairs", "theta_nonstretch_check",
+    "theta_table_csv", "validate_ultrametric", "verify_nondegenerate",
+    "verify_nonstretching",
+}
+# names the package no longer has: each route lives on in the name noted
+REMOVED_NAMES = {
+    "RealSimplex", "ShadowBonding", "ShadowComplex", "shadow_bonding", "shadow_complex",
+    "shadow_expansion",  # shadow_bundle
+    "Thread", "thread", "reconstruct",  # Expansion.thread, Expansion.reconstruct
+    "padic_add", "padic_norm",  # PAdic.__add__, PAdic.norm
 }
 SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 
@@ -119,6 +126,15 @@ def test_public_names_are_unchanged_and_resolve():
     assert PUBLIC_NAMES <= set(dir(ultrapoly))
     with pytest.raises(AttributeError):
         ultrapoly.no_such_name
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_NAMES))
+def test_removed_names_raise_attribute_error(name):
+    assert name not in ultrapoly.__all__ and name not in dir(ultrapoly)
+    with pytest.raises(AttributeError):
+        getattr(ultrapoly, name)
+    for module in SUBMODULES:
+        assert not hasattr(getattr(ultrapoly, module), name)
 
 
 def test_star_import_binds_every_public_name():

@@ -41,7 +41,7 @@ from oracles import (
 
 # --------------------------------------------------------- non-stretching
 
-def _oracle_report(bmap, fine, coarse):
+def _oracle_report(bmap, fine, coarse, p):
     fine_keys = [list(v.keys) for v in fine.realization.vectors]
     coarse_keys = [list(v.keys) for v in coarse.realization.vectors]
     return pairwise_nonstretching(
@@ -49,7 +49,7 @@ def _oracle_report(bmap, fine, coarse):
         bmap.vertex_map,
         fine_keys,
         coarse_keys,
-        fine.realization.vectors[0].prime,
+        p,
         fine.cover.level,
     )
 
@@ -61,7 +61,7 @@ def _kernel_report(bmap, fine, coarse):
 
 def _with_vector(level, index, keys):
     vectors = list(level.realization.vectors)
-    vectors[index] = C0Vector(prime=vectors[index].prime, keys=tuple(keys))
+    vectors[index] = C0Vector(keys=tuple(keys))
     realization = Realization(vectors=tuple(vectors), cells=level.realization.cells)
     return dataclasses.replace(level, realization=realization)
 
@@ -79,13 +79,13 @@ def test_nonstretching_matches_pairwise_oracle(seed, p, n, k, data):
     expansion = assemble_expansion(space, Schedule.auto(space, k_shift=k))
     for m, bmap in enumerate(expansion.bonding):
         fine, coarse = expansion.levels[m + 1], expansion.levels[m]
-        assert _kernel_report(bmap, fine, coarse) == _oracle_report(bmap, fine, coarse)
+        assert _kernel_report(bmap, fine, coarse) == _oracle_report(bmap, fine, coarse, p)
 
         # mutant: one vertex_map entry sent to another coarse vertex
         v = data.draw(st.sampled_from(fine.nerve.vertices))
         target = data.draw(st.sampled_from(coarse.nerve.vertices))
         redirected = dataclasses.replace(bmap, vertex_map={**bmap.vertex_map, v: target})
-        assert _kernel_report(redirected, fine, coarse) == _oracle_report(redirected, fine, coarse)
+        assert _kernel_report(redirected, fine, coarse) == _oracle_report(redirected, fine, coarse, p)
 
         # mutant: one coarse vector with a changed key
         x = data.draw(st.integers(0, n - 1))
@@ -93,7 +93,7 @@ def test_nonstretching_matches_pairwise_oracle(seed, p, n, k, data):
         t = data.draw(st.integers(0, len(keys) - 1))
         keys[t] = (keys[t][0], keys[t][1] + data.draw(st.integers(1, p)))
         changed = _with_vector(coarse, x, keys)
-        assert _kernel_report(bmap, fine, changed) == _oracle_report(bmap, fine, changed)
+        assert _kernel_report(bmap, fine, changed) == _oracle_report(bmap, fine, changed, p)
 
         # mutant: one fine vector with a duplicated or a dropped key
         y = data.draw(st.integers(0, n - 1))
@@ -104,7 +104,7 @@ def test_nonstretching_matches_pairwise_oracle(seed, p, n, k, data):
         else:
             del keys[t]
         mutated = _with_vector(fine, y, keys)
-        assert _kernel_report(bmap, mutated, coarse) == _oracle_report(bmap, mutated, coarse)
+        assert _kernel_report(bmap, mutated, coarse) == _oracle_report(bmap, mutated, coarse, p)
 
 
 def test_redirected_vertex_is_flagged_by_kernel_and_oracle():
@@ -115,7 +115,7 @@ def test_redirected_vertex_is_flagged_by_kernel_and_oracle():
     redirected = dataclasses.replace(bmap, vertex_map={**bmap.vertex_map, 0: 1})
     kernel = _kernel_report(redirected, fine, coarse)
     assert (0, 3) in kernel[0]
-    assert kernel == _oracle_report(redirected, fine, coarse)
+    assert kernel == _oracle_report(redirected, fine, coarse, 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,7 +128,7 @@ def test_redirected_vertex_is_flagged_by_kernel_and_oracle():
 )
 def test_realized_table_matches_c0_distance(key_sets):
     # arbitrary key lists: repeats, gaps, and lists that are prefixes of others
-    vectors = tuple(C0Vector(prime=2, keys=tuple(keys)) for keys in key_sets)
+    vectors = tuple(C0Vector(keys=tuple(keys)) for keys in key_sets)
     table, top = spectrum._realized_exponents(vectors)
     for v, x in enumerate(vectors):
         for w, y in enumerate(vectors):
@@ -149,7 +149,7 @@ def test_zero_distance_merge_is_not_a_single_step():
     vertex_map[1] = 0  # the only merged pair is the coinciding one
     bmap = dataclasses.replace(expansion.bonding[-1], vertex_map=vertex_map)
     kernel = _kernel_report(bmap, fine, coarse)
-    assert kernel == _oracle_report(bmap, fine, coarse)
+    assert kernel == _oracle_report(bmap, fine, coarse, space.prime)
     assert kernel[3] is False
 
 
@@ -158,11 +158,11 @@ def test_nonstretching_table_is_cached_by_equal_vectors():
     expansion = assemble_expansion(space)
     vectors = expansion.vectors
     table, _ = spectrum._realized_exponents(vectors)
-    copy = tuple(C0Vector(prime=v.prime, keys=tuple(v.keys)) for v in vectors)
+    copy = tuple(C0Vector(keys=tuple(v.keys)) for v in vectors)
     assert spectrum._realized_exponents(copy)[0] is table
     keys = list(vectors[0].keys)
     keys[-1] = (keys[-1][0], keys[-1][1] + 1)
-    corrupted = (C0Vector(prime=vectors[0].prime, keys=tuple(keys)), *vectors[1:])
+    corrupted = (C0Vector(keys=tuple(keys)), *vectors[1:])
     misses = spectrum._realized_exponents.cache_info().misses
     spectrum._realized_exponents(corrupted)
     assert spectrum._realized_exponents.cache_info().misses == misses + 1

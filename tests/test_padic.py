@@ -12,8 +12,6 @@ from ultrapoly import (
     NotPrimeError,
     PAdic,
     PrimeMismatchError,
-    padic_add,
-    padic_norm,
     round_to_gamma,
 )
 
@@ -25,7 +23,7 @@ from oracles import gamma_floor, schoolbook_add, trial_division_valuation
 def test_add_forces_carry():
     a = PAdic.from_int(1, 3, 6)
     b = PAdic.from_int(2, 3, 6)
-    s = padic_add(a, b)
+    s = a + b
     assert s.valuation == 1
     assert s.digits[0] == 1
     assert all(d == 0 for d in s.digits[1:])
@@ -34,8 +32,8 @@ def test_add_forces_carry():
 def test_add_zero_is_identity():
     a = PAdic.from_int(7, 5, 8)
     z = PAdic.zero(5, 8)
-    assert padic_add(a, z) == a
-    assert padic_add(z, a) == a
+    assert a + z == a
+    assert z + a == a
 
 
 def test_add_all_ones_cancels_to_zero_at_precision():
@@ -47,7 +45,7 @@ def test_add_all_ones_cancels_to_zero_at_precision():
     s = a + b
     assert s.is_zero
     assert s.precision == 6
-    assert padic_norm(s).is_zero
+    assert s.norm().is_zero
 
 
 def test_add_prime_mismatch():
@@ -80,7 +78,7 @@ def test_add_matches_schoolbook_and_strong_triangle(p, va, vb, raw_a, raw_b):
         digits, valuation = expected
         assert s.valuation == valuation
         assert list(s.digits) == digits
-    assert padic_norm(s) <= max(padic_norm(a), padic_norm(b))
+    assert s.norm() <= max(a.norm(), b.norm())
 
 
 # ------------------------------------------------------------------- norms
@@ -88,19 +86,19 @@ def test_add_matches_schoolbook_and_strong_triangle(p, va, vb, raw_a, raw_b):
 def test_norm_of_25_base_5():
     x = PAdic.from_int(25, 5, 6)
     assert trial_division_valuation(25, 1, 5) == 2
-    assert padic_norm(x) == GammaValue(2)
-    assert padic_norm(x).as_fraction(5) == Fraction(1, 25)
+    assert x.norm() == GammaValue(2)
+    assert x.norm().as_fraction(5) == Fraction(1, 25)
 
 
 def test_norm_of_one_third_base_3():
     x = PAdic.from_fraction(Fraction(1, 3), 3, 6)
     assert trial_division_valuation(1, 3, 3) == -1
-    assert padic_norm(x) == GammaValue(-1)
-    assert padic_norm(x).as_fraction(3) == Fraction(3)
+    assert x.norm() == GammaValue(-1)
+    assert x.norm().as_fraction(3) == Fraction(3)
 
 
 def test_norm_of_zero_is_infinity():
-    assert padic_norm(PAdic.zero(7, 4)).is_zero
+    assert PAdic.zero(7, 4).norm().is_zero
 
 
 def test_from_fraction_unit_denominator():

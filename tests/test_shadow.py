@@ -1,6 +1,5 @@
 """The digit-reading quotient onto [0,1] and real shadows of expansions."""
 
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,21 +11,15 @@ from ultrapoly import (
     PAdic,
     assemble_expansion,
     group_expansion,
-    shadow_bonding,
     shadow_bundle,
-    shadow_complex,
-    shadow_expansion,
     theta,
     theta_boundary_pairs,
     theta_nonstretch_check,
 )
 from ultrapoly.cli import main
 from ultrapoly.shadow import (
-    MismatchedComplexError,
     PrecisionError,
-    ShadowComplex,
     UnitBallError,
-    UnrealizedComplexError,
     theta_samples,
     theta_table_csv,
 )
@@ -206,25 +199,37 @@ def test_boundary_pairs_need_two_digits():
 
 # ----------------------------------------------------------------- shadows
 
+def _shadow(expansion) -> dict:
+    return shadow_bundle(expansion.to_bundle())
+
+
+def _vertex_map(shadow_map: dict) -> dict[int, int]:
+    return {int(v): w for v, w in shadow_map["vertex_map"].items()}
+
+
+def _has_face(shadow_level: dict, vs) -> bool:
+    face = set(vs)
+    return any(face <= set(cell) for cell in shadow_level["maximal_simplexes"])
+
+
 def test_discrete_nerve_shadows_to_points():
     space = random_code_space(random.Random(1), 2, 6)
-    expansion = assemble_expansion(space)
-    finest = expansion.levels[-1]
-    shadow = shadow_complex(finest.nerve, finest.realization)
-    assert all(cell.dim_r == 0 for cell in shadow.cells)
+    finest = _shadow(assemble_expansion(space))["levels"][-1]
+    assert all(dim == 0 for dim in finest["dimR_per_simplex"])
+    assert finest["dimR"] == 0
 
 
 def test_three_vertex_simplex_shadows_to_dim_two():
-    from ultrapoly import baire_encode, build_nerve, c0_embed, realize, residue_space, scale_cover
+    from ultrapoly import build_nerve, residue_space, scale_cover
 
     space = residue_space(3, 1)
     cover = scale_cover(space, 1)  # three singleton blocks
     nerve = build_nerve(space, cover, k=0, b=GammaValue(0))  # one 3-vertex simplex
-    realization = realize(space, cover, nerve, c0_embed(baire_encode(space)))
-    shadow = shadow_complex(nerve, realization)
-    assert len(shadow.cells) == 1
-    assert shadow.cells[0].dim_r == 2
-    assert shadow.cells[0].axes == (1, 2)
+    bundle = {"schedule": {}, "levels": [nerve.to_json()], "bonding": []}
+    shadow = shadow_bundle(bundle)["levels"][0]
+    assert shadow["maximal_simplexes"] == [[0, 1, 2]]
+    assert shadow["dimR_per_simplex"] == [2]
+    assert shadow["dimR"] == 2
 
 
 def test_shadow_dimensions_match_sources_everywhere():
@@ -232,48 +237,37 @@ def test_shadow_dimensions_match_sources_everywhere():
     for p in (2, 3, 5):
         space = random_code_space(rng, p, 18)
         expansion = assemble_expansion(space)
-        shadows, _ = shadow_expansion(expansion)
-        for level, shadow in zip(expansion.levels, shadows):
-            for s, cell in zip(level.nerve.maximal_simplexes, shadow.cells):
-                assert cell.vertices == s
-                assert cell.dim_r == len(s) - 1
+        shadow = _shadow(expansion)
+        assert shadow["reports"]["dim_preserved"]
+        for level, shadow_level in zip(expansion.levels, shadow["levels"]):
+            assert shadow_level["level"] == level.m
+            assert shadow_level["vertices"] == list(level.nerve.vertices)
+            cells = shadow_level["maximal_simplexes"]
+            assert cells == [list(s) for s in level.nerve.maximal_simplexes]
+            assert shadow_level["dimR_per_simplex"] == [len(s) - 1 for s in cells]
+            assert shadow_level["dimR"] == level.nerve.dim_l
             # face poset: same maximal cells, so same implicit faces
             for s in level.nerve.maximal_simplexes:
-                assert shadow.has_face(s)
-                assert shadow.has_face(s[:1])
-
-
-def test_shadow_requires_realization():
-    expansion, _ = group_expansion(2, 1)
-    with pytest.raises(UnrealizedComplexError):
-        shadow_complex(expansion.levels[0].nerve, None)
+                assert _has_face(shadow_level, s)
+                assert _has_face(shadow_level, s[:1])
 
 
 # ---------------------------------------------------------- shadow bonding
 
 def test_shadow_bonding_mirrors_z9_reduction():
     expansion, _ = group_expansion(3, 2)
-    shadows, maps = shadow_expansion(expansion)
-    assert maps[1].vertex_map == {v: v % 3 for v in range(9)}
-    assert maps[1].affine
+    maps = _shadow(expansion)["bonding"]
+    assert _vertex_map(maps[1]) == {v: v % 3 for v in range(9)}
+    assert maps[1]["affine"]
 
 
 def test_shadow_bonding_functoriality_three_levels():
     expansion, _ = group_expansion(2, 2)
-    shadows, maps = shadow_expansion(expansion)
-    two_step = {
-        v: maps[0].vertex_map[maps[1].vertex_map[v]]
-        for v in shadows[2].vertices
-    }
+    shadow = _shadow(expansion)
+    fine_to_mid, mid_to_coarse = (_vertex_map(m) for m in reversed(shadow["bonding"]))
+    two_step = {v: mid_to_coarse[fine_to_mid[v]] for v in shadow["levels"][2]["vertices"]}
     direct = expansion.direct_vertex_map(2, 0)
     assert two_step == direct
-
-
-def test_shadow_bonding_rejects_mismatch():
-    expansion, _ = group_expansion(3, 2)
-    shadows, _ = shadow_expansion(expansion)
-    with pytest.raises(MismatchedComplexError):
-        shadow_bonding(expansion.bonding[0], shadows[2], shadows[0])
 
 
 # ----------------------------------------------------------------- bundles
@@ -320,22 +314,18 @@ def test_theta_table_is_a_view_of_the_samples():
 
 def test_shadow_csv_reads_each_stream_once(tmp_path, monkeypatch, capsys):
     assert main(["demo", "zp", "--prime", "3", "--depth", "3", "--out", str(tmp_path)]) == 0
-    levels = len(json.loads((tmp_path / "expansion.json").read_text())["levels"])
     demo_shadow = (tmp_path / "shadow.json").read_text()
-    reads, views = [], []
+    reads = []
     from_digit_stream = PAdic.from_digit_stream.__func__
-    to_json = ShadowComplex.to_json
 
     def counting_read(cls, stream, p):
         reads.append(tuple(stream))
         return from_digit_stream(cls, stream, p)
 
     monkeypatch.setattr(PAdic, "from_digit_stream", classmethod(counting_read))
-    monkeypatch.setattr(ShadowComplex, "to_json", lambda self: views.append(1) or to_json(self))
     out = tmp_path / "shadow"
     assert main(["shadow", str(tmp_path / "expansion.json"), "--csv", "--out", str(out)]) == 0
     assert len(reads) == len(set(reads)) == 27
-    assert len(views) == levels
     assert (out / "shadow.json").read_text() == demo_shadow
     rows = (out / "theta.csv").read_text().splitlines()
     assert len(rows) == 28 and rows[1] == "0:0:0,0,1"

@@ -12,7 +12,6 @@ from ultrapoly import (
     Schedule,
     ScheduleError,
     SeparationError,
-    Thread,
     UltraSpace,
     assemble_expansion,
     bonding_map,
@@ -212,7 +211,7 @@ def test_assembly_rejects_nonseparating_schedule():
 def test_thread_of_one_level_expansion():
     space = UltraSpace(labels=("only",), prime=2, dist=((GAMMA_ZERO,),))
     expansion = assemble_expansion(space)
-    assert expansion.thread(0).simplexes == (0,)
+    assert expansion.thread(0) == (0,)
 
 
 def test_z9_thread_of_point_five():
@@ -220,7 +219,7 @@ def test_z9_thread_of_point_five():
     thread = expansion.thread(5)
     simplex_sets = [
         expansion.levels[m].nerve.maximal_simplexes[idx]
-        for m, idx in enumerate(thread.simplexes)
+        for m, idx in enumerate(thread)
     ]
     assert simplex_sets == [(0,), (2,), (5,)]  # whole, class of 5 mod 3, itself
 
@@ -256,7 +255,7 @@ def test_truncated_expansion_reconstructs_block():
 def test_incoherent_thread_rejected():
     expansion, _ = group_expansion(3, 2)
     good = expansion.thread(5)
-    bad = Thread(point=5, simplexes=(good.simplexes[0], 0, good.simplexes[2]))
+    bad = (good[0], 0, good[2])
     with pytest.raises(IncoherentThreadError):
         expansion.reconstruct(bad)
 
@@ -265,14 +264,6 @@ def test_unknown_point_rejected():
     expansion, _ = group_expansion(2, 2)
     with pytest.raises(KeyError):
         expansion.thread(99)
-
-
-def test_module_level_thread_and_reconstruct():
-    from ultrapoly import reconstruct, thread
-
-    expansion, _ = group_expansion(3, 2)
-    t = thread(expansion, 5)
-    assert reconstruct(expansion, t) == frozenset({5})
 
 
 def test_finest_level_has_zero_diameters():
@@ -297,7 +288,7 @@ def test_equilateral_separates_at_one_level():
     expansion = assemble_expansion(space)
     report = limit_isometry_check(space, expansion)
     assert report.ok
-    threads = [expansion.thread(x).simplexes for x in range(n)]
+    threads = [expansion.thread(x) for x in range(n)]
     firsts = {
         next(m for m in range(expansion.depth) if threads[x][m] != threads[y][m])
         for x in range(n)

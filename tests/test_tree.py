@@ -203,6 +203,33 @@ def test_uniformity_of_arbitrary_cells_matches_pairwise_route(expo, p, data):
     _assert_uniform_matches(space, dist, Realization(vectors=(), cells=cells), p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(expo=ultrametric_exponents(), p=PRIMES, j=st.integers(1, 3), data=st.data())
+def test_subdivision_matches_greedy_route(expo, p, j, data):
+    # supports in any order with repeats, any radius, zero included: each
+    # cell's parts are the greedy classes of {d <= r * p^-j} on its support
+    n = len(expo)
+    space, dist = _space(expo, p), _fractions(expo, p)
+    supports = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=5)
+    )
+    radius = st.one_of(st.just(GAMMA_ZERO), st.integers(-2, 4).map(GammaValue))
+    cells = tuple(
+        RealizedCell(simplex=(s[0],), support=tuple(s), center=s[0], radius=data.draw(radius))
+        for s in supports
+    )
+    want = []
+    for cell in cells:
+        sub_radius = cell.radius.scaled(-j)
+        within = [[dist[x][y] for y in cell.support] for x in cell.support]
+        for cls in greedy_threshold_classes(within, sub_radius.as_fraction(p)):
+            part = tuple(cell.support[i] for i in cls)
+            want.append(
+                RealizedCell(simplex=cell.simplex, support=part, center=part[0], radius=sub_radius)
+            )
+    assert subdivide(space, Realization(vectors=(), cells=cells), j).cells == tuple(want)
+
+
 def _move_point(blocks, x, target):
     """The blocks with point x moved into blocks[target], sorted as a cover's are."""
     moved = [
