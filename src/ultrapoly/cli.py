@@ -13,13 +13,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
-from .padic import GammaValue, PAdic, PrimalityUnknownError, is_prime, round_to_gamma
+from .padic import GammaValue, PAdic, PrimalityUnknownError, Record, is_prime, round_to_gamma
 from .spaces import (
     NotUltrametricError,
     UltraSpace,
@@ -51,24 +50,33 @@ class InputFormatError(ValueError):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    prime: int | None = None  # None: take the input file's prime
-    precision: int = 32
-    schedule_j: list[int] | str = "auto"
-    schedule_k: list[int] | str = "auto"
-    b_shift: int = 0
-    stages: tuple[str, ...] = ("validate", "round", "expand", "verify")
-    out: str | None = None
+class PipelineConfig(Record):
+    __slots__ = ("prime", "precision", "schedule_j", "schedule_k", "b_shift", "stages", "out")
 
-    def __post_init__(self) -> None:
-        for stage in self.stages:
+    def __init__(
+        self,
+        prime: int | None = None,  # None: take the input file's prime
+        precision: int = 32,
+        schedule_j: list[int] | str = "auto",
+        schedule_k: list[int] | str = "auto",
+        b_shift: int = 0,
+        stages: tuple[str, ...] = ("validate", "round", "expand", "verify"),
+        out: str | None = None,
+    ) -> None:
+        self.prime = prime
+        self.precision = precision
+        self.schedule_j = schedule_j
+        self.schedule_k = schedule_k
+        self.b_shift = b_shift
+        self.stages = stages
+        self.out = out
+        for stage in stages:
             if stage not in ALL_STAGES:
                 raise InputFormatError(f"unknown stage {stage!r}")
-        if self.precision < 1:
+        if precision < 1:
             raise InputFormatError("precision must be >= 1")
-        if self.prime is not None:
-            _check_prime_field(self.prime, "prime")
+        if prime is not None:
+            _check_prime_field(prime, "prime")
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "PipelineConfig":
@@ -136,10 +144,12 @@ def _check_prime_field(value, field: str, where: str = "") -> None:
         raise InputFormatError(f"{where}field {field!r} must be a prime integer, got {value!r}")
 
 
-@dataclass
-class RunReport:
-    stages: dict = field(default_factory=dict)
-    failed: bool = False
+class RunReport(Record):
+    __slots__ = ("stages", "failed")
+
+    def __init__(self, stages: dict | None = None, failed: bool = False) -> None:
+        self.stages = {} if stages is None else stages
+        self.failed = failed
 
     def add(self, stage: str, status: str, seconds: float, **witnesses) -> None:
         self.stages[stage] = {"status": status, "seconds": round(seconds, 6), **witnesses}
@@ -185,8 +195,22 @@ _SCALAR_TYPES = frozenset({int, str, bool, type(None)})
 
 @functools.cache
 def _leaf_encoder(depth: int):
-    """Compact encoding of a leaf at depth whose item separator breaks the line and indents."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+    """Compact encoding of a leaf at depth whose item separator breaks the line and indents.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call; the one
+    built here serves every leaf at this depth.  A leaf holds no
+    container, so it needs no check for cycles, and the encoder's
+    ``default`` is never called.  Without the C encoder the pure-Python
+    ``JSONEncoder.encode`` writes the same text.
+    """
+    separator = ",\n" + "  " * (depth + 1)
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+    encode = make_encoder(
+        None, None, json.encoder.encode_basestring_ascii, None, ": ", separator, True, False, True
+    )
+    return lambda leaf: "".join(encode(leaf, 0))
 
 
 def _write_json(write, obj, depth: int) -> None:
@@ -195,6 +219,10 @@ def _write_json(write, obj, depth: int) -> None:
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         values, brackets = obj, "[]"
+    elif type(obj) in _SCALAR_TYPES:
+        # a scalar beside containers: the one-item list of it, less its brackets
+        write(_leaf_encoder(depth)([obj])[1:-1])
+        return
     else:
         write(json.dumps(obj))
         return

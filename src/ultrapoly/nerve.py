@@ -9,11 +9,12 @@ vertex set: every complex here is a disjoint union of simplexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .padic import GAMMA_ZERO, GammaValue
+from .padic import GAMMA_ZERO, Frozen, GammaValue
 from .spaces import C0Vector, UltraSpace, threshold_classes
+
+_set = object.__setattr__
 
 
 class ThresholdError(ValueError):
@@ -24,16 +25,18 @@ class NestingError(ValueError):
     """A finer block is not contained in a single coarser block."""
 
 
-@dataclass(frozen=True)
-class ScaleCover:
+class ScaleCover(Frozen):
     """Partition of the point set into closed balls of radius p^-level.
 
     Blocks are sorted tuples of point indices, ordered by smallest
     member; a block's representative is that smallest member.
     """
 
-    level: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("level", "blocks")
+
+    def __init__(self, level: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "level", level)
+        _set(self, "blocks", blocks)
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -73,8 +76,7 @@ def _check_nested(fine: ScaleCover, coarse: ScaleCover) -> None:
             )
 
 
-@dataclass(frozen=True)
-class NerveComplex:
+class NerveComplex(Frozen):
     """Disjoint-union-of-simplexes complex over the blocks of a cover.
 
     Vertices are block representatives; maximal simplexes are the
@@ -82,11 +84,21 @@ class NerveComplex:
     implicit face.  A simplex on q+1 vertices has dimension q.
     """
 
-    level: int
-    scale: int
-    threshold: GammaValue
-    vertices: tuple[int, ...]
-    maximal_simplexes: tuple[tuple[int, ...], ...]
+    __slots__ = ("level", "scale", "threshold", "vertices", "maximal_simplexes")
+
+    def __init__(
+        self,
+        level: int,
+        scale: int,
+        threshold: GammaValue,
+        vertices: tuple[int, ...],
+        maximal_simplexes: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "level", level)
+        _set(self, "scale", scale)
+        _set(self, "threshold", threshold)
+        _set(self, "vertices", vertices)
+        _set(self, "maximal_simplexes", maximal_simplexes)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -167,8 +179,7 @@ def build_nerve(
     )
 
 
-@dataclass(frozen=True)
-class RealizedCell:
+class RealizedCell(Frozen):
     """Ball certificate for one realized simplex.
 
     support: the point indices the cell covers; center: a support point
@@ -177,18 +188,25 @@ class RealizedCell:
     and to the nominal subdivision radius after subdividing.
     """
 
-    simplex: tuple[int, ...]
-    support: tuple[int, ...]
-    center: int
-    radius: GammaValue
+    __slots__ = ("simplex", "support", "center", "radius")
+
+    def __init__(
+        self, simplex: tuple[int, ...], support: tuple[int, ...], center: int, radius: GammaValue
+    ) -> None:
+        _set(self, "simplex", simplex)
+        _set(self, "support", support)
+        _set(self, "center", center)
+        _set(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Frozen):
     """Embedded-point geometry for a complex: vectors per point, a ball per simplex."""
 
-    vectors: tuple[C0Vector, ...]
-    cells: tuple[RealizedCell, ...]
+    __slots__ = ("vectors", "cells")
+
+    def __init__(self, vectors: tuple[C0Vector, ...], cells: tuple[RealizedCell, ...]) -> None:
+        _set(self, "vectors", vectors)
+        _set(self, "cells", cells)
 
     def position(self, vertex: int) -> C0Vector:
         return self.vectors[vertex]
@@ -219,11 +237,18 @@ def realize(
     return Realization(vectors=tuple(vectors), cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class UniformReport:
-    sup_diam: GammaValue
-    inf_dist: GammaValue | None  # None: vacuous (single simplex), treated as +inf
-    is_uniform: bool
+class UniformReport(Frozen):
+    __slots__ = ("sup_diam", "inf_dist", "is_uniform")
+
+    def __init__(
+        self,
+        sup_diam: GammaValue,
+        inf_dist: GammaValue | None,  # None: vacuous (single simplex), treated as +inf
+        is_uniform: bool,
+    ) -> None:
+        _set(self, "sup_diam", sup_diam)
+        _set(self, "inf_dist", inf_dist)
+        _set(self, "is_uniform", is_uniform)
 
 
 def check_uniform(space: UltraSpace, realization: Realization) -> UniformReport:
@@ -275,12 +300,18 @@ def subdivide(space: UltraSpace, realization: Realization, j: int) -> Realizatio
     return Realization(vectors=realization.vectors, cells=tuple(new_cells))
 
 
-@dataclass(frozen=True)
-class IsolationReport:
+class IsolationReport(Frozen):
     """Per point: the first level from which it must sit alone, and violations."""
 
-    first_level: dict[int, int | None]
-    violations: tuple[tuple[int, int], ...]  # (point, level) pairs
+    __slots__ = ("first_level", "violations")
+
+    def __init__(
+        self,
+        first_level: dict[int, int | None],
+        violations: tuple[tuple[int, int], ...],  # (point, level) pairs
+    ) -> None:
+        _set(self, "first_level", first_level)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

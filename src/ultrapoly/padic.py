@@ -14,7 +14,6 @@ INFINITY exponent (p^(-inf)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
@@ -135,9 +134,67 @@ def check_prime(p: int) -> int:
     return p
 
 
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the value types: the fields are the ``__slots__``.
+
+    Two records are equal when they are of one class and their field
+    tuples are equal, and the repr is ``Name(field=value, ...)`` in slot
+    order, as for a dataclass.  ``_fields`` names the fields when some
+    slots are not fields.  A record is mutable and unhashable; see
+    ``Frozen``.  Pickling and copying rebuild it through its constructor,
+    which takes the fields in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Frozen(Record):
+    """An immutable record, hashed by its field tuple.
+
+    Assigning or deleting an attribute raises AttributeError, so
+    ``__init__`` sets each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
 @total_ordering
-@dataclass(frozen=True)
-class GammaValue:
+class GammaValue(Frozen):
     """An element of the value group: p^(-exponent), or 0 for INFINITY.
 
     ``exponent=None`` is the INFINITY tag encoding the metric value 0.
@@ -146,7 +203,19 @@ class GammaValue:
     order does not depend on p.
     """
 
-    exponent: int | None
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: int | None) -> None:
+        _set(self, "exponent", exponent)
+
+    # the hot comparisons, written out for the one field
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponent == other.exponent
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent,))
 
     @property
     def is_zero(self) -> bool:
@@ -222,8 +291,7 @@ def round_to_gamma(r: RationalLike, p: int) -> GammaValue:
     return GammaValue(e)
 
 
-@dataclass(frozen=True)
-class PAdic:
+class PAdic(Frozen):
     """A p-adic number known exactly on a bounded digit window.
 
     The value is sum(digits[i] * p^(valuation + i)); digits below the
@@ -234,22 +302,23 @@ class PAdic:
     Instances are immutable and safe to share across threads.
     """
 
-    prime: int
-    valuation: int
-    digits: tuple[int, ...]
-    precision: int
+    __slots__ = ("prime", "valuation", "digits", "precision")
 
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        if self.precision < 1:
+    def __init__(self, prime: int, valuation: int, digits: tuple[int, ...], precision: int) -> None:
+        check_prime(prime)
+        if precision < 1:
             raise ValueError("precision must be positive")
-        if self.digits:
-            if len(self.digits) != self.precision:
+        if digits:
+            if len(digits) != precision:
                 raise ValueError("digit vector must have `precision` entries")
-            if self.digits[0] == 0:
+            if digits[0] == 0:
                 raise ValueError("leading digit must be nonzero")
-            if any(d < 0 or d >= self.prime for d in self.digits):
+            if any(d < 0 or d >= prime for d in digits):
                 raise ValueError("digits must lie in [0, p-1]")
+        _set(self, "prime", prime)
+        _set(self, "valuation", valuation)
+        _set(self, "digits", digits)
+        _set(self, "precision", precision)
 
     # -- constructors --------------------------------------------------
 

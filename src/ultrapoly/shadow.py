@@ -17,11 +17,12 @@ maps carry over on vertices with affine extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .padic import PAdic, check_prime
+from .padic import Frozen, PAdic, check_prime
+
+_set = object.__setattr__
 
 
 class UnitBallError(ValueError):
@@ -56,12 +57,18 @@ def theta(x: PAdic, n: int) -> Fraction:
     return Fraction(num, p**n)
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(Frozen):
     """Pairs where |theta(x) - theta(y)| exceeded |x - y|_p (must be none)."""
 
-    checked: int
-    violations: tuple[tuple[int, Fraction, Fraction], ...]  # (pair idx, lhs, rhs)
+    __slots__ = ("checked", "violations")
+
+    def __init__(
+        self,
+        checked: int,
+        violations: tuple[tuple[int, Fraction, Fraction], ...],  # (pair idx, lhs, rhs)
+    ) -> None:
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -83,13 +90,15 @@ def theta_nonstretch_check(pairs: Sequence[tuple[PAdic, PAdic]], n: int) -> Thet
     return ThetaReport(checked=len(pairs), violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
+class BoundaryPair(Frozen):
     """A tail-(p-1) stream and its successor: theta-gap exactly p^-n."""
 
-    low: PAdic
-    high: PAdic
-    gap: Fraction
+    __slots__ = ("low", "high", "gap")
+
+    def __init__(self, low: PAdic, high: PAdic, gap: Fraction) -> None:
+        _set(self, "low", low)
+        _set(self, "high", high)
+        _set(self, "gap", gap)
 
 
 def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:

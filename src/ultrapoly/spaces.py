@@ -14,13 +14,14 @@ embedding turns those strings into an exact isometry.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from operator import itemgetter
 
 from .padic import (
     GAMMA_ZERO,
+    Frozen,
     GammaValue,
     PAdic,
     RationalLike,
@@ -28,6 +29,8 @@ from .padic import (
     difference_exponents,
     round_to_gamma,
 )
+
+_set = object.__setattr__
 
 
 class MatrixShapeError(ValueError):
@@ -132,13 +135,29 @@ class Violations(Sequence[tuple[int, int, int]]):
         return f"Violations(count={self._count}, first={self[0]})"
 
 
-def _violation_masks(rows: Sequence[Sequence]) -> list[tuple[int, int, int]]:
+def _integer_keys(row: Sequence[Fraction | int]) -> list[int]:
+    """The row's exact entries as integers in the same order: each times the row's lcm.
+
+    The lcm is that of the entries' denominators.  Equal values written
+    differently ("1/2", "0.5") get one key, since a Fraction is in lowest
+    terms.  The scale is per row, not per matrix: rows are only compared
+    within themselves, and a row's lcm grows with its n denominators,
+    where the matrix's would grow with all n^2.
+    """
+    denominators = {entry.denominator for entry in row}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    return [entry.numerator * factor[entry.denominator] for entry in row]
+
+
+def _violation_masks(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, int, int]]:
     # below[i][k] is the bitset of j with d(i,j) < d(i,k); (i, j, k)
     # violates exactly when j is in below[i][k] and in below[k][i].  j = i
     # and j = k never are, because d(k,i) < d(k,i) and d(i,k) < d(i,k) fail.
     n = len(rows)
     below = []
-    for row in rows:
+    for entries in rows:
+        row = _integer_keys(entries)
         sets = [0] * n
         closer = tied = 0
         last = None
@@ -169,9 +188,10 @@ def validate_ultrametric(
     (non-square, asymmetric, negative entries, nonzero diagonal) raises
     the matching error instead of being reported as a violation.
 
-    Cost: each row is sorted once (O(n^2 log n) comparisons), then one
-    AND of two n-bit sets per pair i < k gives its middle points, so the
-    count stays exact without storing the triples.
+    Cost: each row is sorted once on exact integer keys (O(n^2 log n)
+    integer comparisons), then one AND of two n-bit sets per pair i < k
+    gives its middle points, so the count stays exact without storing
+    the triples.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
@@ -347,8 +367,7 @@ class MergeTree:
         return best
 
 
-@dataclass(frozen=True)
-class UltraSpace:
+class UltraSpace(Frozen):
     """A finite labeled point set with exponent-encoded ultrametric distances.
 
     The diagonal holds INFINITY entries (metric value 0).  Off-diagonal
@@ -360,27 +379,34 @@ class UltraSpace:
     attribute, not a field, so equality, hashing and JSON ignore it.
     """
 
-    labels: tuple[str, ...]
-    prime: int
-    dist: tuple[tuple[GammaValue, ...], ...]
+    __slots__ = ("labels", "prime", "dist", "tree")
+    _fields = ("labels", "prime", "dist")
 
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        n = len(self.labels)
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        prime: int,
+        dist: tuple[tuple[GammaValue, ...], ...],
+    ) -> None:
+        _set(self, "labels", labels)
+        _set(self, "prime", prime)
+        _set(self, "dist", dist)
+        check_prime(prime)
+        n = len(labels)
         if n == 0:
             raise ValueError("a space needs at least one point")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("labels must be unique")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        if len(dist) != n or any(len(row) != n for row in dist):
             raise MatrixShapeError("distance matrix must be square over the labels")
-        expo = tuple(tuple([d.exponent for d in row]) for row in self.dist)
+        expo = tuple(tuple([d.exponent for d in row]) for row in dist)
         for i in range(n):
             if expo[i][i] is not None:
                 raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
             for j in range(i + 1, n):
                 if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        object.__setattr__(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
+        _set(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
 
     def _check_strong_triangle(self, expo: Sequence[Sequence[int | None]]) -> list[int]:
         # Single linkage over exponents, as in round_space: weight -e, so a
@@ -533,8 +559,7 @@ def threshold_classes(space: UltraSpace, j: int | None) -> list[tuple[int, ...]]
     return space.tree.classes(j)
 
 
-@dataclass(frozen=True)
-class BaireCodes:
+class BaireCodes(Frozen):
     """Digit strings over integer positions start..depth, one per point.
 
     Position i holds the index of the point's class under {d < p^-i};
@@ -543,11 +568,21 @@ class BaireCodes:
     in order of the lexicographically smallest member label.
     """
 
-    prime: int
-    start: int
-    depth: int
-    labels: tuple[str, ...]
-    codes: tuple[tuple[int, ...], ...]
+    __slots__ = ("prime", "start", "depth", "labels", "codes")
+
+    def __init__(
+        self,
+        prime: int,
+        start: int,
+        depth: int,
+        labels: tuple[str, ...],
+        codes: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "prime", prime)
+        _set(self, "start", start)
+        _set(self, "depth", depth)
+        _set(self, "labels", labels)
+        _set(self, "codes", codes)
 
     @property
     def positions(self) -> range:
@@ -594,8 +629,7 @@ def baire_encode(space: UltraSpace) -> BaireCodes:
     )
 
 
-@dataclass(frozen=True)
-class C0Vector:
+class C0Vector(Frozen):
     """Sparse vector sum of p^i * e_(i,a) over the coded positions.
 
     Keys are (position, symbol); the coefficient at a key is implicitly
@@ -603,7 +637,19 @@ class C0Vector:
     of those, i.e. p^(-smallest present position).
     """
 
-    keys: tuple[tuple[int, int], ...]
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "keys", keys)
+
+    # hashed per vector whenever a realized-distance table is looked up
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.keys == other.keys
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.keys,))
 
     def norm(self) -> GammaValue:
         if not self.keys:

@@ -13,7 +13,6 @@ levels of the infinite-system picture are constant and carry nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -26,7 +25,7 @@ from .nerve import (
     realize,
     scale_cover,
 )
-from .padic import GammaValue, PAdic, check_prime
+from .padic import Frozen, GammaValue, PAdic, check_prime
 from .spaces import (
     BaireCodes,
     C0Vector,
@@ -36,6 +35,8 @@ from .spaces import (
     c0_embed,
     space_from_points,
 )
+
+_set = object.__setattr__
 
 
 class ScheduleError(ValueError):
@@ -50,27 +51,27 @@ class IncoherentThreadError(ValueError):
     """A thread's simplexes are not linked by the bonding maps."""
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Frozen):
     """Per-level parameters: ball scales j, threshold factors k, bounds b.
 
     j must increase strictly (covers shrink), k must not increase, and
     the induced thresholds p^k * b then shrink level over level.
     """
 
-    j: tuple[int, ...]
-    k: tuple[int, ...]
-    b: tuple[GammaValue, ...]
+    __slots__ = ("j", "k", "b")
 
-    def __post_init__(self) -> None:
-        if not (len(self.j) == len(self.k) == len(self.b)):
+    def __init__(self, j: tuple[int, ...], k: tuple[int, ...], b: tuple[GammaValue, ...]) -> None:
+        _set(self, "j", j)
+        _set(self, "k", k)
+        _set(self, "b", b)
+        if not (len(j) == len(k) == len(b)):
             raise ScheduleError("schedule components must have equal length")
-        if not self.j:
+        if not j:
             raise ScheduleError("schedule must have at least one level")
-        for a, b_ in zip(self.j, self.j[1:]):
+        for a, b_ in zip(j, j[1:]):
             if b_ <= a:
                 raise ScheduleError("ball scales j(m) must increase strictly")
-        for a, b_ in zip(self.k, self.k[1:]):
+        for a, b_ in zip(k, k[1:]):
             if b_ > a:
                 raise ScheduleError("threshold factors must satisfy k(m+1) <= k(m)")
 
@@ -113,16 +114,33 @@ class Schedule:
         }
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Frozen):
     """One rung of the system: cover, nerve, realization, lookup tables."""
 
-    m: int
-    cover: ScaleCover
-    nerve: NerveComplex
-    realization: Realization
-    rep_of: dict[int, int] = field(repr=False)
-    simplex_of: dict[int, int] = field(repr=False)  # vertex -> maximal simplex index
+    __slots__ = ("m", "cover", "nerve", "realization", "rep_of", "simplex_of")
+
+    def __init__(
+        self,
+        m: int,
+        cover: ScaleCover,
+        nerve: NerveComplex,
+        realization: Realization,
+        rep_of: dict[int, int],
+        simplex_of: dict[int, int],  # vertex -> maximal simplex index
+    ) -> None:
+        _set(self, "m", m)
+        _set(self, "cover", cover)
+        _set(self, "nerve", nerve)
+        _set(self, "realization", realization)
+        _set(self, "rep_of", rep_of)
+        _set(self, "simplex_of", simplex_of)
+
+    def __repr__(self) -> str:
+        # the lookup tables are compared but not shown
+        return (
+            f"Level(m={self.m!r}, cover={self.cover!r}, nerve={self.nerve!r}, "
+            f"realization={self.realization!r})"
+        )
 
 
 def _make_level(
@@ -150,18 +168,26 @@ def _make_level(
     )
 
 
-@dataclass(frozen=True)
-class BondingMap:
+class BondingMap(Frozen):
     """Vertex map from a finer level onto the coarser one by block containment.
 
     simplex_images records, per fine maximal simplex, its image vertex
     set and the index of the coarse maximal simplex containing it.
     """
 
-    fine: int
-    coarse: int
-    vertex_map: dict[int, int]
-    simplex_images: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("fine", "coarse", "vertex_map", "simplex_images")
+
+    def __init__(
+        self,
+        fine: int,
+        coarse: int,
+        vertex_map: dict[int, int],
+        simplex_images: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> None:
+        _set(self, "fine", fine)
+        _set(self, "coarse", coarse)
+        _set(self, "vertex_map", vertex_map)
+        _set(self, "simplex_images", simplex_images)
 
     def to_json(self) -> dict:
         return {
@@ -203,8 +229,7 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     )
 
 
-@dataclass(frozen=True)
-class NonstretchReport:
+class NonstretchReport(Frozen):
     """Exact witnesses for the non-stretching property of one bonding map.
 
     violations: vertex pairs whose realized image distance exceeds the
@@ -215,12 +240,25 @@ class NonstretchReport:
     others keep their exact distance.
     """
 
-    fine: int
-    coarse: int
-    violations: tuple[tuple[int, int], ...]
-    merged: tuple[tuple[int, int], ...]
-    preserved: int
-    single_step_contraction: bool
+    __slots__ = (
+        "fine", "coarse", "violations", "merged", "preserved", "single_step_contraction"
+    )
+
+    def __init__(
+        self,
+        fine: int,
+        coarse: int,
+        violations: tuple[tuple[int, int], ...],
+        merged: tuple[tuple[int, int], ...],
+        preserved: int,
+        single_step_contraction: bool,
+    ) -> None:
+        _set(self, "fine", fine)
+        _set(self, "coarse", coarse)
+        _set(self, "violations", violations)
+        _set(self, "merged", merged)
+        _set(self, "preserved", preserved)
+        _set(self, "single_step_contraction", single_step_contraction)
 
     @property
     def ok(self) -> bool:
@@ -303,13 +341,20 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> Nonstr
     )
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(Frozen):
     """Source simplexes with >= 2 vertices collapsing to a single image vertex."""
 
-    fine: int
-    coarse: int
-    collapsed: tuple[int, ...]  # indices of flagged fine maximal simplexes
+    __slots__ = ("fine", "coarse", "collapsed")
+
+    def __init__(
+        self,
+        fine: int,
+        coarse: int,
+        collapsed: tuple[int, ...],  # indices of flagged fine maximal simplexes
+    ) -> None:
+        _set(self, "fine", fine)
+        _set(self, "coarse", coarse)
+        _set(self, "collapsed", collapsed)
 
     @property
     def ok(self) -> bool:
@@ -325,16 +370,28 @@ def verify_nondegenerate(bmap: BondingMap, fine: Level) -> DegeneracyReport:
     return DegeneracyReport(fine=bmap.fine, coarse=bmap.coarse, collapsed=collapsed)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Frozen):
     """The assembled inverse sequence over one space."""
 
-    space: UltraSpace
-    schedule: Schedule
-    levels: tuple[Level, ...]
-    bonding: tuple[BondingMap, ...]  # bonding[i]: level i+1 -> level i
-    codes: BaireCodes
-    vectors: tuple[C0Vector, ...]
+    # __dict__ holds what cached_property computes; it is not a field
+    __slots__ = ("space", "schedule", "levels", "bonding", "codes", "vectors", "__dict__")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        space: UltraSpace,
+        schedule: Schedule,
+        levels: tuple[Level, ...],
+        bonding: tuple[BondingMap, ...],  # bonding[i]: level i+1 -> level i
+        codes: BaireCodes,
+        vectors: tuple[C0Vector, ...],
+    ) -> None:
+        _set(self, "space", space)
+        _set(self, "schedule", schedule)
+        _set(self, "levels", levels)
+        _set(self, "bonding", bonding)
+        _set(self, "codes", codes)
+        _set(self, "vectors", vectors)
 
     @property
     def depth(self) -> int:
@@ -493,8 +550,7 @@ def assemble_expansion(space: UltraSpace, schedule: Schedule | None = None) -> E
     return expansion
 
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(Frozen):
     """Distances recovered from thread separation levels vs the true metric.
 
     A pair's recovered exponent is threshold_exponent(first differing
@@ -504,9 +560,17 @@ class IsometryReport:
     schedule.
     """
 
-    mismatches: tuple[tuple[int, int, int | None, int], ...]  # (x, y, recovered, actual)
-    max_gap: int
-    bound: int
+    __slots__ = ("mismatches", "max_gap", "bound")
+
+    def __init__(
+        self,
+        mismatches: tuple[tuple[int, int, int | None, int], ...],  # (x, y, recovered, actual)
+        max_gap: int,
+        bound: int,
+    ) -> None:
+        _set(self, "mismatches", mismatches)
+        _set(self, "max_gap", max_gap)
+        _set(self, "bound", bound)
 
     @property
     def ok(self) -> bool:

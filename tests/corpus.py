@@ -1,4 +1,4 @@
-"""Deterministic random-space generators shared by the test modules."""
+"""Deterministic random-space generators shared by the test modules, and ``replace``."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ PRIMES = (2, 3, 5)
 #: = 2q has no factor below 2^16 but 2, so no primality certificate is
 #: found and the primality test must refuse to decide.
 UNDECIDABLE_PRIME = 2535301200456458802993406412663
+
+
+def replace(obj, **changes):
+    """A copy of a value-type instance with some fields changed, built by its constructor."""
+    fields = {name: getattr(obj, name) for name in type(obj)._fields}
+    return type(obj)(**{**fields, **changes})
 
 
 def random_code_space(rng: random.Random, p: int, n: int, depth: int | None = None) -> UltraSpace:

@@ -83,6 +83,30 @@ def violating_triples(matrix: list[list[Fraction]]) -> list[tuple[int, int, int]
     return out
 
 
+def fraction_violation_masks(matrix: list[list[Fraction]]) -> list[tuple[int, int, int]]:
+    """(i, k, bitset of the middle points j) per violating pair, rows sorted as fractions.
+
+    The row-sort route of the library before it compared integer keys:
+    below[i][k] is the bitset of j with d(i,j) < d(i,k), and (i, j, k)
+    violates when j is in below[i][k] and in below[k][i].
+    """
+    n = len(matrix)
+    below = []
+    for row in matrix:
+        sets = [0] * n
+        for k in range(n):
+            for j in range(n):
+                if row[j] < row[k]:
+                    sets[k] |= 1 << j
+        below.append(sets)
+    return [
+        (i, k, below[i][k] & below[k][i])
+        for i in range(n)
+        for k in range(i + 1, n)
+        if below[i][k] & below[k][i]
+    ]
+
+
 def floyd_warshall_closure(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Minimax path distance by the Floyd-Warshall recurrence over (max, min)."""
     n = len(matrix)

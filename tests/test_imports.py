@@ -38,27 +38,32 @@ REMOVED_NAMES = {
 }
 SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 
+# standard modules that cost a CLI run start-up time and that no command needs:
+# dataclasses loads inspect, which loads ast, dis and tokenize
+SLOW_MODULES = ("dataclasses", "inspect")
+
 # runs `python -m ultrapoly <args>` in this interpreter, then records the exit
-# code and the package modules it loaded
-PROBE = """
+# code, the package modules it loaded and which of SLOW_MODULES it loaded
+PROBE = f"""
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["ultrapoly", *sys.argv[2:]]
 try:
     runpy.run_module("ultrapoly", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-modules = sorted(m for m in sys.modules if m.startswith("ultrapoly"))
+modules = sorted(m for m in sys.modules if m.startswith("ultrapoly") or m in {SLOW_MODULES})
 with open(out, "w") as fh:
-    json.dump({"code": code, "modules": modules}, fh)
+    json.dump({{"code": code, "modules": modules}}, fh)
 """
 
 
-def _loaded(tmp_path: Path, *args: str) -> set[str]:
+def _loaded(tmp_path: Path, *args: str, prelude: str = "") -> set[str]:
+    """Package modules (less the package prefix) and slow modules loaded by one command."""
     record = tmp_path / "modules.json"
     src = str(Path(ultrapoly.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
-        [sys.executable, "-c", PROBE, str(record), *args],
+        [sys.executable, "-c", prelude + PROBE, str(record), *args],
         env=env,
         check=True,
         stdout=subprocess.DEVNULL,
@@ -112,6 +117,29 @@ def test_expand_loads_shadow_only_for_the_shadow_stage(tmp_path, matrix_input):
 
 def test_validate_loads_neither_spectrum_nor_shadow(tmp_path, matrix_input):
     assert not _loaded(tmp_path, "validate", matrix_input) & {"spectrum", "shadow"}
+
+
+def _commands(tmp_path: Path, bundle: str, matrix_input: str) -> dict[str, list[str]]:
+    stages = "validate,round,expand,verify,shadow"
+    return {
+        "expand": ["expand", matrix_input, "--stages", stages, "--out", str(tmp_path / "e")],
+        "shadow": ["shadow", bundle, "--csv", "--out", str(tmp_path / "s")],
+        "export": ["export", "dot", bundle, "--out", str(tmp_path / "d")],
+        "validate": ["validate", matrix_input],
+        "demo": ["demo", "zp", "--prime", "2", "--depth", "3", "--out", str(tmp_path / "z")],
+    }
+
+
+@pytest.mark.parametrize("command", ["expand", "shadow", "export", "validate", "demo"])
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, bundle, matrix_input, command):
+    argv = _commands(tmp_path, bundle, matrix_input)[command]
+    assert not _loaded(tmp_path, *argv) & set(SLOW_MODULES)
+
+
+def test_probe_sees_dataclasses_and_inspect(tmp_path, matrix_input):
+    # positive control: the same probe after a run that imports dataclasses
+    loaded = _loaded(tmp_path, "validate", matrix_input, prelude="import dataclasses\n")
+    assert set(SLOW_MODULES) <= loaded
 
 
 def test_public_names_are_unchanged_and_resolve():

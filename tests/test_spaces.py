@@ -25,12 +25,15 @@ from ultrapoly import (
     subdominant_closure,
     validate_ultrametric,
 )
+from ultrapoly import spaces
+from ultrapoly.spaces import Violations
 
 from corpus import random_code_space
 from oracles import (
     closure_classes,
     first_difference,
     floyd_warshall_closure,
+    fraction_violation_masks,
     gamma_floor,
     minimax_paths,
     sparse_vector_distance,
@@ -176,6 +179,65 @@ def test_ingest_kernels_match_oracles(matrix, p):
     for i in range(n):
         for j in range(n):
             assert space.dist[i][j].exponent == gamma_floor(closed[i][j], p)
+
+
+# two primes near 2^61 and 2^89 and one near 10^9: coprime denominators whose
+# lcm over a row is far wider than any entry
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 10**9 + 7)
+
+
+@st.composite
+def written_matrices(draw):
+    """Symmetric matrices of few values, each entry written in one of several exact forms."""
+    n = draw(st.integers(1, 8))
+    den = st.one_of(st.integers(1, 12), st.sampled_from(LARGE_PRIMES))
+    pool = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(0, 3 * 2**89), den),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    pool += [Fraction(0), Fraction(1, 2)]
+
+    def written(value: Fraction):
+        forms = [value, f"{value.numerator}/{value.denominator}"]
+        forms.append(f"{3 * value.numerator}/{3 * value.denominator}")  # not in lowest terms
+        if 1000 % value.denominator == 0:
+            thousandths = value.numerator * (1000 // value.denominator)
+            forms.append(f"{thousandths // 1000}.{thousandths % 1000:03d}")  # "0.500"
+        if value.denominator == 1:
+            forms.append(value.numerator)
+        return draw(st.sampled_from(forms))
+
+    m = [[written(Fraction(0)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = draw(st.sampled_from(pool))
+            m[i][j], m[j][i] = written(value), written(value)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=written_matrices())
+def test_integer_keys_match_the_fraction_route(matrix):
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    masks = fraction_violation_masks(rows)
+    assert spaces._violation_masks(rows) == masks
+    found = validate_ultrametric([f"v{i}" for i in range(len(matrix))], matrix)
+    assert found == Violations(masks)
+    assert list(found) == violating_triples(rows)
+
+
+def test_integer_keys_tie_equal_values_written_differently():
+    for row in (
+        [Fraction("1/2"), Fraction("0.5"), Fraction(2, 4)],
+        [Fraction(0), Fraction("0/7"), Fraction("0.0")],
+        [Fraction(1, 2**61 - 1), Fraction(3, 3 * (2**61 - 1))],
+    ):
+        assert len(set(spaces._integer_keys(row))) == 1
+    keys = spaces._integer_keys([Fraction(1, 2**61 - 1), Fraction(1, 2**89 - 1), Fraction(0)])
+    assert keys[2] < keys[1] < keys[0]
 
 
 def test_closure_at_scale_is_ultrametric_and_idempotent():

@@ -6,7 +6,6 @@ oracles in oracles.py recompute them by the pairwise scans they replace,
 on exact fractions.
 """
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -38,7 +37,7 @@ from ultrapoly.cli import RunReport, _verify_expansion
 from ultrapoly.nerve import RealizedCell
 from ultrapoly.spaces import threshold_classes
 
-from corpus import random_code_space
+from corpus import random_code_space, replace
 from oracles import (
     all_pairs_functoriality,
     closure_classes,
@@ -311,25 +310,25 @@ def _outcome(route):
 def _redirected(expansion, m, v, target):
     bmap = expansion.bonding[m]
     bonding = list(expansion.bonding)
-    bonding[m] = dataclasses.replace(bmap, vertex_map={**bmap.vertex_map, v: target})
-    return dataclasses.replace(expansion, bonding=tuple(bonding))
+    bonding[m] = replace(bmap, vertex_map={**bmap.vertex_map, v: target})
+    return replace(expansion, bonding=tuple(bonding))
 
 
 def _moved(expansion, m, x, target):
     level = expansion.levels[m]
     blocks = _move_point(level.cover.blocks, x, target)
     levels = list(expansion.levels)
-    levels[m] = dataclasses.replace(
+    levels[m] = replace(
         level,
         cover=ScaleCover(level=level.cover.level, blocks=blocks),
         rep_of={point: block[0] for block in blocks for point in block},
     )
-    return dataclasses.replace(expansion, levels=tuple(levels))
+    return replace(expansion, levels=tuple(levels))
 
 
 def _dropped(expansion):
     """Level 1 and the map into it removed: level 2 maps straight onto level 0."""
-    return dataclasses.replace(
+    return replace(
         expansion, levels=expansion.levels[:1] + expansion.levels[2:], bonding=expansion.bonding[1:]
     )
 
@@ -339,10 +338,10 @@ def _vertex_dropped(expansion, c, w):
     levels, bonding = list(expansion.levels), list(expansion.bonding)
     nerve = levels[c].nerve
     vertices = tuple(v for v in nerve.vertices if v != w)
-    levels[c] = dataclasses.replace(levels[c], nerve=dataclasses.replace(nerve, vertices=vertices))
+    levels[c] = replace(levels[c], nerve=replace(nerve, vertices=vertices))
     vertex_map = {v: t for v, t in bonding[c - 1].vertex_map.items() if v != w}
-    bonding[c - 1] = dataclasses.replace(bonding[c - 1], vertex_map=vertex_map)
-    return dataclasses.replace(expansion, levels=tuple(levels), bonding=tuple(bonding))
+    bonding[c - 1] = replace(bonding[c - 1], vertex_map=vertex_map)
+    return replace(expansion, levels=tuple(levels), bonding=tuple(bonding))
 
 
 def _assert_functoriality_matches(expansion):
@@ -414,7 +413,7 @@ def test_functoriality_is_decided_once_per_expansion(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Expansion, "_functorial", counting)
-    fresh = dataclasses.replace(expansion)
+    fresh = replace(expansion)
     assert fresh.verify_functoriality() == fresh.verify_functoriality() == []
     assert len(calls) == 1
     fresh.verify_functoriality().append((0, 0))  # callers get their own list

@@ -2,10 +2,11 @@
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ultrapoly.cli import _dump_json, _write_json, main
+from ultrapoly.cli import _dump_json, _leaf_encoder, _write_json, main
 
 # strings the encoder must escape: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(
@@ -72,3 +73,51 @@ def test_writer_streams_in_pieces():
     assert text == json.dumps(bundle, sort_keys=True, indent=2)
     # no piece holds more than one matrix row: the whole text is never built
     assert max(map(len, pieces)) < len(text) // 50
+
+
+@pytest.fixture
+def fresh_encoders():
+    """Empty the per-depth encoder cache before and after the test."""
+    _leaf_encoder.cache_clear()
+    yield
+    _leaf_encoder.cache_clear()
+
+
+def _nested(depth: int) -> dict:
+    """Leaves and scalars at every depth below depth, many of each per depth."""
+    obj: dict = {"leaf": list(range(5)), "n": 1, "s": "x"}
+    for d in range(depth):
+        obj = {"rows": [[i, d, None] for i in range(20)], "flag": True, "inner": obj}
+    return obj
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
+def test_writer_builds_at_most_one_encoder_per_depth(tmp_path, monkeypatch, fresh_encoders):
+    separators = []
+    make_encoder = json.encoder.c_make_encoder
+
+    def counting(*args):
+        separators.append(args[5])  # the item separator: a newline and the indent
+        return make_encoder(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+    obj = _nested(6)
+    path = tmp_path / "out.json"
+    for _ in range(2):
+        _dump_json(path, obj)
+        assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # 7 levels of nesting and over 100 leaves and scalars, yet one encoder per depth
+    assert len(separators) == len(set(separators)) <= 8
+    json.dumps([1])
+    assert separators[-1] == ", "  # the counter is live
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(obj=VALUES)
+def test_writer_without_c_encoder_matches_json_dump(tmp_path, monkeypatch, fresh_encoders, obj):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    path = tmp_path / "out.json"
+    _dump_json(path, obj)
+    assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
