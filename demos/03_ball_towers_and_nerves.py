@@ -41,10 +41,10 @@ print("== uniformity witnesses (bounded diameters, positive separation) ==")
 vectors = c0_embed(baire_encode(space))
 nerve = build_nerve(space, cover, k=1, b=GammaValue(2))
 realization = realize(space, cover, nerve, vectors)
-report = check_uniform(space, realization)
-print(f"sup diam = {report.sup_diam.as_fraction(3)}")
-print(f"inf dist = {report.inf_dist.as_fraction(3)}")
-print(f"uniform: {report.is_uniform}")
+report = check_uniform(space, realization)  # distances as exponents of 3^-1
+print(f"sup diam = {GammaValue.from_json(report['sup_diam']).as_fraction(3)}")
+print(f"inf dist = {GammaValue.from_json(report['inf_dist']).as_fraction(3)}")
+print(f"uniform: {report['is_uniform']}")
 
 print()
 print("== p-subdivision splits each cell into p^j smaller balls ==")

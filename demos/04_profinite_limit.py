@@ -23,8 +23,9 @@ print()
 print("== every bonding map is non-stretching ==")
 for m, bmap in enumerate(expansion.bonding):
     r = verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
-    print(f"level {bmap.fine} -> {bmap.coarse}: violations {len(r.violations)}, "
-          f"merged pairs {len(r.merged)}, one-scale-step contraction {r.single_step_contraction}")
+    print(f"level {r['from']} -> {r['to']}: violations {len(r['violations'])}, "
+          f"merged pairs {r['merged_pairs']}, "
+          f"one-scale-step contraction {r['single_step_contraction']}")
 
 print()
 print("== threads and reconstruction ==")
@@ -41,7 +42,7 @@ print()
 print("== the limit is isometric to the space ==")
 iso = limit_isometry_check(space, expansion)
 print(f"pairs checked: {space.n_points * (space.n_points - 1) // 2}, "
-      f"mismatches: {len(iso.mismatches)}")
+      f"mismatches: {len(iso['mismatches'])}")
 
 print()
 print("== functoriality of composites ==")

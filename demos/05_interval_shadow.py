@@ -30,8 +30,9 @@ print(f"monotone over all {len(streams)} streams: {values == sorted(values)}")
 print()
 print("== non-stretching over every pair ==")
 points = [PAdic.from_digit_stream(d, p) for d in streams]
-report = theta_nonstretch_check([(x, y) for x in points for y in points], n)
-print(f"checked {report.checked} pairs, violations {len(report.violations)}")
+pairs = [(x, y) for x in points for y in points]
+violations = theta_nonstretch_check(pairs, n)
+print(f"checked {len(pairs)} pairs, violations {len(violations)}")
 
 print()
 print("== boundary pairs: the only collisions in the limit ==")

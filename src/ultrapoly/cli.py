@@ -13,12 +13,20 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
-from .padic import GammaValue, PAdic, PrimalityUnknownError, Record, is_prime, round_to_gamma
+from .padic import (
+    GammaValue,
+    PAdic,
+    PrimalityUnknownError,
+    Record,
+    _digits_of,
+    is_prime,
+    round_to_gamma,
+)
 from .spaces import (
     NotUltrametricError,
     UltraSpace,
@@ -30,7 +38,9 @@ from .spaces import (
 )
 
 # spectrum and shadow are imported by the commands that run them, so
-# `export dot`, `shadow` and `validate` never load what they do not use
+# `export dot`, `shadow` and `validate` never load what they do not use;
+# type checkers read TYPE_CHECKING as true, and no command imports typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .spectrum import Schedule
 
@@ -40,6 +50,7 @@ EXIT_INPUT = 2
 
 CONFIG_ENV = "ULTRAPOLY_CONFIG"
 ALL_STAGES = ("validate", "round", "expand", "verify", "shadow")
+DEFAULT_PRECISION = 32  # p-adic digits kept of each input stream
 
 
 class ParseError(ValueError):
@@ -56,7 +67,7 @@ class PipelineConfig(Record):
     def __init__(
         self,
         prime: int | None = None,  # None: take the input file's prime
-        precision: int = 32,
+        precision: int = DEFAULT_PRECISION,
         schedule_j: list[int] | str = "auto",
         schedule_k: list[int] | str = "auto",
         b_shift: int = 0,
@@ -90,7 +101,7 @@ class PipelineConfig(Record):
         schedule = data.get("schedule", {})
         merged = {
             "prime": data.get("prime"),
-            "precision": data.get("precision", 32),
+            "precision": data.get("precision", DEFAULT_PRECISION),
             "schedule_j": schedule.get("j", "auto"),
             "schedule_k": schedule.get("k", "auto"),
             "b_shift": schedule.get("b", 0) or 0,
@@ -325,6 +336,38 @@ def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
     return obj, rows
 
 
+def _parse_streams(obj: dict, prime: int, precision: int) -> list[PAdic]:
+    """The input's digit streams as p-adic points; a bad digit raises InputFormatError."""
+    try:
+        # the digit budget truncates long streams; truncation is exact
+        # for every norm computed downstream
+        return [
+            PAdic.from_digit_stream(stream[:precision], prime) for stream in obj["padic_points"]
+        ]
+    except ValueError as exc:
+        raise InputFormatError(f"bad digit stream: {exc}") from exc
+
+
+def _validate_matrix(
+    labels: list[str], rows: list[list[Fraction]], report: RunReport, rounding: bool
+) -> bool:
+    """The validate stage on matrix input; violations fail it unless rounding follows."""
+    t0 = time.perf_counter()
+    violations = validate_ultrametric(labels, rows)
+    if violations and not rounding:
+        i, j, k = violations[0]
+        report.add(
+            "validate",
+            "failed",
+            time.perf_counter() - t0,
+            violating_triple=[labels[i], labels[j], labels[k]],
+            violation_count=len(violations),
+        )
+        return False
+    report.add("validate", "passed", time.perf_counter() - t0, violations=len(violations))
+    return True
+
+
 def _space_from_input(
     obj: dict, rows: list[list[Fraction]] | None, config: PipelineConfig, report: RunReport
 ) -> UltraSpace | None:
@@ -336,16 +379,7 @@ def _space_from_input(
 
     if rows is None:
         t0 = time.perf_counter()
-        try:
-            # the digit budget truncates long streams; truncation is exact
-            # for every norm computed downstream
-            points = [
-                PAdic.from_digit_stream(stream[: config.precision], prime)
-                for stream in obj["padic_points"]
-            ]
-        except ValueError as exc:
-            raise InputFormatError(f"bad digit stream: {exc}") from exc
-        space = space_from_points(points, labels)
+        space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
         if do_validate:
             report.add("validate", "passed", time.perf_counter() - t0, violations=[])
         if do_round:
@@ -354,22 +388,8 @@ def _space_from_input(
             report.add("round", "passed", time.perf_counter() - t0, merged=sorted(merges.items()))
         return space
 
-    if do_validate:
-        t0 = time.perf_counter()
-        violations = validate_ultrametric(labels, rows)
-        if violations and not do_round:
-            i, j, k = violations[0]
-            report.add(
-                "validate",
-                "failed",
-                time.perf_counter() - t0,
-                violating_triple=[labels[i], labels[j], labels[k]],
-                violation_count=len(violations),
-            )
-            return None
-        report.add(
-            "validate", "passed", time.perf_counter() - t0, violations=len(violations)
-        )
+    if do_validate and not _validate_matrix(labels, rows, report, do_round):
+        return None
     if do_round:
         t0 = time.perf_counter()
         closed = subdominant_closure(rows)
@@ -401,94 +421,64 @@ def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule
 
 
 def _verify_expansion(expansion, report: RunReport) -> dict:
-    """All report-style checks; returns the deterministic bundle summary."""
+    """Run every check, in bundle order; returns the deterministic bundle summary.
+
+    Each check returns its entry as the bundle stores it.  The verify
+    stage fails when a check does, and ``first_failure`` names the first
+    check that failed.
+    """
     from .spectrum import limit_isometry_check, verify_nondegenerate, verify_nonstretching
 
     t0 = time.perf_counter()
-    summaries: dict = {}
-    ok = True
-
+    space, levels = expansion.space, expansion.levels
     nonstretch = []
     degenerate = []
     for m, bmap in enumerate(expansion.bonding):
-        ns = verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
-        nd = verify_nondegenerate(bmap, expansion.levels[m + 1])
-        nonstretch.append(
-            {
-                "from": bmap.fine,
-                "to": bmap.coarse,
-                "violations": [list(v) for v in ns.violations],
-                "merged_pairs": len(ns.merged),
-                "single_step_contraction": ns.single_step_contraction,
-            }
-        )
-        degenerate.append(
-            {"from": bmap.fine, "to": bmap.coarse, "collapsed_simplexes": list(nd.collapsed)}
-        )
-        ok = ok and ns.ok
-    summaries["nonstretching"] = nonstretch
-    summaries["nondegenerate"] = degenerate
-
-    functor_bad = expansion.verify_functoriality()
-    summaries["functoriality_ok"] = not functor_bad
-    ok = ok and not functor_bad
-
-    uniform = []
-    for level in expansion.levels:
-        u = check_uniform(expansion.space, level.realization)
-        uniform.append(
-            {
-                "level": level.m,
-                "sup_diam": u.sup_diam.to_json(),
-                "inf_dist": None if u.inf_dist is None else u.inf_dist.to_json(),
-                "is_uniform": u.is_uniform,
-            }
-        )
-        ok = ok and u.is_uniform
-    summaries["uniformity"] = uniform
-
-    iso = isolated_point_check(
-        expansion.space, [(lv.cover, lv.nerve) for lv in expansion.levels]
+        nonstretch.append(verify_nonstretching(bmap, levels[m + 1], levels[m]))
+        degenerate.append(verify_nondegenerate(bmap, levels[m + 1]))
+    functorial = not expansion.verify_functoriality()
+    uniform = [{"level": level.m, **check_uniform(space, level.realization)} for level in levels]
+    iso = isolated_point_check(space, [(level.cover, level.nerve) for level in levels])
+    reconstructed = all(
+        expansion.reconstruct(expansion.thread(x)) == {x} for x in range(space.n_points)
     )
-    summaries["isolation_ok"] = iso.ok
-    summaries["isolation_violations"] = [list(v) for v in iso.violations]
-    ok = ok and iso.ok
-
-    reconstruct_ok = True
-    for x in range(expansion.space.n_points):
-        if expansion.reconstruct(expansion.thread(x)) != frozenset({x}):
-            reconstruct_ok = False
-    summaries["reconstruct_identity"] = reconstruct_ok
-    ok = ok and reconstruct_ok
-
-    isometry = limit_isometry_check(expansion.space, expansion)
-    summaries["limit_isometry_ok"] = isometry.ok
-    summaries["limit_isometry_mismatches"] = [list(m) for m in isometry.mismatches]
-    summaries["limit_isometry_bound"] = isometry.bound
-    ok = ok and isometry.ok
-
-    witness = {
-        "sup_diam": [u["sup_diam"] for u in uniform],
-        "inf_dist": [u["inf_dist"] for u in uniform],
-        "nonstretch_violations": sum(len(m["violations"]) for m in nonstretch),
-        "isometry_mismatches": len(summaries["limit_isometry_mismatches"]),
-        "isolation_violations": len(summaries["isolation_violations"]),
+    isometry = limit_isometry_check(space, expansion)
+    passed = {
+        "nonstretching": not any(entry["violations"] for entry in nonstretch),
+        "functoriality_ok": functorial,
+        "uniformity": all(entry["is_uniform"] for entry in uniform),
+        "isolation_ok": not iso["violations"],
+        "reconstruct_identity": reconstructed,
+        "limit_isometry_ok": not isometry["mismatches"],
     }
-    if not ok:
-        witness["first_failure"] = next(
-            key
-            for key, value in summaries.items()
-            if value is False or (isinstance(value, list) and any(
-                isinstance(item, dict) and item.get("violations") for item in value
-            ))
-        )
+    witness = {
+        "sup_diam": [entry["sup_diam"] for entry in uniform],
+        "inf_dist": [entry["inf_dist"] for entry in uniform],
+        "nonstretch_violations": sum(len(entry["violations"]) for entry in nonstretch),
+        "isometry_mismatches": len(isometry["mismatches"]),
+        "isolation_violations": len(iso["violations"]),
+    }
+    failed = [check for check, ok in passed.items() if not ok]
+    if failed:
+        witness["first_failure"] = failed[0]
     report.add(
         "verify",
-        "passed" if ok else "failed",
+        "failed" if failed else "passed",
         time.perf_counter() - t0,
         **witness,
     )
-    return summaries
+    return {
+        "nonstretching": nonstretch,
+        "nondegenerate": degenerate,
+        "functoriality_ok": functorial,
+        "uniformity": uniform,
+        "isolation_ok": passed["isolation_ok"],
+        "isolation_violations": iso["violations"],
+        "reconstruct_identity": reconstructed,
+        "limit_isometry_ok": passed["limit_isometry_ok"],
+        "limit_isometry_mismatches": isometry["mismatches"],
+        "limit_isometry_bound": isometry["bound"],
+    }
 
 
 def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]:
@@ -560,14 +550,21 @@ def _write_outputs(outputs: dict, out_dir: Path) -> None:
 
 
 def _cmd_validate(args) -> int:
-    config = PipelineConfig(stages=("validate",))
+    """The validate stage alone: streams are parsed, a matrix is checked, no space is built."""
+    report = RunReport()
     try:
-        report, _, code = run(config, Path(args.input))
+        obj, rows = load_input(Path(args.input))
+        if rows is None:
+            t0 = time.perf_counter()
+            _parse_streams(obj, obj["prime"], DEFAULT_PRECISION)
+            report.add("validate", "passed", time.perf_counter() - t0, violations=[])
+        else:
+            _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
     except (ParseError, InputFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-    return code
+    return EXIT_VERIFY if report.failed else EXIT_OK
 
 
 def _cmd_expand(args) -> int:
@@ -728,8 +725,7 @@ def _cmd_demo_zp(args) -> int:
     summaries["group"] = group_report
     bundle = expansion.to_bundle(summaries)
     bundle["space"]["padic_points"] = [
-        _residue_digits(int(label), args.prime, args.depth)
-        for label in expansion.space.labels
+        list(_digits_of(int(label), args.prime, args.depth)) for label in expansion.space.labels
     ]
     outputs = {"expansion.json": bundle, "shadow.json": shadow_bundle(bundle)}
     out_dir = Path(args.out or ".")
@@ -738,14 +734,6 @@ def _cmd_demo_zp(args) -> int:
         _write_theta_csv(outputs["shadow.json"], out_dir)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_VERIFY if report.failed else EXIT_OK
-
-
-def _residue_digits(r: int, p: int, depth: int) -> list[int]:
-    out = []
-    for _ in range(depth):
-        r, d = divmod(r, p)
-        out.append(d)
-    return out
 
 
 def _cmd_export_dot(args) -> int:

@@ -9,7 +9,7 @@ vertex set: every complex here is a disjoint union of simplexes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Sequence
 
 from .padic import GAMMA_ZERO, Frozen, GammaValue
 from .spaces import C0Vector, UltraSpace, threshold_classes
@@ -48,9 +48,6 @@ class ScaleCover(Frozen):
                 return block
         raise KeyError(f"point {point} not covered")
 
-    def rep_of(self, point: int) -> int:
-        return self.block_of(point)[0]
-
 
 def scale_cover(space: UltraSpace, j: int) -> ScaleCover:
     """Blocks are the classes of {d <= p^-j}, i.e. exponent >= j."""
@@ -68,8 +65,9 @@ def cover_tower(space: UltraSpace, j_min: int, j_max: int) -> list[ScaleCover]:
 
 
 def _check_nested(fine: ScaleCover, coarse: ScaleCover) -> None:
+    rep_of = {point: block[0] for block in coarse.blocks for point in block}
     for block in fine.blocks:
-        parents = {coarse.rep_of(point) for point in block}
+        parents = {rep_of[point] for point in block}
         if len(parents) != 1:
             raise NestingError(
                 f"block {block} at scale {fine.level} crosses blocks at scale {coarse.level}"
@@ -107,16 +105,6 @@ class NerveComplex(Frozen):
     @property
     def dim_l(self) -> int:
         return max(self.dims)
-
-    def has_face(self, vs: Iterable[int]) -> bool:
-        face = set(vs)
-        return any(face <= set(s) for s in self.maximal_simplexes)
-
-    def simplex_index_of(self, vertex: int) -> int:
-        for idx, s in enumerate(self.maximal_simplexes):
-            if vertex in s:
-                return idx
-        raise KeyError(f"vertex {vertex} not in complex")
 
     def to_json(self) -> dict:
         return {
@@ -237,37 +225,29 @@ def realize(
     return Realization(vectors=tuple(vectors), cells=tuple(cells))
 
 
-class UniformReport(Frozen):
-    __slots__ = ("sup_diam", "inf_dist", "is_uniform")
-
-    def __init__(
-        self,
-        sup_diam: GammaValue,
-        inf_dist: GammaValue | None,  # None: vacuous (single simplex), treated as +inf
-        is_uniform: bool,
-    ) -> None:
-        _set(self, "sup_diam", sup_diam)
-        _set(self, "inf_dist", inf_dist)
-        _set(self, "is_uniform", is_uniform)
-
-
-def check_uniform(space: UltraSpace, realization: Realization) -> UniformReport:
+def check_uniform(space: UltraSpace, realization: Realization) -> dict:
     """Witness the bounded-diameter / positive-separation conditions exactly.
 
-    inf_dist is the smallest distance between points of different
-    cells, from one sort of the cells' members along the merge tree (see
+    Returns the bundle's entry for the level (less its ``level``), with
+    distances as exponents: ``sup_diam``, the largest cell radius;
+    ``inf_dist``, the smallest distance between points of different
+    cells (None for a single cell, where the condition is vacuous); and
+    ``is_uniform``, whether that distance is positive.  inf_dist comes
+    from one sort of the cells' members along the merge tree (see
     ``MergeTree.closest``); cells may share points, as after arbitrary
     subdivisions.
     """
     cells = realization.cells
     if not cells:
         raise ValueError("empty complex")
-    sup_diam = max(cell.radius for cell in cells)
-    inf_dist: GammaValue | None = None
+    inf_dist = None
     if len(cells) > 1:
         inf_dist = GammaValue(space.tree.closest([cell.support for cell in cells]))
-    is_uniform = inf_dist is None or not inf_dist.is_zero
-    return UniformReport(sup_diam=sup_diam, inf_dist=inf_dist, is_uniform=is_uniform)
+    return {
+        "sup_diam": max(cell.radius for cell in cells).to_json(),
+        "inf_dist": None if inf_dist is None else inf_dist.to_json(),
+        "is_uniform": inf_dist is None or not inf_dist.is_zero,
+    }
 
 
 def subdivide(space: UltraSpace, realization: Realization, j: int) -> Realization:
@@ -300,33 +280,18 @@ def subdivide(space: UltraSpace, realization: Realization, j: int) -> Realizatio
     return Realization(vectors=realization.vectors, cells=tuple(new_cells))
 
 
-class IsolationReport(Frozen):
-    """Per point: the first level from which it must sit alone, and violations."""
-
-    __slots__ = ("first_level", "violations")
-
-    def __init__(
-        self,
-        first_level: dict[int, int | None],
-        violations: tuple[tuple[int, int], ...],  # (point, level) pairs
-    ) -> None:
-        _set(self, "first_level", first_level)
-        _set(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def isolated_point_check(
     space: UltraSpace, levels: Sequence[tuple[ScaleCover, NerveComplex]]
-) -> IsolationReport:
+) -> dict:
     """Outliers degenerate: past the level where both the ball scale and the
     nerve threshold drop below a point's nearest-neighbor distance, its
     simplex must be the single vertex of its singleton block.
 
-    A point's nearest-neighbour distance is read off the merge tree, and
-    its block and simplex from lookups built once per level.
+    Returns ``first_level``, per point the first level from which it must
+    sit alone (None if none), and ``violations``, the [point, level]
+    pairs where it does not.  A point's nearest-neighbour distance is
+    read off the merge tree, and its block and simplex from lookups
+    built once per level.
     """
     n = space.n_points
     bounds = [max(GammaValue(cover.level), nerve.threshold) for cover, nerve in levels]
@@ -349,8 +314,8 @@ def isolated_point_check(
             block = block_at[m][x]
             simplex = simplex_at[m][block[0]]
             if block != (x,) or simplex != (x,):
-                violations.append((x, m))
-    return IsolationReport(first_level=first_level, violations=tuple(violations))
+                violations.append([x, m])
+    return {"first_level": first_level, "violations": violations}
 
 
 def nerve_to_dot(nerve: NerveComplex, labels: Sequence[str] | None = None) -> str:

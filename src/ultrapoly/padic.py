@@ -14,12 +14,10 @@ INFINITY exponent (p^(-inf)).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
-from typing import Iterable, Sequence, Union
-
-RationalLike = Union[int, str, Fraction]
 
 
 class PrimeMismatchError(ValueError):
@@ -262,7 +260,7 @@ class GammaValue(Frozen):
 GAMMA_ZERO = GammaValue(None)
 
 
-def round_to_gamma(r: RationalLike, p: int) -> GammaValue:
+def round_to_gamma(r: int | str | Fraction, p: int) -> GammaValue:
     """Largest value group element p^(-e) not exceeding r; 0 maps to INFINITY.
 
     Accepts exact rationals (``Fraction``, int, or a string such as
@@ -338,7 +336,7 @@ class PAdic(Frozen):
         return cls(p, v, _digits_of(n, p, precision), precision)
 
     @classmethod
-    def from_fraction(cls, q: RationalLike, p: int, precision: int = 32) -> "PAdic":
+    def from_fraction(cls, q: int | str | Fraction, p: int, precision: int = 32) -> "PAdic":
         """Exact image of a rational; the denominator's p-part lowers the valuation."""
         q = Fraction(q)
         if q == 0:

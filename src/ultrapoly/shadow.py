@@ -17,10 +17,10 @@ maps carry over on vertices with affine extensions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .padic import Frozen, PAdic, check_prime
+from .padic import Frozen, PAdic, _digits_of, check_prime
 
 _set = object.__setattr__
 
@@ -57,27 +57,12 @@ def theta(x: PAdic, n: int) -> Fraction:
     return Fraction(num, p**n)
 
 
-class ThetaReport(Frozen):
-    """Pairs where |theta(x) - theta(y)| exceeded |x - y|_p (must be none)."""
+def theta_nonstretch_check(
+    pairs: Sequence[tuple[PAdic, PAdic]], n: int
+) -> list[tuple[int, Fraction, Fraction]]:
+    """Pairs where |theta(x) - theta(y)| exceeds |x - y|_p (must be none).
 
-    __slots__ = ("checked", "violations")
-
-    def __init__(
-        self,
-        checked: int,
-        violations: tuple[tuple[int, Fraction, Fraction], ...],  # (pair idx, lhs, rhs)
-    ) -> None:
-        _set(self, "checked", checked)
-        _set(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def theta_nonstretch_check(pairs: Sequence[tuple[PAdic, PAdic]], n: int) -> ThetaReport:
-    """Exact check of |theta(x) - theta(y)| <= |x - y|_p over given pairs.
-
+    Each is (index in pairs, left side, right side), compared exactly.
     A shared digit prefix of length k forces the first k real base-p
     digits to agree, so the difference is bounded by p^-k.
     """
@@ -87,7 +72,7 @@ def theta_nonstretch_check(pairs: Sequence[tuple[PAdic, PAdic]], n: int) -> Thet
         rhs = (x - y).norm().as_fraction(x.prime)
         if lhs > rhs:
             violations.append((idx, lhs, rhs))
-    return ThetaReport(checked=len(pairs), violations=tuple(violations))
+    return violations
 
 
 class BoundaryPair(Frozen):
@@ -117,7 +102,7 @@ def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:
     target = Fraction(1, p**n)
     for t in range(n - 1):
         for prefix_code in range(p**t):
-            prefix = _digits_of_int(prefix_code, p, t)
+            prefix = _digits_of(prefix_code, p, t)
             for a in range(p - 1):
                 low = PAdic.from_digit_stream(
                     prefix + (a,) + (p - 1,) * (n - 1 - t), p
@@ -130,14 +115,6 @@ def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:
                     raise AssertionError(f"boundary gap {gap} != {target}")
                 pairs.append(BoundaryPair(low=low, high=high, gap=gap))
     return pairs
-
-
-def _digits_of_int(code: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        code, d = divmod(code, p)
-        out.append(d)
-    return tuple(out)
 
 
 def theta_samples(

@@ -24,7 +24,6 @@ from .padic import (
     Frozen,
     GammaValue,
     PAdic,
-    RationalLike,
     check_prime,
     difference_exponents,
     round_to_gamma,
@@ -65,7 +64,9 @@ class UnseparatedSpaceError(ValueError):
     """Distinct points at distance zero where separation is required."""
 
 
-def _as_fraction_matrix(matrix: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+def _as_fraction_matrix(
+    matrix: Sequence[Sequence[int | str | Fraction]],
+) -> list[list[Fraction]]:
     """Exact entries of a checked dissimilarity matrix; Fraction entries are kept."""
     n = len(matrix)
     rows = [
@@ -180,7 +181,7 @@ def _violation_masks(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int
 
 
 def validate_ultrametric(
-    labels: Sequence[str], matrix: Sequence[Sequence[RationalLike]]
+    labels: Sequence[str], matrix: Sequence[Sequence[int | str | Fraction]]
 ) -> Violations:
     """All triples (i, j, k) with d(i,k) > max(d(i,j), d(j,k)), as ``Violations``.
 
@@ -258,7 +259,7 @@ def _ultrametric_order(rows: list[list]) -> list[int] | None:
 
 
 def subdominant_closure(
-    matrix: Sequence[Sequence[RationalLike]],
+    matrix: Sequence[Sequence[int | str | Fraction]],
 ) -> list[list[Fraction]]:
     """Maximal ultrametric pointwise below the input (minimax path distance).
 
@@ -464,7 +465,7 @@ class UltraSpace(Frozen):
 
 
 def round_space(
-    labels: Sequence[str], matrix: Sequence[Sequence[RationalLike]], p: int
+    labels: Sequence[str], matrix: Sequence[Sequence[int | str | Fraction]], p: int
 ) -> UltraSpace:
     """Round a rational ultrametric into the value group, entrywise.
 

@@ -13,8 +13,8 @@ levels of the infinite-system picture are constant and carry nothing.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 from .nerve import (
     NerveComplex,
@@ -229,42 +229,6 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     )
 
 
-class NonstretchReport(Frozen):
-    """Exact witnesses for the non-stretching property of one bonding map.
-
-    violations: vertex pairs whose realized image distance exceeds the
-    source distance (must be empty).  merged: pairs collapsed to one
-    vertex.  single_step_contraction: True when every merged pair sat at
-    distance exactly p * p^-j(fine), the one-scale-step value forced by
-    consecutive schedules; the map contracts those pairs to zero, all
-    others keep their exact distance.
-    """
-
-    __slots__ = (
-        "fine", "coarse", "violations", "merged", "preserved", "single_step_contraction"
-    )
-
-    def __init__(
-        self,
-        fine: int,
-        coarse: int,
-        violations: tuple[tuple[int, int], ...],
-        merged: tuple[tuple[int, int], ...],
-        preserved: int,
-        single_step_contraction: bool,
-    ) -> None:
-        _set(self, "fine", fine)
-        _set(self, "coarse", coarse)
-        _set(self, "violations", violations)
-        _set(self, "merged", merged)
-        _set(self, "preserved", preserved)
-        _set(self, "single_step_contraction", single_step_contraction)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @lru_cache(maxsize=2)
 def _realized_exponents(
     vectors: tuple[C0Vector, ...],
@@ -302,8 +266,16 @@ def _realized_exponents(
     return tuple(map(tuple, table)), top
 
 
-def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> NonstretchReport:
+def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     """Compare every fine vertex pair's realized distance with its image's.
+
+    Returns the bundle's entry for the map: ``violations``, the vertex
+    pairs whose image distance exceeds their distance (must be empty);
+    ``merged_pairs``, the count of pairs sent to one vertex; and
+    ``single_step_contraction``, whether every merged pair sat at
+    distance exactly p * p^-j(fine), the one-scale-step value forced by
+    consecutive schedules.  The map contracts those pairs to zero; all
+    other pairs keep their exact distance.
 
     Distances are integer exponents read from one table per embedding
     (see ``_realized_exponents``), so the pair loop compares ints only.
@@ -316,58 +288,35 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> Nonstr
     verts = fine.nerve.vertices
     images = [bmap.vertex_map[v] for v in verts]
     violations = []
-    merged = []
-    preserved = 0
+    merged = 0
     single_step = True
     for a, (v, iv) in enumerate(zip(verts, images)):
         src_row, img_row = src_table[v], img_table[iv]
         for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
-            src = src_row[w]
             if iv == iw:
-                merged.append((v, w))
-                if src != step:
+                merged += 1
+                if src_row[w] != step:
                     single_step = False
-            elif img_row[iw] < src:
-                violations.append((v, w))
-            else:
-                preserved += 1
-    return NonstretchReport(
-        fine=fine.m,
-        coarse=coarse.m,
-        violations=tuple(violations),
-        merged=tuple(merged),
-        preserved=preserved,
-        single_step_contraction=single_step,
-    )
+            elif img_row[iw] < src_row[w]:
+                violations.append([v, w])
+    return {
+        "from": bmap.fine,
+        "to": bmap.coarse,
+        "violations": violations,
+        "merged_pairs": merged,
+        "single_step_contraction": single_step,
+    }
 
 
-class DegeneracyReport(Frozen):
-    """Source simplexes with >= 2 vertices collapsing to a single image vertex."""
-
-    __slots__ = ("fine", "coarse", "collapsed")
-
-    def __init__(
-        self,
-        fine: int,
-        coarse: int,
-        collapsed: tuple[int, ...],  # indices of flagged fine maximal simplexes
-    ) -> None:
-        _set(self, "fine", fine)
-        _set(self, "coarse", coarse)
-        _set(self, "collapsed", collapsed)
-
-    @property
-    def ok(self) -> bool:
-        return not self.collapsed
-
-
-def verify_nondegenerate(bmap: BondingMap, fine: Level) -> DegeneracyReport:
-    collapsed = tuple(
+def verify_nondegenerate(bmap: BondingMap, fine: Level) -> dict:
+    """The bundle's entry for the map: fine maximal simplexes of two or
+    more vertices that collapse onto one image vertex."""
+    collapsed = [
         idx
         for idx, s in enumerate(fine.nerve.maximal_simplexes)
         if len(s) >= 2 and len(bmap.simplex_images[idx][0]) == 1
-    )
-    return DegeneracyReport(fine=bmap.fine, coarse=bmap.coarse, collapsed=collapsed)
+    ]
+    return {"from": bmap.fine, "to": bmap.coarse, "collapsed_simplexes": collapsed}
 
 
 class Expansion(Frozen):
@@ -550,34 +499,17 @@ def assemble_expansion(space: UltraSpace, schedule: Schedule | None = None) -> E
     return expansion
 
 
-class IsometryReport(Frozen):
+def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
     """Distances recovered from thread separation levels vs the true metric.
 
     A pair's recovered exponent is threshold_exponent(first differing
     level) - 1; under consecutive default schedules this equals the true
-    exponent for every pair.  bound is max over levels of the threshold
-    exponent step minus one: the worst-case recovery error for the
-    schedule.
+    exponent for every pair.  Returns ``mismatches``, the pairs where it
+    does not, as [x, y, recovered, actual] (recovered None and actual -1
+    where a pair never splits or sits at distance 0), and ``bound``, the
+    largest step between consecutive threshold exponents less one: the
+    worst-case recovery error for the schedule.
     """
-
-    __slots__ = ("mismatches", "max_gap", "bound")
-
-    def __init__(
-        self,
-        mismatches: tuple[tuple[int, int, int | None, int], ...],  # (x, y, recovered, actual)
-        max_gap: int,
-        bound: int,
-    ) -> None:
-        _set(self, "mismatches", mismatches)
-        _set(self, "max_gap", max_gap)
-        _set(self, "bound", bound)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> IsometryReport:
     taus = []
     for level in expansion.levels:
         e = level.nerve.threshold.exponent
@@ -586,7 +518,6 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> IsometryRep
         taus.append(e)
     threads = [expansion.thread(x) for x in range(space.n_points)]
     mismatches = []
-    max_gap = 0
     for x in range(space.n_points):
         for y in range(x + 1, space.n_points):
             first = None
@@ -596,17 +527,13 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> IsometryRep
                     break
             actual = space.dist[x][y].exponent
             if first is None or actual is None:
-                mismatches.append((x, y, None, actual if actual is not None else -1))
+                mismatches.append([x, y, None, actual if actual is not None else -1])
                 continue
             recovered = taus[first] - 1
             if recovered != actual:
-                mismatches.append((x, y, recovered, actual))
-                max_gap = max(max_gap, abs(recovered - actual))
+                mismatches.append([x, y, recovered, actual])
     steps = [b - a for a, b in zip(taus, taus[1:])]
-    bound = max(steps) - 1 if steps else 0
-    return IsometryReport(
-        mismatches=tuple(mismatches), max_gap=max_gap, bound=bound
-    )
+    return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
 
 
 #: Largest group Z/p^depth that ``residue_space`` builds in full: its

@@ -116,11 +116,11 @@ def test_criterion_4_inverse_system_contracts():
             ):
                 assert {bmap.vertex_map[v] for v in s} == set(image)
                 assert set(image) <= set(coarse.nerve.maximal_simplexes[container])
-            assert verify_nonstretching(bmap, fine, coarse).ok
+            assert verify_nonstretching(bmap, fine, coarse)["violations"] == []
         assert expansion.verify_functoriality() == []
         for x in range(space.n_points):
             assert expansion.reconstruct(expansion.thread(x)) == frozenset({x})
-        assert limit_isometry_check(space, expansion).ok
+        assert limit_isometry_check(space, expansion)["mismatches"] == []
     _report(4, "inverse system contracts", time.perf_counter() - start, 30)
 
 
@@ -150,7 +150,7 @@ def test_criterion_6_interval_shadow():
             for b in range(a + 1, len(streams)):
                 assert values[a] < values[b]  # lex order -> strict real order
         pairs = [(x, y) for x in points for y in points]
-        assert theta_nonstretch_check(pairs, 3).ok
+        assert theta_nonstretch_check(pairs, 3) == []
     # boundary pairs: gap exactly p^-n
     for p, n in ((2, 6), (3, 4), (5, 3)):
         for bp in theta_boundary_pairs(p, n):
@@ -191,8 +191,8 @@ def test_criterion_7_outlier_degeneration():
         report = isolated_point_check(
             space, [(lv.cover, lv.nerve) for lv in expansion.levels]
         )
-        assert report.ok
-        threshold_level = report.first_level[outlier]
+        assert report["violations"] == []
+        threshold_level = report["first_level"][outlier]
         assert threshold_level is not None
         for m in range(threshold_level, expansion.depth):
             level = expansion.levels[m]

@@ -65,6 +65,39 @@ def test_validate_names_violating_triple(crooked_input, capsys):
     assert report["stages"]["validate"]["violating_triple"] == ["a", "b", "c"]
 
 
+def _no_space(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("validate built a space")
+
+    monkeypatch.setattr(UltraSpace, "__init__", refuse)
+
+
+def test_validate_needs_no_value_group_entries(tmp_path, capsys, monkeypatch):
+    # 1/2 is no power of 3: only a space built without rounding needs one
+    matrix = [[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]]
+    path = _write(tmp_path / "half.json", {"labels": ["a", "b", "c"], "prime": 3, "matrix": matrix})
+    with monkeypatch.context() as patch:
+        _no_space(patch)
+        assert main(["validate", path]) == EXIT_OK
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert list(stages) == ["validate"]
+    assert stages["validate"]["status"] == "passed" and stages["validate"]["violations"] == 0
+    # expand builds space.json, so there the entries must be powers of p
+    code = main(["expand", path, "--stages", "validate", "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert "request the 'round' stage" in capsys.readouterr().err
+
+
+def test_validate_parses_digit_streams(tmp_path, capsys, monkeypatch):
+    _no_space(monkeypatch)
+    obj = {"labels": ["x", "y"], "prime": 3, "padic_points": [[0, 1], [2, 1]]}
+    assert main(["validate", _write(tmp_path / "ok.json", obj)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["stages"]["validate"]["violations"] == []
+    obj["padic_points"][1][0] = 3
+    assert main(["validate", _write(tmp_path / "bad.json", obj)]) == EXIT_INPUT
+    assert "bad digit stream" in capsys.readouterr().err
+
+
 def test_expand_without_round_fails_on_crooked(crooked_input, tmp_path, capsys):
     code = main(
         [

@@ -39,8 +39,9 @@ REMOVED_NAMES = {
 SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 
 # standard modules that cost a CLI run start-up time and that no command needs:
-# dataclasses loads inspect, which loads ast, dis and tokenize
-SLOW_MODULES = ("dataclasses", "inspect")
+# dataclasses loads inspect, which loads ast, dis and tokenize; typing is
+# looked for under `python -S`, since some interpreters' site loads it
+SLOW_MODULES = ("dataclasses", "inspect", "typing")
 
 # runs `python -m ultrapoly <args>` in this interpreter, then records the exit
 # code, the package modules it loaded and which of SLOW_MODULES it loaded
@@ -57,13 +58,16 @@ with open(out, "w") as fh:
 """
 
 
-def _loaded(tmp_path: Path, *args: str, prelude: str = "") -> set[str]:
-    """Package modules (less the package prefix) and slow modules loaded by one command."""
+def _loaded(tmp_path: Path, *args: str, prelude: str = "", flags: tuple = ()) -> set[str]:
+    """Package modules (less the package prefix) and slow modules loaded by one command.
+
+    flags are interpreter options, such as -S.
+    """
     record = tmp_path / "modules.json"
     src = str(Path(ultrapoly.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
-        [sys.executable, "-c", prelude + PROBE, str(record), *args],
+        [sys.executable, *flags, "-c", prelude + PROBE, str(record), *args],
         env=env,
         check=True,
         stdout=subprocess.DEVNULL,
@@ -133,13 +137,25 @@ def _commands(tmp_path: Path, bundle: str, matrix_input: str) -> dict[str, list[
 @pytest.mark.parametrize("command", ["expand", "shadow", "export", "validate", "demo"])
 def test_no_command_loads_dataclasses_or_inspect(tmp_path, bundle, matrix_input, command):
     argv = _commands(tmp_path, bundle, matrix_input)[command]
-    assert not _loaded(tmp_path, *argv) & set(SLOW_MODULES)
+    assert not _loaded(tmp_path, *argv) & {"dataclasses", "inspect"}
 
 
 def test_probe_sees_dataclasses_and_inspect(tmp_path, matrix_input):
     # positive control: the same probe after a run that imports dataclasses
     loaded = _loaded(tmp_path, "validate", matrix_input, prelude="import dataclasses\n")
-    assert set(SLOW_MODULES) <= loaded
+    assert {"dataclasses", "inspect"} <= loaded
+
+
+@pytest.mark.parametrize("command", ["expand", "shadow", "export", "validate", "demo"])
+def test_no_command_loads_typing(tmp_path, bundle, matrix_input, command):
+    argv = _commands(tmp_path, bundle, matrix_input)[command]
+    assert "typing" not in _loaded(tmp_path, *argv, flags=("-S",))
+
+
+def test_probe_sees_typing(tmp_path, matrix_input):
+    # positive control: the same probe, without site, after a run that imports typing
+    loaded = _loaded(tmp_path, "validate", matrix_input, prelude="import typing\n", flags=("-S",))
+    assert "typing" in loaded
 
 
 def test_public_names_are_unchanged_and_resolve():

@@ -41,9 +41,10 @@ from oracles import (
 # --------------------------------------------------------- non-stretching
 
 def _oracle_report(bmap, fine, coarse, p):
+    """The oracle's (violations, merged pair count, preserved count, single step)."""
     fine_keys = [list(v.keys) for v in fine.realization.vectors]
     coarse_keys = [list(v.keys) for v in coarse.realization.vectors]
-    return pairwise_nonstretching(
+    violations, merged, preserved, single_step = pairwise_nonstretching(
         list(fine.nerve.vertices),
         bmap.vertex_map,
         fine_keys,
@@ -51,11 +52,18 @@ def _oracle_report(bmap, fine, coarse, p):
         p,
         fine.cover.level,
     )
+    return violations, len(merged), preserved, single_step
 
 
 def _kernel_report(bmap, fine, coarse):
-    report = verify_nonstretching(bmap, fine, coarse)
-    return report.violations, report.merged, report.preserved, report.single_step_contraction
+    """The kernel's bundle entry in the oracle's shape; preserved pairs are the rest."""
+    entry = verify_nonstretching(bmap, fine, coarse)
+    assert (entry["from"], entry["to"]) == (bmap.fine, bmap.coarse)
+    violations = tuple(map(tuple, entry["violations"]))
+    merged = entry["merged_pairs"]
+    n = len(fine.nerve.vertices)
+    preserved = n * (n - 1) // 2 - merged - len(violations)
+    return violations, merged, preserved, entry["single_step_contraction"]
 
 
 def _with_vector(level, index, keys):
@@ -299,7 +307,8 @@ def test_verify_nonstretching_makes_no_distance_calls(monkeypatch):
     assert len(calls) == 1  # the counter is live
     spectrum._realized_exponents.cache_clear()
     for m, bmap in enumerate(expansion.bonding):
-        assert verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m]).ok
+        entry = verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
+        assert entry["violations"] == []
     assert len(calls) == 1
 
 

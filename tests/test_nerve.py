@@ -181,19 +181,17 @@ def _realized(space, j, k=0, b=None):
 def test_uniform_single_simplex_is_vacuous():
     space = _six_block_space()
     _, _, realization = _realized(space, 2, b=GammaValue(1))
-    report = check_uniform(space, realization)
-    assert report.inf_dist is None
-    assert report.is_uniform
-    assert report.sup_diam == GammaValue(1)
+    assert check_uniform(space, realization) == {
+        "sup_diam": 1,
+        "inf_dist": None,
+        "is_uniform": True,
+    }
 
 
 def test_uniform_two_cells_witnesses():
     space = _six_block_space()
     _, _, realization = _realized(space, 2)
-    report = check_uniform(space, realization)
-    assert report.inf_dist == GammaValue(1)
-    assert report.sup_diam == GammaValue(2)
-    assert report.is_uniform
+    assert check_uniform(space, realization) == {"sup_diam": 2, "inf_dist": 1, "is_uniform": True}
 
 
 def test_uniform_separation_beats_block_diameter():
@@ -202,16 +200,17 @@ def test_uniform_separation_beats_block_diameter():
         cover, nerve, realization = _realized(space, j)
         report = check_uniform(space, realization)
         sup_block = max(space.diameter(b) for b in cover.blocks)
-        if report.inf_dist is not None:
-            assert report.inf_dist > sup_block or sup_block.is_zero
+        if report["inf_dist"] is not None:
+            inf_dist = GammaValue.from_json(report["inf_dist"])
+            assert inf_dist > sup_block or sup_block.is_zero
             # oracle: exhaustive pairwise scan over supports
             pairs = [
                 space.set_distance(a.support, b.support)
                 for ai, a in enumerate(realization.cells)
                 for b in realization.cells[ai + 1 :]
             ]
-            assert report.inf_dist == min(pairs)
-            assert report.sup_diam == max(c.radius for c in realization.cells)
+            assert inf_dist == min(pairs)
+            assert report["sup_diam"] == max(c.radius for c in realization.cells).to_json()
 
 
 def test_ball_certificates_cover_their_support():
@@ -290,9 +289,9 @@ def test_outlier_isolates_past_its_scale():
     space, outlier = planted_outlier_space(random.Random(9), 3, 10)
     levels = _default_levels(space)
     report = isolated_point_check(space, levels)
-    assert report.ok
+    assert report["violations"] == []
     # nearest distance 1 = 3^0: isolated once scale and threshold drop below
-    assert report.first_level[outlier] == 1
+    assert report["first_level"][outlier] == 1
     for m in range(1, len(levels)):
         cover, nerve = levels[m]
         assert cover.block_of(outlier) == (outlier,)
@@ -306,18 +305,17 @@ def test_equilateral_isolates_only_at_singleton_level():
     )
     levels = _default_levels(space)
     report = isolated_point_check(space, levels)
-    assert report.ok
+    assert report["violations"] == []
     singleton_level = next(
         m for m, (cover, _) in enumerate(levels) if all(len(b) == 1 for b in cover.blocks)
     )
-    assert all(report.first_level[x] == singleton_level for x in range(n))
+    assert all(report["first_level"][x] == singleton_level for x in range(n))
 
 
 def test_singleton_space_isolated_everywhere():
     space = UltraSpace(labels=("only",), prime=2, dist=((GAMMA_ZERO,),))
     report = isolated_point_check(space, _default_levels(space))
-    assert report.ok
-    assert report.first_level[0] == 0
+    assert report == {"first_level": {0: 0}, "violations": []}
 
 
 # ------------------------------------------------------------------- DOT

@@ -99,8 +99,7 @@ def test_theta_surjective_onto_grid():
 
 def test_nonstretch_equal_points():
     x = PAdic.from_int(5, 2, 6)
-    report = theta_nonstretch_check([(x, x)], 6)
-    assert report.ok
+    assert theta_nonstretch_check([(x, x)], 6) == []
 
 
 def test_nonstretch_first_difference_at_two():
@@ -108,7 +107,7 @@ def test_nonstretch_first_difference_at_two():
     y = PAdic.from_digit_stream((1, 0, 0, 1), 2)
     assert (x - y).norm() == GammaValue(2)
     assert abs(theta(x, 4) - theta(y, 4)) <= Fraction(1, 4)
-    assert theta_nonstretch_check([(x, y)], 4).ok
+    assert theta_nonstretch_check([(x, y)], 4) == []
 
 
 from hypothesis import given, settings
@@ -126,16 +125,14 @@ def test_nonstretch_property_on_random_streams(p, data):
     stream_y = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     x = PAdic.from_digit_stream(stream_x, p)
     y = PAdic.from_digit_stream(stream_y, p)
-    assert theta_nonstretch_check([(x, y)], n).ok
+    assert theta_nonstretch_check([(x, y)], n) == []
 
 
 def test_nonstretch_exhaustive_3digit_3adic():
     points = [PAdic.from_digit_stream(d, 3) for d in product(range(3), repeat=3)]
     pairs = [(x, y) for x in points for y in points]
     assert len(pairs) == 27**2
-    report = theta_nonstretch_check(pairs, 3)
-    assert report.ok
-    assert report.checked == 27**2
+    assert theta_nonstretch_check(pairs, 3) == []
 
 
 # --------------------------------------------------------- boundary pairs

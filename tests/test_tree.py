@@ -104,9 +104,12 @@ def _value(g, p):
 def _assert_uniform_matches(space, dist, realization, p):
     report = check_uniform(space, realization)
     supports = [cell.support for cell in realization.cells]
-    assert report.sup_diam == max(cell.radius for cell in realization.cells)
-    assert _value(report.inf_dist, p) == pairwise_separation(dist, supports)
-    assert report.is_uniform == (report.inf_dist is None or report.inf_dist != GAMMA_ZERO)
+    inf_dist = report["inf_dist"]
+    assert report["sup_diam"] == max(cell.radius for cell in realization.cells).to_json()
+    if inf_dist is not None:
+        inf_dist = GammaValue.from_json(inf_dist)
+    assert _value(inf_dist, p) == pairwise_separation(dist, supports)
+    assert report["is_uniform"] == (report["inf_dist"] != GAMMA_ZERO.to_json())
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,8 +279,8 @@ def test_isolation_matches_pairwise_route(expo, p, k, shift, data):
             for cover, nerve in levels
         ],
     )
-    assert report.first_level == first
-    assert list(report.violations) == violations
+    assert report["first_level"] == first
+    assert report["violations"] == [list(v) for v in violations]
 
 
 @settings(max_examples=100, deadline=None)
