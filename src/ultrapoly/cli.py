@@ -425,9 +425,21 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
 
     Each check returns its entry as the bundle stores it.  The verify
     stage fails when a check does, and ``first_failure`` names the first
-    check that failed.
+    check that failed.  A thread that breaks between levels does not
+    reconstruct its point.
     """
-    from .spectrum import limit_isometry_check, verify_nondegenerate, verify_nonstretching
+    from .spectrum import (
+        IncoherentThreadError,
+        limit_isometry_check,
+        verify_nondegenerate,
+        verify_nonstretching,
+    )
+
+    def reconstructs(x: int) -> bool:
+        try:
+            return expansion.reconstruct(expansion.thread(x)) == {x}
+        except IncoherentThreadError:
+            return False
 
     t0 = time.perf_counter()
     space, levels = expansion.space, expansion.levels
@@ -439,9 +451,7 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
     functorial = not expansion.verify_functoriality()
     uniform = [{"level": level.m, **check_uniform(space, level.realization)} for level in levels]
     iso = isolated_point_check(space, [(level.cover, level.nerve) for level in levels])
-    reconstructed = all(
-        expansion.reconstruct(expansion.thread(x)) == {x} for x in range(space.n_points)
-    )
+    reconstructed = all(map(reconstructs, range(space.n_points)))
     isometry = limit_isometry_check(space, expansion)
     passed = {
         "nonstretching": not any(entry["violations"] for entry in nonstretch),
@@ -560,7 +570,7 @@ def _cmd_validate(args) -> int:
             report.add("validate", "passed", time.perf_counter() - t0, violations=[])
         else:
             _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
-    except (ParseError, InputFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
@@ -582,9 +592,6 @@ def _cmd_expand(args) -> int:
         report, outputs, code = run(config, Path(args.input))
     except ScheduleError as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, InputFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotUltrametricError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -740,7 +747,7 @@ def _cmd_export_dot(args) -> int:
     try:
         bundle = _load_bundle(Path(args.bundle), shadow=False)
         paths = export_dot(bundle, Path(args.out or "."))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     for path in paths:
@@ -791,7 +798,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_dot.set_defaults(func=_cmd_export_dot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an output that cannot be written; input files are read as ParseError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

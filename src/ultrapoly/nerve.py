@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from .padic import GAMMA_ZERO, Frozen, GammaValue
 from .spaces import C0Vector, UltraSpace, threshold_classes
 
-_set = object.__setattr__
-
 
 class ThresholdError(ValueError):
     """Nerve threshold below a block diameter; the proximity relation would not be transitive."""
@@ -33,10 +31,6 @@ class ScaleCover(Frozen):
     """
 
     __slots__ = ("level", "blocks")
-
-    def __init__(self, level: int, blocks: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "level", level)
-        _set(self, "blocks", blocks)
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -83,20 +77,6 @@ class NerveComplex(Frozen):
     """
 
     __slots__ = ("level", "scale", "threshold", "vertices", "maximal_simplexes")
-
-    def __init__(
-        self,
-        level: int,
-        scale: int,
-        threshold: GammaValue,
-        vertices: tuple[int, ...],
-        maximal_simplexes: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _set(self, "level", level)
-        _set(self, "scale", scale)
-        _set(self, "threshold", threshold)
-        _set(self, "vertices", vertices)
-        _set(self, "maximal_simplexes", maximal_simplexes)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -178,26 +158,11 @@ class RealizedCell(Frozen):
 
     __slots__ = ("simplex", "support", "center", "radius")
 
-    def __init__(
-        self, simplex: tuple[int, ...], support: tuple[int, ...], center: int, radius: GammaValue
-    ) -> None:
-        _set(self, "simplex", simplex)
-        _set(self, "support", support)
-        _set(self, "center", center)
-        _set(self, "radius", radius)
-
 
 class Realization(Frozen):
     """Embedded-point geometry for a complex: vectors per point, a ball per simplex."""
 
     __slots__ = ("vectors", "cells")
-
-    def __init__(self, vectors: tuple[C0Vector, ...], cells: tuple[RealizedCell, ...]) -> None:
-        _set(self, "vectors", vectors)
-        _set(self, "cells", cells)
-
-    def position(self, vertex: int) -> C0Vector:
-        return self.vectors[vertex]
 
 
 def realize(

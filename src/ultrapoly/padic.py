@@ -138,12 +138,13 @@ _set = object.__setattr__
 class Record:
     """Base of the value types: the fields are the ``__slots__``.
 
-    Two records are equal when they are of one class and their field
-    tuples are equal, and the repr is ``Name(field=value, ...)`` in slot
-    order, as for a dataclass.  ``_fields`` names the fields when some
-    slots are not fields.  A record is mutable and unhashable; see
-    ``Frozen``.  Pickling and copying rebuild it through its constructor,
-    which takes the fields in order.
+    The constructor takes every field, in slot order, by position or by
+    name, as a dataclass-generated ``__init__`` does.  Two records are
+    equal when they are of one class and their field tuples are equal,
+    and the repr is ``Name(field=value, ...)`` in slot order, as for a
+    dataclass.  ``_fields`` names the fields when some slots are not
+    fields.  A record is mutable and unhashable; see ``Frozen``.
+    Pickling and copying rebuild it through its constructor.
     """
 
     __slots__ = ()
@@ -153,6 +154,22 @@ class Record:
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
             cls._fields = tuple(cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() got {len(args)} values for {fields}")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        rest = fields[len(args):]
+        for name, value in kwargs.items():
+            if name not in rest:
+                problem = "two values for field" if name in fields else "an unknown field"
+                raise TypeError(f"{type(self).__name__}() got {problem} {name!r}")
+            _set(self, name, value)
+        if len(kwargs) < len(rest):
+            missing = ", ".join(repr(name) for name in rest if name not in kwargs)
+            raise TypeError(f"{type(self).__name__}() got no value for {missing}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -175,8 +192,8 @@ class Record:
 class Frozen(Record):
     """An immutable record, hashed by its field tuple.
 
-    Assigning or deleting an attribute raises AttributeError, so
-    ``__init__`` sets each field with ``object.__setattr__``.
+    Assigning or deleting an attribute raises AttributeError, so the
+    constructor sets each field with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -202,9 +219,6 @@ class GammaValue(Frozen):
     """
 
     __slots__ = ("exponent",)
-
-    def __init__(self, exponent: int | None) -> None:
-        _set(self, "exponent", exponent)
 
     # the hot comparisons, written out for the one field
     def __eq__(self, other):
@@ -313,10 +327,7 @@ class PAdic(Frozen):
                 raise ValueError("leading digit must be nonzero")
             if any(d < 0 or d >= prime for d in digits):
                 raise ValueError("digits must lie in [0, p-1]")
-        _set(self, "prime", prime)
-        _set(self, "valuation", valuation)
-        _set(self, "digits", digits)
-        _set(self, "precision", precision)
+        super().__init__(prime, valuation, digits, precision)
 
     # -- constructors --------------------------------------------------
 

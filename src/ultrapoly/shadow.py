@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .padic import Frozen, PAdic, _digits_of, check_prime
 
-_set = object.__setattr__
-
 
 class UnitBallError(ValueError):
     """theta is only defined on the unit ball (valuation >= 0)."""
@@ -79,11 +77,6 @@ class BoundaryPair(Frozen):
     """A tail-(p-1) stream and its successor: theta-gap exactly p^-n."""
 
     __slots__ = ("low", "high", "gap")
-
-    def __init__(self, low: PAdic, high: PAdic, gap: Fraction) -> None:
-        _set(self, "low", low)
-        _set(self, "high", high)
-        _set(self, "gap", gap)
 
 
 def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:

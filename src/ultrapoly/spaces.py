@@ -29,8 +29,6 @@ from .padic import (
     round_to_gamma,
 )
 
-_set = object.__setattr__
-
 
 class MatrixShapeError(ValueError):
     """Input matrix is not square or does not match the labels."""
@@ -389,9 +387,7 @@ class UltraSpace(Frozen):
         prime: int,
         dist: tuple[tuple[GammaValue, ...], ...],
     ) -> None:
-        _set(self, "labels", labels)
-        _set(self, "prime", prime)
-        _set(self, "dist", dist)
+        super().__init__(labels, prime, dist)
         check_prime(prime)
         n = len(labels)
         if n == 0:
@@ -407,7 +403,7 @@ class UltraSpace(Frozen):
             for j in range(i + 1, n):
                 if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        _set(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
+        object.__setattr__(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
 
     def _check_strong_triangle(self, expo: Sequence[Sequence[int | None]]) -> list[int]:
         # Single linkage over exponents, as in round_space: weight -e, so a
@@ -571,20 +567,6 @@ class BaireCodes(Frozen):
 
     __slots__ = ("prime", "start", "depth", "labels", "codes")
 
-    def __init__(
-        self,
-        prime: int,
-        start: int,
-        depth: int,
-        labels: tuple[str, ...],
-        codes: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _set(self, "prime", prime)
-        _set(self, "start", start)
-        _set(self, "depth", depth)
-        _set(self, "labels", labels)
-        _set(self, "codes", codes)
-
     @property
     def positions(self) -> range:
         return range(self.start, self.depth + 1)
@@ -639,9 +621,6 @@ class C0Vector(Frozen):
     """
 
     __slots__ = ("keys",)
-
-    def __init__(self, keys: tuple[tuple[int, int], ...]) -> None:
-        _set(self, "keys", keys)
 
     # hashed per vector whenever a realized-distance table is looked up
     def __eq__(self, other):

@@ -16,18 +16,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 
-from .nerve import (
-    NerveComplex,
-    NestingError,
-    Realization,
-    ScaleCover,
-    build_nerve,
-    realize,
-    scale_cover,
-)
+from .nerve import NestingError, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
 from .spaces import (
-    BaireCodes,
     C0Vector,
     UltraSpace,
     UnseparatedSpaceError,
@@ -35,8 +26,6 @@ from .spaces import (
     c0_embed,
     space_from_points,
 )
-
-_set = object.__setattr__
 
 
 class ScheduleError(ValueError):
@@ -61,9 +50,7 @@ class Schedule(Frozen):
     __slots__ = ("j", "k", "b")
 
     def __init__(self, j: tuple[int, ...], k: tuple[int, ...], b: tuple[GammaValue, ...]) -> None:
-        _set(self, "j", j)
-        _set(self, "k", k)
-        _set(self, "b", b)
+        super().__init__(j, k, b)
         if not (len(j) == len(k) == len(b)):
             raise ScheduleError("schedule components must have equal length")
         if not j:
@@ -117,23 +104,8 @@ class Schedule(Frozen):
 class Level(Frozen):
     """One rung of the system: cover, nerve, realization, lookup tables."""
 
+    # rep_of: point -> its block's representative; simplex_of: vertex -> maximal simplex index
     __slots__ = ("m", "cover", "nerve", "realization", "rep_of", "simplex_of")
-
-    def __init__(
-        self,
-        m: int,
-        cover: ScaleCover,
-        nerve: NerveComplex,
-        realization: Realization,
-        rep_of: dict[int, int],
-        simplex_of: dict[int, int],  # vertex -> maximal simplex index
-    ) -> None:
-        _set(self, "m", m)
-        _set(self, "cover", cover)
-        _set(self, "nerve", nerve)
-        _set(self, "realization", realization)
-        _set(self, "rep_of", rep_of)
-        _set(self, "simplex_of", simplex_of)
 
     def __repr__(self) -> str:
         # the lookup tables are compared but not shown
@@ -176,18 +148,6 @@ class BondingMap(Frozen):
     """
 
     __slots__ = ("fine", "coarse", "vertex_map", "simplex_images")
-
-    def __init__(
-        self,
-        fine: int,
-        coarse: int,
-        vertex_map: dict[int, int],
-        simplex_images: tuple[tuple[tuple[int, ...], int], ...],
-    ) -> None:
-        _set(self, "fine", fine)
-        _set(self, "coarse", coarse)
-        _set(self, "vertex_map", vertex_map)
-        _set(self, "simplex_images", simplex_images)
 
     def to_json(self) -> dict:
         return {
@@ -322,25 +282,10 @@ def verify_nondegenerate(bmap: BondingMap, fine: Level) -> dict:
 class Expansion(Frozen):
     """The assembled inverse sequence over one space."""
 
-    # __dict__ holds what cached_property computes; it is not a field
+    # bonding[i] maps level i + 1 to level i; __dict__ holds what
+    # cached_property computes and is not a field
     __slots__ = ("space", "schedule", "levels", "bonding", "codes", "vectors", "__dict__")
     _fields = __slots__[:-1]
-
-    def __init__(
-        self,
-        space: UltraSpace,
-        schedule: Schedule,
-        levels: tuple[Level, ...],
-        bonding: tuple[BondingMap, ...],  # bonding[i]: level i+1 -> level i
-        codes: BaireCodes,
-        vectors: tuple[C0Vector, ...],
-    ) -> None:
-        _set(self, "space", space)
-        _set(self, "schedule", schedule)
-        _set(self, "levels", levels)
-        _set(self, "bonding", bonding)
-        _set(self, "codes", codes)
-        _set(self, "vectors", vectors)
 
     @property
     def depth(self) -> int:

@@ -484,6 +484,25 @@ def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
     assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
 
 
+@pytest.mark.parametrize("command", ["expand", "shadow", "demo", "export"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, ultra_input, command):
+    main(["demo", "zp", "--prime", "2", "--depth", "2", "--out", str(tmp_path / "demo")])
+    bundle = str(tmp_path / "demo" / "expansion.json")
+    capsys.readouterr()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = {
+        "expand": ["expand", ultra_input],
+        "shadow": ["shadow", bundle],
+        "demo": ["demo", "zp", "--prime", "2", "--depth", "2"],
+        "export": ["export", "dot", bundle],
+    }[command]
+    # the output directory would sit under a regular file
+    assert main([*args, "--out", str(blocker / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("prime, depth", [(2, 64), (3, 7), (2, 10**9)])
 def test_demo_zp_refuses_groups_above_the_cap(tmp_path, capsys, prime, depth):
     # each fails the cap check before any space is built

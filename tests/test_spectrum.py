@@ -120,8 +120,8 @@ def test_z9_merged_pairs_sit_one_scale_step_up():
     assert entry["merged_pairs"] == len(merged)
     for v, w in merged:
         assert (v - w) % 3 == 0
-        assert fine.realization.position(v).distance(
-            fine.realization.position(w)
+        assert fine.realization.vectors[v].distance(
+            fine.realization.vectors[w]
         ) == GammaValue(1)
 
 

@@ -1,8 +1,10 @@
 """The value types: slotted classes that compare, hash and print as frozen dataclasses did.
 
 One instance of each class is pinned to the repr a dataclass gave it, to
-equality and hashing over its fields in order, and to refusing
-assignment when it is frozen.
+equality and hashing over its fields in order, to refusing assignment
+when it is frozen, and to a constructor that takes the fields by
+position or by name and refuses a missing, unknown, repeated or surplus
+argument with a TypeError.
 
 The six verify checks return plain data, their bundle entries, in place
 of the report classes they once returned.  Each is pinned here under the
@@ -290,6 +292,32 @@ def test_assignment_raises_on_frozen_types(name):
     with pytest.raises(AttributeError):
         obj.no_such_field = 1
     assert getattr(obj, field) is value
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_takes_the_fields_by_position_or_by_name(name):
+    cls, values = type(INSTANCES[name]), _fields(name)
+    by_name = dict(zip(FIELDS[name], values))
+    assert cls(*values) == cls(**by_name) == INSTANCES[name]
+    # a prefix by position, the rest by name
+    assert cls(*values[:1], **dict(list(by_name.items())[1:])) == INSTANCES[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_refuses_a_bad_argument_list(name):
+    cls, values, fields = type(INSTANCES[name]), _fields(name), FIELDS[name]
+    by_name = dict(zip(fields, values))
+    # each bad call, and the quoted field or the class its message names
+    calls = {
+        "unknown": ((), {**by_name, "no_such_field": 1}, "'no_such_field'"),
+        "repeated": (values[:1], by_name, f"'{fields[0]}'"),
+        "surplus": ((*values, None), {}, rf"^{name}\b"),
+    }
+    if name not in MUTABLE:  # the CLI's records give every field a default
+        calls["missing"] = (values[:-1], {}, f"'{fields[-1]}'")
+    for args, kwargs, named in calls.values():
+        with pytest.raises(TypeError, match=named):
+            cls(*args, **kwargs)
 
 
 def test_changed_fields_compare_unequal():

@@ -11,6 +11,7 @@ import pytest
 
 from ultrapoly import (
     GammaValue,
+    IncoherentThreadError,
     Schedule,
     assemble_expansion,
     check_uniform,
@@ -157,3 +158,18 @@ def test_bundle_stores_what_the_checks_return(check):
     isometry = limit_isometry_check(space, expansion)
     assert summaries["limit_isometry_mismatches"] == isometry["mismatches"]
     assert summaries["limit_isometry_bound"] == isometry["bound"]
+
+
+def test_a_broken_thread_fails_reconstruction():
+    # level 1 vertex 1 is sent to 3, which level 0 does not have
+    z9 = _z9()
+    bmap = z9.bonding[0]
+    broken = replace(bmap, vertex_map={**bmap.vertex_map, 1: 3})
+    expansion = replace(z9, bonding=(broken, *z9.bonding[1:]))
+    with pytest.raises(IncoherentThreadError, match="between levels 1 and 0"):
+        expansion.reconstruct(expansion.thread(1))
+    stage, summaries = _verify(expansion)
+    assert stage["status"] == "failed"
+    failed = [name for name, ok in _passed(summaries).items() if not ok]
+    assert failed == ["functoriality_ok", "reconstruct_identity"]
+    assert stage["first_failure"] == "functoriality_ok"
