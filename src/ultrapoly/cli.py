@@ -171,13 +171,13 @@ class RunReport(Record):
         return {"failed": self.failed, "stages": self.stages}
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, parse_float=None):
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -291,10 +291,12 @@ def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
     """The checked input object and, for matrix input, its exact entries.
 
     The matrix is parsed here once; every later stage takes the parsed
-    rows.  A field of the wrong type or shape raises InputFormatError
-    naming the field.
+    rows.  A number with a fraction or an exponent is kept as its text,
+    so a matrix entry is read exactly and echoed to space.json as
+    written; a boolean entry is refused.  A field of the wrong type or
+    shape raises InputFormatError naming the field.
     """
-    obj = _load_json(path)
+    obj = _load_json(path, parse_float=str)
     if not isinstance(obj, dict):
         raise InputFormatError(f"{path}: input must be a JSON object")
     for key in ("labels", "prime"):
@@ -327,6 +329,8 @@ def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"{path}: field 'matrix' row {i} is not a list of {n} entries")
+        if bool in map(type, row):
+            raise InputFormatError(f"{path}: field 'matrix' row {i} holds a boolean entry")
         try:
             rows.append([Fraction(entry) for entry in row])
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -448,7 +452,10 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
     for m, bmap in enumerate(expansion.bonding):
         nonstretch.append(verify_nonstretching(bmap, levels[m + 1], levels[m]))
         degenerate.append(verify_nondegenerate(bmap, levels[m + 1]))
-    functorial = not expansion.verify_functoriality()
+    try:
+        functorial = not expansion.verify_functoriality()
+    except KeyError:  # a chain of maps leaves a map's domain
+        functorial = False
     uniform = [{"level": level.m, **check_uniform(space, level.realization)} for level in levels]
     iso = isolated_point_check(space, [(level.cover, level.nerve) for level in levels])
     reconstructed = all(map(reconstructs, range(space.n_points)))

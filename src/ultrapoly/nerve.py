@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .padic import GAMMA_ZERO, Frozen, GammaValue
-from .spaces import C0Vector, UltraSpace, threshold_classes
+from .spaces import C0Vector, UltraSpace
 
 
 class ThresholdError(ValueError):
@@ -36,16 +36,29 @@ class ScaleCover(Frozen):
     def representatives(self) -> tuple[int, ...]:
         return tuple(block[0] for block in self.blocks)
 
-    def block_of(self, point: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if point in block:
-                return block
-        raise KeyError(f"point {point} not covered")
-
 
 def scale_cover(space: UltraSpace, j: int) -> ScaleCover:
     """Blocks are the classes of {d <= p^-j}, i.e. exponent >= j."""
-    return ScaleCover(level=j, blocks=tuple(threshold_classes(space, j)))
+    return ScaleCover(level=j, blocks=tuple(space.tree.classes(j)))
+
+
+def _rep_of(cover: ScaleCover) -> dict[int, int]:
+    """Each point's block representative: its parent pointer in the ball tree."""
+    return {point: block[0] for block in cover.blocks for point in block}
+
+
+def _crossing_block(
+    fine_rep: dict[int, int], coarse_rep: dict[int, int]
+) -> tuple[int, ...] | None:
+    """The first fine block (points sharing a representative) not inside one coarse block, or None.
+
+    The one nesting rule: ``coarse_rep[x] == coarse_rep[fine_rep[x]]`` for
+    every point x; a point the coarse map lacks crosses.
+    """
+    for x, rep in fine_rep.items():
+        if x not in coarse_rep or coarse_rep.get(rep) != coarse_rep[x]:
+            return tuple(y for y, r in fine_rep.items() if r == rep)
+    return None
 
 
 def cover_tower(space: UltraSpace, j_min: int, j_max: int) -> list[ScaleCover]:
@@ -54,18 +67,12 @@ def cover_tower(space: UltraSpace, j_min: int, j_max: int) -> list[ScaleCover]:
         raise ValueError("j_min must not exceed j_max")
     tower = [scale_cover(space, j) for j in range(j_min, j_max + 1)]
     for coarse, fine in zip(tower, tower[1:]):
-        _check_nested(fine, coarse)
-    return tower
-
-
-def _check_nested(fine: ScaleCover, coarse: ScaleCover) -> None:
-    rep_of = {point: block[0] for block in coarse.blocks for point in block}
-    for block in fine.blocks:
-        parents = {rep_of[point] for point in block}
-        if len(parents) != 1:
+        block = _crossing_block(_rep_of(fine), _rep_of(coarse))
+        if block is not None:
             raise NestingError(
                 f"block {block} at scale {fine.level} crosses blocks at scale {coarse.level}"
             )
+    return tower
 
 
 class NerveComplex(Frozen):
@@ -287,11 +294,14 @@ def nerve_to_dot(nerve: NerveComplex, labels: Sequence[str] | None = None) -> st
     """DOT graph for one level: maximal simplexes as filled cliques.
 
     Node and edge ordering is deterministic, so re-export is
-    byte-identical.
+    byte-identical.  Names are quoted, with ``"`` and ``\\`` escaped.
     """
-
-    def name(v: int) -> str:
-        return labels[v] if labels is not None else str(v)
+    # each name escaped once, though a vertex may end many edges
+    names = {
+        v: str(v if labels is None else labels[v]).replace("\\", "\\\\").replace('"', '\\"')
+        for simplex in nerve.maximal_simplexes
+        for v in simplex
+    }
 
     lines = [f"graph level_{nerve.level} {{"]
     cluster = 0
@@ -302,14 +312,14 @@ def nerve_to_dot(nerve: NerveComplex, labels: Sequence[str] | None = None) -> st
         lines.append("    style=filled;")
         lines.append("    color=lightgrey;")
         for v in simplex:
-            lines.append(f'    "{name(v)}";')
+            lines.append(f'    "{names[v]}";')
         for a in range(len(simplex)):
             for b in range(a + 1, len(simplex)):
-                lines.append(f'    "{name(simplex[a])}" -- "{name(simplex[b])}";')
+                lines.append(f'    "{names[simplex[a]]}" -- "{names[simplex[b]]}";')
         lines.append("  }")
         cluster += 1
     for simplex in nerve.maximal_simplexes:
         if len(simplex) == 1:
-            lines.append(f'  "{name(simplex[0])}";')
+            lines.append(f'  "{names[simplex[0]]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

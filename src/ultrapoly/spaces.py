@@ -421,9 +421,6 @@ class UltraSpace(Frozen):
     def n_points(self) -> int:
         return len(self.labels)
 
-    def distance(self, i: int, j: int) -> GammaValue:
-        return self.dist[i][j]
-
     @property
     def is_separated(self) -> bool:
         return self.tree.separated
@@ -531,7 +528,7 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
     """
     if space.is_separated:
         return space, {}
-    classes = threshold_classes(space, None)
+    classes = space.tree.classes(None)
     reps = [cls[0] for cls in classes]
     report = {
         space.labels[member]: space.labels[cls[0]]
@@ -545,15 +542,6 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
         labels=tuple(space.labels[r] for r in reps), prime=space.prime, dist=dist
     )
     return merged, report
-
-
-def threshold_classes(space: UltraSpace, j: int | None) -> list[tuple[int, ...]]:
-    """Equivalence classes of {d <= p^-j}; j=None means {d = 0}.
-
-    A cut of the space's merge tree, O(n).  Classes are sorted by
-    smallest member index.
-    """
-    return space.tree.classes(j)
 
 
 class BaireCodes(Frozen):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 
-from .nerve import NestingError, build_nerve, realize, scale_cover
+from .nerve import NestingError, _crossing_block, _rep_of, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
 from .spaces import (
     C0Vector,
@@ -126,16 +126,13 @@ def _make_level(
     cover = scale_cover(space, j)
     nerve = build_nerve(space, cover, k=k, b=b, level=m)
     realization = realize(space, cover, nerve, vectors)
-    rep_of = {point: block[0] for block in cover.blocks for point in block}
-    simplex_of = {
-        v: idx for idx, s in enumerate(nerve.maximal_simplexes) for v in s
-    }
+    simplex_of = {v: idx for idx, s in enumerate(nerve.maximal_simplexes) for v in s}
     return Level(
         m=m,
         cover=cover,
         nerve=nerve,
         realization=realization,
-        rep_of=rep_of,
+        rep_of=_rep_of(cover),
         simplex_of=simplex_of,
     )
 
@@ -143,11 +140,12 @@ def _make_level(
 class BondingMap(Frozen):
     """Vertex map from a finer level onto the coarser one by block containment.
 
-    simplex_images records, per fine maximal simplex, its image vertex
-    set and the index of the coarse maximal simplex containing it.
+    Every complex is a disjoint union of simplexes, so the simplicial map
+    is its vertex map: a fine simplex's image is the set of its vertices'
+    images.
     """
 
-    __slots__ = ("fine", "coarse", "vertex_map", "simplex_images")
+    __slots__ = ("fine", "coarse", "vertex_map")
 
     def to_json(self) -> dict:
         return {
@@ -158,35 +156,25 @@ class BondingMap(Frozen):
 
 
 def bonding_map(fine: Level, coarse: Level) -> BondingMap:
-    """Send each fine block to the coarse block containing it.
+    """Send each fine block to the coarse block containing it: its parent pointer.
+
+    The vertex map is ``coarse.rep_of`` on the fine vertices.
 
     Raises:
         NestingError: if some fine block crosses coarse blocks.
-        NestingError: also when levels are not comparable at all.
+        NestingError: if some fine simplex has no containing coarse simplex.
     """
-    vertex_map: dict[int, int] = {}
-    for block in fine.cover.blocks:
-        parents = {coarse.rep_of[point] for point in block}
-        if len(parents) != 1:
-            raise NestingError(
-                f"block {block} of level {fine.m} crosses blocks of level {coarse.m}"
-            )
-        vertex_map[block[0]] = parents.pop()
-    simplex_images = []
+    block = _crossing_block(fine.rep_of, coarse.rep_of)
+    if block is not None:
+        raise NestingError(f"block {block} of level {fine.m} crosses blocks of level {coarse.m}")
+    vertex_map = {v: coarse.rep_of[v] for v in fine.nerve.vertices}
     for s in fine.nerve.maximal_simplexes:
-        image = tuple(sorted({vertex_map[v] for v in s}))
-        container = coarse.simplex_of[image[0]]
-        if not set(image) <= set(coarse.nerve.maximal_simplexes[container]):
+        # coarse simplexes partition the vertices: one container, or none
+        if len({coarse.simplex_of[vertex_map[v]] for v in s}) != 1:
             raise NestingError(
                 f"simplex {s} of level {fine.m} has no containing simplex at level {coarse.m}"
             )
-        simplex_images.append((image, container))
-    return BondingMap(
-        fine=fine.m,
-        coarse=coarse.m,
-        vertex_map=vertex_map,
-        simplex_images=tuple(simplex_images),
-    )
+    return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
 @lru_cache(maxsize=2)
@@ -230,7 +218,8 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     """Compare every fine vertex pair's realized distance with its image's.
 
     Returns the bundle's entry for the map: ``violations``, the vertex
-    pairs whose image distance exceeds their distance (must be empty);
+    pairs whose image distance exceeds their distance or that have an
+    unmapped end (must be empty);
     ``merged_pairs``, the count of pairs sent to one vertex; and
     ``single_step_contraction``, whether every merged pair sat at
     distance exactly p * p^-j(fine), the one-scale-step value forced by
@@ -246,8 +235,15 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     if step >= top:
         step = None  # no finite exponent reaches it, and INFINITY must not match
     verts = fine.nerve.vertices
-    images = [bmap.vertex_map[v] for v in verts]
+    images = [bmap.vertex_map.get(v) for v in verts]
     violations = []
+    if None in images:
+        # a pair with an unmapped end has no image distance: a violation,
+        # listed ahead of the mapped pairs, which the loop checks as ever
+        ends = [(v, iv is None) for v, iv in zip(verts, images)]
+        violations = [[v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if x or y]
+        verts = [v for v, unmapped in ends if not unmapped]
+        images = [iv for iv in images if iv is not None]
     merged = 0
     single_step = True
     for a, (v, iv) in enumerate(zip(verts, images)):
@@ -270,11 +266,11 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
 
 def verify_nondegenerate(bmap: BondingMap, fine: Level) -> dict:
     """The bundle's entry for the map: fine maximal simplexes of two or
-    more vertices that collapse onto one image vertex."""
+    more vertices that collapse onto one image vertex (None for unmapped ones)."""
     collapsed = [
         idx
         for idx, s in enumerate(fine.nerve.maximal_simplexes)
-        if len(s) >= 2 and len(bmap.simplex_images[idx][0]) == 1
+        if len(s) >= 2 and len({bmap.vertex_map.get(v) for v in s}) == 1
     ]
     return {"from": bmap.fine, "to": bmap.coarse, "collapsed_simplexes": collapsed}
 
@@ -290,13 +286,6 @@ class Expansion(Frozen):
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def direct_vertex_map(self, fine_m: int, coarse_m: int) -> dict[int, int]:
-        """Containment map computed straight from the two covers."""
-        if coarse_m > fine_m:
-            raise ValueError("coarse level must not exceed fine level")
-        fine, coarse = self.levels[fine_m], self.levels[coarse_m]
-        return {v: coarse.rep_of[v] for v in fine.nerve.vertices}
 
     def composite_vertex_map(self, fine_m: int, coarse_m: int) -> dict[int, int]:
         """Chain of consecutive bonding maps from fine_m down to coarse_m."""
@@ -322,12 +311,14 @@ class Expansion(Frozen):
     def _functoriality_failures(self) -> tuple[tuple[int, int], ...]:
         if self._functorial():
             return ()
+        levels = self.levels
+        # direct containment sends each fine vertex to its coarse representative
         return tuple(
             (fine_m, coarse_m)
             for fine_m in range(self.depth)
             for coarse_m in range(fine_m + 1)
             if self.composite_vertex_map(fine_m, coarse_m)
-            != self.direct_vertex_map(fine_m, coarse_m)
+            != {v: levels[coarse_m].rep_of[v] for v in levels[fine_m].nerve.vertices}
         )
 
     def _functorial(self) -> bool:
@@ -335,7 +326,7 @@ class Expansion(Frozen):
 
         It asks that every vertex be its own representative, that each
         consecutive map be direct containment into the coarser vertices,
-        and that representatives compose:
+        and that level c + 1 nest in level c (``nerve._crossing_block``):
         ``rep_of[c][rep_of[c + 1][x]] == rep_of[c][x]`` for every point x
         of level c + 1.  Then, by induction down the levels, the composite
         from level f to level c sends each vertex v to ``rep_of[c][v]``,
@@ -350,13 +341,12 @@ class Expansion(Frozen):
         for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
             rep_of = coarse.rep_of
             direct = {v: rep_of.get(v) for v in fine.nerve.vertices}
-            if bmap.vertex_map != direct or not set(coarse.nerve.vertices).issuperset(
-                direct.values()
+            if (
+                bmap.vertex_map != direct
+                or not set(coarse.nerve.vertices).issuperset(direct.values())
+                or _crossing_block(fine.rep_of, rep_of) is not None
             ):
                 return False
-            for x, rep in fine.rep_of.items():
-                if x not in rep_of or rep_of.get(rep) != rep_of[x]:
-                    return False
         return True
 
     def thread(self, point: int) -> tuple[int, ...]:
@@ -369,7 +359,8 @@ class Expansion(Frozen):
         """Coherence: each bonding map sends the finer simplex into the coarser."""
         for m in range(self.depth - 1):
             fine_simplex = self.levels[m + 1].nerve.maximal_simplexes[thread[m + 1]]
-            image = {self.bonding[m].vertex_map[v] for v in fine_simplex}
+            # an unmapped vertex's image, None, lies in no simplex
+            image = {self.bonding[m].vertex_map.get(v) for v in fine_simplex}
             coarse_simplex = set(self.levels[m].nerve.maximal_simplexes[thread[m]])
             if not image <= coarse_simplex:
                 raise IncoherentThreadError(

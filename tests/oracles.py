@@ -481,3 +481,30 @@ def all_pairs_functoriality(
             if chain != {v: rep_of[coarse][v] for v in vertices[fine]}:
                 bad.append((fine, coarse))
     return bad
+
+
+def containment_bonding(
+    fine_blocks: list[tuple[int, ...]],
+    coarse_blocks: list[tuple[int, ...]],
+    fine_simplexes: list[tuple[int, ...]],
+    coarse_simplexes: list[tuple[int, ...]],
+) -> tuple[str, object]:
+    """The bonding map by subset containment, or where it fails first.
+
+    Each fine block must lie in exactly one coarse block, and its
+    vertex (first member) goes to that block's first member; then the
+    image of each fine simplex must lie in some coarse simplex.  Returns
+    ("block", block) or ("simplex", simplex) for the first failure in
+    order, else ("map", vertex_map).
+    """
+    vertex_map = {}
+    for block in fine_blocks:
+        parents = [c for c in coarse_blocks if set(block) <= set(c)]
+        if len(parents) != 1:
+            return "block", block
+        vertex_map[block[0]] = parents[0][0]
+    for s in fine_simplexes:
+        image = {vertex_map[v] for v in s}
+        if not any(image <= set(c) for c in coarse_simplexes):
+            return "simplex", s
+    return "map", vertex_map

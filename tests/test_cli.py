@@ -162,6 +162,29 @@ def test_expand_requires_value_group_entries_without_round(tmp_path, capsys):
     assert "round" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["0.000064", "6.4E-5", "64e-6"])
+@pytest.mark.parametrize("stages", ["validate,round,expand,verify", "validate,expand,verify"])
+def test_float_literals_are_read_exactly(tmp_path, literal, stages):
+    # each literal is 5^-6, which no binary float is: 6.4e-05 rounded to 5^-7
+    path = tmp_path / "float.json"
+    path.write_text(
+        f'{{"labels": ["a", "b"], "prime": 5, "matrix": [[0, {literal}], [{literal}, 0]]}}'
+    )
+    out = tmp_path / "out"
+    assert main(["expand", str(path), "--stages", stages, "--out", str(out)]) == EXIT_OK
+    space = json.loads((out / "space.json").read_text())
+    assert space["gamma_matrix"] == [["INF", 6], [6, "INF"]]
+    assert space["matrix"] == [["0", literal], [literal, "0"]]  # echoed as written
+
+
+@pytest.mark.parametrize("command", ["validate", "expand"])
+def test_boolean_matrix_entry_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "bool.json"
+    path.write_text('{"labels": ["a", "b"], "prime": 2, "matrix": [[0, 1], [true, 0]]}')
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert f"error: {path}: field 'matrix' row 1 holds a boolean entry" in capsys.readouterr().err
+
+
 def test_padic_points_input(tmp_path):
     path = _write(
         tmp_path / "points.json",

@@ -294,7 +294,7 @@ def test_outlier_isolates_past_its_scale():
     assert report["first_level"][outlier] == 1
     for m in range(1, len(levels)):
         cover, nerve = levels[m]
-        assert cover.block_of(outlier) == (outlier,)
+        assert (outlier,) in cover.blocks
 
 
 def test_equilateral_isolates_only_at_singleton_level():
@@ -328,6 +328,24 @@ def test_dot_export_of_residue_level():
     assert dot.count("--") == 3  # one triangle
     assert dot.count("subgraph") == 1
     assert nerve_to_dot(nerve, labels=space.labels) == dot  # byte-stable
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    space = _residue_space(3, 2)
+    cover = scale_cover(space, 1)  # vertices 0, 1 and 2 in one triangle
+    nerve = build_nerve(space, cover, k=1, b=GammaValue(1))
+    plain = nerve_to_dot(nerve, labels=["a", "b", "c"])
+    assert plain == (
+        "graph level_1 {\n  subgraph cluster_0 {\n    style=filled;\n    color=lightgrey;\n"
+        '    "a";\n    "b";\n    "c";\n    "a" -- "b";\n    "a" -- "c";\n    "b" -- "c";\n'
+        "  }\n}\n"
+    )
+    # a"b is written a\"b, and c\d is written c\\d
+    assert nerve_to_dot(nerve, labels=['a"b', "c\\d", "e"]) == (
+        "graph level_1 {\n  subgraph cluster_0 {\n    style=filled;\n    color=lightgrey;\n"
+        '    "a\\"b";\n    "c\\\\d";\n    "e";\n    "a\\"b" -- "c\\\\d";\n'
+        '    "a\\"b" -- "e";\n    "c\\\\d" -- "e";\n  }\n}\n'
+    )
 
 
 def test_dot_nodes_only_when_discrete():

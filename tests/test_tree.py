@@ -1,14 +1,15 @@
 """Merge-tree routes against the former pairwise routes, and a guard on their cost.
 
-Covers, nerves, cell radii, the uniformity and isolation checks, Baire
-codes and functoriality are read off each space's merge tree; the
-oracles in oracles.py recompute them by the pairwise scans they replace,
-on exact fractions.
+Covers, nerves, bonding maps, cell radii, the uniformity and isolation
+checks, Baire codes and functoriality are read off each space's merge
+tree; the oracles in oracles.py recompute them by the pairwise scans and
+subset searches they replace, on exact fractions.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from ultrapoly import (
     GAMMA_ZERO,
     Expansion,
     GammaValue,
+    NestingError,
     Realization,
     ScaleCover,
     Schedule,
@@ -25,22 +27,27 @@ from ultrapoly import (
     UltraSpace,
     assemble_expansion,
     baire_encode,
+    bonding_map,
     build_nerve,
     check_uniform,
+    cover_tower,
     group_expansion,
     isolated_point_check,
     realize,
     scale_cover,
     subdivide,
+    verify_nondegenerate,
 )
+from ultrapoly import nerve as nerve_module
 from ultrapoly.cli import RunReport, _verify_expansion
 from ultrapoly.nerve import RealizedCell
-from ultrapoly.spaces import threshold_classes
+from ultrapoly.spectrum import Level
 
 from corpus import random_code_space, replace
 from oracles import (
     all_pairs_functoriality,
     closure_classes,
+    containment_bonding,
     greedy_threshold_classes,
     label_ranked_codes,
     pairwise_diameter,
@@ -121,10 +128,10 @@ def test_cuts_match_pairwise_routes(expo, p, data):
     assert space.finite_exponents() == finite
     off_diagonal = [expo[i][j] for i in range(n) for j in range(n) if i != j]
     assert space.is_separated == (None not in off_diagonal)
-    assert threshold_classes(space, None) == greedy_threshold_classes(dist, Fraction(0))
+    assert space.tree.classes(None) == greedy_threshold_classes(dist, Fraction(0))
     for j in _scales(expo):
         classes = greedy_threshold_classes(dist, Fraction(p) ** -j)
-        assert threshold_classes(space, j) == classes == closure_classes(expo, j)
+        assert space.tree.classes(j) == classes == closure_classes(expo, j)
         assert scale_cover(space, j).blocks == tuple(classes)
     # diameters and set distances of arbitrary point sets, repeats allowed
     a = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
@@ -295,6 +302,106 @@ def test_baire_codes_match_pairwise_route(expo, p, data):
     assert list(codes.codes) == label_ranked_codes(expo, list(labels), start, depth)
 
 
+def _level(space, m, cover, k):
+    """Level m over an arbitrary cover, with the lookups a bonding map reads."""
+    nerve = build_nerve(space, cover, k=k, level=m)
+    return Level(
+        m=m,
+        cover=cover,
+        nerve=nerve,
+        realization=None,
+        rep_of={x: block[0] for block in cover.blocks for x in block},
+        simplex_of={v: i for i, s in enumerate(nerve.maximal_simplexes) for v in s},
+    )
+
+
+def _covers(expo, space, data):
+    """The scale covers of the space, one of them perhaps with a point moved or dropped."""
+    covers = [scale_cover(space, j) for j in _scales(expo)]
+    mutant = data.draw(st.sampled_from(["none", "move", "drop"]))
+    if len(expo) > 1 and mutant != "none":
+        m = data.draw(st.integers(0, len(covers) - 1))
+        blocks = covers[m].blocks
+        x = data.draw(st.integers(0, len(expo) - 1))
+        if mutant == "move":
+            blocks = _move_point(blocks, x, data.draw(st.integers(0, len(blocks) - 1)))
+        else:
+            blocks = tuple(b for b in (tuple(v for v in b if v != x) for b in blocks) if b)
+        covers[m] = ScaleCover(level=covers[m].level, blocks=blocks)
+    return covers
+
+
+@settings(max_examples=100, deadline=None)
+@given(expo=ultrametric_exponents(), p=PRIMES, data=st.data())
+def test_bonding_maps_match_containment_route(expo, p, data):
+    space = _space(expo, p)
+    covers = _covers(expo, space, data)
+    ks = data.draw(st.lists(st.integers(0, 2), min_size=len(covers), max_size=len(covers)))
+    levels = [_level(space, m, cover, k) for m, (cover, k) in enumerate(zip(covers, ks))]
+    # every ordered pair of levels, so finer onto coarser and the reverse
+    for fine in levels:
+        for coarse in levels:
+            kind, found = containment_bonding(
+                fine.cover.blocks,
+                coarse.cover.blocks,
+                fine.nerve.maximal_simplexes,
+                coarse.nerve.maximal_simplexes,
+            )
+            if kind == "block":
+                message = f"block {found} of level {fine.m} crosses blocks of level {coarse.m}"
+            elif kind == "simplex":
+                message = (
+                    f"simplex {found} of level {fine.m} has no containing simplex "
+                    f"at level {coarse.m}"
+                )
+            else:
+                bmap = bonding_map(fine, coarse)
+                assert (bmap.fine, bmap.coarse, bmap.vertex_map) == (fine.m, coarse.m, found)
+                # collapsed simplexes, on the clean map and with one entry redirected
+                vertex_maps = [found]
+                if data.draw(st.booleans()):
+                    v = data.draw(st.sampled_from(fine.nerve.vertices))
+                    w = data.draw(st.sampled_from(coarse.nerve.vertices))
+                    vertex_maps.append({**found, v: w})
+                for images in vertex_maps:
+                    collapsed = [
+                        i
+                        for i, s in enumerate(fine.nerve.maximal_simplexes)
+                        if len(s) >= 2 and len({images[v] for v in s}) == 1
+                    ]
+                    assert verify_nondegenerate(replace(bmap, vertex_map=images), fine) == {
+                        "from": fine.m,
+                        "to": coarse.m,
+                        "collapsed_simplexes": collapsed,
+                    }
+                continue
+            with pytest.raises(NestingError) as raised:
+                bonding_map(fine, coarse)
+            assert str(raised.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(expo=ultrametric_exponents(), p=PRIMES, data=st.data())
+def test_cover_tower_matches_containment_route(expo, p, data):
+    space = _space(expo, p)
+    # the covers in any order, so that a tower may run coarser as well as finer
+    tower = data.draw(st.permutations(_covers(expo, space, data)))
+    expected = None
+    for coarse, fine in zip(tower, tower[1:]):
+        kind, block = containment_bonding(fine.blocks, coarse.blocks, [], [])
+        if kind == "block":
+            expected = f"block {block} at scale {fine.level} crosses blocks at scale {coarse.level}"
+            break
+    served = iter(tower)
+    with mock.patch.object(nerve_module, "scale_cover", lambda space, j: next(served)):
+        if expected is None:
+            assert cover_tower(space, 0, len(tower) - 1) == list(tower)
+        else:
+            with pytest.raises(NestingError) as raised:
+                cover_tower(space, 0, len(tower) - 1)
+            assert str(raised.value) == expected
+
+
 def _oracle_functoriality(expansion):
     return all_pairs_functoriality(
         [level.rep_of for level in expansion.levels],
@@ -429,7 +536,6 @@ def test_pipeline_makes_no_pairwise_scans(monkeypatch):
     targets = [
         (UltraSpace, "set_distance"),
         (UltraSpace, "diameter"),
-        (ScaleCover, "block_of"),
         (Expansion, "composite_vertex_map"),
     ]
     for owner, name in targets:
@@ -447,6 +553,5 @@ def test_pipeline_makes_no_pairwise_scans(monkeypatch):
     # the counters are live
     space.set_distance((0,), (1,))
     space.diameter((0, 1))
-    expansion.levels[1].cover.block_of(0)
     expansion.composite_vertex_map(1, 0)
     assert counts == Counter({name: 1 for _, name in targets})

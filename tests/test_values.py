@@ -106,7 +106,7 @@ FIELDS = {
     "Realization": ("vectors", "cells"),
     "Schedule": ("j", "k", "b"),
     "Level": ("m", "cover", "nerve", "realization", "rep_of", "simplex_of"),
-    "BondingMap": ("fine", "coarse", "vertex_map", "simplex_images"),
+    "BondingMap": ("fine", "coarse", "vertex_map"),
     "Expansion": ("space", "schedule", "levels", "bonding", "codes", "vectors"),
     "BoundaryPair": ("low", "high", "gap"),
     "PipelineConfig": (
@@ -162,7 +162,7 @@ REPRS = {
         "Schedule(j=(0, 1, 2), k=(0, 0, 0), b=(GammaValue(0), GammaValue(1), GammaValue(2)))"
     ),
     "Level": LEVEL_1,
-    "BondingMap": "BondingMap(fine=1, coarse=0, vertex_map={0: 0}, simplex_images=(((0,), 0),))",
+    "BondingMap": "BondingMap(fine=1, coarse=0, vertex_map={0: 0})",
     "Expansion": (
         f"Expansion(space={SPACE}, schedule=Schedule(j=(0, 1, 2), k=(0, 0, 0), b=(GammaValue(0), "
         "GammaValue(1), GammaValue(2))), levels=(Level(m=0, cover=ScaleCover(level=0, "
@@ -174,9 +174,9 @@ REPRS = {
         f"maximal_simplexes=((0,), (1,))), realization=Realization(vectors={VECTORS}, "
         "cells=(RealizedCell(simplex=(0,), support=(0,), center=0, radius=GammaValue(INF)), "
         "RealizedCell(simplex=(1,), support=(1,), center=1, radius=GammaValue(INF)))))), "
-        "bonding=(BondingMap(fine=1, coarse=0, vertex_map={0: 0}, simplex_images=(((0,), 0),)), "
-        "BondingMap(fine=2, coarse=1, vertex_map={0: 0, 1: 0}, simplex_images=(((0,), 0), "
-        "((0,), 0)))), codes=BaireCodes(prime=2, start=1, depth=2, labels=('a', 'b'), "
+        "bonding=(BondingMap(fine=1, coarse=0, vertex_map={0: 0}), "
+        "BondingMap(fine=2, coarse=1, vertex_map={0: 0, 1: 0})), "
+        "codes=BaireCodes(prime=2, start=1, depth=2, labels=('a', 'b'), "
         f"codes=((0, 0), (1, 1))), vectors={VECTORS})"
     ),
     "BoundaryPair": (

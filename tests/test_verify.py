@@ -173,3 +173,28 @@ def test_a_broken_thread_fails_reconstruction():
     failed = [name for name, ok in _passed(summaries).items() if not ok]
     assert failed == ["functoriality_ok", "reconstruct_identity"]
     assert stage["first_failure"] == "functoriality_ok"
+
+
+def test_an_unmapped_vertex_fails_verify_without_raising():
+    # level 1 vertex 1 is missing from the map onto level 0
+    z9 = _z9()
+    bmap = z9.bonding[0]
+    vertex_map = {v: w for v, w in bmap.vertex_map.items() if v != 1}
+    expansion = replace(z9, bonding=(replace(bmap, vertex_map=vertex_map), *z9.bonding[1:]))
+    with pytest.raises(IncoherentThreadError, match="between levels 1 and 0"):
+        expansion.check_thread(expansion.thread(1))
+    with pytest.raises(KeyError):
+        expansion.verify_functoriality()
+    entry = verify_nonstretching(expansion.bonding[0], expansion.levels[1], expansion.levels[0])
+    assert entry["violations"] == [[0, 1], [1, 2]]  # every pair with the unmapped end
+    assert entry["merged_pairs"] == 1  # 0 and 2 both go to 0
+    assert verify_nondegenerate(expansion.bonding[0], expansion.levels[1]) == {
+        "from": 1,
+        "to": 0,
+        "collapsed_simplexes": [],
+    }
+    stage, summaries = _verify(expansion)
+    assert stage["status"] == "failed"
+    assert stage["first_failure"] == "nonstretching"
+    assert summaries["functoriality_ok"] is False
+    assert summaries["reconstruct_identity"] is False
