@@ -24,8 +24,9 @@ from .padic import (
     PrimalityUnknownError,
     Record,
     _digits_of,
+    _exact_pair,
+    _floor_log,
     is_prime,
-    round_to_gamma,
 )
 from .spaces import (
     NotUltrametricError,
@@ -287,12 +288,17 @@ def _is_exponent(value) -> bool:
     return value == "INF" or _is_int(value)
 
 
-def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
+def load_input(path: Path) -> tuple[dict, list[list[tuple[int, int]]] | None]:
     """The checked input object and, for matrix input, its exact entries.
 
-    The matrix is parsed here once; every later stage takes the parsed
-    rows.  A number with a fraction or an exponent is kept as its text,
-    so a matrix entry is read exactly and echoed to space.json as
+    The matrix is parsed here once, each entry into an exact
+    (numerator, denominator) pair of ints in lowest terms with a
+    positive denominator (``padic._exact_pair``: ints, ``a/b`` and plain
+    decimals are split and read with ``int``, every other form as
+    ``Fraction`` reads it); every later stage takes the parsed rows.  A
+    text met again, as a symmetric matrix writes most values twice, is
+    parsed once.  A number with a fraction or an exponent is kept as its
+    text, so a matrix entry is read exactly and echoed to space.json as
     written; a boolean entry is refused.  A field of the wrong type or
     shape raises InputFormatError naming the field.
     """
@@ -325,19 +331,32 @@ def load_input(path: Path) -> tuple[dict, list[list[Fraction]] | None]:
     matrix = obj["matrix"]
     if not isinstance(matrix, list) or len(matrix) != n:
         raise InputFormatError(f"{path}: field 'matrix' does not match 'labels'")
+    parsed: dict = {}
+
+    def parse(entry) -> tuple[int, int]:
+        pair = parsed[entry] = _exact_pair(entry)
+        return pair
+
     rows = []
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"{path}: field 'matrix' row {i} is not a list of {n} entries")
-        if bool in map(type, row):
+        kinds = set(map(type, row))
+        if bool in kinds:
             raise InputFormatError(f"{path}: field 'matrix' row {i} holds a boolean entry")
         try:
-            rows.append([Fraction(entry) for entry in row])
+            if kinds <= _TEXT_OR_INT:
+                rows.append([parsed[entry] if entry in parsed else parse(entry) for entry in row])
+            else:  # an entry that is no key, or not rational: Fraction's error
+                rows.append([_exact_pair(entry) for entry in row])
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputFormatError(
                 f"{path}: field 'matrix' row {i} holds an entry that is not rational: {exc}"
             ) from exc
     return obj, rows
+
+
+_TEXT_OR_INT = frozenset({str, int})
 
 
 def _parse_streams(obj: dict, prime: int, precision: int) -> list[PAdic]:
@@ -353,7 +372,7 @@ def _parse_streams(obj: dict, prime: int, precision: int) -> list[PAdic]:
 
 
 def _validate_matrix(
-    labels: list[str], rows: list[list[Fraction]], report: RunReport, rounding: bool
+    labels: list[str], rows: list[list[tuple[int, int]]], report: RunReport, rounding: bool
 ) -> bool:
     """The validate stage on matrix input; violations fail it unless rounding follows."""
     t0 = time.perf_counter()
@@ -373,7 +392,7 @@ def _validate_matrix(
 
 
 def _space_from_input(
-    obj: dict, rows: list[list[Fraction]] | None, config: PipelineConfig, report: RunReport
+    obj: dict, rows: list[list[tuple[int, int]]] | None, config: PipelineConfig, report: RunReport
 ) -> UltraSpace | None:
     """Run the validate/round stages; None means validation failed."""
     prime = config.prime or obj["prime"]
@@ -403,12 +422,29 @@ def _space_from_input(
         return space
     # without rounding the entries must already sit in the value group
     for raw_row, row in zip(obj["matrix"], rows):
-        for entry, value in zip(raw_row, row):
-            if round_to_gamma(value, prime).as_fraction(prime) != value:
+        for entry, (num, den) in zip(raw_row, row):
+            if not _in_value_group(num, den, prime):
                 raise InputFormatError(
                     f"entry {entry!r} is not a power of {prime}; request the 'round' stage"
                 )
     return round_space(labels, rows, prime)
+
+
+def _in_value_group(num: int, den: int, p: int) -> bool:
+    """Whether num/den, in lowest terms, is 0 or p^-e for an integer e.
+
+    Integer tests: one of num and den is 1 and the other is p**k for k
+    the floor of its log.  A negative value raises as ``round_to_gamma``
+    does.
+    """
+    if num < 0:
+        raise ValueError(f"cannot round negative value {Fraction(num, den)}")
+    if num == 0:
+        return True
+    if num != 1 and den != 1:
+        return False
+    power = num * den
+    return power == p ** _floor_log(power, 1, p)
 
 
 def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule:

@@ -274,33 +274,95 @@ class GammaValue(Frozen):
 GAMMA_ZERO = GammaValue(None)
 
 
+def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
+    """The exact value as (numerator, denominator): lowest terms, positive denominator.
+
+    Accepts what ``Fraction(value)`` accepts, with its errors.  An int,
+    and a text that is an ASCII digit string, ``a/b`` or a plain decimal
+    (``0.5``, ``.5``, ``5.``), is split and read with ``int``; every other
+    form (signs, exponents, whitespace, underscores, non-ASCII digits,
+    ``1/0``, junk) goes to ``Fraction``.  The fast path reads the digit
+    runs in the order ``Fraction`` does, so an over-long run raises the
+    same error.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        whole, dot, digits = value.partition(".")
+        if dot:
+            if (whole + digits).isdigit():
+                scale = 10 ** len(digits)
+                num = int(whole or "0") * scale + int(digits or "0")
+                g = gcd(num, scale)
+                return num // g, scale // g
+        else:
+            num_text, slash, den_text = value.partition("/")
+            if num_text.isdigit() and (not slash or den_text.isdigit()):
+                num = int(num_text)
+                if not slash:
+                    return num, 1
+                den = int(den_text)
+                if den:
+                    g = gcd(num, den)
+                    return num // g, den // g
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _floor_log(num: int, den: int, p: int) -> int:
+    """The k with p**k <= num/den < p**(k + 1), for positive ints num and den.
+
+    The guess comes from bit lengths: log2(num/den) lies within 1 of
+    b = bitlen(num) - bitlen(den), and p**t with t about |b| / bitlen(p)
+    has t * log2(p) bits give or take one, which pins log2(p) to about
+    1/t.  Exact comparisons of num * p**-k with den * p**k then move the
+    guess one factor of p at a time; it is off by a few steps at most.
+    No floats, and a handful of products of the operands' size, where
+    stepping from 1 takes |k| of them.
+    """
+    b = num.bit_length() - den.bit_length()
+    t = abs(b) // p.bit_length() + 1
+    k = b * t // (p**t).bit_length()
+    # p**k <= num/den exactly when low <= high
+    high = num * p**-k if k < 0 else num
+    low = den * p**k if k > 0 else den
+    while low > high:
+        k -= 1
+        if k >= 0:
+            low //= p
+        else:
+            high *= p
+    while high >= low * p:
+        k += 1
+        if k > 0:
+            low *= p
+        else:
+            high //= p
+    return k
+
+
+def _round_pair(num: int, den: int, p: int) -> GammaValue:
+    """``round_to_gamma`` of num/den, for num >= 0 and den > 0, building no Fraction."""
+    return GAMMA_ZERO if num == 0 else GammaValue(-_floor_log(num, den, p))
+
+
 def round_to_gamma(r: int | str | Fraction, p: int) -> GammaValue:
     """Largest value group element p^(-e) not exceeding r; 0 maps to INFINITY.
 
     Accepts exact rationals (``Fraction``, int, or a string such as
     "3/4" or "0.7", parsed exactly).  Guarantees the sandwich
-    result <= r <= p * result for r > 0.
+    result <= r <= p * result for r > 0.  The exponent comes from
+    ``_floor_log`` on the exact numerator and denominator.
 
     Raises:
         ValueError: if r is negative.
     """
     check_prime(p)
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError(f"cannot round negative value {r}")
-    if r == 0:
-        return GAMMA_ZERO
-    e = 0
-    cur = Fraction(1)
-    if cur <= r:
-        while cur * p <= r:
-            cur *= p
-            e -= 1
-    else:
-        while cur > r:
-            cur = cur / p
-            e += 1
-    return GammaValue(e)
+    num, den = _exact_pair(r)
+    if num < 0:
+        raise ValueError(f"cannot round negative value {Fraction(num, den)}")
+    return _round_pair(num, den, p)
 
 
 class PAdic(Frozen):

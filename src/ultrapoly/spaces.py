@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from itertools import chain, islice
 from operator import itemgetter
 
 from .padic import (
@@ -24,9 +23,10 @@ from .padic import (
     Frozen,
     GammaValue,
     PAdic,
+    _exact_pair,
+    _round_pair,
     check_prime,
     difference_exponents,
-    round_to_gamma,
 )
 
 
@@ -62,27 +62,62 @@ class UnseparatedSpaceError(ValueError):
     """Distinct points at distance zero where separation is required."""
 
 
-def _as_fraction_matrix(
-    matrix: Sequence[Sequence[int | str | Fraction]],
-) -> list[list[Fraction]]:
-    """Exact entries of a checked dissimilarity matrix; Fraction entries are kept."""
+def _entry_pair(entry) -> tuple[int, int]:
+    """One matrix entry as an exact (numerator, denominator) pair."""
+    if type(entry) is tuple:
+        if len(entry) == 2 and type(entry[0]) is type(entry[1]) is int and entry[1] > 0:
+            return entry
+        raise ValueError(
+            f"a matrix entry pair must be two ints with a positive denominator, got {entry!r}"
+        )
+    return _exact_pair(entry)
+
+
+def _exact_rows(
+    matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]],
+) -> list[list[int]]:
+    """The integer keys of a checked dissimilarity matrix, row by row.
+
+    An entry is an int, a str or a Fraction, read as ``Fraction`` reads
+    it, or a pair (a, b) of ints with b > 0 standing for a/b, as
+    ``cli.load_input`` makes them.  Each distinct entry object is read
+    once, and keyed once by ``_integer_keys``; the rows are then C-level
+    lookups by ``id``.  So the rows of ``subdominant_closure``, which
+    share one object per merge weight, cost a lookup per entry.  Keys
+    are equal exactly where the values are, so shape, diagonal, sign and
+    symmetry are checked on them, with the errors and texts of a scan in
+    order i, then j > i.  A caller that needs an entry's value reads it
+    again with ``_entry_pair``.
+    """
+    # the list holds every entry, so no two live entries share an id,
+    # even in rows that make a new object on each read
+    flat = list(chain.from_iterable(matrix))
+    entries = dict(zip(map(id, flat), flat))
+    pairs = [_entry_pair(entry) for entry in entries.values()]
     n = len(matrix)
-    rows = [
-        [entry if type(entry) is Fraction else Fraction(entry) for entry in row]
-        for row in matrix
-    ]
-    if any(len(row) != n for row in rows):
+    if any(len(row) != n for row in matrix):
         raise MatrixShapeError("distance matrix must be square")
-    for i in range(n):
-        row_i = rows[i]
-        if row_i[i] != 0:
-            raise NonzeroDiagonalError(f"diagonal entry at index {i} is {row_i[i]}")
-        for j in range(i + 1, n):
-            if row_i[j] < 0:
-                raise NegativeDistanceError(f"entry ({i},{j}) is negative")
-            if row_i[j] != rows[j][i]:
-                raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-    return rows
+    key_of = dict(zip(entries, _integer_keys(pairs)))
+    flat_keys = list(map(key_of.__getitem__, map(id, flat)))
+    keys = [flat_keys[start : start + n] for start in range(0, n * n, n)]
+    if (
+        any(keys[i][i] for i in range(n))
+        or min(map(min, keys), default=0) < 0
+        or list(map(list, zip(*keys))) != keys
+    ):
+        # some check fails: find the first fault in scan order
+        for i in range(n):
+            key_i = keys[i]
+            if key_i[i]:
+                raise NonzeroDiagonalError(
+                    f"diagonal entry at index {i} is {Fraction(*_entry_pair(flat[i * n + i]))}"
+                )
+            for j in range(i + 1, n):
+                if key_i[j] < 0:
+                    raise NegativeDistanceError(f"entry ({i},{j}) is negative")
+                if key_i[j] != keys[j][i]:
+                    raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
+    return keys
 
 
 class Violations(Sequence[tuple[int, int, int]]):
@@ -134,29 +169,29 @@ class Violations(Sequence[tuple[int, int, int]]):
         return f"Violations(count={self._count}, first={self[0]})"
 
 
-def _integer_keys(row: Sequence[Fraction | int]) -> list[int]:
-    """The row's exact entries as integers in the same order: each times the row's lcm.
+def _integer_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """floor(a/b * D^2) for every pair (a, b), D the largest denominator.
 
-    The lcm is that of the entries' denominators.  Equal values written
-    differently ("1/2", "0.5") get one key, since a Fraction is in lowest
-    terms.  The scale is per row, not per matrix: rows are only compared
-    within themselves, and a row's lcm grows with its n denominators,
-    where the matrix's would grow with all n^2.
+    One exact integer per value, in the order of the values: two
+    different values with denominators at most D lie at least 1/D^2
+    apart, so D^2 times them lie at least 1 apart and their floors
+    differ, in the same direction; equal values get one key however they
+    are written.  A key has the bits of a numerator plus twice those of
+    D, where a common denominator could grow with every denominator.
     """
-    denominators = {entry.denominator for entry in row}
-    scale = lcm(*denominators)
-    factor = {d: scale // d for d in denominators}
-    return [entry.numerator * factor[entry.denominator] for entry in row]
+    scale = max((den for _, den in pairs), default=1) ** 2
+    return [num * scale // den for num, den in pairs]
 
 
-def _violation_masks(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, int, int]]:
-    # below[i][k] is the bitset of j with d(i,j) < d(i,k); (i, j, k)
-    # violates exactly when j is in below[i][k] and in below[k][i].  j = i
-    # and j = k never are, because d(k,i) < d(k,i) and d(i,k) < d(i,k) fail.
+def _violation_masks(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    # rows hold exact, comparable entries: integer keys, or the
+    # constructor's exponent weights.  below[i][k] is the bitset of j with
+    # d(i,j) < d(i,k); (i, j, k) violates exactly when j is in below[i][k]
+    # and in below[k][i].  j = i and j = k never are, because d(k,i) <
+    # d(k,i) and d(i,k) < d(i,k) fail.
     n = len(rows)
     below = []
-    for entries in rows:
-        row = _integer_keys(entries)
+    for row in rows:
         sets = [0] * n
         closer = tied = 0
         last = None
@@ -179,13 +214,15 @@ def _violation_masks(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int
 
 
 def validate_ultrametric(
-    labels: Sequence[str], matrix: Sequence[Sequence[int | str | Fraction]]
+    labels: Sequence[str], matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]]
 ) -> Violations:
     """All triples (i, j, k) with d(i,k) > max(d(i,j), d(j,k)), as ``Violations``.
 
     An empty result means the matrix is an ultrametric.  Malformed input
     (non-square, asymmetric, negative entries, nonzero diagonal) raises
-    the matching error instead of being reported as a violation.
+    the matching error instead of being reported as a violation.  An
+    entry may also be a parsed (numerator, denominator) pair (see
+    ``_exact_rows``).
 
     Cost: each row is sorted once on exact integer keys (O(n^2 log n)
     integer comparisons), then one AND of two n-bit sets per pair i < k
@@ -194,21 +231,21 @@ def validate_ultrametric(
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
-    return Violations(_violation_masks(_as_fraction_matrix(matrix)))
+    return Violations(_violation_masks(_exact_rows(matrix)))
 
 
-def _single_linkage(
-    rows: list[list[Fraction]],
-) -> Iterator[tuple[Fraction, list[int], list[int]]]:
+def _single_linkage(rows: list[list[int]]) -> Iterator[tuple[int, int, list[int], list[int]]]:
     """Merges of the single-linkage dendrogram, in ascending weight order.
 
-    Each merge is (weight, block, block); the blocks are live lists, valid
-    until the next merge, when the first is extended by the second.  After
-    the last merge, its first block lists every point in a leaf order of
-    the dendrogram: each block of the dendrogram is a contiguous run of
-    it.  Every pair of points is joined by exactly one merge, and its
-    weight is their minimax path distance.  Prim's spanning tree takes
-    O(n^2) comparisons.
+    rows holds exact, comparable entries (integer keys or weights).  Each
+    merge is (u, v, block, block): the spanning-tree edge u-v, of weight
+    ``rows[u][v]``, joins the two blocks.  The blocks are live lists,
+    valid until the next merge, when the first is extended by the
+    second.  After the last merge, its first block lists every point in
+    a leaf order of the dendrogram: each block of the dendrogram is a
+    contiguous run of it.  Every pair of points is joined by exactly one
+    merge, and its weight is their minimax path distance.  Prim's
+    spanning tree takes O(n^2) integer comparisons.
     """
     n = len(rows)
     if n == 0:
@@ -228,17 +265,17 @@ def _single_linkage(
                 via[v] = u
     edges.sort(key=itemgetter(0))
     block_of = [[i] for i in range(n)]
-    for weight, u, v in edges:
+    for _, u, v in edges:
         a, b = block_of[u], block_of[v]
         if len(a) < len(b):
             a, b = b, a
-        yield weight, a, b
+        yield u, v, a, b
         a.extend(b)
         for x in b:
             block_of[x] = a
 
 
-def _ultrametric_order(rows: list[list]) -> list[int] | None:
+def _ultrametric_order(rows: list[list[int]]) -> list[int] | None:
     """A leaf order of the single-linkage dendrogram; None when rows is not an ultrametric.
 
     A symmetric matrix with zero diagonal is an ultrametric exactly when
@@ -247,7 +284,8 @@ def _ultrametric_order(rows: list[list]) -> list[int] | None:
     equality for all pairs only in an ultrametric).
     """
     order = [0] if rows else []
-    for weight, a, b in _single_linkage(rows):
+    for u, v, a, b in _single_linkage(rows):
+        weight = rows[u][v]
         for x in a:
             row_x = rows[x]
             if any(row_x[y] != weight for y in b):
@@ -256,24 +294,34 @@ def _ultrametric_order(rows: list[list]) -> list[int] | None:
     return order
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def subdominant_closure(
-    matrix: Sequence[Sequence[int | str | Fraction]],
+    matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]],
 ) -> list[list[Fraction]]:
     """Maximal ultrametric pointwise below the input (minimax path distance).
 
     Idempotent, and the identity exactly when the input is already an
-    ultrametric.  Computed as single linkage: Prim's spanning tree in
-    O(n^2) comparisons, then each merge's weight is written into the
-    block it joins, so every output entry is an input entry.
+    ultrametric.  Computed as single linkage on the integer keys of
+    ``_exact_rows`` (an entry may also be a parsed pair): Prim's spanning
+    tree in O(n^2) integer comparisons, then each merge's weight is
+    written into the block it joins, so every output entry is an input
+    entry.  One ``Fraction`` is built per distinct merge weight, and the
+    rows share it.
     """
-    rows = _as_fraction_matrix(matrix)
-    n = len(rows)
-    out = [[rows[i][i]] * n for i in range(n)]
-    for weight, a, b in _single_linkage(rows):
+    keys = _exact_rows(matrix)
+    n = len(keys)
+    out = [[_FRACTION_ZERO] * n for _ in range(n)]
+    last = value = None
+    for u, v, a, b in _single_linkage(keys):
+        weight = keys[u][v]
+        if weight != last:  # merges come in ascending order, so ties are adjacent
+            last, value = weight, Fraction(*_entry_pair(matrix[u][v]))
         for x in a:
             out_x = out[x]
             for y in b:
-                out_x[y] = out[y][x] = weight
+                out_x[y] = out[y][x] = value
     return out
 
 
@@ -458,34 +506,41 @@ class UltraSpace(Frozen):
 
 
 def round_space(
-    labels: Sequence[str], matrix: Sequence[Sequence[int | str | Fraction]], p: int
+    labels: Sequence[str],
+    matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]],
+    p: int,
 ) -> UltraSpace:
     """Round a rational ultrametric into the value group, entrywise.
 
     Every entry lands on the largest p^(-e) below it, which keeps the
     strong triangle inequality (the rounding map is monotone) and the
-    sandwich rounded <= original <= p * rounded.
+    sandwich rounded <= original <= p * rounded.  An entry may also be a
+    parsed (numerator, denominator) pair (see ``_exact_rows``).
 
     The matrix is an ultrametric exactly when each single-linkage merge
     weight equals every entry across the blocks it joins, so the check
-    costs O(n^2) comparisons and stops at the first mismatch; the
-    witness is then the first violating triple in scan order.  Each
-    distinct merge weight (at most n - 1 of them) is rounded once.
+    costs O(n^2) integer comparisons of keys and stops at the first
+    mismatch; the witness is then the first violating triple in scan
+    order.  Each distinct merge weight (at most n - 1 of them) is
+    rounded once, on its numerator and denominator, building no
+    ``Fraction``.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
-    rows = _as_fraction_matrix(matrix)
-    n = len(rows)
+    keys = _exact_rows(matrix)
+    check_prime(p)
+    n = len(keys)
     dist = [[GAMMA_ZERO] * n for _ in range(n)]
     last = rounded = None
-    for weight, a, b in _single_linkage(rows):
+    for u, v, a, b in _single_linkage(keys):
+        weight = keys[u][v]
         if weight != last:  # merges come in ascending order, so ties are adjacent
-            last, rounded = weight, round_to_gamma(weight, p)
+            last, rounded = weight, _round_pair(*_entry_pair(matrix[u][v]), p)
         for x in a:
-            row_x, dist_x = rows[x], dist[x]
+            key_x, dist_x = keys[x], dist[x]
             for y in b:
-                if row_x[y] != weight:
-                    raise NotUltrametricError(Violations(_violation_masks(rows))[0], labels)
+                if key_x[y] != weight:
+                    raise NotUltrametricError(Violations(_violation_masks(keys))[0], labels)
                 dist_x[y] = dist[y][x] = rounded
     return UltraSpace(
         labels=tuple(labels), prime=p, dist=tuple(tuple(row) for row in dist)

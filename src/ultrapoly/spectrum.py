@@ -219,7 +219,8 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
 
     Returns the bundle's entry for the map: ``violations``, the vertex
     pairs whose image distance exceeds their distance or that have an
-    unmapped end (must be empty);
+    unmapped end, or an end mapped to no point of the space (must be
+    empty);
     ``merged_pairs``, the count of pairs sent to one vertex; and
     ``single_step_contraction``, whether every merged pair sat at
     distance exactly p * p^-j(fine), the one-scale-step value forced by
@@ -235,7 +236,12 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     if step >= top:
         step = None  # no finite exponent reaches it, and INFINITY must not match
     verts = fine.nerve.vertices
-    images = [bmap.vertex_map.get(v) for v in verts]
+    # an image that is no point of the space counts as unmapped
+    n_points = len(img_table)
+    images = [
+        iv if type(iv) is int and 0 <= iv < n_points else None
+        for iv in map(bmap.vertex_map.get, verts)
+    ]
     violations = []
     if None in images:
         # a pair with an unmapped end has no image distance: a violation,

@@ -508,3 +508,96 @@ def containment_bonding(
         if not any(image <= set(c) for c in coarse_simplexes):
             return "simplex", s
     return "map", vertex_map
+
+
+# -- the former Fraction routes of the raw-matrix ingest -----------------
+#
+# The library runs these on exact integers now; here they run on
+# Fractions, as the library did before.
+
+
+def stepwise_gamma_exponent(r: Fraction, p: int) -> int | None:
+    """Exponent of the largest p^-e <= r, stepping from 1 one factor of p at a time.
+
+    None for r = 0.  O(e) steps on operands that grow with e.
+    """
+    if r < 0:
+        raise ValueError("negative input")
+    if r == 0:
+        return None
+    e = 0
+    cur = Fraction(1)
+    if cur <= r:
+        while cur * p <= r:
+            cur *= p
+            e -= 1
+    else:
+        while cur > r:
+            cur = cur / p
+            e += 1
+    return e
+
+
+def fraction_single_linkage(matrix: list[list[Fraction]]):
+    """Merges (weight, block, block) of Prim's spanning tree on Fractions, ascending.
+
+    Ties keep Prim's order (a stable sort); the first block is the
+    larger and is extended by the second after each merge.
+    """
+    n = len(matrix)
+    if n == 0:
+        return
+    best = list(matrix[0])
+    via = [0] * n
+    remaining = list(range(1, n))
+    edges = []
+    while remaining:
+        u = min(remaining, key=best.__getitem__)
+        remaining.remove(u)
+        edges.append((best[u], via[u], u))
+        for v in remaining:
+            if matrix[u][v] < best[v]:
+                best[v] = matrix[u][v]
+                via[v] = u
+    edges.sort(key=lambda edge: edge[0])
+    block_of = [[i] for i in range(n)]
+    for weight, u, v in edges:
+        a, b = block_of[u], block_of[v]
+        if len(a) < len(b):
+            a, b = b, a
+        yield weight, a, b
+        a.extend(b)
+        for x in b:
+            block_of[x] = a
+
+
+def fraction_closure(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Subdominant closure: each spanning-tree merge weight fills the block it joins."""
+    n = len(matrix)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for weight, a, b in fraction_single_linkage(matrix):
+        for x in a:
+            for y in b:
+                out[x][y] = out[y][x] = weight
+    return out
+
+
+def fraction_round_check(
+    matrix: list[list[Fraction]], p: int
+) -> tuple[str, object]:
+    """The rounding of an ultrametric, or its first violating triple in scan order.
+
+    Returns ("exponents", matrix of exponents, None for 0) when every
+    entry across each merge equals the merge weight, else ("witness",
+    triple).  Each weight is rounded by ``stepwise_gamma_exponent``.
+    """
+    n = len(matrix)
+    out: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for weight, a, b in fraction_single_linkage(matrix):
+        e = stepwise_gamma_exponent(weight, p)
+        for x in a:
+            for y in b:
+                if matrix[x][y] != weight:
+                    return "witness", violating_triples(matrix)[0]
+                out[x][y] = out[y][x] = e
+    return "exponents", out

@@ -15,7 +15,12 @@ from ultrapoly import (
     round_to_gamma,
 )
 
-from oracles import gamma_floor, schoolbook_add, trial_division_valuation
+from oracles import (
+    gamma_floor,
+    schoolbook_add,
+    stepwise_gamma_exponent,
+    trial_division_valuation,
+)
 
 
 # ---------------------------------------------------------------- addition
@@ -151,6 +156,31 @@ def test_round_sandwich_and_oracle(p, num, den):
     assert value <= r <= p * value
     # idempotence on the value group
     assert round_to_gamma(value, p) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    num=st.integers(1, 2**200),
+    den=st.integers(1, 2**200),
+)
+def test_round_matches_the_stepwise_route(p, num, den):
+    r = Fraction(num, den)
+    assert round_to_gamma(r, p).exponent == stepwise_gamma_exponent(r, p)
+    assert round_to_gamma(f"{num}/{den}", p).exponent == stepwise_gamma_exponent(r, p)
+
+
+def test_round_a_tiny_value_exactly():
+    # 2^-332193 <= 10^-100000 < 2^-332192: the stepwise route would take
+    # 332193 steps on operands of up to 332193 bits
+    assert 10**100000 <= 2**332193 and 2**332192 < 10**100000
+    assert round_to_gamma("1e-100000", 2) == GammaValue(332193)
+    assert round_to_gamma(Fraction(10**100000 + 1), 2) == GammaValue(-332192)
+
+
+def test_round_negative_value_message_is_unchanged():
+    with pytest.raises(ValueError, match=r"cannot round negative value -1/2$"):
+        round_to_gamma("-0.5", 2)
 
 
 # ------------------------------------------------------------- GammaValue

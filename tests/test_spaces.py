@@ -26,6 +26,7 @@ from ultrapoly import (
     validate_ultrametric,
 )
 from ultrapoly import spaces
+from ultrapoly.padic import _exact_pair
 from ultrapoly.spaces import Violations
 
 from corpus import random_code_space
@@ -230,13 +231,14 @@ def test_integer_keys_match_the_fraction_route(matrix):
 
 
 def test_integer_keys_tie_equal_values_written_differently():
+    # a pair need not be in lowest terms
     for row in (
-        [Fraction("1/2"), Fraction("0.5"), Fraction(2, 4)],
-        [Fraction(0), Fraction("0/7"), Fraction("0.0")],
-        [Fraction(1, 2**61 - 1), Fraction(3, 3 * (2**61 - 1))],
+        [_exact_pair("1/2"), _exact_pair("0.5"), (2, 4), (5, 10)],
+        [_exact_pair(0), _exact_pair("0/7"), _exact_pair("0.0"), (0, 3)],
+        [(1, 2**61 - 1), (3, 3 * (2**61 - 1))],
     ):
         assert len(set(spaces._integer_keys(row))) == 1
-    keys = spaces._integer_keys([Fraction(1, 2**61 - 1), Fraction(1, 2**89 - 1), Fraction(0)])
+    keys = spaces._integer_keys([(1, 2**61 - 1), (1, 2**89 - 1), (0, 1)])
     assert keys[2] < keys[1] < keys[0]
 
 

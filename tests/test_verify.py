@@ -198,3 +198,21 @@ def test_an_unmapped_vertex_fails_verify_without_raising():
     assert stage["first_failure"] == "nonstretching"
     assert summaries["functoriality_ok"] is False
     assert summaries["reconstruct_identity"] is False
+
+
+@pytest.mark.parametrize("image", [99, -1, None, "0", 1.0, True])
+def test_an_image_outside_the_points_fails_verify_without_raising(image):
+    # level 1 vertex 1 is sent to a value that is no point of the space,
+    # which counts as an unmapped end
+    z9 = _z9()
+    bmap = z9.bonding[0]
+    expansion = replace(
+        z9, bonding=(replace(bmap, vertex_map={**bmap.vertex_map, 1: image}), *z9.bonding[1:])
+    )
+    entry = verify_nonstretching(expansion.bonding[0], expansion.levels[1], expansion.levels[0])
+    assert entry["violations"] == [[0, 1], [1, 2]]  # every pair with the stray end
+    assert entry["merged_pairs"] == 1  # 0 and 2 both go to 0
+    stage, summaries = _verify(expansion)
+    assert stage["status"] == "failed"
+    assert stage["first_failure"] == "nonstretching"
+    assert summaries["reconstruct_identity"] is False
