@@ -183,6 +183,8 @@ def _load_json(path: Path, parse_float=None):
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal over the int-string digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -310,6 +312,8 @@ def load_input(path: Path) -> tuple[dict, list[list[tuple[int, int]]] | None]:
             raise InputFormatError(f"{path}: missing field {key!r}")
     if not isinstance(obj["labels"], list):
         raise InputFormatError(f"{path}: field 'labels' must be a list")
+    if not obj["labels"]:
+        raise InputFormatError(f"{path}: field 'labels' must name at least one point")
     _check_prime_field(obj["prime"], "prime", f"{path}: ")
     if ("matrix" in obj) == ("padic_points" in obj):
         raise InputFormatError(

@@ -1,7 +1,7 @@
 """Finite ultrametric spaces with value-group distances.
 
-Distances are stored as ``GammaValue`` exponents, never floats, so the
-strong triangle inequality and every downstream invariant reduce to
+Distances are stored as integer value-group exponents, never floats, so
+the strong triangle inequality and every downstream invariant reduce to
 integer comparisons.  Raw dissimilarity data enters through the
 subdominant closure (maximal ultrametric below the input) followed by
 value-group rounding; zero-distance points are merged by the quotient.
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .padic import (
     GAMMA_ZERO,
@@ -89,6 +90,8 @@ def _exact_rows(
     order i, then j > i.  A caller that needs an entry's value reads it
     again with ``_entry_pair``.
     """
+    if not matrix:
+        return []
     # the list holds every entry, so no two live entries share an id,
     # even in rows that make a new object on each read
     flat = list(chain.from_iterable(matrix))
@@ -414,6 +417,41 @@ class MergeTree:
         return best
 
 
+def _check_labels(labels: Sequence[str], prime: int) -> None:
+    check_prime(prime)
+    if not labels:
+        raise ValueError("a space needs at least one point")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be unique")
+
+
+def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> MergeTree:
+    """The merge tree of ``rows``, each entry read by ``exponent`` (default: as is).
+
+    Every check of a space, raising at the first fault in scan order; the
+    strong triangle inequality is single linkage, O(n^2).
+    """
+    _check_labels(labels, prime)
+    n = len(labels)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise MatrixShapeError("distance matrix must be square over the labels")
+    expo = tuple(tuple(row if exponent is None else map(exponent, row)) for row in rows)
+    if any(expo[i][i] is not None for i in range(n)) or list(zip(*expo)) != list(expo):
+        for i in range(n):
+            if expo[i][i] is not None:
+                raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
+            for j in range(i + 1, n):
+                if expo[i][j] != expo[j][i]:
+                    raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
+    # weights -e: larger for a larger distance, and lowest for the metric value 0
+    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
+    weights = [[-top if e is None else -e for e in row] for row in expo]
+    order = _ultrametric_order(weights)
+    if order is None:
+        raise NotUltrametricError(Violations(_violation_masks(weights))[0], labels)
+    return MergeTree(expo, order)
+
+
 class UltraSpace(Frozen):
     """A finite labeled point set with exponent-encoded ultrametric distances.
 
@@ -421,12 +459,12 @@ class UltraSpace(Frozen):
     INFINITY entries are permitted until ``quotient_zero`` enforces
     separation.  Immutable; safe to share between threads.
 
-    The constructor's strong-triangle check leaves ``tree``, the
-    ``MergeTree`` of the space with its integer exponent matrix; it is an
-    attribute, not a field, so equality, hashing and JSON ignore it.
+    ``tree``, the ``MergeTree`` with its exponent matrix, is the stored form,
+    proved by the constructor or handed over by a builder that proved it.
+    Equality, hashing and JSON ignore it; ``dist`` is built from it when read.
     """
 
-    __slots__ = ("labels", "prime", "dist", "tree")
+    __slots__ = ("labels", "prime", "tree", "__dict__")
     _fields = ("labels", "prime", "dist")
 
     def __init__(
@@ -436,34 +474,22 @@ class UltraSpace(Frozen):
         dist: tuple[tuple[GammaValue, ...], ...],
     ) -> None:
         super().__init__(labels, prime, dist)
-        check_prime(prime)
-        n = len(labels)
-        if n == 0:
-            raise ValueError("a space needs at least one point")
-        if len(set(labels)) != n:
-            raise ValueError("labels must be unique")
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise MatrixShapeError("distance matrix must be square over the labels")
-        expo = tuple(tuple([d.exponent for d in row]) for row in dist)
-        for i in range(n):
-            if expo[i][i] is not None:
-                raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
-            for j in range(i + 1, n):
-                if expo[i][j] != expo[j][i]:
-                    raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        object.__setattr__(self, "tree", MergeTree(expo, self._check_strong_triangle(expo)))
+        object.__setattr__(self, "tree", _proved_tree(labels, prime, dist, attrgetter("exponent")))
 
-    def _check_strong_triangle(self, expo: Sequence[Sequence[int | None]]) -> list[int]:
-        # Single linkage over exponents, as in round_space: weight -e, so a
-        # larger weight is a larger distance, and the metric value 0 gets a
-        # weight below every finite one.  O(n^2) comparisons.
-        top = max((e for row in expo for e in row if e is not None), default=-1) + 1
-        weights = [[-top if e is None else -e for e in row] for row in expo]
-        order = _ultrametric_order(weights)
-        if order is None:
-            # the witness is the first violating triple in scan order
-            raise NotUltrametricError(Violations(_violation_masks(weights))[0], self.labels)
-        return order
+    @classmethod
+    def _from_tree(cls, labels: tuple[str, ...], prime: int, tree: MergeTree) -> "UltraSpace":
+        """The space of a tree its caller proved, with no check."""
+        space = cls.__new__(cls)
+        for name, value in (("labels", labels), ("prime", prime), ("tree", tree)):
+            object.__setattr__(space, name, value)
+        return space
+
+    @cached_property
+    def dist(self) -> tuple[tuple[GammaValue, ...], ...]:
+        # every off-diagonal exponent is a merge height: one GammaValue each
+        values = {e: GammaValue(e) for e in self.tree.finite_heights()}
+        values[None] = GAMMA_ZERO
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.tree.exponents)
 
     @property
     def n_points(self) -> int:
@@ -517,34 +543,28 @@ def round_space(
     sandwich rounded <= original <= p * rounded.  An entry may also be a
     parsed (numerator, denominator) pair (see ``_exact_rows``).
 
-    The matrix is an ultrametric exactly when each single-linkage merge
-    weight equals every entry across the blocks it joins, so the check
-    costs O(n^2) integer comparisons of keys and stops at the first
-    mismatch; the witness is then the first violating triple in scan
-    order.  Each distinct merge weight (at most n - 1 of them) is
-    rounded once, on its numerator and denominator, building no
-    ``Fraction``.
+    ``_ultrametric_order`` proves the keys in O(n^2) integer comparisons,
+    or the witness is the first violating triple in scan order.  Each
+    entry is a merge weight that joins two neighbours of the order, so
+    each distinct neighbour key (at most n - 1) is rounded once, on its
+    numerator and denominator; rounding is monotone, so the order still
+    holds every ball as a run, and the rounded tree needs no check.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
     keys = _exact_rows(matrix)
     check_prime(p)
-    n = len(keys)
-    dist = [[GAMMA_ZERO] * n for _ in range(n)]
-    last = rounded = None
-    for u, v, a, b in _single_linkage(keys):
-        weight = keys[u][v]
-        if weight != last:  # merges come in ascending order, so ties are adjacent
-            last, rounded = weight, _round_pair(*_entry_pair(matrix[u][v]), p)
-        for x in a:
-            key_x, dist_x = keys[x], dist[x]
-            for y in b:
-                if key_x[y] != weight:
-                    raise NotUltrametricError(Violations(_violation_masks(keys))[0], labels)
-                dist_x[y] = dist[y][x] = rounded
-    return UltraSpace(
-        labels=tuple(labels), prime=p, dist=tuple(tuple(row) for row in dist)
-    )
+    order = _ultrametric_order(keys)
+    if order is None:
+        raise NotUltrametricError(Violations(_violation_masks(keys))[0], labels)
+    labels = tuple(labels)
+    _check_labels(labels, p)
+    exponent = {0: None}
+    for x, y in zip(order, order[1:]):
+        if keys[x][y] not in exponent:
+            exponent[keys[x][y]] = _round_pair(*_entry_pair(matrix[x][y]), p).exponent
+    rounded = tuple(tuple(map(exponent.__getitem__, row)) for row in keys)
+    return UltraSpace._from_tree(labels, p, MergeTree(rounded, order))
 
 
 def space_from_points(
@@ -562,17 +582,8 @@ def space_from_points(
         raise ValueError("all points must share one prime")
     if labels is None:
         labels = [f"x{i}" for i in range(len(points))]
-    exponents = difference_exponents(points)
-    values = {None: GAMMA_ZERO}
-    for row in exponents:
-        for e in row:
-            if e not in values:
-                values[e] = GammaValue(e)
-    return UltraSpace(
-        labels=tuple(labels),
-        prime=p,
-        dist=tuple(tuple(values[e] for e in row) for row in exponents),
-    )
+    labels = tuple(labels)
+    return UltraSpace._from_tree(labels, p, _proved_tree(labels, p, difference_exponents(points)))
 
 
 def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
@@ -580,23 +591,23 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
 
     The result satisfies the separation invariant: off-diagonal entries
     are never INFINITY.  A space that already does is returned as it is.
+    A zero class is a run of INFINITY heights, so it shrinks to one leaf.
     """
     if space.is_separated:
         return space, {}
-    classes = space.tree.classes(None)
+    tree = space.tree
+    classes = tree.classes(None)
     reps = [cls[0] for cls in classes]
     report = {
         space.labels[member]: space.labels[cls[0]]
         for cls in classes
         for member in cls[1:]
     }
-    dist = tuple(
-        tuple(space.dist[a][b] for b in reps) for a in reps
-    )
-    merged = UltraSpace(
-        labels=tuple(space.labels[r] for r in reps), prime=space.prime, dist=dist
-    )
-    return merged, report
+    # each class is a run of the order, so its representative keeps the run's place
+    order = sorted(range(len(reps)), key=lambda i: tree.position[reps[i]])
+    exponents = tuple(tuple([tree.exponents[a][b] for b in reps]) for a in reps)
+    labels = tuple(space.labels[r] for r in reps)
+    return UltraSpace._from_tree(labels, space.prime, MergeTree(exponents, order)), report
 
 
 class BaireCodes(Frozen):

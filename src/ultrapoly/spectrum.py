@@ -459,6 +459,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
             raise ScheduleError("limit recovery needs finite level thresholds")
         taus.append(e)
     threads = [expansion.thread(x) for x in range(space.n_points)]
+    exponents = space.tree.exponents
     mismatches = []
     for x in range(space.n_points):
         for y in range(x + 1, space.n_points):
@@ -467,7 +468,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
                 if threads[x][m] != threads[y][m]:
                     first = m
                     break
-            actual = space.dist[x][y].exponent
+            actual = exponents[x][y]
             if first is None or actual is None:
                 mismatches.append([x, y, None, actual if actual is not None else -1])
                 continue

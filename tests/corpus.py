@@ -1,10 +1,13 @@
-"""Deterministic random-space generators shared by the test modules, and ``replace``."""
+"""Random-space generators and hypothesis strategies shared by the test modules, and ``replace``."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from ultrapoly import GAMMA_ZERO, GammaValue, UltraSpace
+from hypothesis import strategies as st
+
+from ultrapoly import GAMMA_ZERO, GammaValue, PAdic, UltraSpace
 
 PRIMES = (2, 3, 5)
 
@@ -87,3 +90,57 @@ def planted_outlier_space(rng: random.Random, p: int, n: int) -> tuple[UltraSpac
         ),
         outlier,
     )
+
+
+# ------------------------------------------------------ hypothesis strategies
+
+POOL = [Fraction(v) for v in ("1/2", "1/3", "2/3", "3/4", "1", "5/4", "0.1", "7/10", "3", "1/1000")]
+
+
+def _forms(value: Fraction) -> list:
+    """Ways to write value as a matrix entry: Fraction, texts, int, a parsed pair."""
+    num, den = value.numerator, value.denominator
+    forms = [value, f"{num}/{den}", f"{3 * num}/{3 * den}", (num, den)]
+    if 1000 % den == 0:
+        thousandths = num * (1000 // den)
+        forms += [f"{thousandths // 1000}.{thousandths % 1000:03d}", f"{thousandths}e-3"]
+    if den == 1:
+        forms.append(num)
+    return forms
+
+
+@st.composite
+def mixed_matrices(draw, n_max=8):
+    """(exact matrix, written matrix): ties from a small pool, zeros and duplicate rows."""
+    n = draw(st.integers(1, n_max))
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exact[i][j] = exact[j][i] = draw(st.sampled_from(POOL + [Fraction(0)]))
+    if n >= 3 and draw(st.booleans()):  # y copies x
+        x, y = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            if k != y:
+                exact[y][k] = exact[k][y] = exact[x][k]
+        exact[x][y] = exact[y][x] = Fraction(0)
+    written = [[draw(st.sampled_from(_forms(value))) for value in row] for row in exact]
+    return exact, written
+
+
+@st.composite
+def padic_families(draw):
+    """PAdics of one prime: zeros, mixed valuations and window widths."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        precision = draw(st.integers(1, 6))
+        if draw(st.integers(0, 4)) == 0:
+            points.append(PAdic.zero(p, precision))
+            continue
+        digits = [draw(st.integers(1, p - 1))] + [
+            draw(st.integers(0, p - 1)) for _ in range(precision - 1)
+        ]
+        points.append(PAdic(p, draw(st.integers(-3, 3)), tuple(digits), precision))
+    if len(points) > 1 and draw(st.booleans()):
+        points.append(points[0])  # a repeated point sits at distance zero
+    return points

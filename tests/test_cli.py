@@ -1,6 +1,9 @@
 """Pipeline driver: commands, exit codes, determinism, exports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -534,3 +537,79 @@ def test_demo_zp_refuses_groups_above_the_cap(tmp_path, capsys, prime, depth):
     assert code == EXIT_INPUT
     assert f"depth {depth} is too large" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "expand"])
+@pytest.mark.parametrize("kind", ["matrix", "padic_points"])
+def test_an_empty_label_list_is_an_input_error(tmp_path, capsys, command, kind):
+    path = _write(tmp_path / "empty.json", {"labels": [], "prime": 2, kind: []})
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, path, *out]) == EXIT_INPUT
+    assert f"error: {path}: field 'labels' must name at least one point" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string digit limit"
+)
+@pytest.mark.parametrize("command", ["validate", "expand", "shadow", "config"])
+def test_an_integer_literal_over_the_digit_limit_names_the_file(tmp_path, capsys, ultra_input, command):
+    # 5001 digits: over the int-string conversion limit of Python 3.11 and later
+    bad = tmp_path / "big.json"
+    bad.write_text('{"labels": ["a", "b"], "prime": 1%s, "matrix": []}' % ("0" * 5000))
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "validate": ["validate", str(bad)],
+        "expand": ["expand", str(bad), *out],
+        "shadow": ["shadow", str(bad), *out],
+        "config": ["expand", ultra_input, "--config", str(bad), *out],
+    }[command]
+    assert main(args) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON") and "Traceback" not in err
+
+
+def _expand_under_hash_seed(tmp_path, obj, stages: str, seed: str) -> dict:
+    path = _write(tmp_path / "in.json", obj)
+    out = tmp_path / f"out_{seed}"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrapoly", "expand", path, "--out", str(out), "--stages", stages],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "obj, stages",
+    [
+        (
+            {"labels": ["x", "y", "z", "w"], "prime": 3, "padic_points": [[1, 2], [1, 2, 0], [2], [0, 1, 1, 2]]},
+            "validate,round,expand,verify,shadow",
+        ),
+        (
+            # string labels and a duplicated row, so the quotient merges
+            {
+                "labels": ["pear", "fig", "kiwi", "lime"],
+                "prime": 2,
+                "matrix": [
+                    ["0", "0.3", "1/3", "0.3"],
+                    ["0.3", "0", "0.9", "0"],
+                    ["1/3", "0.9", "0", "0.9"],
+                    ["0.3", "0", "0.9", "0"],
+                ],
+            },
+            "validate,round,expand,verify",
+        ),
+    ],
+    ids=["padic", "raw"],
+)
+def test_bundles_do_not_depend_on_the_hash_seed(tmp_path, obj, stages):
+    first = _expand_under_hash_seed(tmp_path, obj, stages, "0")
+    assert {"expansion.json", "space.json"} <= set(first)
+    assert ("shadow.json" in first) == stages.endswith("shadow")
+    assert _expand_under_hash_seed(tmp_path, obj, stages, "1") == first

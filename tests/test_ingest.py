@@ -27,6 +27,7 @@ from ultrapoly import spaces
 from ultrapoly.cli import InputFormatError, PipelineConfig, load_input, run
 from ultrapoly.padic import _exact_pair
 
+from corpus import mixed_matrices
 from oracles import (
     fraction_closure,
     fraction_round_check,
@@ -148,39 +149,6 @@ def test_load_input_reads_json_numbers_exactly(tmp_path):
 
 # ------------------------------------------------------ integer kernels
 
-POOL = [Fraction(v) for v in ("1/2", "1/3", "2/3", "3/4", "1", "5/4", "0.1", "7/10", "3", "1/1000")]
-
-
-def _forms(value: Fraction) -> list:
-    """Ways to write value as a matrix entry: Fraction, texts, int, a parsed pair."""
-    num, den = value.numerator, value.denominator
-    forms = [value, f"{num}/{den}", f"{3 * num}/{3 * den}", (num, den)]
-    if 1000 % den == 0:
-        thousandths = num * (1000 // den)
-        forms += [f"{thousandths // 1000}.{thousandths % 1000:03d}", f"{thousandths}e-3"]
-    if den == 1:
-        forms.append(num)
-    return forms
-
-
-@st.composite
-def mixed_matrices(draw, n_max=8):
-    """(exact matrix, written matrix): ties from a small pool, zeros and duplicate rows."""
-    n = draw(st.integers(1, n_max))
-    exact = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            exact[i][j] = exact[j][i] = draw(st.sampled_from(POOL + [Fraction(0)]))
-    if n >= 3 and draw(st.booleans()):  # y copies x
-        x, y = draw(st.permutations(range(n)))[:2]
-        for k in range(n):
-            if k != y:
-                exact[y][k] = exact[k][y] = exact[x][k]
-        exact[x][y] = exact[y][x] = Fraction(0)
-    written = [[draw(st.sampled_from(_forms(value))) for value in row] for row in exact]
-    return exact, written
-
-
 @settings(max_examples=250, deadline=None)
 @given(case=mixed_matrices(), p=st.sampled_from([2, 3, 5]))
 def test_integer_kernels_match_the_fraction_routes(case, p):
@@ -230,6 +198,13 @@ def test_matrix_errors_keep_their_texts():
         validate_ultrametric(["a", "b"], [["0", "1/2"], ["0.25", "0"]])
     with pytest.raises(spaces.MatrixShapeError, match="square"):
         validate_ultrametric(["a", "b"], [["0", "1"], ["1"]])
+
+
+def test_an_empty_matrix_has_no_violations_and_makes_no_space():
+    assert validate_ultrametric([], []) == [] and len(validate_ultrametric([], [])) == 0
+    assert subdominant_closure([]) == []
+    with pytest.raises(ValueError, match=r"^a space needs at least one point$"):
+        round_space([], [], 2)
 
 
 def test_a_value_with_a_long_denominator_rounds_exactly():

@@ -30,7 +30,7 @@ from ultrapoly import spectrum
 from ultrapoly.nerve import Realization
 from ultrapoly.padic import PrimalityUnknownError, difference_exponents, is_prime
 
-from corpus import UNDECIDABLE_PRIME, random_code_space, replace
+from corpus import UNDECIDABLE_PRIME, padic_families, random_code_space, replace
 from oracles import (
     pairwise_nonstretching,
     strong_triangle_by_thresholds,
@@ -225,25 +225,6 @@ def test_strong_triangle_check_matches_threshold_oracle(expo, p):
 
 
 # ---------------------------------------------------------- pair norms
-
-@st.composite
-def padic_families(draw):
-    """PAdics of one prime: zeros, mixed valuations and window widths."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    points = []
-    for _ in range(draw(st.integers(1, 8))):
-        precision = draw(st.integers(1, 6))
-        if draw(st.integers(0, 4)) == 0:
-            points.append(PAdic.zero(p, precision))
-            continue
-        digits = [draw(st.integers(1, p - 1))] + [
-            draw(st.integers(0, p - 1)) for _ in range(precision - 1)
-        ]
-        points.append(PAdic(p, draw(st.integers(-3, 3)), tuple(digits), precision))
-    if len(points) > 1 and draw(st.booleans()):
-        points.append(points[0])  # a repeated point sits at distance zero
-    return points
-
 
 @settings(max_examples=300, deadline=None)
 @given(points=padic_families())
