@@ -26,11 +26,15 @@ from .padic import (
     _digits_of,
     _exact_pair,
     _floor_log,
+    difference_exponents,
     is_prime,
 )
 from .spaces import (
     NotUltrametricError,
     UltraSpace,
+    Violations,
+    _exponent_weights,
+    _violation_masks,
     quotient_zero,
     round_space,
     space_from_points,
@@ -382,17 +386,22 @@ def _validate_matrix(
     t0 = time.perf_counter()
     violations = validate_ultrametric(labels, rows)
     if violations and not rounding:
-        i, j, k = violations[0]
-        report.add(
-            "validate",
-            "failed",
-            time.perf_counter() - t0,
-            violating_triple=[labels[i], labels[j], labels[k]],
-            violation_count=len(violations),
-        )
-        return False
+        return _fail_validate(labels, violations, report, t0)
     report.add("validate", "passed", time.perf_counter() - t0, violations=len(violations))
     return True
+
+
+def _fail_validate(labels: list[str], violations: Violations, report: RunReport, t0) -> bool:
+    """Record a failed validate stage that names the first violating triple; returns False."""
+    i, j, k = violations[0]
+    report.add(
+        "validate",
+        "failed",
+        time.perf_counter() - t0,
+        violating_triple=[labels[i], labels[j], labels[k]],
+        violation_count=len(violations),
+    )
+    return False
 
 
 def _space_from_input(
@@ -582,8 +591,9 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
         from .shadow import shadow_bundle
 
         t0 = time.perf_counter()
-        outputs["shadow.json"] = shadow_bundle(bundle)
-        report.add("shadow", "passed", time.perf_counter() - t0)
+        outputs["shadow.json"] = shadow = shadow_bundle(bundle)
+        status = "passed" if shadow["reports"]["dim_preserved"] else "failed"
+        report.add("shadow", status, time.perf_counter() - t0)
 
     return report, outputs, EXIT_VERIFY if report.failed else EXIT_OK
 
@@ -607,16 +617,22 @@ def _write_outputs(outputs: dict, out_dir: Path) -> None:
 
 
 def _cmd_validate(args) -> int:
-    """The validate stage alone: streams are parsed, a matrix is checked, no space is built."""
+    """The validate stage alone: checks a matrix or the streams' pair exponents, builds no space."""
     report = RunReport()
     try:
         obj, rows = load_input(Path(args.input))
+        labels = [str(s) for s in obj["labels"]]
         if rows is None:
             t0 = time.perf_counter()
-            _parse_streams(obj, obj["prime"], DEFAULT_PRECISION)
-            report.add("validate", "passed", time.perf_counter() - t0, violations=[])
+            points = _parse_streams(obj, obj["prime"], DEFAULT_PRECISION)
+            weights = _exponent_weights(difference_exponents(points))
+            violations = Violations(_violation_masks(weights))
+            if violations:
+                _fail_validate(labels, violations, report, t0)
+            else:
+                report.add("validate", "passed", time.perf_counter() - t0, violations=[])
         else:
-            _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
+            _validate_matrix(labels, rows, report, rounding=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -743,6 +759,9 @@ def _cmd_shadow(args) -> int:
     _dump_json(out_dir / "shadow.json", result)
     if args.csv:
         _write_theta_csv(result, out_dir)
+    if not result["reports"]["dim_preserved"]:
+        print("error: a level's real dimension differs from its dimL", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

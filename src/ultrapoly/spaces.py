@@ -425,6 +425,12 @@ def _check_labels(labels: Sequence[str], prime: int) -> None:
         raise ValueError("labels must be unique")
 
 
+def _exponent_weights(expo) -> list[list[int]]:
+    """Weights -e: larger for a larger distance, and lowest for the metric value 0 (None)."""
+    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
+    return [[-top if e is None else -e for e in row] for row in expo]
+
+
 def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> MergeTree:
     """The merge tree of ``rows``, each entry read by ``exponent`` (default: as is).
 
@@ -443,9 +449,7 @@ def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> Merg
             for j in range(i + 1, n):
                 if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-    # weights -e: larger for a larger distance, and lowest for the metric value 0
-    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
-    weights = [[-top if e is None else -e for e in row] for row in expo]
+    weights = _exponent_weights(expo)
     order = _ultrametric_order(weights)
     if order is None:
         raise NotUltrametricError(Violations(_violation_masks(weights))[0], labels)
@@ -675,15 +679,6 @@ class C0Vector(Frozen):
     """
 
     __slots__ = ("keys",)
-
-    # hashed per vector whenever a realized-distance table is looked up
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.keys == other.keys
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.keys,))
 
     def norm(self) -> GammaValue:
         if not self.keys:

@@ -14,7 +14,7 @@ levels of the infinite-system picture are constant and carry nothing.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .nerve import NestingError, _crossing_block, _rep_of, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
@@ -177,41 +177,62 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
-@lru_cache(maxsize=2)
-def _realized_exponents(
-    vectors: tuple[C0Vector, ...],
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Exponents of ``vectors[v].distance(vectors[w])`` for all pairs, and INFINITY's stand-in.
+def _ball_certificate(verts, images, vectors, scale: int, step: int) -> tuple | None:
+    """``verify_nonstretching``'s (violations, merged, single step) when no pair stretches, or None.
 
-    Each vector's keys are sorted once without repeats.  Two sorted key
-    lists agree up to their first mismatch, and the smaller key there (or
-    the longer list's next key, when one list is a prefix of the other)
-    is the least key of the symmetric difference, whose level is the
-    distance exponent.  Equal key sets, the metric value 0, read as the
-    stand-in: one above every key level, so a smaller entry is always a
-    larger distance.  Cached by the equality of the vectors, so every
-    level of one expansion shares one table; two are kept, for a fine
-    and a coarse embedding that differ.
+    Sorted key lists, closed by an end mark above every key level, order
+    the vertices so that a pair's realized exponent is the least level
+    between them of the smaller key at neighbours' first mismatch (None:
+    equal keys).  Levels below ``scale`` cut the balls of radius p^-scale.
+    If each ball maps to one vertex inside itself, pairs across balls keep
+    their distance (ultrametric triangles are isosceles): O(n * depth).
     """
-    keys = [sorted(set(vector.keys)) for vector in vectors]
-    top = max((k[-1][0] for k in keys if k), default=0) + 1
-    n = len(keys)
-    table = [[top] * n for _ in range(n)]
-    for v in range(n):
-        keys_v, row_v = keys[v], table[v]
-        for w in range(v + 1, n):
-            keys_w = keys[w]
-            for x, y in zip(keys_v, keys_w):
-                if x != y:
-                    e = min(x, y)[0]
-                    break
-            else:
-                shorter, longer = sorted((keys_v, keys_w), key=len)
-                if len(shorter) == len(longer):
-                    continue
-                e = longer[len(shorter)][0]
-            row_v[w] = table[w][v] = e
-    return tuple(map(tuple, table)), top
+    keys = {v: sorted(set(vectors[v].keys)) for v in verts}
+    end = (max((k[-1][0] for k in keys.values() if k), default=0) + 1,)
+    for k in keys.values():
+        k.append(end)
+    order = sorted(verts, key=keys.__getitem__)
+    ball_of = dict.fromkeys(order[:1], 0)
+    sizes = [1]
+    single_step = True
+    for v, w in zip(order, order[1:]):
+        level = next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
+        if level is not None and level < scale:
+            sizes.append(0)
+        elif level != step:
+            single_step = False
+        sizes[-1] += 1
+        ball_of[w] = len(sizes) - 1
+    image_of: dict[int, int] = {}
+    for v, iv in zip(verts, images):
+        if ball_of.get(iv) != ball_of[v] or image_of.setdefault(ball_of[v], iv) != iv:
+            return None
+    return [], sum(k * (k - 1) // 2 for k in sizes), single_step
+
+
+def _pair_witnesses(verts, images, vectors, image_vectors, step: int) -> tuple[list, int, bool]:
+    """``verify_nonstretching``'s (violations, merged, single step), comparing every pair."""
+    violations = []
+    if None in images:
+        # a pair with an unmapped end has no image distance: a violation,
+        # listed ahead of the mapped pairs, which the loop checks as ever
+        ends = [(v, iv is None) for v, iv in zip(verts, images)]
+        violations = [[v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if x or y]
+        verts = [v for v, unmapped in ends if not unmapped]
+        images = [iv for iv in images if iv is not None]
+    merged = 0
+    single_step = True
+    for a, (v, iv) in enumerate(zip(verts, images)):
+        vector, image = vectors[v], image_vectors[iv]
+        for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
+            distance = vector.distance(vectors[w])
+            if iv == iw:
+                merged += 1
+                if distance.exponent != step:
+                    single_step = False
+            elif image.distance(image_vectors[iw]) > distance:
+                violations.append([v, w])
+    return violations, merged, single_step
 
 
 def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
@@ -227,40 +248,24 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     consecutive schedules.  The map contracts those pairs to zero; all
     other pairs keep their exact distance.
 
-    Distances are integer exponents read from one table per embedding
-    (see ``_realized_exponents``), so the pair loop compares ints only.
+    Both levels on one embedding: ``_ball_certificate`` decides the entry
+    in O(n * depth).  Otherwise, or when it fails, every pair is compared.
     """
-    src_table, top = _realized_exponents(tuple(fine.realization.vectors))
-    img_table, _ = _realized_exponents(tuple(coarse.realization.vectors))
+    vectors, image_vectors = fine.realization.vectors, coarse.realization.vectors
     step = fine.cover.level - 1  # exponent of a one-scale-step merged pair
-    if step >= top:
-        step = None  # no finite exponent reaches it, and INFINITY must not match
     verts = fine.nerve.vertices
     # an image that is no point of the space counts as unmapped
-    n_points = len(img_table)
+    n_points = len(image_vectors)
     images = [
         iv if type(iv) is int and 0 <= iv < n_points else None
         for iv in map(bmap.vertex_map.get, verts)
     ]
-    violations = []
-    if None in images:
-        # a pair with an unmapped end has no image distance: a violation,
-        # listed ahead of the mapped pairs, which the loop checks as ever
-        ends = [(v, iv is None) for v, iv in zip(verts, images)]
-        violations = [[v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if x or y]
-        verts = [v for v, unmapped in ends if not unmapped]
-        images = [iv for iv in images if iv is not None]
-    merged = 0
-    single_step = True
-    for a, (v, iv) in enumerate(zip(verts, images)):
-        src_row, img_row = src_table[v], img_table[iv]
-        for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
-            if iv == iw:
-                merged += 1
-                if src_row[w] != step:
-                    single_step = False
-            elif img_row[iw] < src_row[w]:
-                violations.append([v, w])
+    certified = None
+    if image_vectors == vectors:
+        certified = _ball_certificate(verts, images, vectors, coarse.cover.level, step)
+    violations, merged, single_step = certified or _pair_witnesses(
+        verts, images, vectors, image_vectors, step
+    )
     return {
         "from": bmap.fine,
         "to": bmap.coarse,

@@ -101,6 +101,23 @@ def test_validate_parses_digit_streams(tmp_path, capsys, monkeypatch):
     assert "bad digit stream" in capsys.readouterr().err
 
 
+def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys, monkeypatch):
+    # unequal windows: [0,1] is at distance 0 from both others, which sit 2^-2 apart
+    obj = {"labels": ["a", "b", "c"], "prime": 2, "padic_points": [[0, 1], [0, 1, 1], [0, 1, 0]]}
+    path = _write(tmp_path / "windows.json", obj)
+    with monkeypatch.context() as patch:
+        _no_space(patch)
+        assert main(["validate", path]) == EXIT_VERIFY
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] is True
+    stage = report["stages"]["validate"]
+    assert stage["status"] == "failed"
+    assert stage["violating_triple"] == ["b", "a", "c"] and stage["violation_count"] == 1
+    # expand refuses the same input with the same witness
+    assert main(["expand", path, "--out", str(tmp_path / "o")]) == EXIT_VERIFY
+    assert "(b, a, c)" in capsys.readouterr().err
+
+
 def test_expand_without_round_fails_on_crooked(crooked_input, tmp_path, capsys):
     code = main(
         [
@@ -240,6 +257,40 @@ def test_shadow_command(tmp_path):
     assert main(["shadow", str(out / "expansion.json"), "--out", str(shadow_dir)]) == EXIT_OK
     shadow = json.loads((shadow_dir / "shadow.json").read_text())
     assert shadow["reports"]["dim_preserved"]
+
+
+def test_shadow_exits_1_when_a_dimension_changes(tmp_path, capsys):
+    out = tmp_path / "demo"
+    main(["demo", "zp", "--prime", "2", "--depth", "2", "--out", str(out)])
+    capsys.readouterr()
+    bundle = json.loads((out / "expansion.json").read_text())
+    bundle["levels"][1]["dimL"] = 5
+    tampered = _write(tmp_path / "tampered.json", bundle)
+    shadow_dir = tmp_path / "sh"
+    assert main(["shadow", tampered, "--out", str(shadow_dir)]) == EXIT_VERIFY
+    assert "dimL" in capsys.readouterr().err
+    # the failed check's shadow.json is still written
+    shadow = json.loads((shadow_dir / "shadow.json").read_text())
+    assert shadow["reports"]["dim_preserved"] is False
+
+
+def test_a_failed_shadow_stage_fails_the_run(ultra_input, tmp_path, monkeypatch):
+    from ultrapoly import shadow as shadow_module
+
+    original = shadow_module.shadow_bundle
+
+    def changed_dimension(bundle):
+        result = original(bundle)
+        result["reports"]["dim_preserved"] = False
+        return result
+
+    monkeypatch.setattr(shadow_module, "shadow_bundle", changed_dimension)
+    config = PipelineConfig(stages=("validate", "round", "expand", "verify", "shadow"))
+    report, outputs, code = run(config, Path(ultra_input))
+    assert code == EXIT_VERIFY and report.failed
+    assert report.stages["shadow"]["status"] == "failed"
+    assert report.stages["verify"]["status"] == "passed"
+    assert outputs["shadow.json"]["reports"]["dim_preserved"] is False
 
 
 def test_digit_budget_truncates_streams(tmp_path, capsys):

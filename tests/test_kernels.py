@@ -1,8 +1,8 @@
 """Integer kernels against their brute-force oracles, and guards on their cost.
 
-The kernels: the non-stretching check from one realized-distance table,
-the p-adic pair norms from digit windows, the single-linkage strong
-triangle check, and the exact primality test.
+The kernels: the non-stretching check, by its ball certificate and by
+its pairwise witness loop, the p-adic pair norms from digit windows, the
+single-linkage strong triangle check, and the exact primality test.
 """
 
 import random
@@ -26,7 +26,6 @@ from ultrapoly import (
     space_from_points,
     verify_nonstretching,
 )
-from ultrapoly import spectrum
 from ultrapoly.nerve import Realization
 from ultrapoly.padic import PrimalityUnknownError, difference_exponents, is_prime
 
@@ -125,32 +124,119 @@ def test_redirected_vertex_is_flagged_by_kernel_and_oracle():
     assert kernel == _oracle_report(redirected, fine, coarse, 3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    key_sets=st.lists(
-        st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 2)), max_size=6),
-        min_size=1,
-        max_size=6,
+def _on_embedding(level, vectors):
+    return replace(level, realization=Realization(vectors=vectors, cells=level.realization.cells))
+
+
+def _draw_embedding(data, vectors, low, high):
+    """The vectors after a few edits: keys repeated or dropped, a key list
+    cut to a prefix of another's, a vector copied (distance 0), a key added
+    or a whole list drawn anew, at levels from ``low`` to ``high``."""
+    key_lists = [list(vector.keys) for vector in vectors]
+    n = len(key_lists)
+    new_key = st.tuples(st.integers(low, high), st.integers(0, 2))
+    for _ in range(data.draw(st.integers(0, 4))):
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        keys = key_lists[x]
+        edit = data.draw(st.sampled_from(["repeat", "drop", "prefix", "copy", "add", "anew"]))
+        if edit in ("repeat", "drop") and keys:
+            t = data.draw(st.integers(0, len(keys) - 1))
+            if edit == "repeat":
+                keys.insert(t, keys[t])
+            else:
+                del keys[t]
+        elif edit == "prefix":
+            other = sorted(set(key_lists[y]))
+            key_lists[x] = other[: data.draw(st.integers(0, len(other)))]
+        elif edit == "copy":
+            key_lists[x] = list(key_lists[y])
+        elif edit == "add":
+            keys.insert(data.draw(st.integers(0, len(keys))), data.draw(new_key))
+        elif edit == "anew":
+            key_lists[x] = data.draw(st.lists(new_key, max_size=6))
+    return tuple(C0Vector(keys=tuple(keys)) for keys in key_lists)
+
+
+def _one_step_mutant(vectors, x, y):
+    """The vectors with one key of x changed, so that d(x, y) grows by one step; None if it cannot."""
+    e = vectors[x].distance(vectors[y]).exponent
+    keys = list(vectors[x].keys)
+    at = [t for t, (level, _) in enumerate(keys) if level == e - 1] if e is not None else []
+    if not at:
+        return None
+    keys[at[0]] = (e - 1, -1)  # a symbol no code uses
+    mutant = (*vectors[:x], C0Vector(keys=tuple(keys)), *vectors[x + 1 :])
+    assert mutant[x].distance(mutant[y]).exponent == e - 1
+    return mutant
+
+
+def test_nonstretching_routes_match_pairwise_oracle_on_shared_embeddings(monkeypatch):
+    # both levels carry one embedding, so the ball certificate is tried
+    # first; the pairwise witness loop runs where it fails
+    routes = {"certificate": 0, "witness": 0}
+    calls = []
+    original = C0Vector.distance
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(C0Vector, "distance", counting)
+
+    def check(bmap, fine, coarse, p):
+        before = len(calls)
+        kernel = _kernel_report(bmap, fine, coarse)
+        if len(fine.nerve.vertices) >= 2:
+            routes["witness" if len(calls) > before else "certificate"] += 1
+        assert kernel == _oracle_report(bmap, fine, coarse, p)
+        return kernel
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5]),
+        n=st.integers(1, 12),
+        k=st.integers(0, 2),
+        data=st.data(),
     )
-)
-def test_realized_table_matches_c0_distance(key_sets):
-    # arbitrary key lists: repeats, gaps, and lists that are prefixes of others
-    vectors = tuple(C0Vector(keys=tuple(keys)) for keys in key_sets)
-    table, top = spectrum._realized_exponents(vectors)
-    for v, x in enumerate(vectors):
-        for w, y in enumerate(vectors):
-            expected = x.distance(y).exponent
-            assert table[v][w] == (top if expected is None else expected)
+    def shared_embeddings(seed, p, n, k, data):
+        space = random_code_space(random.Random(seed), p, n)
+        expansion = assemble_expansion(space, Schedule.auto(space, k_shift=k))
+        js = expansion.schedule.j
+        vectors = _draw_embedding(data, expansion.vectors, js[0] - 2, js[-1] + 2)
+        for m, bmap in enumerate(expansion.bonding):
+            fine, coarse = expansion.levels[m + 1], expansion.levels[m]
+            check(bmap, _on_embedding(fine, vectors), _on_embedding(coarse, vectors), p)
+
+            # the one-step mutant: d(x, y) of two coarse vertices grows by one step
+            if len(coarse.nerve.vertices) < 2:
+                continue
+            x, y = sorted(data.draw(st.permutations(coarse.nerve.vertices))[:2])
+            if data.draw(st.booleans()):
+                x, y = y, x
+            mutant = _one_step_mutant(expansion.vectors, x, y)
+            if mutant is None:
+                continue
+            # on the coarse level alone: the pair itself is stretched
+            kernel = check(bmap, fine, _on_embedding(coarse, mutant), p)
+            assert sorted([x, y]) in map(list, kernel[0])
+            # shared by both levels: stretched as soon as x's ball holds another vertex
+            kernel = check(bmap, _on_embedding(fine, mutant), _on_embedding(coarse, mutant), p)
+            if sum(w == x for w in bmap.vertex_map.values()) > 1:
+                assert kernel[0]
+
+    shared_embeddings()
+    assert routes["certificate"] and routes["witness"]
 
 
 def test_zero_distance_merge_is_not_a_single_step():
     # two coinciding vectors (distance 0) merged at a fine scale one above
-    # every key level: the stand-in for 0 must not pass for that scale
+    # every key level: distance 0 must not pass for that scale
     space = random_code_space(random.Random(4), 2, 4)
     expansion = assemble_expansion(space)
     coarse = expansion.levels[-1]
     fine = _with_vector(coarse, 1, expansion.vectors[0].keys)
-    _, top = spectrum._realized_exponents(fine.realization.vectors)
+    top = max(level for vector in fine.realization.vectors for level, _ in vector.keys) + 1
     fine = replace(fine, cover=replace(fine.cover, level=top + 1))
     vertex_map = {v: v for v in fine.nerve.vertices}
     vertex_map[1] = 0  # the only merged pair is the coinciding one
@@ -158,21 +244,6 @@ def test_zero_distance_merge_is_not_a_single_step():
     kernel = _kernel_report(bmap, fine, coarse)
     assert kernel == _oracle_report(bmap, fine, coarse, space.prime)
     assert kernel[3] is False
-
-
-def test_nonstretching_table_is_cached_by_equal_vectors():
-    space = random_code_space(random.Random(11), 3, 12)
-    expansion = assemble_expansion(space)
-    vectors = expansion.vectors
-    table, _ = spectrum._realized_exponents(vectors)
-    copy = tuple(C0Vector(keys=tuple(v.keys)) for v in vectors)
-    assert spectrum._realized_exponents(copy)[0] is table
-    keys = list(vectors[0].keys)
-    keys[-1] = (keys[-1][0], keys[-1][1] + 1)
-    corrupted = (C0Vector(keys=tuple(keys)), *vectors[1:])
-    misses = spectrum._realized_exponents.cache_info().misses
-    spectrum._realized_exponents(corrupted)
-    assert spectrum._realized_exponents.cache_info().misses == misses + 1
 
 
 # ------------------------------------------------------ strong triangle
@@ -286,7 +357,6 @@ def test_verify_nonstretching_makes_no_distance_calls(monkeypatch):
     monkeypatch.setattr(C0Vector, "distance", counting)
     expansion.vectors[0].distance(expansion.vectors[1])
     assert len(calls) == 1  # the counter is live
-    spectrum._realized_exponents.cache_clear()
     for m, bmap in enumerate(expansion.bonding):
         entry = verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
         assert entry["violations"] == []

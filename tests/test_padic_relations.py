@@ -1,0 +1,148 @@
+"""Metamorphic relations between CLI runs on transformed p-adic digit streams.
+
+Each relation compares two runs of ``cli.run`` and shares no code with
+the routes it checks:
+
+- a zero digit prepended to every stream multiplies each point by p, so
+  with the schedule j + 1 (same k) every exponent is one higher and
+  nothing else changes;
+- one common stream added, with carries, to every point of one window
+  length is a translation, which keeps every distance |x - y|_p, so only
+  the echoed digit streams change.
+
+Every stream is shorter than the digit budget, so no digit is cut.
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ultrapoly import NotUltrametricError
+from ultrapoly.cli import DEFAULT_PRECISION, EXIT_VERIFY, PipelineConfig, run
+
+MAX_DIGITS = 6
+assert MAX_DIGITS + 1 < DEFAULT_PRECISION
+
+
+@st.composite
+def stream_families(draw, one_length=False):
+    """(prime, streams): zeros, repeated points and, unless one_length, unequal windows."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    length = draw(st.integers(1, MAX_DIGITS))
+    n = draw(st.integers(1, 7))
+    streams = []
+    for _ in range(n):
+        size = length if one_length else draw(st.integers(1, MAX_DIGITS))
+        streams.append(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)))
+    if n > 1 and draw(st.booleans()):
+        streams[-1] = list(streams[0])  # a repeated point sits at distance zero
+    return p, streams
+
+
+def _run(p, streams, j, k):
+    """(stages less their seconds, outputs, exit code) as the CLI prints and writes them.
+
+    A space that fails its ultrametric proof raises ``NotUltrametricError``,
+    which the CLI turns into exit 1; the stages then hold its witness.
+    """
+    obj = {"labels": [f"x{i}" for i in range(len(streams))], "prime": p, "padic_points": streams}
+    config = PipelineConfig(schedule_j=list(j), schedule_k=[k] * len(j))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(obj))
+        try:
+            report, outputs, code = run(config, path)
+        except NotUltrametricError as exc:
+            return {"witness": list(exc.triple)}, {}, EXIT_VERIFY
+    stages = json.loads(json.dumps(report.to_json()["stages"]))
+    for stage in stages.values():
+        del stage["seconds"]
+    return stages, json.loads(json.dumps(outputs)), code
+
+
+def _up(e):
+    """An exponent one step deeper; INFINITY (metric 0) and no value stay."""
+    return e if e in ("INF", None) else e + 1
+
+
+def _raised(stages, outputs, streams):
+    """The original run's outputs with every exponent one higher, and the new streams."""
+    stages, outputs = copy.deepcopy((stages, outputs))
+    if "verify" in stages:
+        for key in ("sup_diam", "inf_dist"):
+            stages["verify"][key] = list(map(_up, stages["verify"][key]))
+    for name in ("space.json", "expansion.json"):
+        if name not in outputs:
+            continue
+        space = outputs[name] if name == "space.json" else outputs[name]["space"]
+        space["gamma_matrix"] = [list(map(_up, row)) for row in space["gamma_matrix"]]
+        space["padic_points"] = streams
+    bundle = outputs.get("expansion.json")
+    if bundle is not None:
+        schedule = bundle["schedule"]
+        schedule["j"], schedule["b"] = list(map(_up, schedule["j"])), list(map(_up, schedule["b"]))
+        for level in bundle["levels"]:
+            level["scale"], level["threshold"] = _up(level["scale"]), _up(level["threshold"])
+        reports = bundle["reports"]
+        for entry in reports["uniformity"]:
+            entry["sup_diam"], entry["inf_dist"] = _up(entry["sup_diam"]), _up(entry["inf_dist"])
+        # [x, y, recovered, actual]: None and -1 mark a pair that never splits
+        reports["limit_isometry_mismatches"] = [
+            [x, y, _up(r), a if a == -1 else a + 1]
+            for x, y, r, a in reports["limit_isometry_mismatches"]
+        ]
+    return stages, outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=stream_families(), k=st.integers(0, 2))
+def test_a_prepended_zero_digit_raises_every_exponent_by_one(family, k):
+    p, streams = family
+    # exponents lie in [0, MAX_DIGITS - 1], so the last level separates
+    j = range(0, MAX_DIGITS + 2 + k)
+    stages, outputs, code = _run(p, streams, j, k)
+    shifted = [[0] + stream for stream in streams]
+    shifted_stages, shifted_outputs, shifted_code = _run(p, shifted, [x + 1 for x in j], k)
+    assert shifted_code == code
+    assert (shifted_stages, shifted_outputs) == _raised(stages, outputs, shifted)
+
+
+def _translated(streams, common, p):
+    """Each stream plus the common stream, carries included, cut to its window."""
+    length = len(common)
+
+    def value(digits):
+        return sum(d * p**i for i, d in enumerate(digits))
+
+    def digits(x):
+        return [x // p**i % p for i in range(length)]
+
+    return [digits(value(stream) + value(common)) for stream in streams]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=stream_families(one_length=True), k=st.integers(0, 2), data=st.data())
+def test_adding_a_common_stream_changes_only_the_streams(family, k, data):
+    p, streams = family
+    length = len(streams[0])
+    common = data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length))
+    j = range(0, MAX_DIGITS + 2 + k)
+    stages, outputs, code = _run(p, streams, j, k)
+    moved = _translated(streams, common, p)
+    moved_stages, moved_outputs, moved_code = _run(p, moved, j, k)
+    assert moved_code == code
+    assert moved_stages == stages
+    assert moved_outputs["space.json"]["gamma_matrix"] == outputs["space.json"]["gamma_matrix"]
+    for run_outputs, run_streams in ((outputs, streams), (moved_outputs, moved)):
+        assert run_outputs["expansion.json"]["space"].pop("padic_points") == run_streams
+    assert moved_outputs["expansion.json"] == outputs["expansion.json"]
+
+
+def test_a_carry_moves_a_digit_stream():
+    # the translation itself: 1 + 1 in base 2 carries into the next digit
+    assert _translated([[1, 0, 1]], [1, 1, 0], 2) == [[0, 0, 0]]
+    assert _translated([[2, 2]], [1, 0], 3) == [[0, 0]]
