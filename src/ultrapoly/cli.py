@@ -26,15 +26,12 @@ from .padic import (
     _digits_of,
     _exact_pair,
     _floor_log,
-    difference_exponents,
     is_prime,
 )
 from .spaces import (
     NotUltrametricError,
     UltraSpace,
     Violations,
-    _exponent_weights,
-    _violation_masks,
     quotient_zero,
     round_space,
     space_from_points,
@@ -89,6 +86,8 @@ class PipelineConfig(Record):
         for stage in stages:
             if stage not in ALL_STAGES:
                 raise InputFormatError(f"unknown stage {stage!r}")
+            if stage in ("verify", "shadow") and "expand" not in stages:
+                raise InputFormatError(f"stage {stage!r} needs the 'expand' stage")
         if precision < 1:
             raise InputFormatError("precision must be >= 1")
         if prime is not None:
@@ -187,7 +186,9 @@ def _load_json(path: Path, parse_float=None):
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal over the int-string digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal over the int-string digit limit, or arrays
+        # and objects nested deeper than the interpreter's recursion limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -318,6 +319,8 @@ def load_input(path: Path) -> tuple[dict, list[list[tuple[int, int]]] | None]:
         raise InputFormatError(f"{path}: field 'labels' must be a list")
     if not obj["labels"]:
         raise InputFormatError(f"{path}: field 'labels' must name at least one point")
+    if len(set(map(str, obj["labels"]))) != len(obj["labels"]):
+        raise InputFormatError(f"{path}: field 'labels' must be unique, compared as strings")
     _check_prime_field(obj["prime"], "prime", f"{path}: ")
     if ("matrix" in obj) == ("padic_points" in obj):
         raise InputFormatError(
@@ -386,13 +389,14 @@ def _validate_matrix(
     t0 = time.perf_counter()
     violations = validate_ultrametric(labels, rows)
     if violations and not rounding:
-        return _fail_validate(labels, violations, report, t0)
+        _fail_validate(labels, violations, report, t0)
+        return False
     report.add("validate", "passed", time.perf_counter() - t0, violations=len(violations))
     return True
 
 
-def _fail_validate(labels: list[str], violations: Violations, report: RunReport, t0) -> bool:
-    """Record a failed validate stage that names the first violating triple; returns False."""
+def _fail_validate(labels: list[str], violations: Violations, report: RunReport, t0) -> None:
+    """Record a failed validate stage that names the first violating triple."""
     i, j, k = violations[0]
     report.add(
         "validate",
@@ -401,13 +405,16 @@ def _fail_validate(labels: list[str], violations: Violations, report: RunReport,
         violating_triple=[labels[i], labels[j], labels[k]],
         violation_count=len(violations),
     )
-    return False
 
 
 def _space_from_input(
     obj: dict, rows: list[list[tuple[int, int]]] | None, config: PipelineConfig, report: RunReport
 ) -> UltraSpace | None:
-    """Run the validate/round stages; None means validation failed."""
+    """Run the validate/round stages; None means validation failed.
+
+    On digit streams the proof that builds the space is the validate
+    stage; without that stage a failed proof raises NotUltrametricError.
+    """
     prime = config.prime or obj["prime"]
     labels = [str(s) for s in obj["labels"]]
     do_validate = "validate" in config.stages
@@ -415,7 +422,13 @@ def _space_from_input(
 
     if rows is None:
         t0 = time.perf_counter()
-        space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
+        try:
+            space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
+        except NotUltrametricError as exc:
+            if not do_validate:
+                raise
+            _fail_validate(labels, exc.violations, report, t0)
+            return None
         if do_validate:
             report.add("validate", "passed", time.perf_counter() - t0, violations=[])
         if do_round:
@@ -617,25 +630,13 @@ def _write_outputs(outputs: dict, out_dir: Path) -> None:
 
 
 def _cmd_validate(args) -> int:
-    """The validate stage alone: checks a matrix or the streams' pair exponents, builds no space."""
+    """The validate stage alone, as ``expand`` runs it; writes nothing."""
+    obj, rows = load_input(Path(args.input))
     report = RunReport()
-    try:
-        obj, rows = load_input(Path(args.input))
-        labels = [str(s) for s in obj["labels"]]
-        if rows is None:
-            t0 = time.perf_counter()
-            points = _parse_streams(obj, obj["prime"], DEFAULT_PRECISION)
-            weights = _exponent_weights(difference_exponents(points))
-            violations = Violations(_violation_masks(weights))
-            if violations:
-                _fail_validate(labels, violations, report, t0)
-            else:
-                report.add("validate", "passed", time.perf_counter() - t0, violations=[])
-        else:
-            _validate_matrix(labels, rows, report, rounding=False)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if rows is None:  # the proof that builds the streams' space
+        _space_from_input(obj, rows, PipelineConfig(stages=("validate",)), report)
+    else:  # a matrix is checked as written, so its entries need not be powers of p
+        _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_VERIFY if report.failed else EXIT_OK
 
@@ -650,17 +651,11 @@ def _cmd_expand(args) -> int:
         overrides["stages"] = tuple(args.stages.split(","))
     from .spectrum import ScheduleError
 
+    config = PipelineConfig.load(args.config, overrides)
     try:
-        config = PipelineConfig.load(args.config, overrides)
         report, outputs, code = run(config, Path(args.input))
     except ScheduleError as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotUltrametricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = Path(config.out or args.out or ".")
     _write_outputs(outputs, out_dir)
@@ -749,12 +744,7 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
 def _cmd_shadow(args) -> int:
     from .shadow import shadow_bundle
 
-    try:
-        bundle = _load_bundle(Path(args.bundle), shadow=True)
-        result = shadow_bundle(bundle)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = shadow_bundle(_load_bundle(Path(args.bundle), shadow=True))
     out_dir = Path(args.out or ".")
     _dump_json(out_dir / "shadow.json", result)
     if args.csv:
@@ -780,11 +770,7 @@ def _cmd_demo_zp(args) -> int:
     from .spectrum import group_expansion
 
     t0 = time.perf_counter()
-    try:
-        expansion, group_report = group_expansion(args.prime, args.depth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    expansion, group_report = group_expansion(args.prime, args.depth)
     report = RunReport()
     report.add(
         "demo",
@@ -810,12 +796,7 @@ def _cmd_demo_zp(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    try:
-        bundle = _load_bundle(Path(args.bundle), shadow=False)
-        paths = export_dot(bundle, Path(args.out or "."))
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    paths = export_dot(_load_bundle(Path(args.bundle), shadow=False), Path(args.out or "."))
     for path in paths:
         print(path)
     return EXIT_OK
@@ -864,10 +845,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_dot.set_defaults(func=_cmd_export_dot)
 
     args = parser.parse_args(argv)
+    # the one exit-code policy: a failed proof with no validate stage to
+    # record it is a failed verification; malformed input, config or
+    # bundle, and an output that cannot be written, are input errors
     try:
         return args.func(args)
-    except OSError as exc:
-        # an output that cannot be written; input files are read as ParseError
+    except NotUltrametricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -48,11 +48,11 @@ class NonzeroDiagonalError(ValueError):
 
 
 class NotUltrametricError(ValueError):
-    """The strong triangle inequality fails; carries one violating triple."""
+    """The strong triangle inequality fails; carries the violations and the first one."""
 
-    def __init__(self, triple: tuple[int, int, int], labels: Sequence[str]):
-        self.triple = triple
-        i, j, k = triple
+    def __init__(self, violations: Violations, labels: Sequence[str]):
+        self.violations = violations
+        self.triple = i, j, k = violations[0]
         super().__init__(
             f"ultrametric inequality fails on ({labels[i]}, {labels[j]}, {labels[k]}): "
             f"d({labels[i]},{labels[k]}) > max(d({labels[i]},{labels[j]}), d({labels[j]},{labels[k]}))"
@@ -425,12 +425,6 @@ def _check_labels(labels: Sequence[str], prime: int) -> None:
         raise ValueError("labels must be unique")
 
 
-def _exponent_weights(expo) -> list[list[int]]:
-    """Weights -e: larger for a larger distance, and lowest for the metric value 0 (None)."""
-    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
-    return [[-top if e is None else -e for e in row] for row in expo]
-
-
 def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> MergeTree:
     """The merge tree of ``rows``, each entry read by ``exponent`` (default: as is).
 
@@ -449,10 +443,12 @@ def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> Merg
             for j in range(i + 1, n):
                 if expo[i][j] != expo[j][i]:
                     raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-    weights = _exponent_weights(expo)
+    # weights -e: larger for a larger distance, and lowest for the metric value 0 (None)
+    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
+    weights = [[-top if e is None else -e for e in row] for row in expo]
     order = _ultrametric_order(weights)
     if order is None:
-        raise NotUltrametricError(Violations(_violation_masks(weights))[0], labels)
+        raise NotUltrametricError(Violations(_violation_masks(weights)), labels)
     return MergeTree(expo, order)
 
 
@@ -560,7 +556,7 @@ def round_space(
     check_prime(p)
     order = _ultrametric_order(keys)
     if order is None:
-        raise NotUltrametricError(Violations(_violation_masks(keys))[0], labels)
+        raise NotUltrametricError(Violations(_violation_masks(keys)), labels)
     labels = tuple(labels)
     _check_labels(labels, p)
     exponent = {0: None}

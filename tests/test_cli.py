@@ -91,8 +91,7 @@ def test_validate_needs_no_value_group_entries(tmp_path, capsys, monkeypatch):
     assert "request the 'round' stage" in capsys.readouterr().err
 
 
-def test_validate_parses_digit_streams(tmp_path, capsys, monkeypatch):
-    _no_space(monkeypatch)
+def test_validate_parses_digit_streams(tmp_path, capsys):
     obj = {"labels": ["x", "y"], "prime": 3, "padic_points": [[0, 1], [2, 1]]}
     assert main(["validate", _write(tmp_path / "ok.json", obj)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["stages"]["validate"]["violations"] == []
@@ -101,21 +100,37 @@ def test_validate_parses_digit_streams(tmp_path, capsys, monkeypatch):
     assert "bad digit stream" in capsys.readouterr().err
 
 
-def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys, monkeypatch):
+def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys):
     # unequal windows: [0,1] is at distance 0 from both others, which sit 2^-2 apart
     obj = {"labels": ["a", "b", "c"], "prime": 2, "padic_points": [[0, 1], [0, 1, 1], [0, 1, 0]]}
     path = _write(tmp_path / "windows.json", obj)
-    with monkeypatch.context() as patch:
-        _no_space(patch)
-        assert main(["validate", path]) == EXIT_VERIFY
-    report = json.loads(capsys.readouterr().out)
-    assert report["failed"] is True
-    stage = report["stages"]["validate"]
-    assert stage["status"] == "failed"
-    assert stage["violating_triple"] == ["b", "a", "c"] and stage["violation_count"] == 1
-    # expand refuses the same input with the same witness
-    assert main(["expand", path, "--out", str(tmp_path / "o")]) == EXIT_VERIFY
-    assert "(b, a, c)" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for argv in (["validate", path], ["expand", path, "--out", str(out)]):
+        assert main(argv) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["failed"] is True and list(report["stages"]) == ["validate"]
+        stage = report["stages"]["validate"]
+        assert stage["status"] == "failed"
+        assert stage["violating_triple"] == ["b", "a", "c"] and stage["violation_count"] == 1
+    # the failed proof is the failed stage: expand writes no file
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "expand"])
+@pytest.mark.parametrize("kind", ["matrix", "padic_points"])
+@pytest.mark.parametrize("labels", [["a", "a"], [1, "1"]])
+def test_labels_repeated_as_strings_are_an_input_error(tmp_path, capsys, command, kind, labels):
+    # both commands run the one input check, which compares labels as the CLI names points
+    points = {"matrix": [["0", "1/2"], ["1/2", "0"]], "padic_points": [[0, 1], [1, 1]]}[kind]
+    path = _write(tmp_path / "twice.json", {"labels": labels, "prime": 2, kind: points})
+    out = tmp_path / "out"
+    argv = [command, path] + (["--out", str(out)] if command == "expand" else [])
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "field 'labels' must be unique" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_expand_without_round_fails_on_crooked(crooked_input, tmp_path, capsys):
@@ -431,6 +446,21 @@ def test_demo_is_not_a_pipeline_stage(ultra_input, tmp_path, capsys, source):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["verify", "shadow"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_stage_that_reads_the_expansion_needs_expand(ultra_input, tmp_path, capsys, stage, source):
+    # without expand there is no expansion to verify or shadow, and the run would check nothing
+    out = tmp_path / "out"
+    if source == "flag":
+        args = ["--stages", f"validate,{stage}"]
+    else:
+        args = ["--config", _write(tmp_path / "cfg.json", {"stages": ["validate", stage]})]
+    assert main(["expand", ultra_input, *args, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"stage {stage!r} needs the 'expand' stage" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", [["shadow"], ["export", "dot"]])
 @pytest.mark.parametrize(
     "bundle, field",
@@ -617,6 +647,23 @@ def test_an_integer_literal_over_the_digit_limit_names_the_file(tmp_path, capsys
     assert main(args) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: invalid JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "expand", "shadow", "export", "config"])
+def test_json_nested_past_the_recursion_limit_names_the_file(tmp_path, capsys, ultra_input, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"labels": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "validate": ["validate", str(deep)],
+        "expand": ["expand", str(deep), *out],
+        "shadow": ["shadow", str(deep), *out],
+        "export": ["export", "dot", str(deep), *out],
+        "config": ["expand", ultra_input, "--config", str(deep), *out],
+    }[command]
+    assert main(args) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: invalid JSON") and "Traceback" not in err
 
 
 def _expand_under_hash_seed(tmp_path, obj, stages: str, seed: str) -> dict:

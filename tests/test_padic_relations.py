@@ -8,7 +8,10 @@ the routes it checks:
   nothing else changes;
 - one common stream added, with carries, to every point of one window
   length is a translation, which keeps every distance |x - y|_p, so only
-  the echoed digit streams change.
+  the echoed digit streams change;
+- restricting distinct points to a subset under one fixed schedule
+  restricts every ball, so each level's blocks and each maximal
+  simplex's support are the old ones intersected with the subset.
 
 Every stream is shorter than the digit budget, so no digit is cut.
 """
@@ -43,20 +46,24 @@ def stream_families(draw, one_length=False):
     return p, streams
 
 
-def _run(p, streams, j, k):
+def _run(p, streams, j, k, stage_list=PipelineConfig().stages, labels=None):
     """(stages less their seconds, outputs, exit code) as the CLI prints and writes them.
 
-    A space that fails its ultrametric proof raises ``NotUltrametricError``,
-    which the CLI turns into exit 1; the stages then hold its witness.
+    A space that fails its ultrametric proof is a failed validate stage
+    naming the witness.  Only a run without a validate stage raises
+    ``NotUltrametricError`` (which the CLI turns into exit 1), so the
+    ``except`` branch is reached only when ``stage_list`` lacks "validate".
     """
-    obj = {"labels": [f"x{i}" for i in range(len(streams))], "prime": p, "padic_points": streams}
-    config = PipelineConfig(schedule_j=list(j), schedule_k=[k] * len(j))
+    if labels is None:
+        labels = [f"x{i}" for i in range(len(streams))]
+    obj = {"labels": labels, "prime": p, "padic_points": streams}
+    config = PipelineConfig(schedule_j=list(j), schedule_k=[k] * len(j), stages=stage_list)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.json"
         path.write_text(json.dumps(obj))
         try:
             report, outputs, code = run(config, path)
-        except NotUltrametricError as exc:
+        except NotUltrametricError as exc:  # reached only without a validate stage
             return {"witness": list(exc.triple)}, {}, EXIT_VERIFY
     stages = json.loads(json.dumps(report.to_json()["stages"]))
     for stage in stages.values():
@@ -99,14 +106,18 @@ def _raised(stages, outputs, streams):
 
 
 @settings(max_examples=60, deadline=None)
-@given(family=stream_families(), k=st.integers(0, 2))
-def test_a_prepended_zero_digit_raises_every_exponent_by_one(family, k):
+@given(family=stream_families(), k=st.integers(0, 2), validate=st.booleans())
+def test_a_prepended_zero_digit_raises_every_exponent_by_one(family, k, validate):
     p, streams = family
+    # without the validate stage a failed proof raises, and the witness is compared
+    run_stages = ("validate",) * validate + ("round", "expand", "verify")
     # exponents lie in [0, MAX_DIGITS - 1], so the last level separates
     j = range(0, MAX_DIGITS + 2 + k)
-    stages, outputs, code = _run(p, streams, j, k)
+    stages, outputs, code = _run(p, streams, j, k, run_stages)
     shifted = [[0] + stream for stream in streams]
-    shifted_stages, shifted_outputs, shifted_code = _run(p, shifted, [x + 1 for x in j], k)
+    shifted_stages, shifted_outputs, shifted_code = _run(
+        p, shifted, [x + 1 for x in j], k, run_stages
+    )
     assert shifted_code == code
     assert (shifted_stages, shifted_outputs) == _raised(stages, outputs, shifted)
 
@@ -146,3 +157,49 @@ def test_a_carry_moves_a_digit_stream():
     # the translation itself: 1 + 1 in base 2 carries into the next digit
     assert _translated([[1, 0, 1]], [1, 1, 0], 2) == [[0, 0, 0]]
     assert _translated([[2, 2]], [1, 0], 3) == [[0, 0]]
+
+
+def _label_sets(outputs):
+    """Per level: the blocks, and each maximal simplex's support, as sets of labels.
+
+    A vertex stands for the block that holds it, so a simplex's support
+    is the union of its vertices' blocks.
+    """
+    bundle = outputs["expansion.json"]
+    names = bundle["space"]["labels"]
+    found = []
+    for level in bundle["levels"]:
+        block_of = {}
+        for block in level["blocks"]:
+            labels = frozenset(names[x] for x in block)
+            block_of.update(dict.fromkeys(block, labels))
+        supports = {
+            frozenset().union(*map(block_of.__getitem__, simplex))
+            for simplex in level["maximal_simplexes"]
+        }
+        found.append((set(block_of.values()), supports))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=stream_families(one_length=True), data=st.data())
+def test_restriction_to_a_subset_restricts_blocks_and_simplexes(family, data):
+    p, streams = family
+    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct points
+    labels = [f"x{i}" for i in range(len(streams))]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(streams), max_size=len(streams)))
+    kept = [i for i, keep in enumerate(flags) if keep] or [len(streams) - 1]
+    subset = frozenset(labels[i] for i in kept)
+    # one explicit k = 1 schedule for both runs; the last level separates
+    j = range(0, MAX_DIGITS + 3)
+    _, outputs, code = _run(p, streams, j, 1)
+    _, sub_outputs, sub_code = _run(
+        p, [streams[i] for i in kept], j, 1, labels=[labels[i] for i in kept]
+    )
+    assert sub_code == code
+    empty = {frozenset()}
+    expected = [
+        ({b & subset for b in blocks} - empty, {s & subset for s in supports} - empty)
+        for blocks, supports in _label_sets(outputs)
+    ]
+    assert _label_sets(sub_outputs) == expected
