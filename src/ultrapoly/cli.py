@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from fractions import Fraction
 from pathlib import Path
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
@@ -25,7 +24,6 @@ from .padic import (
     Record,
     _digits_of,
     _exact_pair,
-    _floor_log,
     is_prime,
 )
 from .spaces import (
@@ -100,7 +98,7 @@ class PipelineConfig(Record):
         if path:
             data = _load_json(Path(path))
             if not isinstance(data, dict):
-                raise InputFormatError("config file must hold a JSON object")
+                raise InputFormatError(f"{path}: config file must hold a JSON object")
             _check_config(data, path)
         schedule = data.get("schedule", {})
         merged = {
@@ -412,65 +410,59 @@ def _space_from_input(
 ) -> UltraSpace | None:
     """Run the validate/round stages; None means validation failed.
 
-    On digit streams the proof that builds the space is the validate
-    stage; without that stage a failed proof raises NotUltrametricError.
+    Without rounding, the proof that builds the space is the validate
+    stage, on digit streams and on a matrix alike; without that stage a
+    failed proof raises NotUltrametricError.
     """
     prime = config.prime or obj["prime"]
     labels = [str(s) for s in obj["labels"]]
     do_validate = "validate" in config.stages
     do_round = "round" in config.stages
 
-    if rows is None:
+    if rows is not None and do_round:
+        # a violation passes validate here: it is what the closure mends
+        if do_validate:
+            _validate_matrix(labels, rows, report, rounding=True)
+        t0 = time.perf_counter()
+        space = round_space(labels, subdominant_closure(rows), prime)
+    else:
         t0 = time.perf_counter()
         try:
-            space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
+            if rows is None:
+                space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
+            else:
+                space = round_space(labels, rows, prime)
         except NotUltrametricError as exc:
             if not do_validate:
                 raise
             _fail_validate(labels, exc.violations, report, t0)
             return None
+        if rows is not None:
+            _check_value_group(obj["matrix"], rows, space)
         if do_validate:
-            report.add("validate", "passed", time.perf_counter() - t0, violations=[])
-        if do_round:
-            t0 = time.perf_counter()
-            space, merges = quotient_zero(space)
-            report.add("round", "passed", time.perf_counter() - t0, merged=sorted(merges.items()))
-        return space
-
-    if do_validate and not _validate_matrix(labels, rows, report, do_round):
-        return None
-    if do_round:
+            report.add("validate", "passed", time.perf_counter() - t0, violations=0)
         t0 = time.perf_counter()
-        closed = subdominant_closure(rows)
-        space = round_space(labels, closed, prime)
+    if do_round:
         space, merges = quotient_zero(space)
         report.add("round", "passed", time.perf_counter() - t0, merged=sorted(merges.items()))
-        return space
-    # without rounding the entries must already sit in the value group
-    for raw_row, row in zip(obj["matrix"], rows):
-        for entry, (num, den) in zip(raw_row, row):
-            if not _in_value_group(num, den, prime):
-                raise InputFormatError(
-                    f"entry {entry!r} is not a power of {prime}; request the 'round' stage"
-                )
-    return round_space(labels, rows, prime)
+    return space
 
 
-def _in_value_group(num: int, den: int, p: int) -> bool:
-    """Whether num/den, in lowest terms, is 0 or p^-e for an integer e.
+def _check_value_group(matrix: list, rows: list[list[tuple[int, int]]], space: UltraSpace) -> None:
+    """Raise InputFormatError naming the first entry, in scan order, that is no power of p.
 
-    Integer tests: one of num and den is 1 and the other is p**k for k
-    the floor of its log.  A negative value raises as ``round_to_gamma``
-    does.
+    An entry is one exactly when its lowest-terms pair is that of the
+    power it was rounded to.  Equal entries share one pair and one
+    exponent, and every entry equals one between neighbours of the
+    tree's order, so those n - 1 decide.
     """
-    if num < 0:
-        raise ValueError(f"cannot round negative value {Fraction(num, den)}")
-    if num == 0:
-        return True
-    if num != 1 and den != 1:
-        return False
-    power = num * den
-    return power == p ** _floor_log(power, 1, p)
+    p, order, exponents = space.prime, space.tree.order, space.tree.exponents
+    powers = {e: (1, p**e) if e >= 0 else (p**-e, 1) for e in space.finite_exponents()}
+    powers[None] = (0, 1)
+    bad = {rows[x][y] for x, y in zip(order, order[1:]) if rows[x][y] != powers[exponents[x][y]]}
+    if bad:
+        entry = next(e for raw, row in zip(matrix, rows) for e, v in zip(raw, row) if v in bad)
+        raise InputFormatError(f"entry {entry!r} is not a power of {p}; request the 'round' stage")
 
 
 def _schedule_from_config(space: UltraSpace, config: PipelineConfig) -> Schedule:
@@ -657,7 +649,7 @@ def _cmd_expand(args) -> int:
     except ScheduleError as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out_dir = Path(config.out or args.out or ".")
+    out_dir = Path(config.out or ".")
     _write_outputs(outputs, out_dir)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return code
@@ -772,14 +764,8 @@ def _cmd_demo_zp(args) -> int:
     t0 = time.perf_counter()
     expansion, group_report = group_expansion(args.prime, args.depth)
     report = RunReport()
-    report.add(
-        "demo",
-        "passed" if all(
-            v for k, v in group_report.items() if isinstance(v, bool)
-        ) else "failed",
-        time.perf_counter() - t0,
-        **{k: v for k, v in group_report.items() if not isinstance(v, float)},
-    )
+    passed = all(v for v in group_report.values() if isinstance(v, bool))
+    report.add("demo", "passed" if passed else "failed", time.perf_counter() - t0, **group_report)
     summaries = _verify_expansion(expansion, report)
     summaries["group"] = group_report
     bundle = expansion.to_bundle(summaries)

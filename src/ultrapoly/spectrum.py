@@ -75,20 +75,20 @@ class Schedule(Frozen):
         p^k * b is p^-(j + b_shift - k_shift), so the last level then still
         separates the points.  k(m) = k_shift, b(m) = p^-(j(m) + b_shift).
         b_shift > k_shift makes thresholds tighter than the ball diameters
-        and is rejected when the nerves are built.
+        and is rejected when the nerves are built.  More than
+        ``MAX_AUTO_LEVELS`` levels raise ScheduleError before any is built.
         """
         exponents = space.finite_exponents()
         if exponents:
-            js = tuple(
-                range(
-                    min(0, exponents[0]),
-                    exponents[-1] + 2 + max(0, k_shift - b_shift),
+            js = range(min(0, exponents[0]), exponents[-1] + 2 + max(0, k_shift - b_shift))
+            if len(js) > MAX_AUTO_LEVELS:
+                raise ScheduleError(
+                    f"the auto schedule needs {len(js)} levels, more than {MAX_AUTO_LEVELS}"
                 )
-            )
         else:
             js = (0,)
         return cls(
-            j=js,
+            j=tuple(js),
             k=tuple(k_shift for _ in js),
             b=tuple(GammaValue(j + b_shift) for j in js),
         )
@@ -487,6 +487,12 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
 #: Largest group Z/p^depth that ``residue_space`` builds in full: its
 #: space stores (p^depth)^2 distances, 4M at the cap.
 MAX_RESIDUE_ORDER = 2048
+
+#: Most levels ``Schedule.auto`` builds, one per exponent step.  Positive
+#: doubles lie between 2^-1074 and 2^1024, about 2100 steps in base 2, so
+#: distances written as floats fit; a config's large negative b would
+#: otherwise build levels without bound.
+MAX_AUTO_LEVELS = 4096
 
 
 def residue_space(p: int, depth: int, subset: Iterable[int] | None = None) -> UltraSpace:

@@ -26,6 +26,24 @@ def gamma_floor(r: Fraction, p: int) -> int | None:
     return e
 
 
+def in_value_group(num: int, den: int, p: int) -> bool:
+    """Whether num/den, in lowest terms, is 0 or p^-e for an integer e.
+
+    One of num and den is 1 and the other a power of p, by trial
+    division.  A negative value raises as ``round_to_gamma`` does.
+    """
+    if num < 0:
+        raise ValueError(f"cannot round negative value {Fraction(num, den)}")
+    if num == 0:
+        return True
+    if num != 1 and den != 1:
+        return False
+    power = num * den
+    while power % p == 0:
+        power //= p
+    return power == 1
+
+
 def schoolbook_add(
     digits_a: list[int], va: int, digits_b: list[int], vb: int, p: int
 ) -> tuple[list[int], int] | None:

@@ -94,7 +94,7 @@ def test_validate_needs_no_value_group_entries(tmp_path, capsys, monkeypatch):
 def test_validate_parses_digit_streams(tmp_path, capsys):
     obj = {"labels": ["x", "y"], "prime": 3, "padic_points": [[0, 1], [2, 1]]}
     assert main(["validate", _write(tmp_path / "ok.json", obj)]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["stages"]["validate"]["violations"] == []
+    assert json.loads(capsys.readouterr().out)["stages"]["validate"]["violations"] == 0
     obj["padic_points"][1][0] = 3
     assert main(["validate", _write(tmp_path / "bad.json", obj)]) == EXIT_INPUT
     assert "bad digit stream" in capsys.readouterr().err
@@ -347,6 +347,69 @@ def test_schedule_rejection_is_an_input_error(ultra_input, tmp_path, capsys):
     assert "schedule rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"schedule": {"j": [0, 1], "k": "auto"}}, "j and k must both be lists or both 'auto'"),
+        # auto j and k: one level per exponent step, 10^9 of them, refused before any is built
+        ({"schedule": {"b": -(10**9)}}, "the auto schedule needs 1000000004 levels, more than 4096"),
+    ],
+)
+def test_a_config_schedule_that_cannot_be_built_is_rejected(
+    ultra_input, tmp_path, capsys, config, message
+):
+    out = tmp_path / "o"
+    config = _write(tmp_path / "cfg.json", config)
+    code = main(["expand", ultra_input, "--config", config, "--out", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"schedule rejected: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("stages", ["validate,expand", "expand"])
+def test_a_matrix_without_round_fails_as_its_validate_stage_would(tmp_path, capsys, stages):
+    # 3 is no power of 2 and breaks the ultrametric: the failed proof comes first
+    crooked = [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]]
+    negative = [["0", "-1/2", "1"], ["-1/2", "0", "1"], ["1", "1", "0"]]
+    out = tmp_path / "out"
+    for matrix in (crooked, negative):
+        obj = {"labels": ["a", "b", "c"], "prime": 2, "matrix": matrix}
+        path = _write(tmp_path / "in.json", obj)
+        code = main(["expand", path, "--stages", stages, "--out", str(out)])
+        captured = capsys.readouterr()
+        if matrix is negative:
+            assert code == EXIT_INPUT and captured.err == "error: entry (0,1) is negative\n"
+        elif stages == "expand":
+            assert code == EXIT_VERIFY
+            assert captured.err.startswith("error: ultrametric inequality fails on (a, b, c)")
+        else:
+            assert code == EXIT_VERIFY and captured.err == ""
+            stage = json.loads(captured.out)["stages"]["validate"]
+            assert stage["violating_triple"] == ["a", "b", "c"] and stage["violation_count"] == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "expand"])
+def test_an_input_that_is_no_object_is_an_input_error(tmp_path, capsys, command):
+    path = _write(tmp_path / "list.json", [{"labels": ["a"], "prime": 2, "matrix": [[0]]}])
+    assert main([command, path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: input must be a JSON object\n"
+
+
+def test_a_config_that_is_no_object_names_its_file(ultra_input, tmp_path, capsys):
+    config = _write(tmp_path / "cfg.json", [])
+    code = main(["expand", ultra_input, "--config", config, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {config}: config file must hold a JSON object\n"
+
+
+def test_a_precision_below_one_is_an_input_error(ultra_input, tmp_path, capsys):
+    code = main(["expand", ultra_input, "--precision", "0", "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: precision must be >= 1\n"
+
+
 def test_parse_error_is_distinct(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -374,6 +437,7 @@ def test_missing_field_is_schema_error(tmp_path, capsys):
         ("matrix", [["0", "1/0", "1"], ["1/0", "0", "1"], ["1", "1", "0"]]),
         ("padic_points", [[0, 1], "ab", [1, 1]]),
         ("padic_points", [[0, 1], [1, "1"], [1, 1]]),
+        ("matrix", [["0", "1", "1"], ["1", "0", "1"]]),
     ],
 )
 def test_malformed_field_is_named(tmp_path, capsys, field, value):

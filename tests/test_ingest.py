@@ -8,12 +8,16 @@
 - Metamorphic relations between CLI runs on transformed matrices:
   scaling by 1/p, a duplicated point and a relabeling.  They share no
   code with either route.
+- A matrix run without ``round``: its validate stage is the proof that
+  builds the space, against ``validate_ultrametric`` and the value-group
+  oracle, and a guard that each fact is decided once.
 """
 
 import json
 import random
 import re
 import tempfile
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
@@ -23,9 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultrapoly import NotUltrametricError, round_space, subdominant_closure, validate_ultrametric
-from ultrapoly import spaces
-from ultrapoly.cli import InputFormatError, PipelineConfig, load_input, run
+from ultrapoly import padic, spaces
+from ultrapoly.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_VERIFY,
+    InputFormatError,
+    PipelineConfig,
+    load_input,
+    run,
+)
 from ultrapoly.padic import _exact_pair
+from ultrapoly.spectrum import residue_space
 
 from corpus import mixed_matrices
 from oracles import (
@@ -33,6 +46,8 @@ from oracles import (
     fraction_round_check,
     fraction_single_linkage,
     fraction_violation_masks,
+    gamma_floor,
+    in_value_group,
     violating_triples,
 )
 
@@ -408,3 +423,142 @@ def test_rows_that_make_new_entry_objects_read_the_same(case):
     labels = [f"v{i}" for i in range(len(exact))]
     assert validate_ultrametric(labels, fresh) == validate_ultrametric(labels, written)
     assert subdominant_closure(fresh) == subdominant_closure(written)
+
+
+# ------------------------------------------------------------ without round
+
+@st.composite
+def value_group_inputs(draw):
+    """(prime, exact matrix, JSON tokens): powers of p on a random tree, maybe spoiled.
+
+    Each point has a digit code; points that first differ at position i
+    sit p^-(i + shift) apart, and equal codes (duplicate rows) at 0.  The
+    matrix may then be scaled by a non-power, which keeps it an
+    ultrametric, or one pair may take a non-power, another power (either
+    most often breaks the ultrametric) or a negative value.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    codes = [tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))) for _ in range(n)]
+    shift = draw(st.integers(-2, 2))
+    factor = draw(st.sampled_from([Fraction(3, 4), Fraction(7, 10), Fraction(6, 5)]))
+
+    def distance(a, b):
+        first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+        return Fraction(0) if first is None else Fraction(p) ** -(first + shift)
+
+    exact = [[distance(a, b) for b in codes] for a in codes]
+    spoil = draw(st.sampled_from([None, None, "scaled", "non-power", "power", "negative"]))
+    if spoil == "scaled":
+        exact = [[value * factor for value in row] for row in exact]
+    elif n >= 2 and spoil:
+        i, j = draw(st.permutations(range(n)))[:2]
+        value = exact[i][j] or Fraction(1)
+        if spoil == "non-power":
+            value *= factor
+        elif spoil == "power":
+            value = Fraction(p) ** -draw(st.integers(-2, 4))
+        else:
+            value = -value
+        exact[i][j] = exact[j][i] = value
+    tokens = [[draw(_tokens(v)) if v >= 0 else f'"{v}"' for v in row] for row in exact]
+    return p, exact, tokens
+
+
+def _outcome(labels, tokens, prime, stages):
+    """(exit code, stages less their seconds, outputs, error) with ``main``'s exit-code policy."""
+    try:
+        report, outputs, code = _run(labels, tokens, prime, stages)
+    except NotUltrametricError as exc:
+        return EXIT_VERIFY, None, None, list(exc.violations)
+    except ValueError as exc:
+        return EXIT_INPUT, None, None, (type(exc), str(exc))
+    for stage in report.values():
+        del stage["seconds"]
+    return code, report, outputs, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=value_group_inputs(), expand=st.booleans())
+def test_a_matrix_without_round_is_proved_by_its_validate_stage(case, expand):
+    p, exact, tokens = case
+    labels = [f"v{i}" for i in range(len(exact))]
+    later = ("expand", "verify") if expand else ()
+    checked = _outcome(labels, tokens, p, ("validate",) + later)
+    unchecked = _outcome(labels, tokens, p, later)
+    try:
+        violations = validate_ultrametric(labels, exact)
+    except ValueError as exc:
+        # a malformed matrix is refused as validate refuses it, with or without the stage
+        assert checked == unchecked == (EXIT_INPUT, None, None, (type(exc), str(exc)))
+        return
+    if violations:
+        i, j, k = violations[0]
+        failed = {"status": "failed", "violating_triple": [labels[i], labels[j], labels[k]]}
+        failed["violation_count"] = len(violations)
+        assert checked == (EXIT_VERIFY, {"validate": failed}, {}, None)
+        # no validate stage to record the failed proof: it is raised, as for streams
+        assert unchecked == (EXIT_VERIFY, None, None, list(violations))
+        return
+    written = [[json.loads(token, parse_float=str) for token in row] for row in tokens]
+    outside = [
+        entry
+        for row, values in zip(written, exact)
+        for entry, value in zip(row, values)
+        if not in_value_group(value.numerator, value.denominator, p)
+    ]
+    if outside:
+        message = f"entry {outside[0]!r} is not a power of {p}; request the 'round' stage"
+        assert checked == unchecked == (EXIT_INPUT, None, None, (InputFormatError, message))
+        return
+    if expand and any(exact[i][j] == 0 for i in range(len(exact)) for j in range(i)):
+        assert checked == unchecked
+        assert checked[0] == EXIT_INPUT and checked[3][1] == "expansion requires a separated space"
+        return
+    code, stages, outputs, _ = checked
+    assert code == EXIT_OK and stages["validate"] == {"status": "passed", "violations": 0}
+    later_stages = {key: stages[key] for key in stages if key != "validate"}
+    assert unchecked == (EXIT_OK, later_stages, outputs, None)
+    space = outputs["space.json"]
+    assert space["gamma_matrix"] == [
+        ["INF" if value == 0 else gamma_floor(value, p) for value in row] for row in exact
+    ]
+    assert space["matrix"] == [[str(entry) for entry in row] for row in written]
+
+
+def test_a_matrix_without_round_is_proved_once_and_rounded_once(tmp_path, monkeypatch):
+    # Z/2^6 written as 1/2^e texts: 64 points at six distinct distances
+    exponents = residue_space(2, 6).tree.exponents
+    n = len(exponents)
+    matrix = [["0" if e is None else f"1/{2**e}" for e in row] for row in exponents]
+    path = tmp_path / "in.json"
+    labels = [f"x{i}" for i in range(n)]
+    path.write_text(json.dumps({"labels": labels, "prime": 2, "matrix": matrix}))
+    calls = Counter()
+    for module, name in (
+        (spaces, "_violation_masks"),
+        (spaces, "_single_linkage"),
+        (padic, "_floor_log"),
+    ):
+        monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+
+    def counts(stages):
+        calls.clear()
+        report, outputs, code = run(PipelineConfig(stages=stages), path)
+        assert code == EXIT_OK and "expansion.json" in outputs
+        return calls["_violation_masks"], calls["_single_linkage"], calls["_floor_log"]
+
+    # control: with round the counter sees validate's masks, the closure and the proof
+    masks, linkages, logs = counts(("validate", "round", "expand", "verify"))
+    assert (masks, linkages) == (1, 2) and 0 < logs <= n - 1
+    # without round the proof is the validate stage, and each distinct distance is rounded once
+    masks, linkages, logs = counts(("validate", "expand", "verify"))
+    assert (masks, linkages) == (0, 1) and 0 < logs <= n - 1
+
+
+def _counted(calls: Counter, name: str, function):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counted

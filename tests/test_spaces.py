@@ -562,6 +562,37 @@ def test_space_rejects_zero_legs_forcing_zero():
         )
 
 
+def test_space_rejects_a_finite_diagonal_and_an_asymmetric_matrix():
+    with pytest.raises(NonzeroDiagonalError, match=r"^diagonal entry at index 0 is nonzero$"):
+        UltraSpace(labels=("a", "b"), prime=2, dist=((GammaValue(1), GammaValue(1)),) * 2)
+    with pytest.raises(AsymmetricMatrixError, match=r"^entries \(0,1\) and \(1,0\) differ$"):
+        UltraSpace(
+            labels=("a", "b"),
+            prime=2,
+            dist=((GAMMA_ZERO, GammaValue(1)), (GammaValue(2), GAMMA_ZERO)),
+        )
+
+
+def test_violations_read_as_the_list_of_triples():
+    # (0, 2) has middle points 1 and 3; (1, 3) has none, and no pair holds more
+    matrix = [[0, 1, 2, 1], [1, 0, 1, 1], [2, 1, 0, 1], [1, 1, 1, 0]]
+    found = validate_ultrametric(["a", "b", "c", "d"], matrix)
+    triples = violating_triples([[Fraction(x) for x in row] for row in matrix])
+    assert triples == [(0, 1, 2), (0, 3, 2)]
+    assert repr(found) == "Violations(count=2, first=(0, 1, 2))"
+    assert found[1] == found[-1] == (0, 3, 2) and found[-2] == (0, 1, 2)
+    assert found[:1] == triples[:1] and found[::-1] == triples[::-1]
+    for index in (2, -3):
+        with pytest.raises(IndexError, match="violation index out of range"):
+            found[index]
+    assert repr(Violations([])) == "Violations(count=0)"
+
+
+def test_a_c0_vector_norm_is_its_largest_coefficient_norm():
+    assert spaces.C0Vector(keys=((3, 1), (1, 0), (2, 4))).norm() == GammaValue(1)
+    assert spaces.C0Vector(keys=()).norm() == GAMMA_ZERO
+
+
 def test_space_json_roundtrip():
     space = _four_point_space()
     assert UltraSpace.from_json(space.to_json()) == space

@@ -374,3 +374,13 @@ def test_residue_space_cap_is_checked_before_building():
     for p, depth in [(2, MAX_RESIDUE_ORDER.bit_length()), (3, 7), (2, 10**12)]:
         with pytest.raises(ValueError, match=f"depth {depth} is too large"):
             residue_space(p, depth)
+
+
+def test_the_auto_schedule_is_bounded_before_any_level_is_built():
+    from ultrapoly.spectrum import MAX_AUTO_LEVELS, Schedule, ScheduleError
+
+    space = residue_space(2, 2)  # exponents 0 and 1: levels j = 0 .. 2 - b_shift
+    assert Schedule.auto(space, b_shift=3 - MAX_AUTO_LEVELS).depth == MAX_AUTO_LEVELS
+    message = f"needs {MAX_AUTO_LEVELS + 1} levels, more than {MAX_AUTO_LEVELS}"
+    with pytest.raises(ScheduleError, match=message):
+        Schedule.auto(space, b_shift=2 - MAX_AUTO_LEVELS)
