@@ -456,10 +456,11 @@ def _check_value_group(matrix: list, rows: list[list[tuple[int, int]]], space: U
     exponent, and every entry equals one between neighbours of the
     tree's order, so those n - 1 decide.
     """
-    p, order, exponents = space.prime, space.tree.order, space.tree.exponents
+    p, tree = space.prime, space.tree
     powers = {e: (1, p**e) if e >= 0 else (p**-e, 1) for e in space.finite_exponents()}
     powers[None] = (0, 1)
-    bad = {rows[x][y] for x, y in zip(order, order[1:]) if rows[x][y] != powers[exponents[x][y]]}
+    neighbours = zip(tree.order, tree.order[1:], tree.heights)
+    bad = {rows[x][y] for x, y, h in neighbours if rows[x][y] != powers[h]}
     if bad:
         entry = next(e for raw, row in zip(matrix, rows) for e, v in zip(raw, row) if v in bad)
         raise InputFormatError(f"entry {entry!r} is not a power of {p}; request the 'round' stage")

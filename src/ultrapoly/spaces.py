@@ -13,7 +13,7 @@ embedding turns those strings into an exact isometry.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -329,26 +329,65 @@ def subdominant_closure(
 
 
 class MergeTree:
-    """The single-linkage dendrogram of an ultrametric space, in integers.
+    """The single-linkage dendrogram of an ultrametric space, in O(n) integers.
 
     ``order`` lists the points so that every ball of the space is a
-    contiguous run, and ``heights[i]`` is the exponent of the merge that
-    joins ``order[i]`` and ``order[i + 1]`` (None: distance 0).  Two
-    points meet at their lowest common merge: the smallest height between
-    their positions, which is their entry in ``exponents``.  So the balls
-    of radius p^-j are the runs left when the order is cut at every
-    height below j, and a set's diameter is the distance of its first
-    and last points in the order.
+    contiguous run, ``position`` inverts it, and ``heights[i]`` is the
+    exponent of the merge that joins ``order[i]`` and ``order[i + 1]``
+    (None: distance 0).  Two points meet at the smallest finite height
+    between their positions (None: there is none).  So the balls of
+    radius p^-j are the runs left when the order is cut at every height
+    below j, and a set's diameter is the distance of its first and last
+    points in the order.  ``rows`` writes the table of every pair.
     """
 
-    def __init__(self, exponents: tuple[tuple[int | None, ...], ...], order: Sequence[int]):
-        self.exponents = exponents
+    def __init__(self, order: Sequence[int], heights: Sequence[int | None]):
         self.order = tuple(order)
-        self.heights = tuple(exponents[x][y] for x, y in zip(order, order[1:]))
+        self.heights = tuple(heights)
         position = [0] * len(order)
         for i, x in enumerate(order):
             position[x] = i
         self.position = tuple(position)
+
+    def _meet(self, i: int, k: int) -> int | None:
+        """Exponent of the points at positions i <= k: the range minimum of heights."""
+        span = self.heights[i:k]
+        try:
+            return min(span) if span else None
+        except TypeError:  # None (distance 0) beside another height: it is never the minimum
+            return min([h for h in span if h is not None], default=None)
+
+    def rows(self, value: Callable[[int | None], object] = lambda e: e) -> list[list]:
+        """The exponent of every pair mapped by ``value``, row by row in point order.
+
+        Each distinct height is mapped once.  The row of ``order[r]`` copies
+        the row before it and rewrites the two runs that the gap between
+        them merges, so past the copies the work is O(n * depth).
+        """
+        order, n = self.order, len(self.order)
+        top = max(self.finite_heights(), default=0) + 1  # None ranks above every height
+        keys = [top if h is None else h for h in self.heights]
+        values = {h: value(None if h == top else h) for h in {top, *keys}}
+        table, row = [None] * n, [None] * n
+        # h: the height of the gap before position r; -inf writes row 0 in full
+        for r, h in enumerate([float("-inf"), *keys]):
+            row = row.copy()
+            if h != top:
+                # the left run now meets point r at h; the right run is a running minimum
+                start = max(r - 1, 0)
+                while start and keys[start - 1] > h:
+                    start -= 1
+                for c in range(start, r):
+                    row[order[c]] = values[h]
+                low = top
+                row[order[r]] = values[top]
+                for c in range(r + 1, n):
+                    low = min(low, keys[c - 1])
+                    if low <= h:
+                        break
+                    row[order[c]] = values[low]
+            table[order[r]] = row
+        return table
 
     @property
     def separated(self) -> bool:
@@ -381,9 +420,9 @@ class MergeTree:
     def diameter(self, points: Iterable[int]) -> int | None:
         """Exponent of the largest distance within points (None: 0, or fewer than two points)."""
         ranks = [self.position[x] for x in points]
-        if not ranks:
+        if len(ranks) < 2:
             return None
-        return self.exponents[self.order[min(ranks)]][self.order[max(ranks)]]
+        return self._meet(min(ranks), max(ranks))
 
     def nearest(self, x: int) -> int | None:
         """Exponent of x's distance to its nearest other point (None: 0).
@@ -404,12 +443,12 @@ class MergeTree:
         """
         if not all(groups):
             raise ValueError("set distance of an empty block")
-        position, order, exponents = self.position, self.order, self.exponents
+        position = self.position
         entries = sorted((position[x], g) for g, group in enumerate(groups) for x in group)
         best = None
         for (i, g), (k, h) in zip(entries, entries[1:]):
             if g != h:
-                e = exponents[order[i]][order[k]]
+                e = self._meet(i, k)
                 if e is None:
                     return None
                 if best is None or e > best:
@@ -449,7 +488,7 @@ def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> Merg
     order = _ultrametric_order(weights)
     if order is None:
         raise NotUltrametricError(Violations(_violation_masks(weights)), labels)
-    return MergeTree(expo, order)
+    return MergeTree(order, [expo[x][y] for x, y in zip(order, order[1:])])
 
 
 class UltraSpace(Frozen):
@@ -459,9 +498,9 @@ class UltraSpace(Frozen):
     INFINITY entries are permitted until ``quotient_zero`` enforces
     separation.  Immutable; safe to share between threads.
 
-    ``tree``, the ``MergeTree`` with its exponent matrix, is the stored form,
+    ``tree``, the ``MergeTree`` (leaf order and n - 1 heights), is the stored form,
     proved by the constructor or handed over by a builder that proved it.
-    Equality, hashing and JSON ignore it; ``dist`` is built from it when read.
+    Equality, hashing and JSON ignore it; ``dist`` is written from it when read.
     """
 
     __slots__ = ("labels", "prime", "tree", "__dict__")
@@ -486,10 +525,8 @@ class UltraSpace(Frozen):
 
     @cached_property
     def dist(self) -> tuple[tuple[GammaValue, ...], ...]:
-        # every off-diagonal exponent is a merge height: one GammaValue each
-        values = {e: GammaValue(e) for e in self.tree.finite_heights()}
-        values[None] = GAMMA_ZERO
-        return tuple(tuple(map(values.__getitem__, row)) for row in self.tree.exponents)
+        # every exponent is a merge height or None: one GammaValue each
+        return tuple(map(tuple, self.tree.rows(GammaValue)))
 
     @property
     def n_points(self) -> int:
@@ -514,9 +551,7 @@ class UltraSpace(Frozen):
         return {
             "labels": list(self.labels),
             "prime": self.prime,
-            "gamma_matrix": [
-                ["INF" if e is None else e for e in row] for row in self.tree.exponents
-            ],
+            "gamma_matrix": self.tree.rows(lambda e: "INF" if e is None else e),
         }
 
     @classmethod
@@ -563,8 +598,8 @@ def round_space(
     for x, y in zip(order, order[1:]):
         if keys[x][y] not in exponent:
             exponent[keys[x][y]] = _round_pair(*_entry_pair(matrix[x][y]), p).exponent
-    rounded = tuple(tuple(map(exponent.__getitem__, row)) for row in keys)
-    return UltraSpace._from_tree(labels, p, MergeTree(rounded, order))
+    heights = [exponent[keys[x][y]] for x, y in zip(order, order[1:])]
+    return UltraSpace._from_tree(labels, p, MergeTree(order, heights))
 
 
 def space_from_points(
@@ -603,11 +638,12 @@ def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:
         for cls in classes
         for member in cls[1:]
     }
-    # each class is a run of the order, so its representative keeps the run's place
+    # each class is a run of the order, so its representative keeps the
+    # run's place, and the finite heights are the merges between the runs
     order = sorted(range(len(reps)), key=lambda i: tree.position[reps[i]])
-    exponents = tuple(tuple([tree.exponents[a][b] for b in reps]) for a in reps)
+    heights = [h for h in tree.heights if h is not None]
     labels = tuple(space.labels[r] for r in reps)
-    return UltraSpace._from_tree(labels, space.prime, MergeTree(exponents, order)), report
+    return UltraSpace._from_tree(labels, space.prime, MergeTree(order, heights)), report
 
 
 class BaireCodes(Frozen):

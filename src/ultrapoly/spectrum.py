@@ -417,7 +417,12 @@ def assemble_expansion(space: UltraSpace, schedule: Schedule | None = None) -> E
     if schedule is None:
         schedule = Schedule.auto(space)
     if not space.is_separated:
-        raise UnseparatedSpaceError("expansion requires a separated space")
+        # the first coinciding pair in scan order: the first zero class of two or more
+        a, b = next(cls for cls in space.tree.classes(None) if len(cls) > 1)[:2]
+        raise UnseparatedSpaceError(
+            f"expansion requires a separated space: {space.labels[a]} and {space.labels[b]}"
+            " are at distance 0; merge them with quotient_zero (the 'round' stage)"
+        )
     codes = baire_encode(space)
     vectors = c0_embed(codes)
     levels = tuple(
@@ -464,7 +469,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
             raise ScheduleError("limit recovery needs finite level thresholds")
         taus.append(e)
     threads = [expansion.thread(x) for x in range(space.n_points)]
-    exponents = space.tree.exponents
+    exponents = space.tree.rows()
     mismatches = []
     for x in range(space.n_points):
         for y in range(x + 1, space.n_points):
@@ -484,8 +489,8 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
     return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
 
 
-#: Largest group Z/p^depth that ``residue_space`` builds in full: its
-#: space stores (p^depth)^2 distances, 4M at the cap.
+#: Largest group Z/p^depth that ``residue_space`` builds in full: its build
+#: and its ``gamma_matrix`` hold (p^depth)^2 entries each, 4M at the cap.
 MAX_RESIDUE_ORDER = 2048
 
 #: Most levels ``Schedule.auto`` builds, one per exponent step.  Positive
@@ -562,5 +567,5 @@ def group_expansion(
                 if w != v % modulus:
                     reduction_ok = False
         report["bonding_is_mod_reduction"] = reduction_ok
-        report["translation_invariant"] = _shift_invariant(space.tree.exponents)
+        report["translation_invariant"] = _shift_invariant(space.tree.rows())
     return expansion, report

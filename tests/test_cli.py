@@ -390,6 +390,22 @@ def test_a_matrix_without_round_fails_as_its_validate_stage_would(tmp_path, caps
         assert not out.exists()
 
 
+def test_unseparated_digit_streams_need_the_round_stage(tmp_path, capsys):
+    # 0 and 0 + 0*2 are one point: expand names the pair, and round merges it
+    obj = {"labels": ["a", "b"], "prime": 2, "padic_points": [[0], [0, 0]]}
+    path = _write(tmp_path / "in.json", obj)
+    out = tmp_path / "out"
+    assert main(["expand", path, "--stages", "validate,expand", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: expansion requires a separated space: a and b are at distance 0;"
+        " merge them with quotient_zero (the 'round' stage)\n"
+    )
+    assert not out.exists()
+    assert main(["expand", path, "--out", str(out)]) == EXIT_OK
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert stages["round"]["merged"] == [["b", "a"]]
+
+
 @pytest.mark.parametrize("command", ["validate", "expand"])
 def test_an_input_that_is_no_object_is_an_input_error(tmp_path, capsys, command):
     path = _write(tmp_path / "list.json", [{"labels": ["a"], "prime": 2, "matrix": [[0]]}])

@@ -26,7 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrapoly import NotUltrametricError, round_space, subdominant_closure, validate_ultrametric
+from ultrapoly import (
+    NotUltrametricError,
+    UnseparatedSpaceError,
+    round_space,
+    subdominant_closure,
+    validate_ultrametric,
+)
 from ultrapoly import padic, spaces
 from ultrapoly.cli import (
     EXIT_INPUT,
@@ -511,9 +517,15 @@ def test_a_matrix_without_round_is_proved_by_its_validate_stage(case, expand):
         message = f"entry {outside[0]!r} is not a power of {p}; request the 'round' stage"
         assert checked == unchecked == (EXIT_INPUT, None, None, (InputFormatError, message))
         return
-    if expand and any(exact[i][j] == 0 for i in range(len(exact)) for j in range(i)):
+    zeros = [(i, j) for i in range(len(exact)) for j in range(i + 1, len(exact)) if not exact[i][j]]
+    if expand and zeros:
+        i, j = zeros[0]
+        message = (
+            f"expansion requires a separated space: {labels[i]} and {labels[j]}"
+            " are at distance 0; merge them with quotient_zero (the 'round' stage)"
+        )
         assert checked == unchecked
-        assert checked[0] == EXIT_INPUT and checked[3][1] == "expansion requires a separated space"
+        assert checked[0] == EXIT_INPUT and checked[3] == (UnseparatedSpaceError, message)
         return
     code, stages, outputs, _ = checked
     assert code == EXIT_OK and stages["validate"] == {"status": "passed", "violations": 0}
@@ -528,7 +540,7 @@ def test_a_matrix_without_round_is_proved_by_its_validate_stage(case, expand):
 
 def test_a_matrix_without_round_is_proved_once_and_rounded_once(tmp_path, monkeypatch):
     # Z/2^6 written as 1/2^e texts: 64 points at six distinct distances
-    exponents = residue_space(2, 6).tree.exponents
+    exponents = residue_space(2, 6).tree.rows()
     n = len(exponents)
     matrix = [["0" if e is None else f"1/{2**e}" for e in row] for row in exponents]
     path = tmp_path / "in.json"

@@ -41,9 +41,10 @@ def _assert_proved_alike(space: UltraSpace) -> None:
     assert space == checked and hash(space) == hash(checked)
     assert repr(space) == repr(checked)
     assert space.to_json() == checked.to_json()
-    assert space.tree.exponents == checked.tree.exponents
+    rows = space.tree.rows()
+    assert rows == checked.tree.rows()
     assert space.tree.heights == tuple(
-        space.tree.exponents[x][y] for x, y in zip(space.tree.order, space.tree.order[1:])
+        rows[x][y] for x, y in zip(space.tree.order, space.tree.order[1:])
     )
     heights = space.tree.finite_heights()
     for j in [None, *range(heights[0] - 1, heights[-1] + 2)] if heights else [None, 0]:
@@ -55,9 +56,8 @@ def _assert_quotient_alike(space: UltraSpace) -> None:
     _assert_proved_alike(merged)
     assert merged.is_separated
     kept = [space.labels.index(label) for label in merged.labels]
-    assert merged.tree.exponents == tuple(
-        tuple(space.tree.exponents[a][b] for b in kept) for a in kept
-    )
+    rows = space.tree.rows()
+    assert merged.tree.rows() == [[rows[a][b] for b in kept] for a in kept]
     assert set(report) | set(merged.labels) == set(space.labels)
 
 
@@ -69,7 +69,7 @@ def test_rounded_and_quotient_spaces_match_the_constructor(case, p):
     space = round_space(labels, subdominant_closure(written), p)
     kind, expected = fraction_round_check(fraction_closure(exact), p)
     assert kind == "exponents"
-    assert [list(row) for row in space.tree.exponents] == expected
+    assert space.tree.rows() == expected
     _assert_proved_alike(space)
     _assert_quotient_alike(space)
 
@@ -88,13 +88,25 @@ def test_point_spaces_match_the_constructor(points):
         assert (info.value.triple, str(info.value)) == (exc.triple, str(exc))
         return
     space = space_from_points(points)
-    assert space == expected and space.tree.exponents == expected.tree.exponents
+    assert space == expected and space.tree.rows() == expected.tree.rows()
     _assert_proved_alike(space)
     _assert_quotient_alike(space)
 
 
 def _streams(*streams, p=2):
     return [PAdic.from_digit_stream(stream, p) for stream in streams]
+
+
+def test_a_tree_stores_no_pairwise_table():
+    # each builder hands over the leaf order and n - 1 heights, never an n x n table
+    points = space_from_points(_streams([1], [0, 1], [1], [0, 0, 1]))
+    rounded = round_space(["a", "b", "c"], [["0", "0", "3"], ["0", "0", "3"], ["3", "3", "0"]], 2)
+    built = [points, rounded, quotient_zero(points)[0], quotient_zero(rounded)[0]]
+    built.append(UltraSpace(points.labels, points.prime, points.dist))
+    for space in built:
+        for name, value in vars(space.tree).items():
+            assert isinstance(value, tuple) and len(value) <= space.n_points, name
+            assert all(entry is None or type(entry) is int for entry in value), name
 
 
 CROOKED = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]

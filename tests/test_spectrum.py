@@ -362,9 +362,9 @@ def test_group_expansion_rejects_bad_parameters():
 def test_translation_check_reads_the_space_distances():
     from ultrapoly.spectrum import _shift_invariant
 
-    assert _shift_invariant(residue_space(3, 3).tree.exponents)
+    assert _shift_invariant(residue_space(3, 3).tree.rows())
     # 27 random codes of one space, in code order: not a cyclic group
-    assert not _shift_invariant(random_code_space(random.Random(5), 3, 27).tree.exponents)
+    assert not _shift_invariant(random_code_space(random.Random(5), 3, 27).tree.rows())
 
 
 def test_residue_space_cap_is_checked_before_building():
