@@ -174,10 +174,18 @@ class RunReport(Record):
 
 
 def _load_json(path: Path, parse_float=None):
+    """The JSON value in the file at path, read as UTF-8 (RFC 8259) whatever the locale.
+
+    The bytes are decoded once, with no newline translation, and freed
+    before the text is parsed; ``json.loads`` on bytes would also take
+    UTF-16 and UTF-32.
+    """
     try:
-        text = path.read_text()
+        text = str(path.read_bytes(), "utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
@@ -202,7 +210,7 @@ def _dump_json(path: Path, obj) -> None:
     written as they are made: the whole text would set the peak memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         _write_json(fh.write, obj, 0)
         fh.write("\n")
 
@@ -612,7 +620,7 @@ def export_dot(bundle: dict, out_dir: Path) -> list[Path]:
         nerve = NerveComplex.from_json(level_obj)
         path = out_dir / f"level_{nerve.level}.dot"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(nerve_to_dot(nerve, labels=labels))
+        path.write_text(nerve_to_dot(nerve, labels=labels), encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -755,7 +763,8 @@ def _write_theta_csv(shadow: dict, out_dir: Path) -> None:
     from .shadow import theta_table_csv
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "theta.csv").write_text(theta_table_csv(shadow["theta_samples"]))
+    table = theta_table_csv(shadow["theta_samples"])
+    (out_dir / "theta.csv").write_text(table, encoding="utf-8")
 
 
 def _cmd_demo_zp(args) -> int:

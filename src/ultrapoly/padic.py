@@ -15,9 +15,14 @@ INFINITY exponent (p^(-inf)).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
+
+# fractions (which loads decimal) is imported by the functions that build a
+# Fraction, so digit-stream runs never load it; type checkers read this as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PrimeMismatchError(ValueError):
@@ -236,6 +241,8 @@ class GammaValue(Frozen):
 
     def as_fraction(self, p: int) -> Fraction:
         """Exact rational value p^(-exponent); 0 for INFINITY."""
+        from fractions import Fraction
+
         if self.exponent is None:
             return Fraction(0)
         if self.exponent >= 0:
@@ -305,6 +312,8 @@ def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
                 if den:
                     g = gcd(num, den)
                     return num // g, den // g
+    from fractions import Fraction
+
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator, value.denominator
@@ -361,6 +370,8 @@ def round_to_gamma(r: int | str | Fraction, p: int) -> GammaValue:
     check_prime(p)
     num, den = _exact_pair(r)
     if num < 0:
+        from fractions import Fraction
+
         raise ValueError(f"cannot round negative value {Fraction(num, den)}")
     return _round_pair(num, den, p)
 
@@ -411,6 +422,8 @@ class PAdic(Frozen):
     @classmethod
     def from_fraction(cls, q: int | str | Fraction, p: int, precision: int = 32) -> "PAdic":
         """Exact image of a rational; the denominator's p-part lowers the valuation."""
+        from fractions import Fraction
+
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, precision)

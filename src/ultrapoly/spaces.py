@@ -14,8 +14,7 @@ embedding turns those strings into an exact isometry.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
 
@@ -29,6 +28,12 @@ from .padic import (
     check_prime,
     difference_exponents,
 )
+
+# fractions (which loads decimal) is imported where a Fraction is built, so
+# digit-stream runs never load it; type checkers read this as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MatrixShapeError(ValueError):
@@ -112,6 +117,8 @@ def _exact_rows(
         for i in range(n):
             key_i = keys[i]
             if key_i[i]:
+                from fractions import Fraction
+
                 raise NonzeroDiagonalError(
                     f"diagonal entry at index {i} is {Fraction(*_entry_pair(flat[i * n + i]))}"
                 )
@@ -297,7 +304,12 @@ def _ultrametric_order(rows: list[list[int]]) -> list[int] | None:
     return order
 
 
-_FRACTION_ZERO = Fraction(0)
+@cache
+def _fraction_zero() -> Fraction:
+    """The zero the closure's diagonal shares, built on first use, once per process."""
+    from fractions import Fraction
+
+    return Fraction(0)
 
 
 def subdominant_closure(
@@ -313,9 +325,12 @@ def subdominant_closure(
     entry.  One ``Fraction`` is built per distinct merge weight, and the
     rows share it.
     """
+    from fractions import Fraction
+
     keys = _exact_rows(matrix)
     n = len(keys)
-    out = [[_FRACTION_ZERO] * n for _ in range(n)]
+    zero = _fraction_zero()
+    out = [[zero] * n for _ in range(n)]
     last = value = None
     for u, v, a, b in _single_linkage(keys):
         weight = keys[u][v]
@@ -602,13 +617,41 @@ def round_space(
     return UltraSpace._from_tree(labels, p, MergeTree(order, heights))
 
 
+def _stream_tree(points: Sequence[PAdic], end: int) -> MergeTree:
+    """The merge tree of points whose nonzero members all know their digits up to ``end``.
+
+    Each point is its digit window from the least valuation, base, up to
+    end, with zeros below its valuation; a zero point is all zeros.  Two
+    points are then at the exponent of their first differing digit (None:
+    equal windows).  Sorted lexicographically, the first difference of
+    any two windows is the least first difference of neighbours between
+    them, so the sorted order and the neighbours' first differences are
+    the tree: O(n * L log n) for windows of L digits, and no pair table.
+    """
+    base = min((x.valuation for x in points if not x.is_zero), default=end)
+    windows = [
+        (0,) * (end - base) if x.is_zero else (0,) * (x.valuation - base) + x.digits
+        for x in points
+    ]
+    order = sorted(range(len(points)), key=windows.__getitem__)
+    heights = [
+        next((base + i for i, (a, b) in enumerate(zip(windows[x], windows[y])) if a != b), None)
+        for x, y in zip(order, order[1:])
+    ]
+    return MergeTree(order, heights)
+
+
 def space_from_points(
     points: Sequence[PAdic], labels: Sequence[str] | None = None
 ) -> UltraSpace:
     """Distance matrix |x_i - x_j|_p over a family of p-adic values.
 
-    The exponents come from ``difference_exponents``: integer arithmetic
-    on each point's digit window, with no PAdic built per pair.
+    When every nonzero point knows its digits up to one position, the
+    space needs no proof: its tree is the sorted order of the digit
+    windows (``_stream_tree``).  Windows that end apart can break the
+    strong triangle inequality, so there the exponents of every pair come
+    from ``difference_exponents`` (integer arithmetic on each window, no
+    PAdic built per pair) and ``_proved_tree`` proves them, in O(n^2).
     """
     if not points:
         raise ValueError("need at least one point")
@@ -618,7 +661,15 @@ def space_from_points(
     if labels is None:
         labels = [f"x{i}" for i in range(len(points))]
     labels = tuple(labels)
-    return UltraSpace._from_tree(labels, p, _proved_tree(labels, p, difference_exponents(points)))
+    ends = {x.known_upto() for x in points if not x.is_zero}
+    if len(ends) > 1:
+        tree = _proved_tree(labels, p, difference_exponents(points))
+    else:
+        _check_labels(labels, p)
+        if len(labels) != len(points):
+            raise MatrixShapeError("distance matrix must be square over the labels")
+        tree = _stream_tree(points, ends.pop() if ends else 0)
+    return UltraSpace._from_tree(labels, p, tree)
 
 
 def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:

@@ -378,8 +378,61 @@ class Expansion(Frozen):
                     f"thread breaks between levels {m + 1} and {m}"
                 )
 
+    @cached_property
+    def _certified_threads(self) -> dict[tuple[int, ...], int]:
+        """The threads whose reconstruction is proved, each with its one point.
+
+        With each vertex listed under one simplex that holds it, a finer
+        simplex whose images are all listed under one coarser simplex
+        lies in it: that is its parent, and a thread whose every index is
+        the parent of the next is coherent.  Each finest cell that holds
+        one point x lists at most one thread: it, and a cell per coarser
+        level whose support holds x, when they are coherent.  Its preimage
+        is then {x}: x lies in every cell, and the finest holds nothing
+        else.  Decided once per expansion, whose levels and maps are not
+        to be changed afterwards: O(n * depth).  Levels whose cells and
+        simplexes differ in number, or too few maps, list no thread.
+        """
+        levels = self.levels
+        if len(self.bonding) < len(levels) - 1 or any(
+            len(level.nerve.maximal_simplexes) != len(level.realization.cells) for level in levels
+        ):
+            return {}
+        simplex_at = [
+            {v: idx for idx, s in enumerate(level.nerve.maximal_simplexes) for v in s}
+            for level in levels[:-1]
+        ]
+        parents = []
+        for bmap, fine, coarse in zip(self.bonding, levels[1:], simplex_at):
+            parent = []
+            for s in fine.nerve.maximal_simplexes:
+                images = {coarse.get(bmap.vertex_map.get(v)) for v in s}
+                parent.append(images.pop() if len(images) == 1 else None)
+            parents.append(parent)
+        cell_at = [
+            {x: idx for idx, cell in enumerate(level.realization.cells) for x in cell.support}
+            for level in levels[:-1]
+        ]
+        certified = {}
+        for finest, cell in enumerate(levels[-1].realization.cells):
+            if len(set(cell.support)) == 1:
+                x = cell.support[0]
+                thread = (*(cells.get(x) for cells in cell_at), finest)
+                if None not in thread and all(
+                    parent[idx] == up for parent, idx, up in zip(parents, thread[1:], thread)
+                ):
+                    certified[thread] = x
+        return certified
+
     def reconstruct(self, thread: Sequence[int]) -> frozenset[int]:
-        """Intersect the preimages of the thread's simplexes over all levels."""
+        """Intersect the preimages of the thread's simplexes over all levels.
+
+        A thread of ``_certified_threads`` is its point, found in O(depth);
+        any other is checked and intersected cell by cell.
+        """
+        point = self._certified_threads.get(tuple(thread))
+        if point is not None:
+            return frozenset((point,))
         self.check_thread(thread)
         points: set[int] | None = None
         for level, idx in zip(self.levels, thread):
@@ -461,6 +514,12 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
     where a pair never splits or sits at distance 0), and ``bound``, the
     largest step between consecutive threshold exponents less one: the
     worst-case recovery error for the schedule.
+
+    Limit recovery is the depth of the lowest common ancestor: when every
+    level's simplexes are the tree's cut at its threshold exponent
+    (``_threads_are_cuts``), recovery is decided once per distinct merge
+    height, and only a height that fails lists its pairs, O(n * depth)
+    past those.  Otherwise the threads of every pair are scanned.
     """
     taus = []
     for level in expansion.levels:
@@ -469,12 +528,75 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
             raise ScheduleError("limit recovery needs finite level thresholds")
         taus.append(e)
     threads = [expansion.thread(x) for x in range(space.n_points)]
-    exponents = space.tree.rows()
+    tree = space.tree
+    if _threads_are_cuts(tree, taus, threads):
+        mismatches = []
+        for h in set(tree.heights):
+            entry = _recovery(taus, h)
+            if entry is not None:
+                mismatches.extend([x, y, *entry] for x, y in _pairs_at(tree, h))
+        mismatches.sort(key=lambda entry: entry[:2])
+    else:
+        mismatches = _pairwise_recovery(tree.rows(), taus, threads)
+    steps = [b - a for a, b in zip(taus, taus[1:])]
+    return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
+
+
+def _threads_are_cuts(tree, taus: Sequence[int], threads: Sequence[tuple[int, ...]]) -> bool:
+    """Whether each level's simplexes are the blocks of the tree's cut at its threshold exponent.
+
+    At level m two points share a simplex exactly when they share a block
+    of ``tree.cut(taus[m])`` if their (block, simplex) pairs are as many
+    as the blocks and as the simplexes: O(n) per level.
+    """
+    for m, tau in enumerate(taus):
+        simplexes = [thread[m] for thread in threads]
+        blocks = tree.cut(tau)
+        matched = len(set(zip(blocks, simplexes)))
+        if not matched == len(set(blocks)) == len(set(simplexes)):
+            return False
+    return True
+
+
+def _recovery(taus: Sequence[int], h: int | None) -> list | None:
+    """[recovered, actual] for every pair at exponent h when recovery fails on it, or None.
+
+    Given ``_threads_are_cuts``, a pair's threads first differ at the
+    first level whose threshold exponent exceeds h; a pair at distance 0
+    (h None) never splits.
+    """
+    if h is None:
+        return [None, -1]
+    first = next((tau for tau in taus if tau > h), None)
+    if first is None:
+        return [None, h]
+    return None if first - 1 == h else [first - 1, h]
+
+
+def _pairs_at(tree, h: int | None) -> list[tuple[int, int]]:
+    """The pairs x < y at exponent h (None: distance 0): one block of cut(h), two of cut(h + 1)."""
+    outer = tree.cut(h)
+    inner = range(len(outer)) if h is None else tree.cut(h + 1)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for x, (block, sub) in enumerate(zip(outer, inner)):
+        groups.setdefault(block, []).append((x, sub))
+    return [
+        (x, y)
+        for group in groups.values()
+        for a, (x, sub) in enumerate(group)
+        for y, other in group[a + 1 :]
+        if sub != other
+    ]
+
+
+def _pairwise_recovery(exponents, taus: Sequence[int], threads) -> list[list]:
+    """``limit_isometry_check``'s mismatches, scanning the threads of every pair."""
+    n = len(threads)
     mismatches = []
-    for x in range(space.n_points):
-        for y in range(x + 1, space.n_points):
+    for x in range(n):
+        for y in range(x + 1, n):
             first = None
-            for m in range(expansion.depth):
+            for m in range(len(taus)):
                 if threads[x][m] != threads[y][m]:
                     first = m
                     break
@@ -485,8 +607,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
             recovered = taus[first] - 1
             if recovered != actual:
                 mismatches.append([x, y, recovered, actual])
-    steps = [b - a for a, b in zip(taus, taus[1:])]
-    return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
+    return mismatches
 
 
 #: Largest group Z/p^depth that ``residue_space`` builds in full: its build

@@ -619,3 +619,85 @@ def fraction_round_check(
                     return "witness", violating_triples(matrix)[0]
                 out[x][y] = out[y][x] = e
     return "exponents", out
+
+
+def difference_exponents(points) -> list[list[int | None]]:
+    """Exponent of |x_i - x_j|_p for every pair (None: zero), from each point's fields.
+
+    A point has ``prime``, ``valuation``, ``digits`` (empty for zero) and
+    ``precision``; its value is the sum of digits[i] * p^(valuation + i),
+    known below valuation + precision.  A zero operand leaves the other's
+    valuation, as p-adic subtraction does.  For two nonzero points the
+    difference is read as a Fraction: its valuation, by trial division,
+    when that lies below the smaller window end, else None (it vanishes at
+    that precision).
+    """
+
+    def value(x) -> Fraction:
+        p = Fraction(x.prime)
+        return sum(d * p ** (x.valuation + i) for i, d in enumerate(x.digits))
+
+    n = len(points)
+    out: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            if i == j or (not x.digits and not y.digits):
+                continue
+            if not x.digits or not y.digits:
+                out[i][j] = (y if not x.digits else x).valuation
+                continue
+            end = min(x.valuation + x.precision, y.valuation + y.precision)
+            diff = value(x) - value(y)
+            if diff != 0:
+                e = trial_division_valuation(diff.numerator, diff.denominator, x.prime)
+                out[i][j] = e if e < end else None
+    return out
+
+
+def pairwise_limit_recovery(
+    exponents: list[list[int | None]], thresholds: list[int], threads: list[tuple[int, ...]]
+) -> dict:
+    """Limit recovery by scanning the threads of every pair, in scan order.
+
+    A pair's recovered exponent is the threshold exponent of the first
+    level where its threads differ, less one.  A mismatch is
+    [x, y, recovered, actual], with recovered None for a pair that never
+    splits and actual -1 for a pair at distance zero.  ``bound`` is the
+    largest step between consecutive thresholds, less one.
+    """
+    n = len(threads)
+    mismatches = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            split = [m for m in range(len(thresholds)) if threads[x][m] != threads[y][m]]
+            actual = exponents[x][y]
+            recovered = thresholds[split[0]] - 1 if split else None
+            if actual is None or recovered is None:
+                mismatches.append([x, y, None, -1 if actual is None else actual])
+            elif recovered != actual:
+                mismatches.append([x, y, recovered, actual])
+    steps = [b - a for a, b in zip(thresholds, thresholds[1:])]
+    return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
+
+
+def thread_preimage(
+    simplexes: list[list[tuple[int, ...]]],
+    vertex_maps: list[dict],
+    supports: list[list[tuple[int, ...]]],
+    thread: tuple[int, ...],
+) -> frozenset[int] | None:
+    """The points under every cell of a thread, or None when the thread is incoherent.
+
+    ``vertex_maps[m]`` sends level m + 1's vertices to level m's; a
+    thread is incoherent when the image of some finer simplex of it is
+    not inside the coarser one.  The preimage intersects the supports of
+    the thread's cells.
+    """
+    for m in range(len(thread) - 1):
+        image = {vertex_maps[m].get(v) for v in simplexes[m + 1][thread[m + 1]]}
+        if not image <= set(simplexes[m][thread[m]]):
+            return None
+    points = set(supports[0][thread[0]])
+    for level_supports, idx in zip(supports[1:], thread[1:]):
+        points &= set(level_supports[idx])
+    return frozenset(points)

@@ -791,3 +791,44 @@ def test_bundles_do_not_depend_on_the_hash_seed(tmp_path, obj, stages):
     assert {"expansion.json", "space.json"} <= set(first)
     assert ("shadow.json" in first) == stages.endswith("shadow")
     assert _expand_under_hash_seed(tmp_path, obj, stages, "1") == first
+
+
+def _run_under_c_locale(*args: str) -> subprocess.CompletedProcess:
+    """``python -m ultrapoly <args>`` with an ASCII locale and no UTF-8 mode or coercion."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=60
+    )
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # control: under this locale the default text encoding is ASCII
+    probe = _run_under_c_locale("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert probe.stdout.decode().strip() in {"ANSI_X3.4-1968", "ascii", "US-ASCII"}
+    obj = {"labels": ["café", "b", "c"], "prime": 2, "padic_points": [[1, 0], [1, 1], [0, 1]]}
+    source = tmp_path / "in.json"
+    source.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+    out, dot = tmp_path / "out", tmp_path / "dot"
+    expand = _run_under_c_locale("-m", "ultrapoly", "expand", str(source), "--out", str(out))
+    assert expand.returncode == EXIT_OK, expand.stderr
+    bundle = out / "expansion.json"
+    assert json.loads(bundle.read_bytes())["space"]["labels"][0] == "café"
+    export = _run_under_c_locale("-m", "ultrapoly", "export", "dot", str(bundle), "--out", str(dot))
+    assert export.returncode == EXIT_OK, export.stderr
+    assert '"café"'.encode("utf-8") in (dot / "level_0.dot").read_bytes()
+
+
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path):
+    source = tmp_path / "latin1.json"
+    source.write_bytes(b'{"labels": ["caf\xe9"], "prime": 2, "padic_points": [[1]]}')
+    for args in (["expand", str(source), "--out", str(tmp_path)], ["validate", str(source)]):
+        proc = _run_under_c_locale("-m", "ultrapoly", *args)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.decode().startswith(f"error: {source}: not UTF-8 text")

@@ -42,6 +42,9 @@ SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 # dataclasses loads inspect, which loads ast, dis and tokenize; typing is
 # looked for under `python -S`, since some interpreters' site loads it
 SLOW_MODULES = ("dataclasses", "inspect", "typing")
+# exact rationals, which load decimal: only the commands that build a Fraction
+# (matrix ingest, the shadow's theta values) need them
+FRACTION_MODULES = ("fractions", "decimal")
 
 # runs `python -m ultrapoly <args>` in this interpreter, then records the exit
 # code, the package modules it loaded and which of SLOW_MODULES it loaded
@@ -52,7 +55,7 @@ try:
     runpy.run_module("ultrapoly", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-modules = sorted(m for m in sys.modules if m.startswith("ultrapoly") or m in {SLOW_MODULES})
+modules = sorted(m for m in sys.modules if m.startswith("ultrapoly") or m in {SLOW_MODULES + FRACTION_MODULES})
 with open(out, "w") as fh:
     json.dump({{"code": code, "modules": modules}}, fh)
 """
@@ -117,6 +120,30 @@ def test_expand_loads_shadow_only_for_the_shadow_stage(tmp_path, matrix_input):
         tmp_path, "expand", matrix_input, "--stages", stages, "--out", str(tmp_path / "b")
     )
     assert "shadow" in with_shadow
+
+
+@pytest.fixture
+def stream_input(tmp_path):
+    path = tmp_path / "streams.json"
+    streams = [[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    path.write_text(json.dumps({"labels": list("abcd"), "prime": 2, "padic_points": streams}))
+    return str(path)
+
+
+def test_streams_and_dot_export_load_no_fractions(tmp_path, stream_input, bundle):
+    # without site, which on some interpreters loads more than it needs
+    expand = ["expand", stream_input, "--out", str(tmp_path / "e")]
+    export = ["export", "dot", bundle, "--out", str(tmp_path / "d")]
+    for argv in (expand, export):
+        assert not _loaded(tmp_path, *argv, flags=("-S",)) & set(FRACTION_MODULES), argv
+
+
+def test_matrix_expand_and_shadow_load_fractions(tmp_path, matrix_input, bundle):
+    # positive control: the same probe sees the commands that build a Fraction
+    expand = ["expand", matrix_input, "--out", str(tmp_path / "e")]
+    shadow = ["shadow", bundle, "--out", str(tmp_path / "s")]
+    for argv in (expand, shadow):
+        assert set(FRACTION_MODULES) <= _loaded(tmp_path, *argv, flags=("-S",)), argv
 
 
 def test_validate_loads_neither_spectrum_nor_shadow(tmp_path, matrix_input):

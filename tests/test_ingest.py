@@ -264,6 +264,8 @@ def test_the_cli_raw_path_builds_one_fraction_per_distinct_merge_weight(tmp_path
         built.append(args)
         return original(cls, *args, **kwargs)
 
+    # the diagonal's shared zero is built once per process, on first use
+    subdominant_closure([["0"]])
     monkeypatch.setattr(Fraction, "__new__", counted)
     # control: the counter sees the Fractions the old parse would build
     [[Fraction(entry) for entry in row] for row in matrix]

@@ -11,7 +11,11 @@ the routes it checks:
   the echoed digit streams change;
 - restricting distinct points to a subset under one fixed schedule
   restricts every ball, so each level's blocks and each maximal
-  simplex's support are the old ones intersected with the subset.
+  simplex's support are the old ones intersected with the subset;
+- permuting distinct streams and giving them new labels, under one
+  schedule that skips scales, moves every block, simplex, pair exponent
+  and limit-recovery mismatch with its points: single linkage is
+  invariant under relabeling (Carlsson & Memoli 2010).
 
 Every stream is shorter than the digit budget, so no digit is cut.
 """
@@ -203,3 +207,49 @@ def test_restriction_to_a_subset_restricts_blocks_and_simplexes(family, data):
         for blocks, supports in _label_sets(outputs)
     ]
     assert _label_sets(sub_outputs) == expected
+
+
+def _by_label(outputs):
+    """The run's blocks, simplexes, pair exponents and mismatches, named by labels."""
+    bundle = outputs["expansion.json"]
+    names = bundle["space"]["labels"]
+    rows = bundle["space"]["gamma_matrix"]
+    exponents = {
+        (names[x], names[y]): e for x, row in enumerate(rows) for y, e in enumerate(row)
+    }
+    mismatches = {
+        frozenset((names[x], names[y])): (r, a)
+        for x, y, r, a in bundle["reports"]["limit_isometry_mismatches"]
+    }
+    return _label_sets(outputs), exponents, mismatches
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=stream_families(one_length=True), k=st.integers(0, 2), data=st.data())
+def test_permuting_and_relabeling_streams_moves_everything_with_its_points(family, k, data):
+    p, streams = family
+    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct points
+    n = len(streams)
+    labels = [f"x{i}" for i in range(n)]
+    # a schedule that skips scales, so limit recovery can fail; the last level separates
+    skipping = data.draw(st.lists(st.integers(0, MAX_DIGITS), unique=True))
+    j = [*sorted(skipping), MAX_DIGITS + 1 + k]
+    stages, outputs, code = _run(p, streams, j, k, labels=labels)
+    perm = data.draw(st.permutations(range(n)))
+    renamed = {labels[i]: f"r{position}" for position, i in enumerate(perm)}
+    moved_stages, moved_outputs, moved_code = _run(
+        p, [streams[i] for i in perm], j, k, labels=[renamed[labels[i]] for i in perm]
+    )
+    assert moved_code == code
+    assert moved_stages == stages
+
+    def rename(names):
+        return frozenset(renamed[name] for name in names)
+
+    (levels, exponents, mismatches) = _by_label(outputs)
+    expected = (
+        [({*map(rename, blocks)}, {*map(rename, supports)}) for blocks, supports in levels],
+        {(renamed[a], renamed[b]): e for (a, b), e in exponents.items()},
+        {rename(pair): entry for pair, entry in mismatches.items()},
+    )
+    assert _by_label(moved_outputs) == expected

@@ -181,9 +181,10 @@ def counters(monkeypatch):
     monkeypatch.setattr(spaces, "_single_linkage", counted_linkage)
     monkeypatch.setattr(UltraSpace, "__init__", counted_init)
     monkeypatch.setattr(UltraSpace, "dist", counted)
-    # control: the counters see a constructor's proof and a first read of dist
+    # control: the counters see a constructor's proof and a first read of dist;
+    # windows that end apart are proved, one window needs no proof
     space = UltraSpace(("a", "b"), 2, ((GAMMA_ZERO, GammaValue(1)), (GammaValue(1), GAMMA_ZERO)))
-    assert space_from_points(_streams([1, 0], [1, 1]), ["a", "b"]).dist == space.dist
+    assert space_from_points(_streams([1, 0], [1, 1, 1]), ["a", "b"]).dist == space.dist
     assert counts == {"linkage": 2, "init": 1, "dist": 1}
     counts.update(linkage=0, init=0, dist=0)
     return counts
@@ -218,3 +219,11 @@ def test_the_padic_path_runs_single_linkage_once(tmp_path, counters):
     report = _run(tmp_path, obj, ("validate", "round", "expand", "verify", "shadow"))
     assert report.stages["round"]["merged"] == [("c", "a"), ("d", "b")]
     assert counters == {"linkage": 1, "init": 0, "dist": 0}
+
+
+def test_the_padic_path_on_one_window_runs_no_single_linkage(tmp_path, counters):
+    # zeros may end anywhere; the nonzero streams all end at position 3
+    obj = {"labels": list("abcde"), "prime": 2, "padic_points": [[0, 1, 1], [1, 1, 0], [0, 1, 1], [0], [0, 0, 1]]}
+    report = _run(tmp_path, obj, ("validate", "round", "expand", "verify", "shadow"))
+    assert report.stages["round"]["merged"] == [("c", "a")]
+    assert counters == {"linkage": 0, "init": 0, "dist": 0}

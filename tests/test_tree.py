@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ultrapoly import (
@@ -38,24 +38,31 @@ from ultrapoly import (
     subdivide,
     verify_nondegenerate,
 )
+from ultrapoly import IncoherentThreadError, NotUltrametricError, PAdic, limit_isometry_check
 from ultrapoly import nerve as nerve_module
+from ultrapoly import spaces as spaces_module
+from ultrapoly import space_from_points
 from ultrapoly.cli import RunReport, _verify_expansion
 from ultrapoly.nerve import RealizedCell
 from ultrapoly.spaces import MergeTree
 from ultrapoly.spectrum import Level
 
-from corpus import random_code_space, replace
+from corpus import padic_families, random_code_space, replace
 from oracles import (
     all_pairs_functoriality,
     closure_classes,
     containment_bonding,
+    difference_exponents,
     greedy_threshold_classes,
     label_ranked_codes,
     pairwise_diameter,
     pairwise_isolation,
     pairwise_nerve,
     pairwise_separation,
+    pairwise_limit_recovery,
     pairwise_set_distance,
+    strong_triangle_by_thresholds,
+    thread_preimage,
 )
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -553,11 +560,177 @@ def test_pipeline_makes_no_pairwise_scans(monkeypatch):
     assert counts == Counter()
     summaries = _verify_expansion(expansion, report := RunReport())
     assert not report.failed and summaries["functoriality_ok"]
-    # limit recovery compares every pair, against one written table
-    assert counts == Counter({"rows": 1})
+    # limit recovery is decided per merge height, so no pair table is written
+    assert counts == Counter()
     # the counters are live
     space.set_distance((0,), (1,))
     space.diameter((0, 1))
     expansion.composite_vertex_map(1, 0)
     space.tree.rows()
-    assert counts == Counter({name: 1 for _, name in targets}) + Counter({"rows": 1})
+    assert counts == Counter({name: 1 for _, name in targets})
+
+
+@st.composite
+def one_window_families(draw):
+    """PAdics of one prime whose nonzero windows all end at one position, which may be
+    negative; zeros have any window, and repeated points are common."""
+    p = draw(PRIMES)
+    end = draw(st.integers(-2, 5))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            points.append(PAdic.zero(p, draw(st.integers(1, 6))))
+            continue
+        valuation = draw(st.integers(end - 5, end - 1))
+        digits = [draw(st.integers(1, p - 1))]
+        digits += [draw(st.integers(0, p - 1)) for _ in range(end - valuation - 1)]
+        points.append(PAdic(p, valuation, tuple(digits), end - valuation))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.one_of(one_window_families(), padic_families()))
+def test_point_spaces_match_the_difference_oracle(points):
+    table = difference_exponents(points)
+    one_window = len({x.known_upto() for x in points if not x.is_zero}) <= 1
+    pairwise = mock.patch.object(
+        spaces_module, "difference_exponents", wraps=spaces_module.difference_exponents
+    )
+    with pairwise as route:
+        try:
+            space = space_from_points(points)
+        except NotUltrametricError:
+            # only windows that end apart can break the inequality
+            assert not one_window and not strong_triangle_by_thresholds(table)
+            return
+    # the sorted windows build one window's tree; the pair table, every other
+    assert route.called != one_window
+    assert strong_triangle_by_thresholds(table)
+    assert space.tree.rows() == table
+
+
+def _skipping_schedule(expo, data):
+    """An explicit schedule that may skip scales and change k; its last level separates."""
+    finite = sorted({e for row in expo for e in row if e is not None}) or [0]
+    js = sorted(data.draw(st.sets(st.integers(finite[0] - 2, finite[-1] + 2), min_size=1)))
+    ks = sorted(data.draw(st.lists(st.integers(0, 2), min_size=len(js), max_size=len(js))))[::-1]
+    if js[-1] - ks[-1] <= finite[-1] or js[-1] <= finite[-1]:
+        js.append(max(js[-1] + 1, finite[-1] + 1 + ks[-1]))
+        ks.append(ks[-1])
+    return Schedule(j=tuple(js), k=tuple(ks), b=tuple(GammaValue(j) for j in js))
+
+
+def _resimplexed(expansion, m, v, idx):
+    """Vertex v of level m listed under simplex idx: the level's threads change."""
+    levels = list(expansion.levels)
+    levels[m] = replace(levels[m], simplex_of={**levels[m].simplex_of, v: idx})
+    return replace(expansion, levels=tuple(levels))
+
+
+def _swapped_supports(expansion, m, a, b):
+    """Cells a and b of level m trade supports: the level's preimages change."""
+    level = expansion.levels[m]
+    cells = list(level.realization.cells)
+    cells[a], cells[b] = (
+        replace(cells[a], support=cells[b].support),
+        replace(cells[b], support=cells[a].support),
+    )
+    levels = list(expansion.levels)
+    levels[m] = replace(level, realization=replace(level.realization, cells=tuple(cells)))
+    return replace(expansion, levels=tuple(levels))
+
+
+def _preimage(expansion, thread):
+    return thread_preimage(
+        [level.nerve.maximal_simplexes for level in expansion.levels],
+        [bmap.vertex_map for bmap in expansion.bonding],
+        [[cell.support for cell in level.realization.cells] for level in expansion.levels],
+        thread,
+    )
+
+
+def _reconstructed(expansion, thread):
+    try:
+        return expansion.reconstruct(thread)
+    except IncoherentThreadError:
+        return None
+
+
+def _assert_threads_match(expo, expansion, threads):
+    """Limit recovery and reconstruction against the pairwise routes."""
+    taus = [level.nerve.threshold.exponent for level in expansion.levels]
+    points = _outcome(lambda: [expansion.thread(x) for x in range(len(expo))])
+    mine = _outcome(lambda: limit_isometry_check(expansion.space, expansion))
+    if points is KeyError:
+        assert mine is KeyError
+        return mine
+    assert mine == pairwise_limit_recovery(expo, taus, points)
+    for thread in [*points, *threads]:
+        assert _reconstructed(expansion, thread) == _preimage(expansion, thread)
+    return mine
+
+
+@settings(max_examples=150, deadline=None)
+@given(expo=ultrametric_exponents(separated=True), p=PRIMES, data=st.data())
+def test_limit_recovery_and_reconstruction_match_pairwise_routes(expo, p, data):
+    space = _space(expo, p)
+    expansion = assemble_expansion(space, _skipping_schedule(expo, data))
+    levels = expansion.levels
+
+    def threads():
+        # any threads of valid indices, coherent or not
+        sizes = [len(level.nerve.maximal_simplexes) for level in levels]
+        return data.draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), max_size=4))
+
+    report = _assert_threads_match(expo, expansion, threads())
+    assert all(expansion.reconstruct(expansion.thread(x)) == {x} for x in range(len(expo)))
+    if report["mismatches"]:
+        event("limit recovery fails on some pairs")
+
+    # mutants, decided by the pairwise fallbacks: a point moved to another block,
+    # a vertex redirected, a vertex listed under another simplex, two cells' supports swapped
+    m = data.draw(st.integers(0, len(levels) - 1))
+    x = data.draw(st.integers(0, len(expo) - 1))
+    blocks, simplexes = levels[m].cover.blocks, levels[m].nerve.maximal_simplexes
+    mutants = []
+    if len(blocks) > 1:
+        target = data.draw(st.sampled_from([i for i, b in enumerate(blocks) if x not in b]))
+        mutants.append(_moved(expansion, m, x, target))
+    if m + 1 < len(levels):
+        v = data.draw(st.sampled_from(levels[m + 1].nerve.vertices))
+        target = data.draw(st.sampled_from(levels[m].nerve.vertices))
+        mutants.append(_redirected(expansion, m, v, target))
+    v = data.draw(st.sampled_from(levels[m].nerve.vertices))
+    mutants.append(_resimplexed(expansion, m, v, data.draw(st.integers(0, len(simplexes) - 1))))
+    if len(simplexes) > 1:
+        indices = st.integers(0, len(simplexes) - 1)
+        a, b = data.draw(st.lists(indices, min_size=2, max_size=2, unique=True))
+        mutants.append(_swapped_supports(expansion, m, a, b))
+    for mutant in mutants:
+        _assert_threads_match(expo, mutant, threads())
+
+
+def test_a_simplex_its_map_splits_breaks_every_thread_through_it():
+    # Z/27 with threshold factor 1: level 3's simplex (0, 9, 18) maps into (0, 3, 6)
+    space = group_expansion(3, 3)[0].space
+    expansion = assemble_expansion(space, Schedule.auto(space, k_shift=1))
+    assert expansion.levels[3].nerve.maximal_simplexes[0] == (0, 9, 18)
+    broken = _redirected(expansion, 2, 9, 1)  # 9 now lands in (1, 4, 7)
+    for x in (0, 9, 18):
+        with pytest.raises(IncoherentThreadError, match="between levels 3 and 2"):
+            broken.reconstruct(broken.thread(x))
+    assert broken.reconstruct(broken.thread(1)) == {1}
+
+
+def test_a_skipped_scale_lists_only_the_pairs_it_fails():
+    # Z/16 at every other scale: pairs at odd exponents are recovered one too deep
+    space = group_expansion(2, 4)[0].space
+    js = (0, 2, 4)
+    expansion = assemble_expansion(space, Schedule(j=js, k=(0, 0, 0), b=tuple(map(GammaValue, js))))
+    expo = space.tree.rows()
+    threads = [expansion.thread(x) for x in range(16)]
+    report = limit_isometry_check(space, expansion)
+    assert report == pairwise_limit_recovery(expo, [0, 2, 4], threads)
+    assert {(r, a) for _, _, r, a in report["mismatches"]} == {(1, 0), (3, 2)}
+    # exponent 0: odd against even; exponent 2: each class mod 4 halves mod 8
+    assert len(report["mismatches"]) == 8 * 8 + 4 * (2 * 2)
