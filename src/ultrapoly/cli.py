@@ -379,8 +379,8 @@ _TEXT_OR_INT = frozenset({str, int})
 def _parse_streams(obj: dict, prime: int, precision: int) -> list[PAdic]:
     """The input's digit streams as p-adic points; a bad digit raises InputFormatError."""
     try:
-        # the digit budget truncates long streams; truncation is exact
-        # for every norm computed downstream
+        # the digit budget truncates long streams, so streams that agree on
+        # their first `precision` digits read as distance 0, and round merges them
         return [
             PAdic.from_digit_stream(stream[:precision], prime) for stream in obj["padic_points"]
         ]

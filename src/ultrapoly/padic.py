@@ -14,7 +14,7 @@ INFINITY exponent (p^(-inf)).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache, total_ordering
 from math import gcd
 
@@ -539,55 +539,6 @@ class PAdic(Frozen):
 
     def __repr__(self) -> str:
         return f"PAdic({self.to_text()!r})"
-
-
-def difference_exponents(points: Sequence[PAdic]) -> list[list[int | None]]:
-    """Exponent of |x_i - x_j|_p for every pair (None: zero), building no PAdic.
-
-    Equal to ``(x_i - x_j).norm().exponent`` entry by entry.  A zero
-    operand leaves the other's valuation.  For two nonzero points,
-    subtraction keeps the window [start, end) with start the smaller
-    valuation and end the smaller window end.  With every value scaled
-    to the integer X = unit * p^(valuation - base), base the least
-    valuation, that is (X_i - X_j) mod p^(end - base): zero there means
-    the difference vanishes at that precision, and otherwise its
-    valuation plus base is the exponent.  One integer subtraction and
-    one reduction per pair, O(n^2) pairs.
-    """
-    if not points:
-        return []
-    p = points[0].prime
-    if any(x.prime != p for x in points):
-        raise PrimeMismatchError("all points must share one prime")
-    base = min((x.valuation for x in points if not x.is_zero), default=0)
-    # per point: None for zero, else (valuation, X, p^(end - base))
-    scaled = [
-        None
-        if x.is_zero
-        else (x.valuation, x.unit_int() * p ** (x.valuation - base), p ** (x.known_upto() - base))
-        for x in points
-    ]
-    n = len(points)
-    out: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        out_i, point_i = out[i], scaled[i]
-        for j in range(i + 1, n):
-            point_j = scaled[j]
-            if point_i is None:
-                e = None if point_j is None else point_j[0]
-            elif point_j is None:
-                e = point_i[0]
-            else:
-                total = (point_i[1] - point_j[1]) % min(point_i[2], point_j[2])
-                if total == 0:
-                    e = None
-                else:
-                    e = base
-                    while total % p == 0:
-                        total //= p
-                        e += 1
-            out_i[j] = out[j][i] = e
-    return out
 
 
 def _digits_of(unit: int, p: int, length: int) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ from .padic import (
     _exact_pair,
     _round_pair,
     check_prime,
-    difference_exponents,
 )
 
 # fractions (which loads decimal) is imported where a Fraction is built, so
@@ -617,28 +616,29 @@ def round_space(
     return UltraSpace._from_tree(labels, p, MergeTree(order, heights))
 
 
-def _stream_tree(points: Sequence[PAdic], end: int) -> MergeTree:
-    """The merge tree of points whose nonzero members all know their digits up to ``end``.
+def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the longest common prefix of two windows."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
-    Each point is its digit window from the least valuation, base, up to
-    end, with zeros below its valuation; a zero point is all zeros.  Two
-    points are then at the exponent of their first differing digit (None:
-    equal windows).  Sorted lexicographically, the first difference of
-    any two windows is the least first difference of neighbours between
-    them, so the sorted order and the neighbours' first differences are
-    the tree: O(n * L log n) for windows of L digits, and no pair table.
+
+def _pair_table(order: list[int], sizes: list[int], common: list[int], base: int) -> list[list]:
+    """Each pair's first difference from base (None: a prefix), for windows sorted by order.
+
+    ``sizes`` holds the sorted windows' lengths and ``common`` each
+    neighbour pair's common prefix.  Two sorted windows share the least
+    common prefix of the neighbours between them, and the first is a
+    prefix of the second exactly when that is its whole length: O(n^2).
     """
-    base = min((x.valuation for x in points if not x.is_zero), default=end)
-    windows = [
-        (0,) * (end - base) if x.is_zero else (0,) * (x.valuation - base) + x.digits
-        for x in points
-    ]
-    order = sorted(range(len(points)), key=windows.__getitem__)
-    heights = [
-        next((base + i for i, (a, b) in enumerate(zip(windows[x], windows[y])) if a != b), None)
-        for x, y in zip(order, order[1:])
-    ]
-    return MergeTree(order, heights)
+    n = len(order)
+    table: list[list] = [[None] * n for _ in range(n)]
+    for a in range(n):
+        x, low = order[a], sizes[a]
+        for b in range(a + 1, n):
+            if common[b - 1] < low:
+                low = common[b - 1]
+            if low < sizes[a]:
+                table[x][order[b]] = table[order[b]][x] = base + low
+    return table
 
 
 def space_from_points(
@@ -646,12 +646,23 @@ def space_from_points(
 ) -> UltraSpace:
     """Distance matrix |x_i - x_j|_p over a family of p-adic values.
 
-    When every nonzero point knows its digits up to one position, the
-    space needs no proof: its tree is the sorted order of the digit
-    windows (``_stream_tree``).  Windows that end apart can break the
-    strong triangle inequality, so there the exponents of every pair come
-    from ``difference_exponents`` (integer arithmetic on each window, no
-    PAdic built per pair) and ``_proved_tree`` proves them, in O(n^2).
+    Each point is its digit window from the least valuation, base, up to
+    its own end (``known_upto``), with zeros below its valuation; a zero
+    point is zeros up to the largest end.  Two points are at the exponent
+    of their first differing digit within the shorter window (None: one
+    window is a prefix of the other).  Sorted lexicographically, the
+    first difference of two windows is the least first difference of the
+    neighbours between them, so the sorted order and the neighbours'
+    first differences are the tree: O(n * L log n) for windows of L
+    digits, and no pair table.
+
+    That holds unless the strong triangle inequality fails, which happens
+    exactly when one window is a proper prefix of two windows that
+    differ.  A window's extensions form one run right after it, so one
+    pass decides it: ``shortest``, the length of the shortest window that
+    is a prefix of the current one, must exceed the common prefix of each
+    neighbour pair that differs.  Only a failed check builds the pair
+    table, O(n^2), for ``_proved_tree`` to name the witness and count.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -661,15 +672,31 @@ def space_from_points(
     if labels is None:
         labels = [f"x{i}" for i in range(len(points))]
     labels = tuple(labels)
-    ends = {x.known_upto() for x in points if not x.is_zero}
-    if len(ends) > 1:
-        tree = _proved_tree(labels, p, difference_exponents(points))
-    else:
-        _check_labels(labels, p)
-        if len(labels) != len(points):
-            raise MatrixShapeError("distance matrix must be square over the labels")
-        tree = _stream_tree(points, ends.pop() if ends else 0)
-    return UltraSpace._from_tree(labels, p, tree)
+    _check_labels(labels, p)
+    if len(labels) != len(points):
+        raise MatrixShapeError("distance matrix must be square over the labels")
+    end = max((x.known_upto() for x in points if not x.is_zero), default=0)
+    base = min((x.valuation for x in points if not x.is_zero), default=end)
+    windows = [
+        (0,) * (end - base) if x.is_zero else (0,) * (x.valuation - base) + x.digits
+        for x in points
+    ]
+    order = sorted(range(len(points)), key=windows.__getitem__)
+    sizes = [len(windows[x]) for x in order]
+    common = [_common_prefix(windows[x], windows[y]) for x, y in zip(order, order[1:])]
+    heights = []
+    shortest = sizes[0]
+    for i, c in enumerate(common):
+        if c == sizes[i]:  # a sorted window can only be a prefix of the next
+            heights.append(None)
+        elif c >= shortest:
+            # a window is a prefix of two that differ: the pair table names the witness
+            table = _pair_table(order, sizes, common, base)
+            return UltraSpace._from_tree(labels, p, _proved_tree(labels, p, table))
+        else:
+            heights.append(base + c)
+            shortest = sizes[i + 1]
+    return UltraSpace._from_tree(labels, p, MergeTree(order, heights))
 
 
 def quotient_zero(space: UltraSpace) -> tuple[UltraSpace, dict[str, str]]:

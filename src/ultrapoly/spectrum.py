@@ -610,8 +610,9 @@ def _pairwise_recovery(exponents, taus: Sequence[int], threads) -> list[list]:
     return mismatches
 
 
-#: Largest group Z/p^depth that ``residue_space`` builds in full: its build
-#: and its ``gamma_matrix`` hold (p^depth)^2 entries each, 4M at the cap.
+#: Largest group Z/p^depth that ``residue_space`` builds in full.  The build
+#: holds no pair table, but its ``gamma_matrix`` and ``_shift_invariant``'s
+#: ``rows()`` hold (p^depth)^2 entries each, 4M at the cap.
 MAX_RESIDUE_ORDER = 2048
 
 #: Most levels ``Schedule.auto`` builds, one per exponent step.  Positive

@@ -27,10 +27,11 @@ from ultrapoly import (
     verify_nonstretching,
 )
 from ultrapoly.nerve import Realization
-from ultrapoly.padic import PrimalityUnknownError, difference_exponents, is_prime
+from ultrapoly.padic import PrimalityUnknownError, is_prime
 
 from corpus import UNDECIDABLE_PRIME, padic_families, random_code_space, replace
 from oracles import (
+    difference_exponents,
     pairwise_nonstretching,
     strong_triangle_by_thresholds,
     trial_division_is_prime,
@@ -300,10 +301,24 @@ def test_strong_triangle_check_matches_threshold_oracle(expo, p):
 @settings(max_examples=300, deadline=None)
 @given(points=padic_families())
 def test_difference_exponents_match_padic_subtraction(points):
+    # the oracle reads each point's fields, subtraction carries digit by digit
     table = difference_exponents(points)
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             assert table[i][j] == (x - y).norm().exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=padic_families())
+def test_point_spaces_match_padic_subtraction(points):
+    table = [[(x - y).norm().exponent for y in points] for x in points]
+    try:
+        rows = space_from_points(points).tree.rows()
+    except NotUltrametricError:
+        assert not strong_triangle_by_thresholds(table)
+        return
+    assert strong_triangle_by_thresholds(table)
+    assert rows == table
 
 
 def test_space_from_points_matches_subtraction_on_residues():

@@ -9,13 +9,20 @@ the routes it checks:
 - one common stream added, with carries, to every point of one window
   length is a translation, which keeps every distance |x - y|_p, so only
   the echoed digit streams change;
-- restricting distinct points to a subset under one fixed schedule
+- restricting distinct streams to a subset under one fixed schedule
   restricts every ball, so each level's blocks and each maximal
   simplex's support are the old ones intersected with the subset;
 - permuting distinct streams and giving them new labels, under one
   schedule that skips scales, moves every block, simplex, pair exponent
   and limit-recovery mismatch with its points: single linkage is
   invariant under relabeling (Carlsson & Memoli 2010).
+
+The last two take windows that end apart.  Distinct streams can then sit
+at distance 0 ([1] and [1, 0]), and the round stage keeps one label of
+each such class, so a label stands for its class.  A window that is a
+prefix of two that differ breaks the strong triangle inequality: such a
+run fails validate, and its count and witness are held to a brute-force
+scan of the streams.
 
 Every stream is shorter than the digit budget, so no digit is cut.
 """
@@ -163,11 +170,53 @@ def test_a_carry_moves_a_digit_stream():
     assert _translated([[2, 2]], [1, 0], 3) == [[0, 0]]
 
 
-def _label_sets(outputs):
+def _exponent(a, b):
+    """Exponent of |a - b|_p for two digit streams (None: distance 0).
+
+    A stream of zeros is the point 0, known at every digit; two other
+    streams are compared within the shorter.
+    """
+    pairs = zip(a if any(a) else [0] * len(b), b if any(b) else [0] * len(a))
+    return next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+
+
+def _violations(streams):
+    """Every triple (i, j, k), i < k, with d(i,k) > max(d(i,j), d(j,k)), by brute force."""
+    n = len(streams)
+
+    def closer(e, than):  # exponent e is a smaller distance than exponent than
+        return than is not None and (e is None or e > than)
+
+    return [
+        (i, j, k)
+        for i in range(n)
+        for k in range(i + 1, n)
+        for j in range(n)
+        if closer(_exponent(streams[i], streams[j]), _exponent(streams[i], streams[k]))
+        and closer(_exponent(streams[j], streams[k]), _exponent(streams[i], streams[k]))
+    ]
+
+
+def _assert_failure_matches(stages, streams, labels):
+    """A failed validate stage counts the violating triples and names one of them."""
+    found = _violations(streams)
+    assert found and stages["validate"]["violation_count"] == len(found)
+    assert tuple(map(labels.index, stages["validate"]["violating_triple"])) in found
+
+
+def _classes(stages, labels):
+    """Each label the round stage keeps, mapped to its class at distance 0."""
+    classes = {label: {label} for label in labels}
+    for dropped, kept in stages["round"]["merged"]:
+        classes[kept] |= classes.pop(dropped)
+    return {label: frozenset(members) for label, members in classes.items()}
+
+
+def _label_sets(outputs, classes):
     """Per level: the blocks, and each maximal simplex's support, as sets of labels.
 
     A vertex stands for the block that holds it, so a simplex's support
-    is the union of its vertices' blocks.
+    is the union of its vertices' blocks; a kept label for its class.
     """
     bundle = outputs["expansion.json"]
     names = bundle["space"]["labels"]
@@ -175,7 +224,7 @@ def _label_sets(outputs):
     for level in bundle["levels"]:
         block_of = {}
         for block in level["blocks"]:
-            labels = frozenset(names[x] for x in block)
+            labels = frozenset().union(*(classes[names[x]] for x in block))
             block_of.update(dict.fromkeys(block, labels))
         supports = {
             frozenset().union(*map(block_of.__getitem__, simplex))
@@ -186,33 +235,44 @@ def _label_sets(outputs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(family=stream_families(one_length=True), data=st.data())
+@given(family=stream_families(), data=st.data())
 def test_restriction_to_a_subset_restricts_blocks_and_simplexes(family, data):
     p, streams = family
-    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct points
+    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct streams
     labels = [f"x{i}" for i in range(len(streams))]
     flags = data.draw(st.lists(st.booleans(), min_size=len(streams), max_size=len(streams)))
     kept = [i for i, keep in enumerate(flags) if keep] or [len(streams) - 1]
     subset = frozenset(labels[i] for i in kept)
+    sub_streams, sub_labels = [streams[i] for i in kept], [labels[i] for i in kept]
     # one explicit k = 1 schedule for both runs; the last level separates
     j = range(0, MAX_DIGITS + 3)
-    _, outputs, code = _run(p, streams, j, 1)
-    _, sub_outputs, sub_code = _run(
-        p, [streams[i] for i in kept], j, 1, labels=[labels[i] for i in kept]
-    )
+    stages, outputs, code = _run(p, streams, j, 1)
+    sub_stages, sub_outputs, sub_code = _run(p, sub_streams, j, 1, labels=sub_labels)
+    # a failed proof can pass on a subset, never the other way round
+    for run_stages, run_streams, run_labels in (
+        (stages, streams, labels),
+        (sub_stages, sub_streams, sub_labels),
+    ):
+        if run_stages["validate"]["status"] == "failed":
+            _assert_failure_matches(run_stages, run_streams, run_labels)
+        else:
+            assert not _violations(run_streams)
+    if stages["validate"]["status"] == "failed":
+        return
     assert sub_code == code
     empty = {frozenset()}
     expected = [
         ({b & subset for b in blocks} - empty, {s & subset for s in supports} - empty)
-        for blocks, supports in _label_sets(outputs)
+        for blocks, supports in _label_sets(outputs, _classes(stages, labels))
     ]
-    assert _label_sets(sub_outputs) == expected
+    assert _label_sets(sub_outputs, _classes(sub_stages, sub_labels)) == expected
 
 
-def _by_label(outputs):
-    """The run's blocks, simplexes, pair exponents and mismatches, named by labels."""
+def _by_label(stages, outputs, labels):
+    """The run's blocks, simplexes, pair exponents and mismatches, named by label classes."""
+    classes = _classes(stages, labels)
     bundle = outputs["expansion.json"]
-    names = bundle["space"]["labels"]
+    names = [classes[name] for name in bundle["space"]["labels"]]
     rows = bundle["space"]["gamma_matrix"]
     exponents = {
         (names[x], names[y]): e for x, row in enumerate(rows) for y, e in enumerate(row)
@@ -221,14 +281,15 @@ def _by_label(outputs):
         frozenset((names[x], names[y])): (r, a)
         for x, y, r, a in bundle["reports"]["limit_isometry_mismatches"]
     }
-    return _label_sets(outputs), exponents, mismatches
+    others = {name: stage for name, stage in stages.items() if name != "round"}
+    return set(classes.values()), others, _label_sets(outputs, classes), exponents, mismatches
 
 
 @settings(max_examples=150, deadline=None)
-@given(family=stream_families(one_length=True), k=st.integers(0, 2), data=st.data())
+@given(family=stream_families(), k=st.integers(0, 2), data=st.data())
 def test_permuting_and_relabeling_streams_moves_everything_with_its_points(family, k, data):
     p, streams = family
-    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct points
+    streams = [list(s) for s in dict.fromkeys(map(tuple, streams))]  # distinct streams
     n = len(streams)
     labels = [f"x{i}" for i in range(n)]
     # a schedule that skips scales, so limit recovery can fail; the last level separates
@@ -237,19 +298,25 @@ def test_permuting_and_relabeling_streams_moves_everything_with_its_points(famil
     stages, outputs, code = _run(p, streams, j, k, labels=labels)
     perm = data.draw(st.permutations(range(n)))
     renamed = {labels[i]: f"r{position}" for position, i in enumerate(perm)}
-    moved_stages, moved_outputs, moved_code = _run(
-        p, [streams[i] for i in perm], j, k, labels=[renamed[labels[i]] for i in perm]
-    )
+    moved_streams, moved_labels = [streams[i] for i in perm], [renamed[labels[i]] for i in perm]
+    moved_stages, moved_outputs, moved_code = _run(p, moved_streams, j, k, labels=moved_labels)
     assert moved_code == code
-    assert moved_stages == stages
+    if stages["validate"]["status"] == "failed":
+        # the witness may move to another violating triple; the count stays
+        _assert_failure_matches(stages, streams, labels)
+        _assert_failure_matches(moved_stages, moved_streams, moved_labels)
+        return
+    assert not _violations(streams)
 
     def rename(names):
         return frozenset(renamed[name] for name in names)
 
-    (levels, exponents, mismatches) = _by_label(outputs)
+    classes, others, levels, exponents, mismatches = _by_label(stages, outputs, labels)
     expected = (
+        {*map(rename, classes)},
+        others,
         [({*map(rename, blocks)}, {*map(rename, supports)}) for blocks, supports in levels],
-        {(renamed[a], renamed[b]): e for (a, b), e in exponents.items()},
-        {rename(pair): entry for pair, entry in mismatches.items()},
+        {(rename(a), rename(b)): e for (a, b), e in exponents.items()},
+        {frozenset(map(rename, pair)): entry for pair, entry in mismatches.items()},
     )
-    assert _by_label(moved_outputs) == expected
+    assert _by_label(moved_stages, moved_outputs, moved_labels) == expected

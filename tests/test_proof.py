@@ -29,10 +29,9 @@ from ultrapoly import (
     subdominant_closure,
 )
 from ultrapoly.cli import PipelineConfig, run
-from ultrapoly.padic import difference_exponents
 
 from corpus import mixed_matrices, padic_families
-from oracles import fraction_closure, fraction_round_check
+from oracles import difference_exponents, fraction_closure, fraction_round_check
 
 
 def _assert_proved_alike(space: UltraSpace) -> None:
@@ -182,9 +181,12 @@ def counters(monkeypatch):
     monkeypatch.setattr(UltraSpace, "__init__", counted_init)
     monkeypatch.setattr(UltraSpace, "dist", counted)
     # control: the counters see a constructor's proof and a first read of dist;
-    # windows that end apart are proved, one window needs no proof
+    # streams pass their check with no proof, and a failed check's proof, which
+    # names its witness, is one single-linkage pass
     space = UltraSpace(("a", "b"), 2, ((GAMMA_ZERO, GammaValue(1)), (GammaValue(1), GAMMA_ZERO)))
     assert space_from_points(_streams([1, 0], [1, 1, 1]), ["a", "b"]).dist == space.dist
+    with pytest.raises(NotUltrametricError):
+        space_from_points(_streams([0, 1], [0, 1, 1], [0, 1, 0]))
     assert counts == {"linkage": 2, "init": 1, "dist": 1}
     counts.update(linkage=0, init=0, dist=0)
     return counts
@@ -214,11 +216,11 @@ def test_the_raw_path_runs_single_linkage_in_closure_and_rounding_only(tmp_path,
     assert counters == {"linkage": 2, "init": 0, "dist": 0}
 
 
-def test_the_padic_path_runs_single_linkage_once(tmp_path, counters):
+def test_the_padic_path_on_windows_that_end_apart_runs_no_single_linkage(tmp_path, counters):
     obj = {"labels": list("abcde"), "prime": 2, "padic_points": [[0, 1], [1, 1, 0], [0, 1], [1], [0, 0, 1]]}
     report = _run(tmp_path, obj, ("validate", "round", "expand", "verify", "shadow"))
     assert report.stages["round"]["merged"] == [("c", "a"), ("d", "b")]
-    assert counters == {"linkage": 1, "init": 0, "dist": 0}
+    assert counters == {"linkage": 0, "init": 0, "dist": 0}
 
 
 def test_the_padic_path_on_one_window_runs_no_single_linkage(tmp_path, counters):

@@ -593,18 +593,18 @@ def one_window_families(draw):
 def test_point_spaces_match_the_difference_oracle(points):
     table = difference_exponents(points)
     one_window = len({x.known_upto() for x in points if not x.is_zero}) <= 1
-    pairwise = mock.patch.object(
-        spaces_module, "difference_exponents", wraps=spaces_module.difference_exponents
-    )
-    with pairwise as route:
+    proof = mock.patch.object(spaces_module, "_proved_tree", wraps=spaces_module._proved_tree)
+    with proof as route:
         try:
             space = space_from_points(points)
         except NotUltrametricError:
-            # only windows that end apart can break the inequality
+            # only windows that end apart can break the inequality, and only
+            # a failed check builds the pair table and proves it
             assert not one_window and not strong_triangle_by_thresholds(table)
+            assert route.call_count == 1
             return
-    # the sorted windows build one window's tree; the pair table, every other
-    assert route.called != one_window
+    # the sorted windows build every passing family's tree, with no proof
+    assert route.call_count == 0
     assert strong_triangle_by_thresholds(table)
     assert space.tree.rows() == table
 
