@@ -13,7 +13,10 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate, chain, repeat
+from operator import add
 from pathlib import Path
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
@@ -206,8 +209,9 @@ def _dump_json(path: Path, obj) -> None:
     serves one-shot dumps without one.  Most of a bundle sits in leaf
     containers (lists and objects of scalars: matrix rows, blocks,
     simplexes, vertex maps), so each leaf is one C-encoder call and only
-    the containers above the leaves are walked in Python.  Pieces are
-    written as they are made: the whole text would set the peak memory.
+    the containers above the leaves are walked in Python; a list of
+    integer leaf lists is encoded in batches.  Pieces are written as
+    they are made: the whole text would set the peak memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
@@ -216,6 +220,14 @@ def _dump_json(path: Path, obj) -> None:
 
 
 _SCALAR_TYPES = frozenset({int, str, bool, type(None)})
+# scalars whose JSON text holds no comma or bracket
+_PLAIN_TYPES = frozenset({int, bool, type(None)})
+_LIST_TYPES = frozenset({list, tuple})
+
+#: Lines in one piece of a list of integer leaf lists, where a list takes
+#: a line per leaf and one per bracket (or one longer list): about one
+#: row of a 64-point distance matrix.
+_BATCH_LINES = 64
 
 
 @functools.cache
@@ -238,40 +250,146 @@ def _leaf_encoder(depth: int):
     return lambda leaf: "".join(encode(leaf, 0))
 
 
-def _write_json(write, obj, depth: int) -> None:
-    """Write obj nested depth levels deep, in pieces: its items are indented depth + 1 levels."""
+def _leaf_text(obj, depth: int) -> str | None:
+    """The text of a scalar or a leaf container (a list or object of scalars) at depth, or None."""
+    if type(obj) in _SCALAR_TYPES:
+        # a scalar beside containers: the one-item list of it, less its brackets
+        return _leaf_encoder(depth)([obj])[1:-1]
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         values, brackets = obj, "[]"
-    elif type(obj) in _SCALAR_TYPES:
-        # a scalar beside containers: the one-item list of it, less its brackets
-        write(_leaf_encoder(depth)([obj])[1:-1])
+    else:
+        return None
+    if not obj:
+        return brackets
+    if not _SCALAR_TYPES.issuperset(map(type, values)):
+        return None
+    # the encoder puts every item after the first on its own line;
+    # the first item and the closing bracket get theirs here
+    outer = "\n" + "  " * depth
+    text = _leaf_encoder(depth)(obj)
+    return f"{brackets[0]}{outer}  {text[1:-1]}{outer}{brackets[1]}"
+
+
+def _write_json(write, obj, depth: int) -> None:
+    """Write obj nested depth levels deep, in pieces: its items are indented depth + 1 levels.
+
+    Scalars and leaf containers are written whole where they stand, so
+    only containers of containers recurse.  A list of leaf lists is
+    written without recursing: items one by one, or, when every leaf is
+    an int, bool or None, ``_write_plain_rows``'s batches; so is a list
+    of flat objects (``_write_flat_objects``).
+    """
+    text = _leaf_text(obj, depth)
+    if text is not None:
+        write(text)
         return
+    if isinstance(obj, dict):
+        brackets = "{}"
+        entries = [(f"{_json_key(key)}: ", value) for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        if (
+            _LIST_TYPES.issuperset(map(type, obj))
+            and all(obj)
+            and _PLAIN_TYPES.issuperset(map(type, chain.from_iterable(obj)))
+        ):
+            _write_plain_rows(write, obj, depth)
+            return
+        if _flat_objects(obj, depth):
+            _write_flat_objects(write, obj, depth)
+            return
+        brackets = "[]"
+        entries = [("", value) for value in obj]
     else:
         write(json.dumps(obj))
         return
-    if not obj:
-        write(brackets)
-        return
     outer = "\n" + "  " * depth
     inner = outer + "  "
-    if _SCALAR_TYPES.issuperset(map(type, values)):
-        # the encoder puts every item after the first on its own line;
-        # the first item and the closing bracket get theirs here
-        text = _leaf_encoder(depth)(obj)
-        write(f"{brackets[0]}{inner}{text[1:-1]}{outer}{brackets[1]}")
-        return
-    if isinstance(obj, dict):
-        entries = [(f"{_json_key(key)}: ", value) for key, value in sorted(obj.items())]
-    else:
-        entries = [("", value) for value in obj]
     separator = brackets[0] + inner
     for prefix, value in entries:
-        write(separator + prefix)
-        _write_json(write, value, depth + 1)
+        text = _leaf_text(value, depth + 1)
+        if text is None:
+            write(separator + prefix)
+            _write_json(write, value, depth + 1)
+        else:
+            write(separator + prefix + text)
         separator = "," + inner
     write(outer + brackets[1])
+
+
+def _write_plain_rows(write, rows, depth: int) -> None:
+    """Write a list, depth deep, of non-empty lists of ints, bools and None, in batches.
+
+    The depth + 1 encoder writes a batch of rows with every separator
+    between leaves already right; two ``str.replace`` calls open each
+    row onto its own line and close it on one, and no text of such a
+    leaf holds a bracket or a comma.  A batch ends at the row that
+    brings it to ``_BATCH_LINES`` lines.
+    """
+    encode = _leaf_encoder(depth + 1)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    leaf = inner + "  "
+    ends = list(accumulate(map(add, map(len, rows), repeat(2))))  # lines up to each row
+    start, separator = 0, "[" + inner
+    while start < len(rows):
+        base = ends[start - 1] if start else 0
+        stop = bisect_left(ends, base + _BATCH_LINES, start) + 1
+        # the batch less its outer opening bracket and its last two closing ones
+        text = encode(rows[start:stop])[1:-2]
+        text = text.replace("[", "[" + leaf).replace("]," + leaf, inner + "]," + inner)
+        write(f"{separator}{text}{inner}]")
+        start, separator = stop, "," + inner
+    write(outer + "]")
+
+
+def _flat_objects(objects, depth: int) -> bool:
+    """Whether objects, a list depth deep, holds objects of one set of string keys
+    whose first one's values are all scalars or leaf containers."""
+    first = objects[0]
+    return (
+        type(first) is dict
+        and bool(first)
+        and all(type(key) is str for key in first)
+        and all(_leaf_text(value, depth + 2) is not None for value in first.values())
+        and all(type(obj) is dict and obj.keys() == first.keys() for obj in objects)
+    )
+
+
+def _write_flat_objects(write, objects, depth: int) -> None:
+    """Write a list, depth deep, of ``_flat_objects``, each object one piece.
+
+    Objects are taken ``_BATCH_LINES`` at a time, and a key's values in a
+    batch, when all are scalars, are one encoder call: its item
+    separator holds a line break, which no scalar's text holds (json
+    escapes control characters), so splitting there parts them.  An
+    object with a value that is no scalar or leaf container is written
+    as any other.
+    """
+    keys = sorted(objects[0])
+    inner = "\n" + "  " * (depth + 1)
+    entry = inner + "  "
+    prefixes = [f"{entry}{_json_key(key)}: " for key in keys]
+    encode = _leaf_encoder(depth + 1)
+    separator = "[" + inner
+    for start in range(0, len(objects), _BATCH_LINES):
+        batch = objects[start : start + _BATCH_LINES]
+        columns = []
+        for key in keys:
+            values = [obj[key] for obj in batch]
+            if _SCALAR_TYPES.issuperset(map(type, values)):
+                columns.append(encode(values)[1:-1].split("," + entry))
+            else:
+                columns.append([_leaf_text(value, depth + 2) for value in values])
+        for obj, texts in zip(batch, zip(*columns)):
+            if None in texts:
+                write(separator)
+                _write_json(write, obj, depth + 1)
+            else:
+                write(f"{separator}{{{','.join(map(add, prefixes, texts))}{inner}}}")
+            separator = "," + inner
+    write(inner[:-2] + "]")
 
 
 def _json_key(key) -> str:
@@ -282,7 +400,7 @@ def _json_key(key) -> str:
                 f"keys must be str, int, float, bool or None, not {type(key).__name__}"
             )
         key = json.dumps(key)
-    return json.dumps(key)
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def _is_int(value) -> bool:

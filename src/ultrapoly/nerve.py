@@ -10,6 +10,7 @@ vertex set: every complex here is a disjoint union of simplexes.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from .padic import GAMMA_ZERO, Frozen, GammaValue
 from .spaces import C0Vector, UltraSpace
@@ -180,20 +181,18 @@ def realize(
 ) -> Realization:
     """Attach embedded positions and ball certificates to a nerve.
 
-    A cell's radius is its support's diameter, read off the merge tree.
+    A cell's support is the sorted union of its simplex's blocks, and its
+    radius the support's diameter: the meet of its first and last points
+    in the merge tree's order.  Cells of one radius share its GammaValue.
     """
     rep_to_block = {block[0]: block for block in cover.blocks}
+    radii: dict[int | None, GammaValue] = {}
     cells = []
     for simplex in nerve.maximal_simplexes:
-        support = tuple(sorted(p for v in simplex for p in rep_to_block[v]))
-        cells.append(
-            RealizedCell(
-                simplex=simplex,
-                support=support,
-                center=support[0],
-                radius=GammaValue(space.tree.diameter(support)),
-            )
-        )
+        support = tuple(sorted(chain.from_iterable(map(rep_to_block.__getitem__, simplex))))
+        e = space.tree.diameter(support)
+        radius = radii.get(e) or radii.setdefault(e, GammaValue(e))
+        cells.append(RealizedCell(simplex, support, support[0], radius))
     return Realization(vectors=tuple(vectors), cells=tuple(cells))
 
 

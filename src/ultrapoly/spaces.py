@@ -433,7 +433,7 @@ class MergeTree:
 
     def diameter(self, points: Iterable[int]) -> int | None:
         """Exponent of the largest distance within points (None: 0, or fewer than two points)."""
-        ranks = [self.position[x] for x in points]
+        ranks = list(map(self.position.__getitem__, points))
         if len(ranks) < 2:
             return None
         return self._meet(min(ranks), max(ranks))

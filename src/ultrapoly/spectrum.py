@@ -177,27 +177,67 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
+#: Stands for "equal keys" among the neighbour levels: above every level.
+_EQUAL = float("inf")
+
+#: The embedding ``_key_order`` read last, and what it built from it: one
+#: embedding at a time.  Holding the embedding keeps its id from passing to
+#: another while it is compared by identity, and the pair is replaced as
+#: one tuple, so no thread reads one embedding's order for another.
+_held_order: tuple = (None, None)
+
+
+def _key_order(vectors) -> tuple[list[int], list]:
+    """Each point's rank in the order of the key lists, and the level between neighbours.
+
+    Sorted key lists, closed by an end mark above every key level, order
+    the points; ``gaps[r]`` is the level of the smaller key where the
+    points of ranks r and r + 1 first differ (``_EQUAL``: equal keys).
+    Built once per embedding, O(n * depth): every bonding map of an
+    expansion reads the same one.
+    """
+    global _held_order
+    held, built = _held_order
+    if held is vectors:
+        return built
+    keys = [sorted(set(vector.keys)) for vector in vectors]
+    end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
+    for k in keys:
+        k.append(end)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for r, x in enumerate(order):
+        rank[x] = r
+    gaps = [
+        next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), _EQUAL)
+        for v, w in zip(order, order[1:])
+    ]
+    _held_order = (vectors, (rank, gaps))
+    return rank, gaps
+
+
 def _ball_certificate(verts, images, vectors, scale: int, step: int) -> tuple | None:
     """``verify_nonstretching``'s (violations, merged, single step) when no pair stretches, or None.
 
-    Sorted key lists, closed by an end mark above every key level, order
-    the vertices so that a pair's realized exponent is the least level
-    between them of the smaller key at neighbours' first mismatch (None:
-    equal keys).  Levels below ``scale`` cut the balls of radius p^-scale.
-    If each ball maps to one vertex inside itself, pairs across balls keep
-    their distance (ultrametric triangles are isosceles): O(n * depth).
+    The vertices, in their points' order of ``_key_order``, meet where
+    the neighbour levels between them are least: the first mismatch of
+    two sorted sequences is the least over the neighbours between them
+    (the LCP property), and equal keys stand aside.  So a pair's realized
+    exponent is a range minimum of the embedding's neighbour levels, and
+    levels below ``scale`` cut the balls of radius p^-scale.  If each
+    ball maps to one vertex inside itself, pairs across balls keep their
+    distance (ultrametric triangles are isosceles): O(n) per map past
+    the one order of the embedding.
     """
-    keys = {v: sorted(set(vectors[v].keys)) for v in verts}
-    end = (max((k[-1][0] for k in keys.values() if k), default=0) + 1,)
-    for k in keys.values():
-        k.append(end)
-    order = sorted(verts, key=keys.__getitem__)
+    rank, gaps = _key_order(vectors)
+    order = sorted(verts, key=rank.__getitem__)
+    ranks = [rank[v] for v in order]
     ball_of = dict.fromkeys(order[:1], 0)
     sizes = [1]
     single_step = True
-    for v, w in zip(order, order[1:]):
-        level = next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
-        if level is not None and level < scale:
+    for w, a, b in zip(order[1:], ranks, ranks[1:]):
+        level = min(gaps[a:b], default=_EQUAL)
+        if level < scale:
             sizes.append(0)
         elif level != step:
             single_step = False
@@ -249,7 +289,8 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     other pairs keep their exact distance.
 
     Both levels on one embedding: ``_ball_certificate`` decides the entry
-    in O(n * depth).  Otherwise, or when it fails, every pair is compared.
+    in O(n) past the embedding's key order, built once for every map.
+    Otherwise, or when it fails, every pair is compared.
     """
     vectors, image_vectors = fine.realization.vectors, coarse.realization.vectors
     step = fine.cover.level - 1  # exponent of a one-scale-step merged pair

@@ -144,3 +144,28 @@ def padic_families(draw):
     if len(points) > 1 and draw(st.booleans()):
         points.append(points[0])  # a repeated point sits at distance zero
     return points
+
+
+@st.composite
+def prefix_chain_families(draw):
+    """PAdics of one prime around one digit window: points cut to a prefix of
+    it, some of them extended past the cut, and now and then a zero.
+
+    A window that is a prefix of another sits at distance 0 from it, so
+    two extensions that differ past a shorter point's window break the
+    strong triangle inequality, and extensions that agree leave it whole:
+    about a quarter of these families fail it.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    valuation = draw(st.integers(-2, 2))
+    stem = [draw(st.integers(1, p - 1))]
+    stem += [draw(st.integers(0, p - 1)) for _ in range(draw(st.integers(1, 5)))]
+    points = []
+    for _ in range(draw(st.integers(2, 6))):
+        digits = stem[: draw(st.integers(1, len(stem)))]
+        if draw(st.booleans()):
+            digits += [draw(st.integers(0, p - 1)) for _ in range(draw(st.integers(1, 3)))]
+        points.append(PAdic(p, valuation, tuple(digits), len(digits)))
+    if draw(st.integers(0, 3)) == 0:
+        points.append(PAdic.zero(p, draw(st.integers(1, 6))))
+    return draw(st.permutations(points))

@@ -346,6 +346,39 @@ def pairwise_nonstretching(
     return tuple(violations), tuple(merged), preserved, single_step
 
 
+def per_map_ball_certificate(verts, images, vectors, scale: int, step: int) -> tuple | None:
+    """The non-stretching ball certificate as one bonding map alone builds it.
+
+    The library's former route: each map sorts its own vertices' key
+    lists (taken as sets, closed by an end mark above every key level)
+    and reads each neighbour pair's first mismatch, the level of the
+    smaller key there (None: equal keys).  Levels below ``scale`` cut
+    the balls; returns (violations, merged, single step) when each ball
+    maps to one vertex inside itself, or None.
+    """
+    keys = {v: sorted(set(vectors[v].keys)) for v in verts}
+    end = (max((k[-1][0] for k in keys.values() if k), default=0) + 1,)
+    for k in keys.values():
+        k.append(end)
+    order = sorted(verts, key=keys.__getitem__)
+    ball_of = dict.fromkeys(order[:1], 0)
+    sizes = [1]
+    single_step = True
+    for v, w in zip(order, order[1:]):
+        level = next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
+        if level is not None and level < scale:
+            sizes.append(0)
+        elif level != step:
+            single_step = False
+        sizes[-1] += 1
+        ball_of[w] = len(sizes) - 1
+    image_of: dict[int, int] = {}
+    for v, iv in zip(verts, images):
+        if ball_of.get(iv) != ball_of[v] or image_of.setdefault(ball_of[v], iv) != iv:
+            return None
+    return [], sum(k * (k - 1) // 2 for k in sizes), single_step
+
+
 # -- the former pairwise routes of covers, nerves and checks -------------
 #
 # Each takes a distance matrix of exact fractions (0 for distance zero)

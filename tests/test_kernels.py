@@ -26,13 +26,16 @@ from ultrapoly import (
     space_from_points,
     verify_nonstretching,
 )
+from ultrapoly import spectrum
 from ultrapoly.nerve import Realization
 from ultrapoly.padic import PrimalityUnknownError, is_prime
+from ultrapoly.spectrum import _ball_certificate, _pair_witnesses
 
 from corpus import UNDECIDABLE_PRIME, padic_families, random_code_space, replace
 from oracles import (
     difference_exponents,
     pairwise_nonstretching,
+    per_map_ball_certificate,
     strong_triangle_by_thresholds,
     trial_division_is_prime,
     violating_triples,
@@ -228,6 +231,92 @@ def test_nonstretching_routes_match_pairwise_oracle_on_shared_embeddings(monkeyp
 
     shared_embeddings()
     assert routes["certificate"] and routes["witness"]
+
+
+KEY = st.tuples(st.integers(-2, 5), st.integers(0, 2))
+
+
+@st.composite
+def hand_built_embeddings(draw):
+    """Key lists in any order and with repeated keys; some are prefixes (as
+    sorted sets) of others, a full-length prefix being a copy."""
+    key_lists: list[list] = []
+    for _ in range(draw(st.integers(1, 9))):
+        if key_lists and draw(st.booleans()):
+            other = sorted(set(draw(st.sampled_from(key_lists))))
+            keys = other[: draw(st.integers(0, len(other)))]
+        else:
+            keys = draw(st.lists(KEY, max_size=6))
+        if keys and draw(st.booleans()):
+            keys.append(draw(st.sampled_from(keys)))
+        key_lists.append(draw(st.permutations(keys)))
+    return tuple(C0Vector(keys=tuple(keys)) for keys in key_lists)
+
+
+def _ball_images(verts, vectors, scale):
+    """Each vertex sent to the least vertex of its ball of radius p^-scale: a certified map."""
+    def same_ball(v, w):
+        e = vectors[v].distance(vectors[w]).exponent
+        return e is None or e >= scale
+
+    return [min(w for w in verts if same_ball(v, w)) for v in verts]
+
+
+def test_ball_certificate_matches_the_per_map_reference():
+    routes = {"certified": 0, "refused": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors=hand_built_embeddings(), data=st.data())
+    def parity(vectors, data):
+        n = len(vectors)
+        # vertices in any order, each map on one embedding
+        verts = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        for _ in range(data.draw(st.integers(1, 3))):
+            scale, step = data.draw(st.integers(-3, 7)), data.draw(st.integers(-3, 7))
+            images = _ball_images(verts, vectors, scale)
+            # a few images redirected: to a point, unmapped (None) or out of range
+            other = st.one_of(st.integers(-2, n + 2), st.none())
+            for t in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                if t < len(images):
+                    images[t] = data.draw(other)
+            got = _ball_certificate(verts, images, vectors, scale, step)
+            assert got == per_map_ball_certificate(verts, images, vectors, scale, step)
+            routes["refused" if got is None else "certified"] += 1
+            if got is not None:
+                assert got == _pair_witnesses(verts, images, vectors, vectors, step)
+
+    parity()
+    assert routes["certified"] and routes["refused"]
+
+
+def test_alternating_expansions_never_share_a_key_order(monkeypatch):
+    # one size, two embeddings that order the points apart: a key order
+    # read for the wrong one would refuse (and count distances) or miscount
+    a, b = (
+        assemble_expansion(random_code_space(random.Random(seed), 2, 24)) for seed in (1, 2)
+    )
+    assert a.depth == b.depth and a.vectors != b.vectors
+    expected = {
+        id(e): [
+            _oracle_report(bmap, e.levels[m + 1], e.levels[m], 2) for m, bmap in enumerate(e.bonding)
+        ]
+        for e in (a, b)
+    }
+    calls = []
+    original = C0Vector.distance
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(C0Vector, "distance", counting)
+    for m in range(a.depth - 1):
+        for e in (a, b, a, b):
+            fine, coarse = e.levels[m + 1], e.levels[m]
+            assert _kernel_report(e.bonding[m], fine, coarse) == expected[id(e)][m]
+            # one embedding is held, the last one read
+            assert spectrum._held_order[0] is e.vectors
+    assert calls == []
 
 
 def test_zero_distance_merge_is_not_a_single_step():

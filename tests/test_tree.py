@@ -47,7 +47,7 @@ from ultrapoly.nerve import RealizedCell
 from ultrapoly.spaces import MergeTree
 from ultrapoly.spectrum import Level
 
-from corpus import padic_families, random_code_space, replace
+from corpus import padic_families, prefix_chain_families, random_code_space, replace
 from oracles import (
     all_pairs_functoriality,
     closure_classes,
@@ -588,8 +588,10 @@ def one_window_families(draw):
     return points
 
 
+# prefix chains fail the inequality in about a quarter of draws, where
+# padic_families() fails it in about 2 %: the failing route is guarded too
 @settings(max_examples=300, deadline=None)
-@given(points=st.one_of(one_window_families(), padic_families()))
+@given(points=st.one_of(one_window_families(), padic_families(), prefix_chain_families()))
 def test_point_spaces_match_the_difference_oracle(points):
     table = difference_exponents(points)
     one_window = len({x.known_upto() for x in points if not x.is_zero}) <= 1

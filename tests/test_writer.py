@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ultrapoly import cli
 from ultrapoly.cli import _dump_json, _leaf_encoder, _write_json, main
 
 # strings the encoder must escape: quotes, backslashes, control and non-ASCII characters
@@ -121,3 +122,83 @@ def test_writer_without_c_encoder_matches_json_dump(tmp_path, monkeypatch, fresh
     path = tmp_path / "out.json"
     _dump_json(path, obj)
     assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# leaves whose text holds no comma or bracket, and strings that hold them
+PLAIN = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.integers(-(10**40), 10**40)
+)
+SYNTAX = st.text(alphabet=',[]{}:"\\\n\t x\x00é', max_size=6)
+ROW = st.lists(st.one_of(PLAIN, SYNTAX), max_size=8)
+PLAIN_ROW = st.lists(PLAIN, max_size=8)
+ROWS = st.lists(st.one_of(PLAIN_ROW, PLAIN_ROW.map(tuple), ROW), max_size=40)
+PLAIN_ROWS = st.lists(st.one_of(PLAIN_ROW, PLAIN_ROW.map(tuple)), max_size=40)
+# objects of one set of keys whose values are scalars or leaf containers; now
+# and then one with a container of containers, or with another key
+FLAT_VALUE = st.one_of(PLAIN, SYNTAX, ROW, st.dictionaries(SYNTAX, PLAIN, max_size=3))
+FLAT_OBJECTS = st.lists(
+    st.fixed_dictionaries({"a": FLAT_VALUE, "b\n,": FLAT_VALUE, "c": PLAIN_ROW}),
+    min_size=1,
+    max_size=80,
+).flatmap(
+    lambda objects: st.one_of(
+        st.just(objects),
+        st.just([*objects, {**objects[0], "c": [[1], []]}]),
+        st.just([*objects, {"a": 1}]),
+    )
+)
+
+
+# each list at the top or nested in lists and objects, at depths 0 to 4
+NESTED = st.one_of(ROWS, PLAIN_ROWS, FLAT_OBJECTS).flatmap(
+    lambda rows: st.sampled_from([rows, {"k": rows}, [[rows]], {"x": [{"y": rows}]}])
+)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(obj=NESTED)
+@example(obj=[[True, False, None], [-7, 10**40, -(10**40)], (1, 2), []])
+@example(obj=[[], [[]], [1]])
+@example(obj=[["a,b", "[x]"], [1, '"'], ["\\]", "\n,["]])
+@example(obj=[[1, "],\n      ["], [2]])
+@example(obj=[{"a": "x\n,  y", "b": [1, 2], "c": {"d": None}}, {"a": "", "b": [], "c": {}}])
+# 1 and True are one key to a dict but two to json
+@example(obj=[{1: "a", 2: [3]}, {True: "b", 2: [4]}])
+def test_writer_matches_json_dump_on_leaf_lists(
+    tmp_path, monkeypatch, fresh_encoders, c_encoder, obj
+):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    path = tmp_path / "out.json"
+    _dump_json(path, obj)
+    assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_only_rows_of_ints_bools_and_none_are_batched(monkeypatch):
+    batched = []
+    original = cli._write_plain_rows
+
+    def spy(write, rows, depth):
+        batched.append(rows)
+        original(write, rows, depth)
+
+    monkeypatch.setattr(cli, "_write_plain_rows", spy)
+    plain = [[1, True, None], (-(10**40),), [0]]
+    for rows in (plain, [[1], ["a,b]"]], [[1], []], [[1], [1.5]]):
+        text = json.dumps(rows, sort_keys=True, indent=2)
+        pieces: list[str] = []
+        _write_json(pieces.append, rows, 0)
+        assert "".join(pieces) == text
+    # strings, empty rows and floats take the route of one item at a time
+    assert batched == [plain]
+
+
+def test_flat_objects_are_written_one_piece_each():
+    samples = [{"digits": [i % 5, 1], "label": f"x{i}", "theta": f"{i}/5"} for i in range(200)]
+    pieces: list[str] = []
+    _write_json(pieces.append, {"theta_samples": samples}, 0)
+    assert "".join(pieces) == json.dumps({"theta_samples": samples}, sort_keys=True, indent=2)
+    assert len(pieces) == len(samples) + 3  # the key, each object, two closing brackets
