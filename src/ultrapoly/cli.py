@@ -789,10 +789,11 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     ``scale``, ``threshold``, ``vertices``, ``maximal_simplexes``,
     ``dimL``); shadow also reads ``schedule``, each ``bonding[i]``
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
-    ``space.padic_points`` and ``space.prime``.  Vertices are point
-    indices into the labels.  A missing or mistyped field raises
-    InputFormatError naming its path in the bundle.  One pass over the
-    decoded bundle.
+    ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
+    values are point indices into the labels, level numbers differ, and
+    there is one p-adic digit list per label.  A missing or mistyped
+    field raises InputFormatError naming its path in the bundle.  One
+    pass over the decoded bundle.
     """
     bundle = _load_json(path)
     if not isinstance(bundle, dict):
@@ -821,9 +822,18 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     def simplexes(value) -> bool:
         return type(value) is list and value != [] and all(s != [] and points(s) for s in value)
 
+    numbers: set[int] = set()
     for i, level in enumerate(items("levels")):
         for key in ("level", "scale", "dimL"):
             require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
+        require(
+            level,
+            "level",
+            f"levels[{i}].level",
+            lambda value: value not in numbers,
+            "a level number no other level has",
+        )
+        numbers.add(level["level"])
         require(level, "threshold", f"levels[{i}].threshold", _is_exponent, 'an integer or "INF"')
         require(level, "vertices", f"levels[{i}].vertices", points, "a list of point indices")
         require(
@@ -842,8 +852,8 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
             bmap,
             "vertex_map",
             f"bonding[{i}].vertex_map",
-            lambda value: _is_dict(value) and all(map(_is_int, value.values())),
-            "an object of integers",
+            lambda value: _is_dict(value) and points(list(value.values())),
+            "an object of point indices",
         )
     require(bundle, "schedule", "schedule", _is_dict, "an object")
     if "padic_points" in space:
@@ -852,8 +862,9 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
             "padic_points",
             "space.padic_points",
             lambda value: _is_list(value)
+            and len(value) == n
             and all(_is_list(s) and all(map(_is_int, s)) for s in value),
-            "a list of digit lists",
+            "a list of digit lists, one per label",
         )
         prime = require(space, "prime", "space.prime", _is_int, "an integer")
         _check_prime_field(prime, "space.prime", f"{path}: bundle ")

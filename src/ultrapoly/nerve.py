@@ -10,6 +10,7 @@ vertex set: every complex here is a disjoint union of simplexes.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain
 
 from .padic import GAMMA_ZERO, Frozen, GammaValue
@@ -29,23 +30,30 @@ class ScaleCover(Frozen):
 
     Blocks are sorted tuples of point indices, ordered by smallest
     member; a block's representative is that smallest member.
+    ``__dict__`` caches ``rep_of`` and ``block_of`` and is not a field.
     """
 
-    __slots__ = ("level", "blocks")
+    __slots__ = ("level", "blocks", "__dict__")
+    _fields = __slots__[:-1]
 
     @property
     def representatives(self) -> tuple[int, ...]:
         return tuple(block[0] for block in self.blocks)
 
+    @cached_property
+    def rep_of(self) -> dict[int, int]:
+        """Each point's block representative: its parent pointer in the ball tree."""
+        return {point: block[0] for block in self.blocks for point in block}
+
+    @cached_property
+    def block_of(self) -> dict[int, tuple[int, ...]]:
+        """Each point's block."""
+        return {point: block for block in self.blocks for point in block}
+
 
 def scale_cover(space: UltraSpace, j: int) -> ScaleCover:
     """Blocks are the classes of {d <= p^-j}, i.e. exponent >= j."""
     return ScaleCover(level=j, blocks=tuple(space.tree.classes(j)))
-
-
-def _rep_of(cover: ScaleCover) -> dict[int, int]:
-    """Each point's block representative: its parent pointer in the ball tree."""
-    return {point: block[0] for block in cover.blocks for point in block}
 
 
 def _crossing_block(
@@ -68,7 +76,7 @@ def cover_tower(space: UltraSpace, j_min: int, j_max: int) -> list[ScaleCover]:
         raise ValueError("j_min must not exceed j_max")
     tower = [scale_cover(space, j) for j in range(j_min, j_max + 1)]
     for coarse, fine in zip(tower, tower[1:]):
-        block = _crossing_block(_rep_of(fine), _rep_of(coarse))
+        block = _crossing_block(fine.rep_of, coarse.rep_of)
         if block is not None:
             raise NestingError(
                 f"block {block} at scale {fine.level} crosses blocks at scale {coarse.level}"
@@ -82,9 +90,16 @@ class NerveComplex(Frozen):
     Vertices are block representatives; maximal simplexes are the
     threshold classes of blocks, and every subset of a simplex is an
     implicit face.  A simplex on q+1 vertices has dimension q.
+    ``__dict__`` caches ``simplex_of`` and is not a field.
     """
 
-    __slots__ = ("level", "scale", "threshold", "vertices", "maximal_simplexes")
+    __slots__ = ("level", "scale", "threshold", "vertices", "maximal_simplexes", "__dict__")
+    _fields = __slots__[:-1]
+
+    @cached_property
+    def simplex_of(self) -> dict[int, int]:
+        """Each vertex's maximal simplex index (the last that lists it)."""
+        return {v: idx for idx, s in enumerate(self.maximal_simplexes) for v in s}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -185,11 +200,10 @@ def realize(
     radius the support's diameter: the meet of its first and last points
     in the merge tree's order.  Cells of one radius share its GammaValue.
     """
-    rep_to_block = {block[0]: block for block in cover.blocks}
     radii: dict[int | None, GammaValue] = {}
     cells = []
     for simplex in nerve.maximal_simplexes:
-        support = tuple(sorted(chain.from_iterable(map(rep_to_block.__getitem__, simplex))))
+        support = tuple(sorted(chain.from_iterable(map(cover.block_of.__getitem__, simplex))))
         e = space.tree.diameter(support)
         radius = radii.get(e) or radii.setdefault(e, GammaValue(e))
         cells.append(RealizedCell(simplex, support, support[0], radius))
@@ -261,16 +275,11 @@ def isolated_point_check(
     Returns ``first_level``, per point the first level from which it must
     sit alone (None if none), and ``violations``, the [point, level]
     pairs where it does not.  A point's nearest-neighbour distance is
-    read off the merge tree, and its block and simplex from lookups
-    built once per level.
+    read off the merge tree, and its block and simplex from the cover's
+    ``block_of`` and the nerve's ``simplex_of``.
     """
     n = space.n_points
     bounds = [max(GammaValue(cover.level), nerve.threshold) for cover, nerve in levels]
-    block_at: list[dict[int, tuple[int, ...]]] = []
-    simplex_at: list[dict[int, tuple[int, ...]]] = []
-    for cover, nerve in levels:
-        block_at.append({x: block for block in cover.blocks for x in block})
-        simplex_at.append({v: s for s in nerve.maximal_simplexes for v in s})
     first_level: dict[int, int | None] = {}
     violations = []
     for x in range(n):
@@ -281,9 +290,9 @@ def isolated_point_check(
         first_level[x] = start
         if start is None:
             continue
-        for m in range(start, len(levels)):
-            block = block_at[m][x]
-            simplex = simplex_at[m][block[0]]
+        for m, (cover, nerve) in enumerate(levels[start:], start):
+            block = cover.block_of[x]
+            simplex = nerve.maximal_simplexes[nerve.simplex_of[block[0]]]
             if block != (x,) or simplex != (x,):
                 violations.append([x, m])
     return {"first_level": first_level, "violations": violations}

@@ -13,13 +13,15 @@ levels of the infinite-system picture are constant and carry nothing.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
-from .nerve import NestingError, _crossing_block, _rep_of, build_nerve, realize, scale_cover
+from .nerve import NestingError, _crossing_block, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
 from .spaces import (
     C0Vector,
+    MergeTree,
     UltraSpace,
     UnseparatedSpaceError,
     baire_encode,
@@ -102,17 +104,9 @@ class Schedule(Frozen):
 
 
 class Level(Frozen):
-    """One rung of the system: cover, nerve, realization, lookup tables."""
+    """One rung of the system: cover, nerve and realization."""
 
-    # rep_of: point -> its block's representative; simplex_of: vertex -> maximal simplex index
-    __slots__ = ("m", "cover", "nerve", "realization", "rep_of", "simplex_of")
-
-    def __repr__(self) -> str:
-        # the lookup tables are compared but not shown
-        return (
-            f"Level(m={self.m!r}, cover={self.cover!r}, nerve={self.nerve!r}, "
-            f"realization={self.realization!r})"
-        )
+    __slots__ = ("m", "cover", "nerve", "realization")
 
 
 def _make_level(
@@ -125,16 +119,7 @@ def _make_level(
 ) -> Level:
     cover = scale_cover(space, j)
     nerve = build_nerve(space, cover, k=k, b=b, level=m)
-    realization = realize(space, cover, nerve, vectors)
-    simplex_of = {v: idx for idx, s in enumerate(nerve.maximal_simplexes) for v in s}
-    return Level(
-        m=m,
-        cover=cover,
-        nerve=nerve,
-        realization=realization,
-        rep_of=_rep_of(cover),
-        simplex_of=simplex_of,
-    )
+    return Level(m, cover, nerve, realize(space, cover, nerve, vectors))
 
 
 class BondingMap(Frozen):
@@ -158,95 +143,86 @@ class BondingMap(Frozen):
 def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     """Send each fine block to the coarse block containing it: its parent pointer.
 
-    The vertex map is ``coarse.rep_of`` on the fine vertices.
+    The vertex map is the coarse cover's ``rep_of`` on the fine vertices.
 
     Raises:
         NestingError: if some fine block crosses coarse blocks.
         NestingError: if some fine simplex has no containing coarse simplex.
     """
-    block = _crossing_block(fine.rep_of, coarse.rep_of)
+    rep_of, simplex_of = coarse.cover.rep_of, coarse.nerve.simplex_of
+    block = _crossing_block(fine.cover.rep_of, rep_of)
     if block is not None:
         raise NestingError(f"block {block} of level {fine.m} crosses blocks of level {coarse.m}")
-    vertex_map = {v: coarse.rep_of[v] for v in fine.nerve.vertices}
+    vertex_map = {v: rep_of[v] for v in fine.nerve.vertices}
     for s in fine.nerve.maximal_simplexes:
         # coarse simplexes partition the vertices: one container, or none
-        if len({coarse.simplex_of[vertex_map[v]] for v in s}) != 1:
+        if len({simplex_of[vertex_map[v]] for v in s}) != 1:
             raise NestingError(
                 f"simplex {s} of level {fine.m} has no containing simplex at level {coarse.m}"
             )
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
-#: Stands for "equal keys" among the neighbour levels: above every level.
-_EQUAL = float("inf")
-
-#: The embedding ``_key_order`` read last, and what it built from it: one
+#: The embedding ``_key_order`` read last, and the tree it built from it: one
 #: embedding at a time.  Holding the embedding keeps its id from passing to
 #: another while it is compared by identity, and the pair is replaced as
-#: one tuple, so no thread reads one embedding's order for another.
+#: one tuple, so no thread reads one embedding's tree for another.
 _held_order: tuple = (None, None)
 
 
-def _key_order(vectors) -> tuple[list[int], list]:
-    """Each point's rank in the order of the key lists, and the level between neighbours.
+def _key_order(vectors) -> MergeTree:
+    """The embedding's merge tree: its points in the order of their key lists.
 
     Sorted key lists, closed by an end mark above every key level, order
-    the points; ``gaps[r]`` is the level of the smaller key where the
-    points of ranks r and r + 1 first differ (``_EQUAL``: equal keys).
-    Built once per embedding, O(n * depth): every bonding map of an
-    expansion reads the same one.
+    the points; the height between neighbours is the level of the smaller
+    key where they first differ (None: equal keys).  Two points then meet
+    at the least height between them, as the first mismatch of two sorted
+    sequences is the least over the neighbours between them (the LCP
+    property).  Built once per embedding, O(n * depth): every bonding map
+    of an expansion reads the same one.
     """
     global _held_order
-    held, built = _held_order
+    held, tree = _held_order
     if held is vectors:
-        return built
+        return tree
     keys = [sorted(set(vector.keys)) for vector in vectors]
     end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
     for k in keys:
         k.append(end)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(order)
-    for r, x in enumerate(order):
-        rank[x] = r
-    gaps = [
-        next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), _EQUAL)
+    heights = [
+        next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
         for v, w in zip(order, order[1:])
     ]
-    _held_order = (vectors, (rank, gaps))
-    return rank, gaps
+    tree = MergeTree(order, heights)
+    _held_order = (vectors, tree)
+    return tree
 
 
 def _ball_certificate(verts, images, vectors, scale: int, step: int) -> tuple | None:
     """``verify_nonstretching``'s (violations, merged, single step) when no pair stretches, or None.
 
-    The vertices, in their points' order of ``_key_order``, meet where
-    the neighbour levels between them are least: the first mismatch of
-    two sorted sequences is the least over the neighbours between them
-    (the LCP property), and equal keys stand aside.  So a pair's realized
-    exponent is a range minimum of the embedding's neighbour levels, and
-    levels below ``scale`` cut the balls of radius p^-scale.  If each
-    ball maps to one vertex inside itself, pairs across balls keep their
-    distance (ultrametric triangles are isosceles): O(n) per map past
-    the one order of the embedding.
+    The balls of radius p^-scale are the cut of the embedding's merge
+    tree (``_key_order``) at ``scale``.  If each ball maps to one vertex
+    inside itself, pairs across balls keep their distance (ultrametric
+    triangles are isosceles), and the pairs inside a ball merge: O(n) per
+    map past the one tree of the embedding.
     """
-    rank, gaps = _key_order(vectors)
-    order = sorted(verts, key=rank.__getitem__)
-    ranks = [rank[v] for v in order]
-    ball_of = dict.fromkeys(order[:1], 0)
-    sizes = [1]
-    single_step = True
-    for w, a, b in zip(order[1:], ranks, ranks[1:]):
-        level = min(gaps[a:b], default=_EQUAL)
-        if level < scale:
-            sizes.append(0)
-        elif level != step:
-            single_step = False
-        sizes[-1] += 1
-        ball_of[w] = len(sizes) - 1
+    tree = _key_order(vectors)
+    ball, position = tree.cut(scale), tree.position
+    ball_of = {v: ball[v] for v in verts}
     image_of: dict[int, int] = {}
     for v, iv in zip(verts, images):
         if ball_of.get(iv) != ball_of[v] or image_of.setdefault(ball_of[v], iv) != iv:
             return None
+    # merged neighbours in the tree's order meet at the least height between them
+    order = sorted(verts, key=position.__getitem__)
+    single_step = all(
+        tree._meet(position[v], position[w]) == step
+        for v, w in zip(order, order[1:])
+        if ball[v] == ball[w]
+    )
+    sizes = Counter(ball_of.values()).values()
     return [], sum(k * (k - 1) // 2 for k in sizes), single_step
 
 
@@ -289,7 +265,7 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     other pairs keep their exact distance.
 
     Both levels on one embedding: ``_ball_certificate`` decides the entry
-    in O(n) past the embedding's key order, built once for every map.
+    in O(n) past the embedding's merge tree, built once for every map.
     Otherwise, or when it fails, every pair is compared.
     """
     vectors, image_vectors = fine.realization.vectors, coarse.realization.vectors
@@ -370,7 +346,7 @@ class Expansion(Frozen):
             for fine_m in range(self.depth)
             for coarse_m in range(fine_m + 1)
             if self.composite_vertex_map(fine_m, coarse_m)
-            != {v: levels[coarse_m].rep_of[v] for v in levels[fine_m].nerve.vertices}
+            != {v: levels[coarse_m].cover.rep_of[v] for v in levels[fine_m].nerve.vertices}
         )
 
     def _functorial(self) -> bool:
@@ -388,15 +364,15 @@ class Expansion(Frozen):
         if len(self.bonding) < len(levels) - 1:
             return False
         for level in levels:
-            if any(level.rep_of.get(v) != v for v in level.nerve.vertices):
+            if any(level.cover.rep_of.get(v) != v for v in level.nerve.vertices):
                 return False
         for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
-            rep_of = coarse.rep_of
+            rep_of = coarse.cover.rep_of
             direct = {v: rep_of.get(v) for v in fine.nerve.vertices}
             if (
                 bmap.vertex_map != direct
                 or not set(coarse.nerve.vertices).issuperset(direct.values())
-                or _crossing_block(fine.rep_of, rep_of) is not None
+                or _crossing_block(fine.cover.rep_of, rep_of) is not None
             ):
                 return False
         return True
@@ -405,7 +381,9 @@ class Expansion(Frozen):
         """The maximal simplex index, per level, of the simplex containing the point's block."""
         if not 0 <= point < self.space.n_points:
             raise KeyError(f"unknown point index {point}")
-        return tuple(level.simplex_of[level.rep_of[point]] for level in self.levels)
+        return tuple(
+            level.nerve.simplex_of[level.cover.rep_of[point]] for level in self.levels
+        )
 
     def check_thread(self, thread: Sequence[int]) -> None:
         """Coherence: each bonding map sends the finer simplex into the coarser."""
@@ -439,15 +417,11 @@ class Expansion(Frozen):
             len(level.nerve.maximal_simplexes) != len(level.realization.cells) for level in levels
         ):
             return {}
-        simplex_at = [
-            {v: idx for idx, s in enumerate(level.nerve.maximal_simplexes) for v in s}
-            for level in levels[:-1]
-        ]
         parents = []
-        for bmap, fine, coarse in zip(self.bonding, levels[1:], simplex_at):
+        for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
             parent = []
             for s in fine.nerve.maximal_simplexes:
-                images = {coarse.get(bmap.vertex_map.get(v)) for v in s}
+                images = {coarse.nerve.simplex_of.get(bmap.vertex_map.get(v)) for v in s}
                 parent.append(images.pop() if len(images) == 1 else None)
             parents.append(parent)
         cell_at = [
@@ -652,8 +626,8 @@ def _pairwise_recovery(exponents, taus: Sequence[int], threads) -> list[list]:
 
 
 #: Largest group Z/p^depth that ``residue_space`` builds in full.  The build
-#: holds no pair table, but its ``gamma_matrix`` and ``_shift_invariant``'s
-#: ``rows()`` hold (p^depth)^2 entries each, 4M at the cap.
+#: and ``_shift_invariant`` hold no pair table, but its ``gamma_matrix``
+#: holds (p^depth)^2 entries, 4M at the cap.
 MAX_RESIDUE_ORDER = 2048
 
 #: Most levels ``Schedule.auto`` builds, one per exponent step.  Positive
@@ -692,14 +666,19 @@ def residue_space(p: int, depth: int, subset: Iterable[int] | None = None) -> Ul
     return space_from_points(padics, labels=[str(r) for r in points])
 
 
-def _shift_invariant(exponents: Sequence[Sequence[int | None]]) -> bool:
-    """True when d(x + 1, y + 1) = d(x, y) for all points, indices taken mod n."""
-    n = len(exponents)
-    return all(
-        row[y] == shifted[(y + 1) % n]
-        for row, shifted in zip(exponents, exponents[1:] + exponents[:1])
-        for y in range(n)
-    )
+def _shift_invariant(tree: MergeTree) -> bool:
+    """True when d(x + 1, y + 1) = d(x, y) for all points, indices taken mod n.
+
+    A bijection of a finite space that stretches no distance keeps every
+    one, so the shift is an isometry exactly when it sends each block of
+    the cut at every height of the tree (None: distance 0) into one block:
+    O(n * depth), with no pair table.
+    """
+    for h in set(tree.heights):
+        block = tree.cut(h)
+        if len(set(zip(block, block[1:] + block[:1]))) != len(set(block)):
+            return False
+    return True
 
 
 def group_expansion(
@@ -711,7 +690,8 @@ def group_expansion(
     exactly p^i blocks, that each bonding map is reduction mod p^i on
     representatives, and that the space's metric is invariant under
     adding any residue (mod p^depth): adding 1 generates the group, so
-    that one shift is checked, over every pair, in O(p^(2 depth)).
+    that one shift is checked, on the cuts of the merge tree, in
+    O(p^depth * depth).
     Subsets skip the count and invariance checks.
     """
     space = residue_space(p, depth, subset)
@@ -730,5 +710,5 @@ def group_expansion(
                 if w != v % modulus:
                     reduction_ok = False
         report["bonding_is_mod_reduction"] = reduction_ok
-        report["translation_invariant"] = _shift_invariant(space.tree.rows())
+        report["translation_invariant"] = _shift_invariant(space.tree)
     return expansion, report

@@ -734,3 +734,15 @@ def thread_preimage(
     for level_supports, idx in zip(supports[1:], thread[1:]):
         points &= set(level_supports[idx])
     return frozenset(points)
+
+
+def pairwise_shift_invariant(exponents: list[list[int | None]]) -> bool:
+    """Whether d(x + 1, y + 1) = d(x, y) for every pair, indices taken mod n.
+
+    The library's former translation check of ``demo zp``: every entry of
+    the exponent table against the entry one step along both indices.
+    """
+    n = len(exponents)
+    return all(
+        exponents[x][y] == exponents[(x + 1) % n][(y + 1) % n] for x in range(n) for y in range(n)
+    )

@@ -114,7 +114,7 @@ def test_criterion_4_inverse_system_contracts():
             # a simplex's image is its vertices' images
             for s in fine.nerve.maximal_simplexes:
                 image = {bmap.vertex_map[v] for v in s}
-                container = coarse.simplex_of[min(image)]
+                container = coarse.nerve.simplex_of[min(image)]
                 assert image <= set(coarse.nerve.maximal_simplexes[container])
             assert verify_nonstretching(bmap, fine, coarse)["violations"] == []
         assert expansion.verify_functoriality() == []
@@ -196,9 +196,9 @@ def test_criterion_7_outlier_degeneration():
         assert threshold_level is not None
         for m in range(threshold_level, expansion.depth):
             level = expansion.levels[m]
-            vertex = level.rep_of[outlier]
+            vertex = level.cover.rep_of[outlier]
             assert (outlier,) in level.cover.blocks
-            assert level.nerve.maximal_simplexes[level.simplex_of[vertex]] == (outlier,)
+            assert level.nerve.maximal_simplexes[level.nerve.simplex_of[vertex]] == (outlier,)
     _report(7, "outlier degeneration", time.perf_counter() - start, 5)
 
 

@@ -654,6 +654,12 @@ def _set_field(bundle, path, value):
         (["shadow"], ("bonding", 0, "to"), "0", "bonding[0].to"),
         (["shadow"], ("space", "padic_points", 0), 1, "space.padic_points"),
         (["shadow"], ("schedule",), [], "schedule"),
+        # one digit stream fewer, or more, than the four labels
+        (["shadow"], ("space", "padic_points"), [[0, 0], [1, 0], [0, 1]], "space.padic_points"),
+        (["shadow"], ("space", "padic_points"), [[0, 0]] * 5, "space.padic_points"),
+        (["shadow"], ("bonding", 0, "vertex_map", "1"), 10**6, "bonding[0].vertex_map"),
+        # two levels numbered 0: their DOT files would share one name
+        (["export", "dot"], ("levels", 1, "level"), 0, "levels[1].level"),
     ],
 )
 def test_bad_level_and_map_fields_are_named(

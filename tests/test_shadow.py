@@ -263,7 +263,7 @@ def test_shadow_bonding_functoriality_three_levels():
     shadow = _shadow(expansion)
     fine_to_mid, mid_to_coarse = (_vertex_map(m) for m in reversed(shadow["bonding"]))
     two_step = {v: mid_to_coarse[fine_to_mid[v]] for v in shadow["levels"][2]["vertices"]}
-    direct = {v: expansion.levels[0].rep_of[v] for v in expansion.levels[2].nerve.vertices}
+    direct = {v: expansion.levels[0].cover.rep_of[v] for v in expansion.levels[2].nerve.vertices}
     assert two_step == direct
 
 

@@ -23,7 +23,7 @@ from ultrapoly import (
 )
 from ultrapoly.spectrum import Expansion
 
-from corpus import random_code_space
+from corpus import random_code_space, replace
 from oracles import residue_blocks
 
 
@@ -233,6 +233,17 @@ def test_z9_thread_of_point_five():
     assert simplex_sets == [(0,), (2,), (5,)]  # whole, class of 5 mod 3, itself
 
 
+def test_threads_and_bonding_maps_read_an_edited_cover():
+    # Z/9: point 3 moves from the block of 0 into the block of 1 at level 1
+    expansion, _ = group_expansion(3, 2)
+    level = expansion.levels[1]
+    assert level.cover.blocks == ((0, 3, 6), (1, 4, 7), (2, 5, 8))
+    edited = replace(level, cover=replace(level.cover, blocks=((0, 6), (1, 3, 4, 7), (2, 5, 8))))
+    mutant = replace(expansion, levels=(expansion.levels[0], edited, expansion.levels[2]))
+    assert mutant.thread(3) == (0, 1, 3)
+    assert bonding_map(expansion.levels[2], edited).vertex_map[3] == 1
+
+
 def test_thread_coherence_for_all_points():
     space = random_code_space(random.Random(10), 5, 15)
     expansion = assemble_expansion(space)
@@ -362,9 +373,9 @@ def test_group_expansion_rejects_bad_parameters():
 def test_translation_check_reads_the_space_distances():
     from ultrapoly.spectrum import _shift_invariant
 
-    assert _shift_invariant(residue_space(3, 3).tree.rows())
+    assert _shift_invariant(residue_space(3, 3).tree)
     # 27 random codes of one space, in code order: not a cyclic group
-    assert not _shift_invariant(random_code_space(random.Random(5), 3, 27).tree.rows())
+    assert not _shift_invariant(random_code_space(random.Random(5), 3, 27).tree)
 
 
 def test_residue_space_cap_is_checked_before_building():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ultrapoly import (
@@ -45,7 +45,7 @@ from ultrapoly import space_from_points
 from ultrapoly.cli import RunReport, _verify_expansion
 from ultrapoly.nerve import RealizedCell
 from ultrapoly.spaces import MergeTree
-from ultrapoly.spectrum import Level
+from ultrapoly.spectrum import Level, _shift_invariant
 
 from corpus import padic_families, prefix_chain_families, random_code_space, replace
 from oracles import (
@@ -61,6 +61,7 @@ from oracles import (
     pairwise_separation,
     pairwise_limit_recovery,
     pairwise_set_distance,
+    pairwise_shift_invariant,
     strong_triangle_by_thresholds,
     thread_preimage,
 )
@@ -312,16 +313,8 @@ def test_baire_codes_match_pairwise_route(expo, p, data):
 
 
 def _level(space, m, cover, k):
-    """Level m over an arbitrary cover, with the lookups a bonding map reads."""
-    nerve = build_nerve(space, cover, k=k, level=m)
-    return Level(
-        m=m,
-        cover=cover,
-        nerve=nerve,
-        realization=None,
-        rep_of={x: block[0] for block in cover.blocks for x in block},
-        simplex_of={v: i for i, s in enumerate(nerve.maximal_simplexes) for v in s},
-    )
+    """Level m over an arbitrary cover, with no realization."""
+    return Level(m, cover, build_nerve(space, cover, k=k, level=m), None)
 
 
 def _covers(expo, space, data):
@@ -413,7 +406,7 @@ def test_cover_tower_matches_containment_route(expo, p, data):
 
 def _oracle_functoriality(expansion):
     return all_pairs_functoriality(
-        [level.rep_of for level in expansion.levels],
+        [level.cover.rep_of for level in expansion.levels],
         [list(level.nerve.vertices) for level in expansion.levels],
         [bmap.vertex_map for bmap in expansion.bonding],
     )
@@ -437,11 +430,7 @@ def _moved(expansion, m, x, target):
     level = expansion.levels[m]
     blocks = _move_point(level.cover.blocks, x, target)
     levels = list(expansion.levels)
-    levels[m] = replace(
-        level,
-        cover=ScaleCover(level=level.cover.level, blocks=blocks),
-        rep_of={point: block[0] for block in blocks for point in block},
-    )
+    levels[m] = replace(level, cover=ScaleCover(level=level.cover.level, blocks=blocks))
     return replace(expansion, levels=tuple(levels))
 
 
@@ -623,9 +612,12 @@ def _skipping_schedule(expo, data):
 
 
 def _resimplexed(expansion, m, v, idx):
-    """Vertex v of level m listed under simplex idx: the level's threads change."""
+    """Vertex v of level m moved into simplex idx: the level's threads change."""
     levels = list(expansion.levels)
-    levels[m] = replace(levels[m], simplex_of={**levels[m].simplex_of, v: idx})
+    nerve = levels[m].nerve
+    simplexes = [tuple(u for u in s if u != v) for s in nerve.maximal_simplexes]
+    simplexes[idx] += (v,)
+    levels[m] = replace(levels[m], nerve=replace(nerve, maximal_simplexes=tuple(simplexes)))
     return replace(expansion, levels=tuple(levels))
 
 
@@ -656,6 +648,43 @@ def _reconstructed(expansion, thread):
         return expansion.reconstruct(thread)
     except IncoherentThreadError:
         return None
+
+
+@st.composite
+def residue_exponents(draw):
+    """Exponent matrices of residues mod p^depth read to precision k <= depth:
+    residues equal mod p^k sit at distance zero.  Perhaps a subset of them,
+    perhaps reordered, so the shift x -> x + 1 keeps some and breaks others."""
+    p = draw(PRIMES)
+    depth = draw(st.integers(1, 3 if p < 5 else 2))
+    k = draw(st.integers(1, depth))
+    points = list(range(p**depth))
+    if draw(st.booleans()):
+        points = sorted(draw(st.sets(st.sampled_from(points), min_size=1)))
+    if draw(st.booleans()):
+        points = draw(st.permutations(points))
+
+    def exponent(d):
+        if d % p**k == 0:
+            return None
+        e = 0
+        while d % p ** (e + 1) == 0:
+            e += 1
+        return e
+
+    return [[exponent(x - y) for y in points] for x in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(expo=st.one_of(ultrametric_exponents(), residue_exponents()), p=PRIMES)
+# the shift keeps every positive distance's blocks but splits the pair at distance 0
+@example(expo=[[None, None, 0], [None, None, 0], [0, 0, None]], p=3)
+def test_shift_invariance_matches_the_pairwise_scan(expo, p):
+    invariant = pairwise_shift_invariant(expo)
+    assert _shift_invariant(_space(expo, p).tree) == invariant
+    event(f"invariant: {invariant}")
+    if any(e is None for a, row in enumerate(expo) for e in row[a + 1 :]):
+        event("points at distance zero")
 
 
 def _assert_threads_match(expo, expansion, threads):
@@ -690,7 +719,7 @@ def test_limit_recovery_and_reconstruction_match_pairwise_routes(expo, p, data):
         event("limit recovery fails on some pairs")
 
     # mutants, decided by the pairwise fallbacks: a point moved to another block,
-    # a vertex redirected, a vertex listed under another simplex, two cells' supports swapped
+    # a vertex redirected, a vertex moved into another simplex, two cells' supports swapped
     m = data.draw(st.integers(0, len(levels) - 1))
     x = data.draw(st.integers(0, len(expo) - 1))
     blocks, simplexes = levels[m].cover.blocks, levels[m].nerve.maximal_simplexes

@@ -105,7 +105,7 @@ FIELDS = {
     "RealizedCell": ("simplex", "support", "center", "radius"),
     "Realization": ("vectors", "cells"),
     "Schedule": ("j", "k", "b"),
-    "Level": ("m", "cover", "nerve", "realization", "rep_of", "simplex_of"),
+    "Level": ("m", "cover", "nerve", "realization"),
     "BondingMap": ("fine", "coarse", "vertex_map"),
     "Expansion": ("space", "schedule", "levels", "bonding", "codes", "vectors"),
     "BoundaryPair": ("low", "high", "gap"),
@@ -123,7 +123,7 @@ FIELDS = {
 }
 # a field holds a dict, so the instance is unhashable, as it was; the
 # checks return dicts and lists, which are unhashable themselves
-UNHASHABLE = {"Level", "BondingMap", "Expansion", *RETURNS}
+UNHASHABLE = {"BondingMap", "Expansion", *RETURNS}
 # the two run-time records of the CLI are mutable, as their dataclasses were
 MUTABLE = {"PipelineConfig", "RunReport"}
 

@@ -66,10 +66,10 @@ def _uniformity():
 
 
 def _isolation():
-    # the finest cover puts points 0 and 1 in one block
+    # the finest cover puts point 0 in one block with 9, an index with no point
     expansion = _z9()
     cover = expansion.levels[2].cover
-    blocks = ((0, 1), *cover.blocks[2:])
+    blocks = ((0, 9), *cover.blocks[1:])
     return _with_level(expansion, 2, cover=replace(cover, blocks=blocks))
 
 
@@ -83,13 +83,18 @@ def _reconstruct():
 
 
 def _functoriality():
-    # Z/27 with threshold factor 1: point 9 is sent to vertex 3, not 0, at
-    # level 2; both lie in one simplex there, so threads do not change
+    # Z/27 with threshold factor 1: point 9 moves from the block of 0 into
+    # the block of 3 at level 2; both lie in one simplex there, so threads
+    # do not change
     space = residue_space(3, 3)
     expansion = assemble_expansion(space, Schedule.auto(space, k_shift=1))
-    level = expansion.levels[2]
-    assert level.simplex_of[0] == level.simplex_of[3]
-    return _with_level(expansion, 2, rep_of={**level.rep_of, 9: 3})
+    cover, nerve = expansion.levels[2].cover, expansion.levels[2].nerve
+    assert nerve.simplex_of[0] == nerve.simplex_of[3]
+    blocks = tuple(
+        tuple(sorted({*block, 9})) if 3 in block else tuple(x for x in block if x != 9)
+        for block in cover.blocks
+    )
+    return _with_level(expansion, 2, cover=replace(cover, blocks=blocks))
 
 
 def _limit_isometry():
