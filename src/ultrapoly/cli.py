@@ -3,12 +3,19 @@
 Outputs are byte-deterministic for fixed input and config: bundle files
 carry no timestamps (timings live only in the run report printed to
 stdout), and every dict is serialized with sorted keys.
+
+``console`` is the process entry (``python -m ultrapoly`` and the
+``ultrapoly`` script): it runs one command with the cyclic garbage
+collector off and freezes the heap before the interpreter exits.
+``main`` runs one command and leaves the collector as it finds it, so
+callers in one process keep their own collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -688,11 +695,15 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
     if space is None:
         return report, outputs, EXIT_VERIFY
 
-    # the bundle's space is space.json less the raw matrix: one build serves both
+    # the bundle's space is space.json less the input as written: one build
+    # serves both, and the bundle keeps the digit streams of the space's own
+    # points, one per label, as shadow reads them (round drops merged points)
     space_json = space.to_json()
+    bundle_space = dict(space_json)
     if "padic_points" in obj:
         space_json["padic_points"] = [list(s) for s in obj["padic_points"]]
-    bundle_space = dict(space_json)
+        streams = dict(zip(map(str, obj["labels"]), space_json["padic_points"]))
+        bundle_space["padic_points"] = [streams[label] for label in space.labels]
     if "matrix" in obj:
         space_json["matrix"] = [[str(e) for e in row] for row in obj["matrix"]]
     outputs["space.json"] = space_json
@@ -791,9 +802,12 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
     ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
     values are point indices into the labels, level numbers differ, and
-    there is one p-adic digit list per label.  A missing or mistyped
-    field raises InputFormatError naming its path in the bundle.  One
-    pass over the decoded bundle.
+    there is one p-adic digit list per label.  A bonding map's ``from``
+    and ``to`` are level numbers of the bundle's levels, its
+    ``vertex_map`` keys are the decimal strings of vertices of the
+    ``from`` level, and its values are vertices of the ``to`` level.  A
+    missing or mistyped field raises InputFormatError naming its path in
+    the bundle.  One pass over the decoded bundle.
     """
     bundle = _load_json(path)
     if not isinstance(bundle, dict):
@@ -822,7 +836,7 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     def simplexes(value) -> bool:
         return type(value) is list and value != [] and all(s != [] and points(s) for s in value)
 
-    numbers: set[int] = set()
+    vertices_of: dict[int, list[int]] = {}  # level number: its vertices
     for i, level in enumerate(items("levels")):
         for key in ("level", "scale", "dimL"):
             require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
@@ -830,12 +844,13 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
             level,
             "level",
             f"levels[{i}].level",
-            lambda value: value not in numbers,
+            lambda value: value not in vertices_of,
             "a level number no other level has",
         )
-        numbers.add(level["level"])
         require(level, "threshold", f"levels[{i}].threshold", _is_exponent, 'an integer or "INF"')
-        require(level, "vertices", f"levels[{i}].vertices", points, "a list of point indices")
+        vertices_of[level["level"]] = require(
+            level, "vertices", f"levels[{i}].vertices", points, "a list of point indices"
+        )
         require(
             level,
             "maximal_simplexes",
@@ -847,13 +862,36 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
         return bundle
     for i, bmap in enumerate(items("bonding")):
         for key in ("from", "to"):
-            require(bmap, key, f"bonding[{i}].{key}", _is_int, "an integer")
+            require(
+                bmap,
+                key,
+                f"bonding[{i}].{key}",
+                lambda value: _is_int(value) and value in vertices_of,
+                "the level number of a level in the bundle",
+            )
+        fine, coarse = bmap["from"], bmap["to"]
+        keys, values = set(map(str, vertices_of[fine])), set(vertices_of[coarse])
+        field = f"bonding[{i}].vertex_map"
         require(
             bmap,
             "vertex_map",
-            f"bonding[{i}].vertex_map",
+            field,
             lambda value: _is_dict(value) and points(list(value.values())),
             "an object of point indices",
+        )
+        require(
+            bmap,
+            "vertex_map",
+            field,
+            lambda value: keys.issuperset(value),
+            f"keyed by vertices of level {fine}",
+        )
+        require(
+            bmap,
+            "vertex_map",
+            field,
+            lambda value: values.issuperset(value.values()),
+            f"valued in vertices of level {coarse}",
         )
     require(bundle, "schedule", "schedule", _is_dict, "an object")
     if "padic_points" in space:
@@ -983,5 +1021,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def console() -> int:
+    """Run the command in ``sys.argv`` as the whole process; returns its exit code.
+
+    A command's data holds no reference cycles (``tests/test_process.py``
+    checks every command), so reference counting frees it and the cyclic
+    collector would only walk it: the collector stays off.  Freezing the
+    heap moves every object into the permanent generation, which the
+    interpreter's exit-time collection skips; the exit itself stays
+    normal, so streams are flushed and atexit handlers run.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

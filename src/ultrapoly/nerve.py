@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain
 
-from .padic import GAMMA_ZERO, Frozen, GammaValue
+from .padic import GAMMA_ZERO, Frozen, GammaValue, _set
 from .spaces import C0Vector, UltraSpace
 
 
@@ -180,6 +180,14 @@ class RealizedCell(Frozen):
     """
 
     __slots__ = ("simplex", "support", "center", "radius")
+
+    # the hot constructor, written out for the four fields: realize builds
+    # one cell per maximal simplex of every level
+    def __init__(self, simplex, support, center, radius) -> None:
+        _set(self, "simplex", simplex)
+        _set(self, "support", support)
+        _set(self, "center", center)
+        _set(self, "radius", radius)
 
 
 class Realization(Frozen):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ultrapoly import UltraSpace
 from ultrapoly.cli import (
@@ -14,6 +16,7 @@ from ultrapoly.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     PipelineConfig,
+    _load_bundle,
     main,
     run,
 )
@@ -233,6 +236,21 @@ def test_padic_points_input(tmp_path):
     assert main(["expand", path, "--out", str(out)]) == EXIT_OK
     bundle = json.loads((out / "expansion.json").read_text())
     assert bundle["space"]["padic_points"] == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+
+def test_merged_points_leave_their_digit_streams_behind(tmp_path, capsys):
+    # y repeats x: round merges it into x, and shadow reads one stream per label
+    path = _write(
+        tmp_path / "points.json",
+        {"labels": ["x", "y", "z"], "prime": 2, "padic_points": [[0, 1], [0, 1], [1]]},
+    )
+    out = tmp_path / "out"
+    assert main(["expand", path, "--out", str(out)]) == EXIT_OK
+    space = json.loads((out / "expansion.json").read_text())["space"]
+    assert (space["labels"], space["padic_points"]) == (["x", "z"], [[0, 1], [1]])
+    # space.json echoes the input's streams, as it echoes a matrix as written
+    assert json.loads((out / "space.json").read_text())["padic_points"] == [[0, 1], [0, 1], [1]]
+    assert main(["shadow", str(out / "expansion.json"), "--out", str(out)]) == EXIT_OK
 
 
 def test_demo_zp_writes_expected_levels(tmp_path):
@@ -660,6 +678,13 @@ def _set_field(bundle, path, value):
         (["shadow"], ("bonding", 0, "vertex_map", "1"), 10**6, "bonding[0].vertex_map"),
         # two levels numbered 0: their DOT files would share one name
         (["export", "dot"], ("levels", 1, "level"), 0, "levels[1].level"),
+        # bonding maps between levels the bundle does not have (levels 0 to 2)
+        (["shadow"], ("bonding", 0, "from"), 7, "bonding[0].from"),
+        (["shadow"], ("bonding", 1, "to"), -1, "bonding[1].to"),
+        # a key that is no vertex of level 1, and a value that is no vertex
+        # of level 1 though it is one of level 2
+        (["shadow"], ("bonding", 0, "vertex_map", "2"), 0, "bonding[0].vertex_map"),
+        (["shadow"], ("bonding", 1, "vertex_map", "0"), 2, "bonding[1].vertex_map"),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -675,6 +700,58 @@ def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
     bad = _write(tmp_path / "bad.json", bonding)
     assert main(["export", "dot", bad, "--out", str(tmp_path / "dots")]) == EXIT_OK
     assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
+
+
+@st.composite
+def expand_inputs(draw):
+    """An input object of random digit streams or a random rational matrix,
+    and a schedule: auto, or explicit scales that may skip some."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=5)
+        field = {"padic_points": draw(st.lists(digits, min_size=n, max_size=n))}
+    else:
+        entry = st.sampled_from(["0", "1", "2", "1/2", "1/3", "3/4", "0.7", "9", "5/27"])
+        matrix = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                matrix[i][j] = matrix[j][i] = draw(entry)
+        field = {"matrix": matrix}
+    schedule = "auto"
+    if draw(st.booleans()):
+        js = draw(st.lists(st.integers(-2, 6), min_size=1, max_size=5, unique=True))
+        schedule = {"j": sorted(js), "k": [draw(st.integers(0, 2))] * len(js)}
+    return {"labels": [f"x{i}" for i in range(n)], "prime": p, **field}, schedule
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=expand_inputs())
+# the CI step's four points on a schedule that skips scales: limit recovery fails
+@example(
+    case=(
+        {
+            "labels": ["a", "b", "c", "d"],
+            "prime": 2,
+            "padic_points": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]],
+        },
+        {"j": [0, 2, 4], "k": [1, 1, 1]},
+    )
+)
+def test_every_written_bundle_loads(tmp_path, capsys, case):
+    obj, schedule = case
+    argv = ["expand", _write(tmp_path / "input.json", obj), "--out", str(tmp_path / "out")]
+    if schedule != "auto":
+        argv += ["--config", _write(tmp_path / "config.json", {"schedule": schedule})]
+    bundle = tmp_path / "out" / "expansion.json"
+    bundle.unlink(missing_ok=True)
+    code = main(argv)
+    capsys.readouterr()
+    if bundle.exists():  # a failed proof or a refused schedule writes none
+        assert code in (EXIT_OK, EXIT_VERIFY)
+        _load_bundle(bundle, shadow=True)
 
 
 @pytest.mark.parametrize("command", ["expand", "shadow", "demo", "export"])

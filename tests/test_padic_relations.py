@@ -87,6 +87,11 @@ def _up(e):
     return e if e in ("INF", None) else e + 1
 
 
+def _kept(streams, space):
+    """The streams of a bundle space's points, one per label (x<i>): round drops merged points."""
+    return [streams[int(label[1:])] for label in space["labels"]]
+
+
 def _raised(stages, outputs, streams):
     """The original run's outputs with every exponent one higher, and the new streams."""
     stages, outputs = copy.deepcopy((stages, outputs))
@@ -98,7 +103,7 @@ def _raised(stages, outputs, streams):
             continue
         space = outputs[name] if name == "space.json" else outputs[name]["space"]
         space["gamma_matrix"] = [list(map(_up, row)) for row in space["gamma_matrix"]]
-        space["padic_points"] = streams
+        space["padic_points"] = streams if name == "space.json" else _kept(streams, space)
     bundle = outputs.get("expansion.json")
     if bundle is not None:
         schedule = bundle["schedule"]
@@ -160,7 +165,9 @@ def test_adding_a_common_stream_changes_only_the_streams(family, k, data):
     assert moved_stages == stages
     assert moved_outputs["space.json"]["gamma_matrix"] == outputs["space.json"]["gamma_matrix"]
     for run_outputs, run_streams in ((outputs, streams), (moved_outputs, moved)):
-        assert run_outputs["expansion.json"]["space"].pop("padic_points") == run_streams
+        space = run_outputs["expansion.json"]["space"]
+        assert space.pop("padic_points") == _kept(run_streams, space)
+        assert run_outputs["space.json"]["padic_points"] == run_streams
     assert moved_outputs["expansion.json"] == outputs["expansion.json"]
 
 
