@@ -802,10 +802,12 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
     ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
     values are point indices into the labels, level numbers differ, and
-    there is one p-adic digit list per label.  A bonding map's ``from``
-    and ``to`` are level numbers of the bundle's levels, its
-    ``vertex_map`` keys are the decimal strings of vertices of the
-    ``from`` level, and its values are vertices of the ``to`` level.  A
+    there is one p-adic digit list per label.  A level's maximal
+    simplexes partition its vertices: each vertex lies in exactly one,
+    and they hold no other point.  A bonding map's ``from`` and ``to``
+    are level numbers of the bundle's levels, its ``vertex_map`` keys are
+    exactly the decimal strings of the vertices of the ``from`` level,
+    and its values are vertices of the ``to`` level.  A
     missing or mistyped field raises InputFormatError naming its path in
     the bundle.  One pass over the decoded bundle.
     """
@@ -833,8 +835,13 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
     def points(value) -> bool:
         return type(value) is list and all(type(v) is int and 0 <= v < n for v in value)
 
-    def simplexes(value) -> bool:
-        return type(value) is list and value != [] and all(s != [] and points(s) for s in value)
+    def partition(value, vertices: list[int]) -> bool:
+        return (
+            type(value) is list
+            and value != []
+            and all(s != [] and points(s) for s in value)
+            and sorted(chain.from_iterable(value)) == sorted(set(vertices))
+        )
 
     vertices_of: dict[int, list[int]] = {}  # level number: its vertices
     for i, level in enumerate(items("levels")):
@@ -848,15 +855,15 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
             "a level number no other level has",
         )
         require(level, "threshold", f"levels[{i}].threshold", _is_exponent, 'an integer or "INF"')
-        vertices_of[level["level"]] = require(
+        vertices_of[level["level"]] = vertices = require(
             level, "vertices", f"levels[{i}].vertices", points, "a list of point indices"
         )
         require(
             level,
             "maximal_simplexes",
             f"levels[{i}].maximal_simplexes",
-            simplexes,
-            "a non-empty list of non-empty lists of point indices",
+            lambda value: partition(value, vertices),
+            "a partition of the level's vertices into non-empty lists",
         )
     if not shadow:
         return bundle
@@ -883,8 +890,8 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
             bmap,
             "vertex_map",
             field,
-            lambda value: keys.issuperset(value),
-            f"keyed by vertices of level {fine}",
+            lambda value: keys == value.keys(),
+            f"keyed by the vertices of level {fine}",
         )
         require(
             bmap,

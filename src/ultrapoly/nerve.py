@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 
 from .padic import GAMMA_ZERO, Frozen, GammaValue, _set
-from .spaces import C0Vector, UltraSpace
+from .spaces import C0Vector, UltraSpace, _Embedding
 
 
 class ThresholdError(ValueError):
@@ -191,9 +191,16 @@ class RealizedCell(Frozen):
 
 
 class Realization(Frozen):
-    """Embedded-point geometry for a complex: vectors per point, a ball per simplex."""
+    """Embedded-point geometry for a complex: vectors per point, a ball per simplex.
+
+    ``vectors`` is one embedding, holding its merge tree, shared by the levels.
+    """
 
     __slots__ = ("vectors", "cells")
+
+    def __init__(self, vectors, cells) -> None:
+        _set(self, "vectors", vectors if type(vectors) is _Embedding else _Embedding(vectors))
+        _set(self, "cells", cells)
 
 
 def realize(
@@ -215,7 +222,7 @@ def realize(
         e = space.tree.diameter(support)
         radius = radii.get(e) or radii.setdefault(e, GammaValue(e))
         cells.append(RealizedCell(simplex, support, support[0], radius))
-    return Realization(vectors=tuple(vectors), cells=tuple(cells))
+    return Realization(vectors=vectors, cells=tuple(cells))
 
 
 def check_uniform(space: UltraSpace, realization: Realization) -> dict:

@@ -13,6 +13,7 @@ embedding turns those strings into an exact isometry.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import chain, islice
@@ -469,6 +470,82 @@ class MergeTree:
                     best = e
         return best
 
+    def pulled_back(self, points: Sequence[int]) -> MergeTree:
+        """The tree of x -> points[x]: x and y meet where their images do (None: at one point).
+
+        Sorted by their images' positions, neighbours meet at the least
+        height between their images, and those runs of heights do not
+        overlap: O(n + k log k) for k points.
+        """
+        heights = self.heights
+        ranks = list(map(self.position.__getitem__, points))
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        ranks = list(map(ranks.__getitem__, order))
+        # one point, neighbours, or the least height of the run between
+        meets = [
+            None if i == k else heights[i] if k == i + 1 else self._meet(i, k)
+            for i, k in zip(ranks, ranks[1:])
+        ]
+        return MergeTree(order, meets)
+
+    def stretched(self, other: MergeTree) -> list[tuple[int, int, int | None, int | None]]:
+        """The pairs x < y that ``other`` stretches: (x, y, meet here, meet there), in scan order.
+
+        ``other`` orders the same points and stretches a pair that meets
+        lower there than here; None (distance 0) lies above every height.
+        Two points meet there at least as high as the neighbour pairs here
+        between them, so none is stretched exactly when no neighbour pair
+        is: on one order, one pass over the heights; else a look-up in
+        ``other.cut(h)`` per neighbour pair at height h, O(n) per height.
+        Otherwise each height h lists its pairs: one block of ``cut(h)``,
+        two of ``cut(h + 1)`` and two of ``other.cut(h)``.  Two blocks of
+        a cut sit at one distance, so one bisection over ``other``'s cuts
+        reads the meet of every pair across them.
+        """
+        order, heights = self.order, self.heights
+        cut = cache(other.cut)
+        if order == other.order:
+            kept = not any(
+                there is not None and (here is None or there < here)
+                for here, there in zip(heights, other.heights)
+            )
+        else:
+            kept = all(cut(h)[x] == cut(h)[y] for x, y, h in zip(order, order[1:], heights))
+        if kept:
+            return []
+        levels = other.finite_heights()
+
+        def meet(x: int, y: int, below: int | None) -> int:
+            # a height of other below ``below``: the last whose cut holds x and y in one block
+            end = len(levels) if below is None else bisect_left(levels, below)
+            apart = bisect_left(levels, True, 0, end, key=lambda t: cut(t)[x] != cut(t)[y])
+            return levels[apart - 1]
+
+        found = []
+        for h in set(heights):
+            block = cut(h)
+            part = range(len(order)) if h is None else self.cut(h + 1)
+            for points in self.classes(h):
+                # the block's points by their block of other.cut(h)
+                split: dict[int, list[int]] = {}
+                for x in points:
+                    split.setdefault(block[x], []).append(x)
+                groups = list(split.values())
+                for a, ours in enumerate(groups):
+                    for theirs in groups[a + 1 :]:
+                        e = meet(ours[0], theirs[0], h)
+                        # groups list their points in ascending order, so each
+                        # side's pairs come sorted and the final sort merges runs
+                        for left, right in ((ours, theirs), (theirs, ours)):
+                            found += [
+                                (x, y, h, e)
+                                for x in left
+                                for y in right[bisect_left(right, x) :]
+                                if part[x] != part[y]
+                            ]
+        found.sort()
+        return found
+
 
 def _check_labels(labels: Sequence[str], prime: int) -> None:
     check_prime(prime)
@@ -803,9 +880,35 @@ class C0Vector(Frozen):
         return GammaValue(min(level for level, _ in diff))
 
 
+class _Embedding(tuple):
+    """Embedded points, one ``C0Vector`` each, with their merge tree, built on first read.
+
+    Sorted key lists, closed by an end mark above every key level, order
+    the points; the height between neighbours is the level of the smaller
+    key where they first differ (None: equal keys).  Two points then meet
+    at the least height between them, as the first mismatch of two sorted
+    sequences is the least over the neighbours between them (the LCP
+    property).  O(n * depth), once per embedding: every level of an
+    expansion holds the same one.
+    """
+
+    @cached_property
+    def tree(self) -> MergeTree:
+        keys = [sorted(set(vector.keys)) for vector in self]
+        end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
+        for k in keys:
+            k.append(end)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        heights = [
+            next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
+            for v, w in zip(order, order[1:])
+        ]
+        return MergeTree(order, heights)
+
+
 def c0_embed(codes: BaireCodes) -> tuple[C0Vector, ...]:
     """One sparse vector per point; pairwise distances equal the source metric."""
-    return tuple(
+    return _Embedding(
         C0Vector(
             keys=tuple((pos, code[offset]) for offset, pos in enumerate(codes.positions)),
         )

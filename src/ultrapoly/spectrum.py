@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from itertools import combinations, compress
+from operator import ne
 
 from .nerve import NestingError, _crossing_block, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
@@ -163,94 +165,6 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
-#: The embedding ``_key_order`` read last, and the tree it built from it: one
-#: embedding at a time.  Holding the embedding keeps its id from passing to
-#: another while it is compared by identity, and the pair is replaced as
-#: one tuple, so no thread reads one embedding's tree for another.
-_held_order: tuple = (None, None)
-
-
-def _key_order(vectors) -> MergeTree:
-    """The embedding's merge tree: its points in the order of their key lists.
-
-    Sorted key lists, closed by an end mark above every key level, order
-    the points; the height between neighbours is the level of the smaller
-    key where they first differ (None: equal keys).  Two points then meet
-    at the least height between them, as the first mismatch of two sorted
-    sequences is the least over the neighbours between them (the LCP
-    property).  Built once per embedding, O(n * depth): every bonding map
-    of an expansion reads the same one.
-    """
-    global _held_order
-    held, tree = _held_order
-    if held is vectors:
-        return tree
-    keys = [sorted(set(vector.keys)) for vector in vectors]
-    end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
-    for k in keys:
-        k.append(end)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    heights = [
-        next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
-        for v, w in zip(order, order[1:])
-    ]
-    tree = MergeTree(order, heights)
-    _held_order = (vectors, tree)
-    return tree
-
-
-def _ball_certificate(verts, images, vectors, scale: int, step: int) -> tuple | None:
-    """``verify_nonstretching``'s (violations, merged, single step) when no pair stretches, or None.
-
-    The balls of radius p^-scale are the cut of the embedding's merge
-    tree (``_key_order``) at ``scale``.  If each ball maps to one vertex
-    inside itself, pairs across balls keep their distance (ultrametric
-    triangles are isosceles), and the pairs inside a ball merge: O(n) per
-    map past the one tree of the embedding.
-    """
-    tree = _key_order(vectors)
-    ball, position = tree.cut(scale), tree.position
-    ball_of = {v: ball[v] for v in verts}
-    image_of: dict[int, int] = {}
-    for v, iv in zip(verts, images):
-        if ball_of.get(iv) != ball_of[v] or image_of.setdefault(ball_of[v], iv) != iv:
-            return None
-    # merged neighbours in the tree's order meet at the least height between them
-    order = sorted(verts, key=position.__getitem__)
-    single_step = all(
-        tree._meet(position[v], position[w]) == step
-        for v, w in zip(order, order[1:])
-        if ball[v] == ball[w]
-    )
-    sizes = Counter(ball_of.values()).values()
-    return [], sum(k * (k - 1) // 2 for k in sizes), single_step
-
-
-def _pair_witnesses(verts, images, vectors, image_vectors, step: int) -> tuple[list, int, bool]:
-    """``verify_nonstretching``'s (violations, merged, single step), comparing every pair."""
-    violations = []
-    if None in images:
-        # a pair with an unmapped end has no image distance: a violation,
-        # listed ahead of the mapped pairs, which the loop checks as ever
-        ends = [(v, iv is None) for v, iv in zip(verts, images)]
-        violations = [[v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if x or y]
-        verts = [v for v, unmapped in ends if not unmapped]
-        images = [iv for iv in images if iv is not None]
-    merged = 0
-    single_step = True
-    for a, (v, iv) in enumerate(zip(verts, images)):
-        vector, image = vectors[v], image_vectors[iv]
-        for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
-            distance = vector.distance(vectors[w])
-            if iv == iw:
-                merged += 1
-                if distance.exponent != step:
-                    single_step = False
-            elif image.distance(image_vectors[iw]) > distance:
-                violations.append([v, w])
-    return violations, merged, single_step
-
-
 def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     """Compare every fine vertex pair's realized distance with its image's.
 
@@ -264,30 +178,50 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     consecutive schedules.  The map contracts those pairs to zero; all
     other pairs keep their exact distance.
 
-    Both levels on one embedding: ``_ball_certificate`` decides the entry
-    in O(n) past the embedding's merge tree, built once for every map.
-    Otherwise, or when it fails, every pair is compared.
+    Two merge trees on the mapped vertices decide it: their embedding's
+    tree, and its image's tree pulled back through the map.  The
+    violations are the pairs the second stretches (``MergeTree.stretched``),
+    after the pairs with an unmapped end.  The merged pairs are the pairs
+    of one image: all of them sit at p^-step exactly when each image's
+    vertices share a block of the cut at step and no two share one at
+    step + 1.  A map onto containing balls keeps the fine tree's order,
+    so both trees share it and a passing map costs O(n); any other costs
+    O(n) per height.  Each embedding's tree is built once.
     """
-    vectors, image_vectors = fine.realization.vectors, coarse.realization.vectors
     step = fine.cover.level - 1  # exponent of a one-scale-step merged pair
     verts = fine.nerve.vertices
     # an image that is no point of the space counts as unmapped
-    n_points = len(image_vectors)
+    n_points = len(coarse.realization.vectors)
     images = [
         iv if type(iv) is int and 0 <= iv < n_points else None
         for iv in map(bmap.vertex_map.get, verts)
     ]
-    certified = None
-    if image_vectors == vectors:
-        certified = _ball_certificate(verts, images, vectors, coarse.cover.level, step)
-    violations, merged, single_step = certified or _pair_witnesses(
-        verts, images, vectors, image_vectors, step
-    )
+    violations = []
+    if None in images:
+        # a pair with an unmapped end has no image distance: a violation,
+        # listed ahead of the mapped pairs
+        ends = list(zip(verts, images))
+        violations = [
+            [v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if None in (x, y)
+        ]
+        verts = [v for v, iv in ends if iv is not None]
+        images = [iv for iv in images if iv is not None]
+    tree = fine.realization.vectors.tree.pulled_back(verts)
+    # the images listed along the fine tree: where the map keeps the order,
+    # as a map onto containing balls does, both trees share it
+    along = coarse.realization.vectors.tree.pulled_back(list(map(images.__getitem__, tree.order)))
+    image_tree = MergeTree(list(map(tree.order.__getitem__, along.order)), along.heights)
+    violations += [[verts[x], verts[y]] for x, y, _, _ in tree.stretched(image_tree)]
+    low = tree.cut(step)
+    block_of = dict(zip(images, low))
+    single_step = list(map(block_of.__getitem__, images)) == low and len(
+        set(zip(images, tree.cut(step + 1)))
+    ) == len(images)
     return {
         "from": bmap.fine,
         "to": bmap.coarse,
         "violations": violations,
-        "merged_pairs": merged,
+        "merged_pairs": sum(k * (k - 1) // 2 for k in Counter(images).values()),
         "single_step_contraction": single_step,
     }
 
@@ -530,11 +464,18 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
     largest step between consecutive threshold exponents less one: the
     worst-case recovery error for the schedule.
 
-    Limit recovery is the depth of the lowest common ancestor: when every
-    level's simplexes are the tree's cut at its threshold exponent
-    (``_threads_are_cuts``), recovery is decided once per distinct merge
-    height, and only a height that fails lists its pairs, O(n * depth)
-    past those.  Otherwise the threads of every pair are scanned.
+    Recovery compares two merge trees on the points: the space's, and
+    the threads' tree, where a pair meets at its recovered exponent (None
+    when its threads never split).  Sorted threads are that tree's order,
+    as two sorted threads first differ at the least level between them,
+    and thresholds that never grow keep the least level's exponent the
+    least.  The mismatches are the pairs that either tree stretches
+    against the other (``MergeTree.stretched``), and the pairs at
+    distance 0 in both.
+
+    Raises:
+        ScheduleError: if a level's threshold is 0, or larger than the
+            threshold of the level before it.
     """
     taus = []
     for level in expansion.levels:
@@ -542,91 +483,32 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
         if e is None:
             raise ScheduleError("limit recovery needs finite level thresholds")
         taus.append(e)
+    if any(b < a for a, b in zip(taus, taus[1:])):
+        raise ScheduleError("limit recovery needs level thresholds that never grow")
     threads = [expansion.thread(x) for x in range(space.n_points)]
     tree = space.tree
-    if _threads_are_cuts(tree, taus, threads):
-        mismatches = []
-        for h in set(tree.heights):
-            entry = _recovery(taus, h)
-            if entry is not None:
-                mismatches.extend([x, y, *entry] for x, y in _pairs_at(tree, h))
-        mismatches.sort(key=lambda entry: entry[:2])
-    else:
-        mismatches = _pairwise_recovery(tree.rows(), taus, threads)
+    order = sorted(range(len(threads)), key=threads.__getitem__)
+    # each level's recovered exponent, read at the first level where neighbours differ
+    exponents = [tau - 1 for tau in taus]
+    heights = [
+        next(compress(exponents, map(ne, threads[x], threads[y])), None)
+        for x, y in zip(order, order[1:])
+    ]
+    recovered = MergeTree(order, heights)
+    # recovered above actual, or never split: the entries as stretched lists them
+    mismatches = list(map(list, recovered.stretched(tree)))
+    # recovered below actual, and every pair at distance 0
+    lower = [[x, y, r, a] for x, y, a, r in tree.stretched(recovered) if a is not None]
+    lower += [[x, y, None, -1] for cls in tree.classes(None) for x, y in combinations(cls, 2)]
+    if lower:
+        mismatches += lower
+        mismatches.sort()
     steps = [b - a for a, b in zip(taus, taus[1:])]
     return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
 
 
-def _threads_are_cuts(tree, taus: Sequence[int], threads: Sequence[tuple[int, ...]]) -> bool:
-    """Whether each level's simplexes are the blocks of the tree's cut at its threshold exponent.
-
-    At level m two points share a simplex exactly when they share a block
-    of ``tree.cut(taus[m])`` if their (block, simplex) pairs are as many
-    as the blocks and as the simplexes: O(n) per level.
-    """
-    for m, tau in enumerate(taus):
-        simplexes = [thread[m] for thread in threads]
-        blocks = tree.cut(tau)
-        matched = len(set(zip(blocks, simplexes)))
-        if not matched == len(set(blocks)) == len(set(simplexes)):
-            return False
-    return True
-
-
-def _recovery(taus: Sequence[int], h: int | None) -> list | None:
-    """[recovered, actual] for every pair at exponent h when recovery fails on it, or None.
-
-    Given ``_threads_are_cuts``, a pair's threads first differ at the
-    first level whose threshold exponent exceeds h; a pair at distance 0
-    (h None) never splits.
-    """
-    if h is None:
-        return [None, -1]
-    first = next((tau for tau in taus if tau > h), None)
-    if first is None:
-        return [None, h]
-    return None if first - 1 == h else [first - 1, h]
-
-
-def _pairs_at(tree, h: int | None) -> list[tuple[int, int]]:
-    """The pairs x < y at exponent h (None: distance 0): one block of cut(h), two of cut(h + 1)."""
-    outer = tree.cut(h)
-    inner = range(len(outer)) if h is None else tree.cut(h + 1)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for x, (block, sub) in enumerate(zip(outer, inner)):
-        groups.setdefault(block, []).append((x, sub))
-    return [
-        (x, y)
-        for group in groups.values()
-        for a, (x, sub) in enumerate(group)
-        for y, other in group[a + 1 :]
-        if sub != other
-    ]
-
-
-def _pairwise_recovery(exponents, taus: Sequence[int], threads) -> list[list]:
-    """``limit_isometry_check``'s mismatches, scanning the threads of every pair."""
-    n = len(threads)
-    mismatches = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            first = None
-            for m in range(len(taus)):
-                if threads[x][m] != threads[y][m]:
-                    first = m
-                    break
-            actual = exponents[x][y]
-            if first is None or actual is None:
-                mismatches.append([x, y, None, actual if actual is not None else -1])
-                continue
-            recovered = taus[first] - 1
-            if recovered != actual:
-                mismatches.append([x, y, recovered, actual])
-    return mismatches
-
-
 #: Largest group Z/p^depth that ``residue_space`` builds in full.  The build
-#: and ``_shift_invariant`` hold no pair table, but its ``gamma_matrix``
+#: and ``_shift_invariant`` compare merge trees, but its ``gamma_matrix``
 #: holds (p^depth)^2 entries, 4M at the cap.
 MAX_RESIDUE_ORDER = 2048
 
@@ -670,15 +552,12 @@ def _shift_invariant(tree: MergeTree) -> bool:
     """True when d(x + 1, y + 1) = d(x, y) for all points, indices taken mod n.
 
     A bijection of a finite space that stretches no distance keeps every
-    one, so the shift is an isometry exactly when it sends each block of
-    the cut at every height of the tree (None: distance 0) into one block:
-    O(n * depth), with no pair table.
+    one, so the shift is an isometry exactly when the tree pulled back
+    through it stretches no pair (``MergeTree.stretched``): O(n * depth),
+    with no pair table.
     """
-    for h in set(tree.heights):
-        block = tree.cut(h)
-        if len(set(zip(block, block[1:] + block[:1]))) != len(set(block)):
-            return False
-    return True
+    n = len(tree.order)
+    return not tree.stretched(tree.pulled_back([(x + 1) % n for x in range(n)]))
 
 
 def group_expansion(

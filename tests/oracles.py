@@ -385,6 +385,63 @@ def per_map_ball_certificate(verts, images, vectors, scale: int, step: int) -> t
 # and reproduces a scan the library made before its merge tree.
 
 
+def pair_witnesses(verts, images, vectors, image_vectors, step: int) -> tuple[list, int, bool]:
+    """``verify_nonstretching``'s (violations, merged, single step), comparing every pair.
+
+    The library's former second route.  ``images[a]`` is the image of
+    ``verts[a]``, None when it is unmapped; a pair with an unmapped end
+    is a violation, listed ahead of the mapped pairs.  Among the mapped
+    pairs, one image is a merge, and an image distance above the pair's
+    distance a violation.
+    """
+    violations = []
+    if None in images:
+        ends = [(v, iv is None) for v, iv in zip(verts, images)]
+        violations = [[v, w] for a, (v, x) in enumerate(ends) for w, y in ends[a + 1 :] if x or y]
+        verts = [v for v, unmapped in ends if not unmapped]
+        images = [iv for iv in images if iv is not None]
+    merged = 0
+    single_step = True
+    for a, (v, iv) in enumerate(zip(verts, images)):
+        vector, image = vectors[v], image_vectors[iv]
+        for w, iw in zip(verts[a + 1 :], images[a + 1 :]):
+            distance = vector.distance(vectors[w])
+            if iv == iw:
+                merged += 1
+                if distance.exponent != step:
+                    single_step = False
+            elif image.distance(image_vectors[iw]) > distance:
+                violations.append([v, w])
+    return violations, merged, single_step
+
+
+def tree_meet(order, heights, x: int, y: int) -> int | None:
+    """The exponent where x and y meet in the tree (order, heights), read off their positions.
+
+    The least finite height between them; None when there is none.
+    """
+    i, k = sorted((order.index(x), order.index(y)))
+    finite = [h for h in heights[i:k] if h is not None]
+    return min(finite) if finite else None
+
+
+def pairwise_stretched(a, b) -> list[tuple[int, int, int | None, int | None]]:
+    """Every pair x < y whose meet in tree b lies below its meet in tree a, meet by meet.
+
+    Trees are (order, heights) over the points 0..n-1; None, distance
+    0, lies above every height.  Each pair comes as (x, y, meet in a,
+    meet in b), in scan order.
+    """
+    found = []
+    n = len(a[0])
+    for x in range(n):
+        for y in range(x + 1, n):
+            here, there = tree_meet(*a, x, y), tree_meet(*b, x, y)
+            if there is not None and (here is None or there < here):
+                found.append((x, y, here, there))
+    return found
+
+
 def greedy_threshold_classes(
     dist: list[list[Fraction]], threshold: Fraction
 ) -> list[tuple[int, ...]]:

@@ -685,6 +685,34 @@ def _set_field(bundle, path, value):
         # of level 1 though it is one of level 2
         (["shadow"], ("bonding", 0, "vertex_map", "2"), 0, "bonding[0].vertex_map"),
         (["shadow"], ("bonding", 1, "vertex_map", "0"), 2, "bonding[1].vertex_map"),
+        # vertex 1 of level 1 dropped from the map onto level 0
+        (["shadow"], ("bonding", 0, "vertex_map"), {"0": 0}, "bonding[0].vertex_map"),
+        # level 2's simplexes miss vertex 0, or list 0 and 1 twice: no partition
+        # of its vertices (0 to 3), which both commands read
+        (
+            ["shadow"],
+            ("levels", 2, "maximal_simplexes"),
+            [[1], [2], [3]],
+            "levels[2].maximal_simplexes",
+        ),
+        (
+            ["export", "dot"],
+            ("levels", 2, "maximal_simplexes"),
+            [[1], [2], [3]],
+            "levels[2].maximal_simplexes",
+        ),
+        (
+            ["shadow"],
+            ("levels", 2, "maximal_simplexes"),
+            [[0], [1], [2], [3], [0, 1]],
+            "levels[2].maximal_simplexes",
+        ),
+        (
+            ["export", "dot"],
+            ("levels", 2, "maximal_simplexes"),
+            [[0], [1], [2], [3], [0, 1]],
+            "levels[2].maximal_simplexes",
+        ),
     ],
 )
 def test_bad_level_and_map_fields_are_named(

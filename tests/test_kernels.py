@@ -1,13 +1,14 @@
 """Integer kernels against their brute-force oracles, and guards on their cost.
 
-The kernels: the non-stretching check, by its ball certificate and by
-its pairwise witness loop, the p-adic pair norms from digit windows, the
-single-linkage strong triangle check, and the exact primality test.
+The kernels: the non-stretching check, which compares two merge trees,
+the p-adic pair norms from digit windows, the single-linkage strong
+triangle check, and the exact primality test.
 """
 
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +27,15 @@ from ultrapoly import (
     space_from_points,
     verify_nonstretching,
 )
-from ultrapoly import spectrum
-from ultrapoly.nerve import Realization
+from ultrapoly.nerve import NerveComplex, Realization, ScaleCover
 from ultrapoly.padic import PrimalityUnknownError, is_prime
-from ultrapoly.spectrum import _ball_certificate, _pair_witnesses
+from ultrapoly.spaces import _Embedding
+from ultrapoly.spectrum import BondingMap, Level
 
 from corpus import UNDECIDABLE_PRIME, padic_families, random_code_space, replace
 from oracles import (
     difference_exponents,
+    pair_witnesses,
     pairwise_nonstretching,
     per_map_ball_certificate,
     strong_triangle_by_thresholds,
@@ -175,9 +177,9 @@ def _one_step_mutant(vectors, x, y):
 
 
 def test_nonstretching_routes_match_pairwise_oracle_on_shared_embeddings(monkeypatch):
-    # both levels carry one embedding, so the ball certificate is tried
-    # first; the pairwise witness loop runs where it fails
-    routes = {"certificate": 0, "witness": 0}
+    # both levels carry one embedding, read through its one merge tree:
+    # no vector distance is computed, whether the map passes or fails
+    outcomes = {"passed": 0, "failed": 0}
     calls = []
     original = C0Vector.distance
 
@@ -190,8 +192,9 @@ def test_nonstretching_routes_match_pairwise_oracle_on_shared_embeddings(monkeyp
     def check(bmap, fine, coarse, p):
         before = len(calls)
         kernel = _kernel_report(bmap, fine, coarse)
+        assert len(calls) == before
         if len(fine.nerve.vertices) >= 2:
-            routes["witness" if len(calls) > before else "certificate"] += 1
+            outcomes["failed" if kernel[0] else "passed"] += 1
         assert kernel == _oracle_report(bmap, fine, coarse, p)
         return kernel
 
@@ -230,7 +233,7 @@ def test_nonstretching_routes_match_pairwise_oracle_on_shared_embeddings(monkeyp
                 assert kernel[0]
 
     shared_embeddings()
-    assert routes["certificate"] and routes["witness"]
+    assert outcomes["passed"] and outcomes["failed"]
 
 
 KEY = st.tuples(st.integers(-2, 5), st.integers(0, 2))
@@ -262,14 +265,37 @@ def _ball_images(verts, vectors, scale):
     return [min(w for w in verts if same_ball(v, w)) for v in verts]
 
 
-def test_ball_certificate_matches_the_per_map_reference():
-    routes = {"certified": 0, "refused": 0}
+def _entry_on(vectors, image_vectors, verts, images, step):
+    """``verify_nonstretching``'s entry, as a triple, for verts sent to images (None: unmapped).
+
+    The fine level holds verts on vectors, at the scale one step above
+    step; the coarse level holds image_vectors.  Nothing else of either
+    level is read.
+    """
+    fine = Level(
+        1,
+        ScaleCover(level=step + 1, blocks=()),
+        NerveComplex(1, step + 1, GammaValue(step + 1), tuple(verts), ()),
+        Realization(vectors, ()),
+    )
+    coarse = Level(
+        0,
+        ScaleCover(level=step, blocks=()),
+        NerveComplex(0, step, GammaValue(step), (), ()),
+        Realization(image_vectors, ()),
+    )
+    entry = verify_nonstretching(BondingMap(1, 0, dict(zip(verts, images))), fine, coarse)
+    return entry["violations"], entry["merged_pairs"], entry["single_step_contraction"]
+
+
+def test_nonstretching_matches_the_per_map_reference():
+    routes = {"certified": 0, "refused": 0, "two embeddings": 0}
 
     @settings(max_examples=300, deadline=None)
     @given(vectors=hand_built_embeddings(), data=st.data())
     def parity(vectors, data):
         n = len(vectors)
-        # vertices in any order, each map on one embedding
+        # vertices in any order; the images on the same embedding or on another
         verts = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         for _ in range(data.draw(st.integers(1, 3))):
             scale, step = data.draw(st.integers(-3, 7)), data.draw(st.integers(-3, 7))
@@ -279,19 +305,27 @@ def test_ball_certificate_matches_the_per_map_reference():
             for t in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
                 if t < len(images):
                     images[t] = data.draw(other)
-            got = _ball_certificate(verts, images, vectors, scale, step)
-            assert got == per_map_ball_certificate(verts, images, vectors, scale, step)
-            routes["refused" if got is None else "certified"] += 1
-            if got is not None:
-                assert got == _pair_witnesses(verts, images, vectors, vectors, step)
+            image_vectors = data.draw(st.one_of(st.just(vectors), hand_built_embeddings()))
+            got = _entry_on(vectors, image_vectors, verts, images, step)
+            mapped = [
+                iv if type(iv) is int and 0 <= iv < len(image_vectors) else None for iv in images
+            ]
+            assert got == pair_witnesses(verts, mapped, vectors, image_vectors, step)
+            if image_vectors is not vectors:
+                routes["two embeddings"] += 1
+                continue
+            certified = per_map_ball_certificate(verts, mapped, vectors, scale, step)
+            routes["refused" if certified is None else "certified"] += 1
+            if certified is not None:
+                assert got == certified
 
     parity()
-    assert routes["certified"] and routes["refused"]
+    assert all(routes.values())
 
 
-def test_alternating_expansions_never_share_a_key_order(monkeypatch):
-    # one size, two embeddings that order the points apart: a key order
-    # read for the wrong one would refuse (and count distances) or miscount
+def test_alternating_expansions_each_read_their_own_tree(monkeypatch):
+    # one size, two embeddings that order the points apart: a tree read
+    # for the wrong one would miscount
     a, b = (
         assemble_expansion(random_code_space(random.Random(seed), 2, 24)) for seed in (1, 2)
     )
@@ -314,8 +348,10 @@ def test_alternating_expansions_never_share_a_key_order(monkeypatch):
         for e in (a, b, a, b):
             fine, coarse = e.levels[m + 1], e.levels[m]
             assert _kernel_report(e.bonding[m], fine, coarse) == expected[id(e)][m]
-            # one embedding is held, the last one read
-            assert spectrum._held_order[0] is e.vectors
+            # every level holds its expansion's embedding, which holds its tree
+            assert fine.realization.vectors is coarse.realization.vectors is e.vectors
+            assert "tree" in vars(e.vectors)
+    assert a.vectors.tree.order != b.vectors.tree.order
     assert calls == []
 
 
@@ -465,6 +501,27 @@ def test_verify_nonstretching_makes_no_distance_calls(monkeypatch):
         entry = verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
         assert entry["violations"] == []
     assert len(calls) == 1
+
+
+def test_verify_builds_the_embedding_tree_once(monkeypatch):
+    space = random_code_space(random.Random(64), 2, 64)
+    expansion = assemble_expansion(space)
+    assert expansion.depth > 2
+    built = []
+    original = _Embedding.tree.func
+
+    def counting(self):
+        built.append(1)
+        return original(self)
+
+    tree = cached_property(counting)
+    tree.__set_name__(_Embedding, "tree")
+    monkeypatch.setattr(_Embedding, "tree", tree)
+    _Embedding(expansion.vectors).tree  # a copy holds a tree of its own
+    assert len(built) == 1  # the counter is live
+    for m, bmap in enumerate(expansion.bonding):
+        verify_nonstretching(bmap, expansion.levels[m + 1], expansion.levels[m])
+    assert len(built) == 2
 
 
 def test_space_from_points_builds_no_padic(monkeypatch):

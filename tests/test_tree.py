@@ -23,6 +23,7 @@ from ultrapoly import (
     Realization,
     ScaleCover,
     Schedule,
+    ScheduleError,
     ThresholdError,
     UltraSpace,
     assemble_expansion,
@@ -34,6 +35,7 @@ from ultrapoly import (
     group_expansion,
     isolated_point_check,
     realize,
+    residue_space,
     scale_cover,
     subdivide,
     verify_nondegenerate,
@@ -62,8 +64,10 @@ from oracles import (
     pairwise_limit_recovery,
     pairwise_set_distance,
     pairwise_shift_invariant,
+    pairwise_stretched,
     strong_triangle_by_thresholds,
     thread_preimage,
+    tree_meet,
 )
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -687,6 +691,72 @@ def test_shift_invariance_matches_the_pairwise_scan(expo, p):
         event("points at distance zero")
 
 
+HEIGHT = st.one_of(st.none(), st.integers(-1, 3))
+
+
+@st.composite
+def tree_pairs(draw):
+    """Two merge trees over one point set: heights with None (distance 0)
+    and ties, the second a copy of the first, the first with some heights
+    lowered or raised (stretched one way), or drawn anew (often both ways)."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    heights = draw(st.lists(HEIGHT, min_size=n - 1, max_size=n - 1))
+    kind = draw(st.sampled_from(["copy", "lowered", "raised", "anew"]))
+    event(f"second tree: {kind}")
+    if kind == "anew":
+        other = draw(st.permutations(range(n))), draw(
+            st.lists(HEIGHT, min_size=n - 1, max_size=n - 1)
+        )
+    else:
+        moved = list(heights)
+        for i in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=3)) if n > 1 else []:
+            h = moved[i]
+            if kind == "lowered":
+                moved[i] = draw(st.integers(-2, 3)) if h is None else h - draw(st.integers(1, 2))
+            elif kind == "raised":
+                moved[i] = None if h is None or draw(st.booleans()) else h + draw(st.integers(1, 2))
+        other = order, moved
+    return (order, heights), other
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=tree_pairs(), data=st.data())
+def test_stretched_pairs_match_the_meet_by_meet_oracle(trees, data):
+    a, b = trees
+    mine, theirs = MergeTree(*a), MergeTree(*b)
+    stretched = mine.stretched(theirs)
+    assert stretched == pairwise_stretched(a, b)
+    assert theirs.stretched(mine) == pairwise_stretched(b, a)
+    event(f"stretched: {bool(stretched)}, back: {bool(theirs.stretched(mine))}")
+    # pulled back through any map of the points, two points meet where their images do
+    n = len(a[0])
+    points = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    pulled = mine.pulled_back(points)
+    assert sorted(pulled.order) == list(range(len(points)))
+    for x in range(len(points)):
+        for y in range(x + 1, len(points)):
+            image = None if points[x] == points[y] else tree_meet(*a, points[x], points[y])
+            assert tree_meet(pulled.order, pulled.heights, x, y) == image
+
+
+def test_limit_recovery_refuses_thresholds_that_grow():
+    # Z/4 with a threshold kept for two levels: ties are recovered exactly,
+    # but a threshold that grows from one level to the next recovers no ultrametric
+    space = residue_space(2, 2)
+    schedule = Schedule(j=(0, 1, 2, 3), k=(0, 0, 0, 0), b=tuple(map(GammaValue, (0, 1, 1, 2))))
+    expansion = assemble_expansion(space, schedule)
+    taus = [level.nerve.threshold.exponent for level in expansion.levels]
+    assert taus == [0, 1, 1, 2]
+    threads = [expansion.thread(x) for x in range(4)]
+    report = limit_isometry_check(space, expansion)
+    assert report == pairwise_limit_recovery(space.tree.rows(), taus, threads)
+    levels = list(expansion.levels)
+    levels[3] = replace(levels[3], nerve=replace(levels[3].nerve, threshold=GammaValue(0)))
+    with pytest.raises(ScheduleError, match="never grow"):
+        limit_isometry_check(space, replace(expansion, levels=tuple(levels)))
+
+
 def _assert_threads_match(expo, expansion, threads):
     """Limit recovery and reconstruction against the pairwise routes."""
     taus = [level.nerve.threshold.exponent for level in expansion.levels]
@@ -739,6 +809,24 @@ def test_limit_recovery_and_reconstruction_match_pairwise_routes(expo, p, data):
         mutants.append(_swapped_supports(expansion, m, a, b))
     for mutant in mutants:
         _assert_threads_match(expo, mutant, threads())
+
+
+def test_limit_recovery_lists_every_pair_at_distance_zero():
+    # points 0 and 1 coincide in the space checked, and their threads split
+    # at the finest level, or (re-simplexed there) never split
+    expansion = assemble_expansion(_space([[None, 1, 0], [1, None, 0], [0, 0, None]], 2))
+    expo = [[None, None, 0], [None, None, 0], [0, 0, None]]
+    finest = expansion.depth - 1
+    joined = _resimplexed(
+        expansion, finest, 1, expansion.levels[finest].nerve.simplex_of[0]
+    )
+    for e in (expansion, joined):
+        taus = [level.nerve.threshold.exponent for level in e.levels]
+        threads = [e.thread(x) for x in range(3)]
+        report = limit_isometry_check(_space(expo, 2), e)
+        assert report == pairwise_limit_recovery(expo, taus, threads)
+        assert report["mismatches"][0] == [0, 1, None, -1]
+    assert joined.thread(0) == joined.thread(1) != expansion.thread(1)
 
 
 def test_a_simplex_its_map_splits_breaks_every_thread_through_it():
