@@ -13,11 +13,11 @@ callers in one process keep their own collection.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import os
+import re
 import sys
 import time
 from bisect import bisect_left
@@ -25,6 +25,7 @@ from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
 from .padic import (
@@ -627,9 +628,9 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
         verify_nonstretching,
     )
 
-    def reconstructs(x: int) -> bool:
+    def reconstructs(x: int, thread: tuple[int, ...]) -> bool:
         try:
-            return expansion.reconstruct(expansion.thread(x)) == {x}
+            return expansion.reconstruct(thread) == {x}
         except IncoherentThreadError:
             return False
 
@@ -646,7 +647,7 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
         functorial = False
     uniform = [{"level": level.m, **check_uniform(space, level.realization)} for level in levels]
     iso = isolated_point_check(space, [(level.cover, level.nerve) for level in levels])
-    reconstructed = all(map(reconstructs, range(space.n_points)))
+    reconstructed = all(map(reconstructs, range(space.n_points), expansion._threads))
     isometry = limit_isometry_check(space, expansion)
     passed = {
         "nonstretching": not any(entry["violations"] for entry in nonstretch),
@@ -972,54 +973,253 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+#: The argument grammar, one row per command path: its handler, its help,
+#: its positional (None for none) and its options.  An option maps to its
+#: kind (str or int for an option that takes a value, bool for a flag),
+#: whether it is required, and its help.
+_COMMANDS = {
+    "validate": (_cmd_validate, "check an input file for the ultrametric inequality", "input", {}),
+    "expand": (
+        _cmd_expand,
+        "build and verify an expansion bundle",
+        "input",
+        {
+            "--config": (str, False, ""),
+            "--out": (str, False, ""),
+            "--prime": (int, False, ""),
+            "--precision": (int, False, ""),
+            "--stages": (str, False, "comma-separated stage list"),
+        },
+    ),
+    "shadow": (
+        _cmd_shadow,
+        "shadow an expansion bundle over the reals",
+        "bundle",
+        {"--out": (str, False, ""), "--csv": (bool, False, "emit a theta table for plotting")},
+    ),
+    "demo zp": (
+        _cmd_demo_zp,
+        "profinite expansion of Z/p^depth",
+        None,
+        {
+            "--prime": (int, True, ""),
+            "--depth": (int, True, ""),
+            "--out": (str, False, ""),
+            "--csv": (bool, False, "emit a theta table for plotting"),
+        },
+    ),
+    "export dot": (_cmd_export_dot, "DOT graph per level", "bundle", {"--out": (str, False, "")}),
+}
+#: The help of the program ("") and of each command with subcommands.
+_GROUPS = {
+    "": "non-Archimedean polyhedral expansions of finite ultrametric spaces",
+    "demo": "built-in demonstrations",
+    "export": "export bundle artifacts",
+}
+#: Every parser's help option, of kind None.
+_HELP = dict.fromkeys(("-h", "--help"), (None, False, "show this help message and exit"))
+#: Tokens that argparse reads as negative numbers, hence as values; compiled
+#: on first use, which only a token such as -5 reaches.
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command path that argv names, and the value of each of its fields.
+
+    The grammar is ``_COMMANDS``, read as argparse reads it.  An option
+    is ``--opt value``, ``--opt=value`` or a unique prefix of its name;
+    a token such as ``-5`` is a value; options come before or after the
+    positional, the last repeat wins, and ``--`` ends the options.
+    ``-h`` or ``--help`` prints the help of the command read so far and
+    raises SystemExit(0); a usage error prints the usage and the error to
+    stderr and raises SystemExit(2).  An unknown option or a surplus
+    positional is reported once the whole command is read, so a later
+    ``--help`` still prints its help.
+    """
+    path, at, extras = "", 0, []
+    while path not in _COMMANDS:  # the program or a command group: read a subcommand
+        _check_prefixes(argv[at:], _HELP, path)
+        names = _subcommands(path)
+        while True:
+            if at == len(argv):
+                _usage_error(path, "the following arguments are required: command")
+            token = argv[at]
+            at += 1
+            option = _option(token, _HELP, path)
+            if option is None:
+                if token not in names:
+                    choices = ", ".join(map(repr, names))
+                    _usage_error(path, f"invalid choice: {token!r} (choose from {choices})")
+                path = f"{path} {token}".lstrip()
+                break
+            if option[0] is None:
+                extras.append(token)
+            else:
+                _flag(*option, path)
+    _, _, positional, spec = _COMMANDS[path]
+    options = {**_HELP, **spec}
+    _check_prefixes(argv[at:], options, path)
+    fields = {name[2:]: False if kind is bool else None for name, (kind, _, _) in spec.items()}
+    given = set()
+    want = positional  # the positional, while it is unread
+    while at < len(argv):
+        token = argv[at]
+        at += 1
+        if token == "--":
+            # every later token is a positional, and the first one may fill it
+            if want and at < len(argv):
+                fields[want], want = argv[at], None
+                at += 1
+            else:
+                extras.append(token)
+            extras += argv[at:]
+            break
+        option = _option(token, options, path)
+        if option is None:
+            if not want:
+                extras.append(token)
+                continue
+            fields[want], want = token, None
+            if argv[at : at + 1] == ["--"]:  # a "--" just after the positional ends the options
+                extras += argv[at + 1 :]
+                break
+            continue
+        name, value = option
+        if name is None:
+            extras.append(token)
+            continue
+        kind = options[name][0]
+        if kind is None or kind is bool:
+            _flag(name, value, path)
+            value = True
+        else:
+            if value is None:
+                if at == len(argv) or argv[at] == "--" or _option(argv[at], options, path):
+                    _usage_error(path, f"argument {name}: expected one argument")
+                value = argv[at]
+                at += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(path, f"argument {name}: invalid int value: {value!r}")
+        fields[name[2:]] = value
+        given.add(name)
+    missing = [want] if want else []
+    missing += [name for name, (_, required, _) in spec.items() if required and name not in given]
+    if missing:
+        _usage_error(path, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(path, f"unrecognized arguments: {' '.join(extras)}")
+    return path, fields
+
+
+def _option(token: str, options: dict, path: str) -> tuple[str | None, str | None] | None:
+    """The option that token names and the value it carries, as (name, value or None).
+
+    (None, None) for an unknown option and None for a positional.  A
+    prefix of two or more options' names is a usage error.
+    """
+    if token in options:
+        return token, None
+    if len(token) < 2 or token[0] != "-" or token == "--":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        found = [(option, value if eq else None) for option in options if option.startswith(name)]
+    else:  # a one-letter option with its value attached
+        found = [(token[:2], token[2:])] if token[:2] in options else []
+    if len(found) > 1:
+        matches = ", ".join(option for option, _ in found)
+        _usage_error(path, f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _check_prefixes(tokens: list[str], options: dict, path: str) -> None:
+    """Raise the usage error of the first ambiguous prefix before ``--``, as argparse
+    reads every token before it acts on one."""
+    for token in tokens:
+        if token == "--":
+            return
+        _option(token, options, path)
+
+
+def _flag(name: str, value: str | None, path: str) -> None:
+    """Take a flag; help prints the help of path and raises SystemExit(0).
+
+    ``-hh`` is ``-h`` twice, and any other value given to a flag is a
+    usage error.
+    """
+    if value is not None and not (name == "-h" and set(value) == {"h"}):
+        _usage_error(path, f"argument {name}: ignored explicit argument {value!r}")
+    if name in _HELP:
+        print(_help_text(path))
+        raise SystemExit(EXIT_OK)
+
+
+def _subcommands(group: str) -> list[str]:
+    """The names of the commands one word under a group, in table order."""
+    prefix = f"{group} " if group else ""
+    words = (path[len(prefix) :].split()[0] for path in _COMMANDS if path.startswith(prefix))
+    return list(dict.fromkeys(words))
+
+
+def _usage(path: str) -> str:
+    words = ["usage:", f"ultrapoly {path}".rstrip(), "[-h]"]
+    if path not in _COMMANDS:
+        return " ".join([*words, "{" + ",".join(_subcommands(path)) + "}", "..."])
+    _, _, positional, spec = _COMMANDS[path]
+    for name, (kind, required, _) in spec.items():
+        word = _option_text(name, kind)
+        words.append(word if required else f"[{word}]")
+    return " ".join(words + [positional] * bool(positional))
+
+
+def _option_text(name: str, kind) -> str:
+    """An option as usage and help show it: a flag alone, any other with its value's name."""
+    return name if kind is bool else f"{name} {name[2:].upper()}"
+
+
+def _help_text(path: str) -> str:
+    if path in _COMMANDS:
+        _, about, positional, spec = _COMMANDS[path]
+        sections = {"positional arguments": [(positional, "")] if positional else []}
+    else:
+        about, spec = _GROUPS[path], {}
+        commands = [(name, f"{path} {name}".lstrip()) for name in _subcommands(path)]
+        sections = {
+            "commands": [(name, _GROUPS.get(full) or _COMMANDS[full][1]) for name, full in commands]
+        }
+    sections["options"] = [("-h, --help", _HELP["-h"][2])] + [
+        (_option_text(name, kind), text) for name, (kind, _, text) in spec.items()
+    ]
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [_usage(path), "", about]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", f"{title}:", *(f"  {left:{width}}{text}".rstrip() for left, text in rows)]
+    return "\n".join(lines)
+
+
+def _usage_error(path: str, message: str):
+    print(_usage(path), file=sys.stderr)
+    print(f"ultrapoly {path}".rstrip() + f": error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ultrapoly",
-        description="non-Archimedean polyhedral expansions of finite ultrametric spaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check an input file for the ultrametric inequality")
-    p_validate.add_argument("input")
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_expand = sub.add_parser("expand", help="build and verify an expansion bundle")
-    p_expand.add_argument("input")
-    p_expand.add_argument("--config", default=None)
-    p_expand.add_argument("--out", default=None)
-    p_expand.add_argument("--prime", type=int, default=None)
-    p_expand.add_argument("--precision", type=int, default=None)
-    p_expand.add_argument("--stages", default=None, help="comma-separated stage list")
-    p_expand.set_defaults(func=_cmd_expand)
-
-    p_shadow = sub.add_parser("shadow", help="shadow an expansion bundle over the reals")
-    p_shadow.add_argument("bundle")
-    p_shadow.add_argument("--out", default=None)
-    p_shadow.add_argument("--csv", action="store_true", help="emit a theta table for plotting")
-    p_shadow.set_defaults(func=_cmd_shadow)
-
-    p_demo = sub.add_parser("demo", help="built-in demonstrations")
-    demo_sub = p_demo.add_subparsers(dest="demo", required=True)
-    p_zp = demo_sub.add_parser("zp", help="profinite expansion of Z/p^depth")
-    p_zp.add_argument("--prime", type=int, required=True)
-    p_zp.add_argument("--depth", type=int, required=True)
-    p_zp.add_argument("--out", default=None)
-    p_zp.add_argument("--csv", action="store_true", help="emit a theta table for plotting")
-    p_zp.set_defaults(func=_cmd_demo_zp)
-
-    p_export = sub.add_parser("export", help="export bundle artifacts")
-    export_sub = p_export.add_subparsers(dest="what", required=True)
-    p_dot = export_sub.add_parser("dot", help="DOT graph per level")
-    p_dot.add_argument("bundle")
-    p_dot.add_argument("--out", default=None)
-    p_dot.set_defaults(func=_cmd_export_dot)
-
-    args = parser.parse_args(argv)
+    path, fields = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # the one exit-code policy: a failed proof with no validate stage to
     # record it is a failed verification; malformed input, config or
     # bundle, and an output that cannot be written, are input errors
     try:
-        return args.func(args)
+        return _COMMANDS[path][0](SimpleNamespace(**fields))
     except NotUltrametricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

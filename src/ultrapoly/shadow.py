@@ -18,9 +18,16 @@ maps carry over on vertices with affine extensions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
+from math import gcd
 
 from .padic import Frozen, PAdic, _digits_of, check_prime
+
+# fractions (which loads decimal) is imported by the functions that build a
+# Fraction, so the shadow of a bundle never loads it; type checkers read
+# this as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UnitBallError(ValueError):
@@ -38,6 +45,8 @@ def theta(x: PAdic, n: int) -> Fraction:
         UnitBallError: if x has negative valuation.
         PrecisionError: if n exceeds the known digit window.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("need at least one digit")
     if x.is_zero:
@@ -88,6 +97,8 @@ def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:
     number; their finite reads differ by exactly p^-n, collapsing to 0
     as n grows.  There are p^(n-1) - 1 such pairs.
     """
+    from fractions import Fraction
+
     check_prime(p)
     if n < 2:
         raise ValueError("precision must be at least 2 to show a tail digit")
@@ -113,18 +124,28 @@ def theta_boundary_pairs(p: int, n: int) -> list[BoundaryPair]:
 def theta_samples(
     padic_points: Sequence[Sequence[int]], labels: Sequence[str], p: int
 ) -> list[dict]:
-    """theta of each digit-stream point, as exact num/den strings."""
+    """theta of each digit-stream point, as exact num/den strings in lowest terms.
+
+    The digits a_0 .. a_(n-1) read as sum(a_i p^(n-1-i)) / p^n, which is
+    ``theta`` at the stream's precision n; both parts are integers, and
+    one gcd brings them to lowest terms (0 is 0/1).
+
+    Raises:
+        ValueError: for an empty stream or a digit outside [0, p-1].
+    """
     out = []
     for label, stream in zip(labels, padic_points):
-        x = PAdic.from_digit_stream(stream, p)
-        value = theta(x, len(tuple(stream))) if not x.is_zero else Fraction(0)
-        out.append(
-            {
-                "label": label,
-                "digits": list(stream),
-                "theta": f"{value.numerator}/{value.denominator}",
-            }
-        )
+        digits = list(stream)
+        if not digits:
+            raise ValueError("empty digit stream")
+        num = 0
+        for d in digits:
+            if d < 0 or d >= p:
+                raise ValueError("digits must lie in [0, p-1]")
+            num = num * p + d
+        den = p ** len(digits)
+        g = gcd(num, den)
+        out.append({"label": label, "digits": digits, "theta": f"{num // g}/{den // g}"})
     return out
 
 

@@ -48,7 +48,8 @@ class Schedule(Frozen):
     """Per-level parameters: ball scales j, threshold factors k, bounds b.
 
     j must increase strictly (covers shrink), k must not increase, and
-    the induced thresholds p^k * b then shrink level over level.
+    the induced thresholds p^k * b must not grow level over level; any
+    other schedule raises ScheduleError.
     """
 
     __slots__ = ("j", "k", "b")
@@ -65,6 +66,14 @@ class Schedule(Frozen):
         for a, b_ in zip(k, k[1:]):
             if b_ > a:
                 raise ScheduleError("threshold factors must satisfy k(m+1) <= k(m)")
+        # the nerve threshold p^k * b of each level; 0 (INF) is the smallest
+        thresholds = [bound.scaled(factor) for bound, factor in zip(b, k)]
+        for m in range(1, len(thresholds)):
+            if thresholds[m - 1] < thresholds[m]:
+                raise ScheduleError(
+                    f"the threshold p^k * b of level {m} exceeds that of level {m - 1}:"
+                    " thresholds must not grow"
+                )
 
     @property
     def depth(self) -> int:
@@ -319,6 +328,16 @@ class Expansion(Frozen):
             level.nerve.simplex_of[level.cover.rep_of[point]] for level in self.levels
         )
 
+    @cached_property
+    def _threads(self) -> tuple[tuple[int, ...], ...]:
+        """Every point's thread, in point order, each built once through ``thread``.
+
+        Decided once per expansion, whose levels are not to be changed
+        afterwards; the verify stage's reconstruction and limit recovery
+        both read it.
+        """
+        return tuple(map(self.thread, range(self.space.n_points)))
+
     def check_thread(self, thread: Sequence[int]) -> None:
         """Coherence: each bonding map sends the finer simplex into the coarser."""
         for m in range(self.depth - 1):
@@ -485,7 +504,7 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
         taus.append(e)
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ScheduleError("limit recovery needs level thresholds that never grow")
-    threads = [expansion.thread(x) for x in range(space.n_points)]
+    threads = expansion._threads
     tree = space.tree
     order = sorted(range(len(threads)), key=threads.__getitem__)
     # each level's recovered exponent, read at the first level where neighbours differ

@@ -803,3 +803,53 @@ def pairwise_shift_invariant(exponents: list[list[int | None]]) -> bool:
     return all(
         exponents[x][y] == exponents[(x + 1) % n][(y + 1) % n] for x in range(n) for y in range(n)
     )
+
+
+def argparse_cli(argv: list[str]) -> tuple[str, dict]:
+    """The CLI's argument grammar as argparse declares it: (command path, fields).
+
+    The command path is the command's words, such as ``"demo zp"``, and
+    the fields are the namespace's values less the command words.  Help
+    and usage errors raise argparse's SystemExit.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="ultrapoly",
+        description="non-Archimedean polyhedral expansions of finite ultrametric spaces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", help="check an input file for the ultrametric inequality")
+    p_validate.add_argument("input")
+
+    p_expand = sub.add_parser("expand", help="build and verify an expansion bundle")
+    p_expand.add_argument("input")
+    p_expand.add_argument("--config", default=None)
+    p_expand.add_argument("--out", default=None)
+    p_expand.add_argument("--prime", type=int, default=None)
+    p_expand.add_argument("--precision", type=int, default=None)
+    p_expand.add_argument("--stages", default=None, help="comma-separated stage list")
+
+    p_shadow = sub.add_parser("shadow", help="shadow an expansion bundle over the reals")
+    p_shadow.add_argument("bundle")
+    p_shadow.add_argument("--out", default=None)
+    p_shadow.add_argument("--csv", action="store_true", help="emit a theta table for plotting")
+
+    p_demo = sub.add_parser("demo", help="built-in demonstrations")
+    demo_sub = p_demo.add_subparsers(dest="demo", required=True)
+    p_zp = demo_sub.add_parser("zp", help="profinite expansion of Z/p^depth")
+    p_zp.add_argument("--prime", type=int, required=True)
+    p_zp.add_argument("--depth", type=int, required=True)
+    p_zp.add_argument("--out", default=None)
+    p_zp.add_argument("--csv", action="store_true", help="emit a theta table for plotting")
+
+    p_export = sub.add_parser("export", help="export bundle artifacts")
+    export_sub = p_export.add_subparsers(dest="what", required=True)
+    p_dot = export_sub.add_parser("dot", help="DOT graph per level")
+    p_dot.add_argument("bundle")
+    p_dot.add_argument("--out", default=None)
+
+    fields = vars(parser.parse_args(argv))
+    words = [fields.pop(key) for key in ("command", "demo", "what") if key in fields]
+    return " ".join(words), fields

@@ -39,11 +39,13 @@ REMOVED_NAMES = {
 SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 
 # standard modules that cost a CLI run start-up time and that no command needs:
-# dataclasses loads inspect, which loads ast, dis and tokenize; typing is
-# looked for under `python -S`, since some interpreters' site loads it
-SLOW_MODULES = ("dataclasses", "inspect", "typing")
+# dataclasses loads inspect, which loads ast, dis and tokenize; argparse loads
+# gettext, whose first call loads locale; typing and the argparse chain are
+# looked for under `python -S`, since some interpreters' site loads them
+SLOW_MODULES = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 # exact rationals, which load decimal: only the commands that build a Fraction
-# (matrix ingest, the shadow's theta values) need them
+# (matrix ingest) need them
 FRACTION_MODULES = ("fractions", "decimal")
 
 # runs `python -m ultrapoly <args>` in this interpreter, then records the exit
@@ -131,19 +133,19 @@ def stream_input(tmp_path):
 
 
 def test_streams_and_dot_export_load_no_fractions(tmp_path, stream_input, bundle):
-    # without site, which on some interpreters loads more than it needs
+    # without site, which on some interpreters loads more than it needs;
+    # the shadow reads theta off the digits as integers
     expand = ["expand", stream_input, "--out", str(tmp_path / "e")]
     export = ["export", "dot", bundle, "--out", str(tmp_path / "d")]
-    for argv in (expand, export):
+    shadow = ["shadow", bundle, "--csv", "--out", str(tmp_path / "s")]
+    for argv in (expand, export, shadow):
         assert not _loaded(tmp_path, *argv, flags=("-S",)) & set(FRACTION_MODULES), argv
 
 
-def test_matrix_expand_and_shadow_load_fractions(tmp_path, matrix_input, bundle):
-    # positive control: the same probe sees the commands that build a Fraction
+def test_matrix_expand_and_shadow_load_fractions(tmp_path, matrix_input):
+    # positive control: the same probe sees matrix ingest, which builds a Fraction
     expand = ["expand", matrix_input, "--out", str(tmp_path / "e")]
-    shadow = ["shadow", bundle, "--out", str(tmp_path / "s")]
-    for argv in (expand, shadow):
-        assert set(FRACTION_MODULES) <= _loaded(tmp_path, *argv, flags=("-S",)), argv
+    assert set(FRACTION_MODULES) <= _loaded(tmp_path, *expand, flags=("-S",))
 
 
 def test_validate_loads_neither_spectrum_nor_shadow(tmp_path, matrix_input):
@@ -183,6 +185,20 @@ def test_probe_sees_typing(tmp_path, matrix_input):
     # positive control: the same probe, without site, after a run that imports typing
     loaded = _loaded(tmp_path, "validate", matrix_input, prelude="import typing\n", flags=("-S",))
     assert "typing" in loaded
+
+
+@pytest.mark.parametrize("command", ["expand", "shadow", "export", "validate", "demo"])
+def test_no_command_loads_argparse_gettext_or_locale(tmp_path, bundle, matrix_input, command):
+    argv = _commands(tmp_path, bundle, matrix_input)[command]
+    assert not _loaded(tmp_path, *argv, flags=("-S",)) & ARGPARSE_MODULES
+
+
+def test_probe_sees_argparse_gettext_and_locale(tmp_path, matrix_input):
+    # positive control: the same probe, without site, after a run that builds an
+    # argparse parser, whose first message lookup loads locale
+    prelude = "import argparse\nargparse.ArgumentParser()\n"
+    loaded = _loaded(tmp_path, "validate", matrix_input, prelude=prelude, flags=("-S",))
+    assert ARGPARSE_MODULES <= loaded
 
 
 def test_public_names_are_unchanged_and_resolve():

@@ -142,7 +142,7 @@ def test_a_command_leaves_no_cyclic_garbage_that_grows_with_its_input(tmp_path, 
         code, unreachable = _cyclic_garbage(argv)
         assert code == expected, capsys.readouterr().err
         found.append(unreachable)
-    # the parser and json's indent encoder leave a constant few hundred objects
+    # json's indent encoder, which prints the run report, leaves a constant few dozen objects
     assert found[0] == found[1], found
 
 
@@ -268,11 +268,16 @@ CI_RUNS = [
 ]
 
 
+def _module_env() -> dict:
+    """The environment in which ``python -m ultrapoly`` runs this checkout's package."""
+    src = str(Path(ultrapoly.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_python_m_ultrapoly_keeps_the_exit_statuses_and_flushes_its_report(tmp_path):
     for name, obj in CI_INPUTS.items():
         _write(tmp_path / name, obj)
-    src = str(Path(ultrapoly.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _module_env()
     for i, (args, expected, reports) in enumerate(CI_RUNS):
         if args[1] == "from_7.json":  # copies of the demo bundle the run before wrote
             bundle = json.loads((tmp_path / "zp" / "expansion.json").read_text())
@@ -298,3 +303,39 @@ def test_python_m_ultrapoly_keeps_the_exit_statuses_and_flushes_its_report(tmp_p
             assert json.loads(text)["failed"] is (expected == EXIT_VERIFY), args
         else:
             assert text == "" and proc.stderr.startswith((b"error: ", b"schedule rejected: "))
+
+
+# the CI step's argument cases and their exit statuses
+CI_ARGUMENT_RUNS = [
+    (["--help"], EXIT_OK),
+    (["expand", "--help"], EXIT_OK),
+    ([], EXIT_INPUT),
+    (["expand"], EXIT_INPUT),
+    (["expand", "ok.json", "--precision", "two"], EXIT_INPUT),
+    (["expand", "ok.json", "--p", "3"], EXIT_INPUT),
+    (["export"], EXIT_INPUT),
+    (["expand", "ok.json", "--conf", "precision.json", "--out=exits"], EXIT_OK),
+]
+
+
+def test_python_m_ultrapoly_reads_its_arguments_as_ci_checks(tmp_path):
+    _write(tmp_path / "ok.json", CI_INPUTS["ok.json"])
+    _write(tmp_path / "precision.json", {"precision": 8})
+    for args, expected in CI_ARGUMENT_RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultrapoly", *args],
+            capture_output=True,
+            cwd=tmp_path,
+            env=_module_env(),
+            timeout=60,
+        )
+        assert proc.returncode == expected, (args, proc.stderr)
+        if "--out=exits" in args:  # a run: its report, and the bundle where --out= says
+            assert json.loads(proc.stdout)["failed"] is False
+            assert (tmp_path / "exits" / "expansion.json").is_file()
+        elif expected == EXIT_OK:  # help, on stdout
+            assert proc.stdout.startswith(b"usage: ultrapoly") and proc.stderr == b"", args
+        else:  # the usage and the error, on stderr
+            lines = proc.stderr.decode().splitlines()
+            assert proc.stdout == b"" and lines[0].startswith("usage: ultrapoly"), args
+            assert len(lines) == 2 and ": error: " in lines[1], args

@@ -1,5 +1,6 @@
 """The digit-reading quotient onto [0,1] and real shadows of expansions."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from ultrapoly import (
     theta_boundary_pairs,
     theta_nonstretch_check,
 )
+from ultrapoly import shadow as shadow_module
 from ultrapoly.cli import main
 from ultrapoly.shadow import (
     PrecisionError,
@@ -299,6 +301,47 @@ def test_theta_samples_exact_values():
     assert samples["6"] == "3/8"  # bits (0,1,1) -> 1/4 + 1/8
 
 
+def _streams(p: int):
+    """Digit streams in base p: any digits, leading zeros, or only zeros."""
+    digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=8)
+    return st.one_of(
+        digits,
+        st.builds(lambda zeros, rest: [0] * zeros + rest, st.integers(1, 4), digits),
+        st.integers(1, 8).map(lambda n: [0] * n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_theta_samples_are_theta_on_the_streams(p, data):
+    streams = data.draw(st.lists(_streams(p), min_size=1, max_size=6))
+    labels = [f"x{i}" for i in range(len(streams))]
+    for sample, label, stream in zip(theta_samples(streams, labels, p), labels, streams):
+        value = theta(PAdic.from_digit_stream(stream, p), len(stream))
+        assert sample == {
+            "label": label,
+            "digits": stream,
+            "theta": f"{value.numerator}/{value.denominator}",
+        }
+
+
+@pytest.mark.parametrize("stream", [[], [0, 3], [-1, 0], [1, 2, 5]])
+def test_theta_samples_refuse_what_the_digit_reader_refuses(tmp_path, capsys, stream):
+    with pytest.raises(ValueError) as expected:
+        PAdic.from_digit_stream(stream, 3)
+    with pytest.raises(ValueError) as got:
+        theta_samples([[0, 1], stream], ["a", "b"], 3)
+    assert str(got.value) == str(expected.value)
+    # the shadow command exits 2 with that text
+    assert main(["demo", "zp", "--prime", "3", "--depth", "1", "--out", str(tmp_path)]) == 0
+    bundle = json.loads((tmp_path / "expansion.json").read_text())
+    bundle["space"]["padic_points"][1] = stream
+    (tmp_path / "bad.json").write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["shadow", str(tmp_path / "bad.json"), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
 def test_theta_table_is_a_view_of_the_samples():
     streams = [[1, 0, 1], [0, 0, 0], [2, 2, 1]]
     samples = theta_samples(streams, ["a", "b", "c"], 3)
@@ -313,13 +356,17 @@ def test_shadow_csv_reads_each_stream_once(tmp_path, monkeypatch, capsys):
     assert main(["demo", "zp", "--prime", "3", "--depth", "3", "--out", str(tmp_path)]) == 0
     demo_shadow = (tmp_path / "shadow.json").read_text()
     reads = []
-    from_digit_stream = PAdic.from_digit_stream.__func__
+    samples = shadow_module.theta_samples
 
-    def counting_read(cls, stream, p):
-        reads.append(tuple(stream))
-        return from_digit_stream(cls, stream, p)
+    def counting_samples(padic_points, labels, p):
+        reads.extend(map(tuple, padic_points))
+        return samples(padic_points, labels, p)
 
-    monkeypatch.setattr(PAdic, "from_digit_stream", classmethod(counting_read))
+    def no_padic(cls, stream, p):
+        raise AssertionError("the shadow builds no PAdic")
+
+    monkeypatch.setattr(shadow_module, "theta_samples", counting_samples)
+    monkeypatch.setattr(PAdic, "from_digit_stream", classmethod(no_padic))
     out = tmp_path / "shadow"
     assert main(["shadow", str(tmp_path / "expansion.json"), "--csv", "--out", str(out)]) == 0
     assert len(reads) == len(set(reads)) == 27

@@ -39,6 +39,22 @@ def test_schedule_rejects_increasing_thresholds():
         Schedule(j=(0, 1), k=(0, 1), b=(GammaValue(0), GammaValue(1)))
 
 
+def test_schedule_rejects_thresholds_that_grow_and_names_the_level():
+    # threshold exponents 0, 1, 3, 2: level 3's p^-2 exceeds level 2's p^-3
+    with pytest.raises(ScheduleError, match="of level 3 exceeds that of level 2"):
+        Schedule(j=(0, 1, 2, 3), k=(0, 0, 0, 0), b=tuple(map(GammaValue, (0, 1, 3, 2))))
+    # the threshold decides, not b: p^1 * p^-1 and then p^0 * p^0 hold it at 1
+    Schedule(j=(0, 1), k=(1, 0), b=(GammaValue(1), GammaValue(0)))
+    # 0 (INF) is the smallest threshold: it follows any, and only it follows itself
+    Schedule(j=(0, 1, 2), k=(0, 0, 0), b=(GammaValue(0), GAMMA_ZERO, GAMMA_ZERO))
+    with pytest.raises(ScheduleError, match="of level 1 exceeds that of level 0"):
+        Schedule(j=(0, 1), k=(0, 0), b=(GAMMA_ZERO, GammaValue(5)))
+    # a threshold held for two levels does not grow
+    schedule = Schedule(j=(0, 1, 2, 3), k=(0, 0, 0, 0), b=tuple(map(GammaValue, (0, 1, 1, 2))))
+    expansion = assemble_expansion(residue_space(2, 2), schedule)
+    assert [level.nerve.threshold.exponent for level in expansion.levels] == [0, 1, 1, 2]
+
+
 def test_schedule_rejects_shape_mismatch():
     with pytest.raises(ScheduleError):
         Schedule(j=(0, 1), k=(0,), b=(GammaValue(0), GammaValue(1)))

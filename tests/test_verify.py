@@ -7,6 +7,8 @@ the limit isometry, by skipping every other scale); ``first_failure`` is
 that check's name as the bundle stores it.
 """
 
+import random
+
 import pytest
 
 from ultrapoly import (
@@ -23,8 +25,9 @@ from ultrapoly import (
     verify_nonstretching,
 )
 from ultrapoly.cli import RunReport, _verify_expansion
+from ultrapoly.spectrum import Expansion
 
-from corpus import replace
+from corpus import random_code_space, replace
 
 
 def _verify(expansion) -> tuple[dict, dict]:
@@ -221,3 +224,32 @@ def test_an_image_outside_the_points_fails_verify_without_raising(image):
     assert stage["status"] == "failed"
     assert stage["first_failure"] == "nonstretching"
     assert summaries["reconstruct_identity"] is False
+
+
+def test_the_verify_stage_builds_each_thread_once(monkeypatch):
+    calls = []
+    thread = Expansion.thread
+
+    def counting_thread(self, point):
+        calls.append(point)
+        return thread(self, point)
+
+    monkeypatch.setattr(Expansion, "thread", counting_thread)
+    space = random_code_space(random.Random(3), 2, 64)
+    expansion = assemble_expansion(space)
+    # live-counter control: a call made outside the stage counts
+    expansion.thread(7)
+    assert calls == [7]
+    calls.clear()
+    stage, summaries = _verify(expansion)
+    assert stage["status"] == "passed"
+    # reconstruction and limit recovery share one thread per point
+    assert sorted(calls) == list(range(64))
+    # each of them builds every thread on an expansion that has none yet
+    for check in (
+        lambda fresh: _verify_expansion(fresh, RunReport()),
+        lambda fresh: limit_isometry_check(space, fresh),
+    ):
+        calls.clear()
+        check(replace(expansion))
+        assert sorted(calls) == list(range(64))
