@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import functools
 import gc
-import json
 import os
-import re
 import sys
 import time
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from operator import add
-from pathlib import Path
 from types import SimpleNamespace
+
+try:
+    import _json  # json's C accelerator: its scanner and encoder, without json's Python layer
+except ImportError:  # json's Python layer serves where the accelerator is missing
+    _json = None
 
 from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
 from .padic import (
@@ -107,7 +109,7 @@ class PipelineConfig(Record):
         data: dict = {}
         path = path or os.environ.get(CONFIG_ENV)
         if path:
-            data = _load_json(Path(path))
+            data = _load_json(path)
             if not isinstance(data, dict):
                 raise InputFormatError(f"{path}: config file must hold a JSON object")
             _check_config(data, path)
@@ -184,7 +186,7 @@ class RunReport(Record):
         return {"failed": self.failed, "stages": self.stages}
 
 
-def _load_json(path: Path, parse_float=None):
+def _load_json(path: str | os.PathLike, parse_float=None):
     """The JSON value in the file at path, read as UTF-8 (RFC 8259) whatever the locale.
 
     The bytes are decoded once, with no newline translation, and freed
@@ -192,24 +194,77 @@ def _load_json(path: Path, parse_float=None):
     UTF-16 and UTF-32.
     """
     try:
-        text = str(path.read_bytes(), "utf-8")
+        with open(path, "rb") as fh:
+            text = str(fh.read(), "utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(text, parse_float=parse_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        return _decode(text, parse_float)
     except (ValueError, RecursionError) as exc:
+        from json import JSONDecodeError
+
+        if isinstance(exc, JSONDecodeError):
+            raise ParseError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
         # an integer literal over the int-string digit limit, or arrays
         # and objects nested deeper than the interpreter's recursion limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _dump_json(path: Path, obj) -> None:
+#: What ``json.loads`` skips around the value, and the values of its constants.
+_WHITESPACE = " \t\n\r"
+_CONSTANTS = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}
+
+
+def _decode(text: str, parse_float=None):
+    """``json.loads(text, parse_float=parse_float)``, through json's C scanner alone.
+
+    The scanner is given the context ``json.JSONDecoder`` gives it, and
+    the steps around it are ``json.loads``' own: a byte order mark is
+    refused, whitespace is skipped before and after the value, and
+    nothing else may follow it.  Importing json's Python layer compiles
+    its regular expressions, so it is imported only to raise a
+    ``JSONDecodeError`` (the scanner imports it for its own errors), or
+    whole where the C scanner is missing.
+    """
+    if _json is None:
+        import json
+
+        return json.loads(text, parse_float=parse_float)
+    if text.startswith("\ufeff"):
+        _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    scan = _json.make_scanner(
+        SimpleNamespace(
+            strict=True,
+            object_hook=None,
+            object_pairs_hook=None,
+            parse_float=parse_float or float,
+            parse_int=int,
+            parse_constant=_CONSTANTS.__getitem__,
+            memo={},
+        )
+    )
+    try:
+        # lstrip returns text itself when there is nothing to strip
+        obj, end = scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+    except StopIteration as exc:
+        _decode_error("Expecting value", text, exc.value)
+    rest = text[end:]
+    if rest.strip(_WHITESPACE):
+        _decode_error("Extra data", text, end + len(rest) - len(rest.lstrip(_WHITESPACE)))
+    return obj
+
+
+def _decode_error(message: str, text: str, pos: int):
+    from json import JSONDecodeError
+
+    raise JSONDecodeError(message, text, pos) from None
+
+
+def _dump_json(path: str | os.PathLike, obj) -> None:
     """Write obj as ``json.dump(obj, fh, sort_keys=True, indent=2)`` does, then a newline.
 
     The bytes are the same; the speed is not.  ``json.dump`` with an
@@ -218,24 +273,43 @@ def _dump_json(path: Path, obj) -> None:
     containers (lists and objects of scalars: matrix rows, blocks,
     simplexes, vertex maps), so each leaf is one C-encoder call and only
     the containers above the leaves are walked in Python; a list of
-    integer leaf lists is encoded in batches.  Pieces are written as
-    they are made: the whole text would set the peak memory.
+    scalar leaf lists is written from a table of its scalars' texts or
+    encoded in batches.  Pieces are written as they are made: the whole
+    text would set the peak memory.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh.write, obj, 0)
         fh.write("\n")
+
+
+def _print_json(obj) -> None:
+    """Print obj as ``print(json.dumps(obj, sort_keys=True, indent=2))`` does."""
+    _write_json(sys.stdout.write, obj, 0)
+    sys.stdout.write("\n")
 
 
 _SCALAR_TYPES = frozenset({int, str, bool, type(None)})
 # scalars whose JSON text holds no comma or bracket
 _PLAIN_TYPES = frozenset({int, bool, type(None)})
+# scalars of which two are equal, as dict keys, only when their texts are:
+# no bool, since True == 1
+_TABLE_TYPES = frozenset({int, str, type(None)})
 _LIST_TYPES = frozenset({list, tuple})
 
 #: Lines in one piece of a list of integer leaf lists, where a list takes
 #: a line per leaf and one per bracket (or one longer list): about one
 #: row of a 64-point distance matrix.
 _BATCH_LINES = 64
+#: Times, on average, that each distinct leaf of the first list of a list
+#: of scalar lists must appear in it for the list to be written from a
+#: table of its leaves' texts: the table costs a lookup per leaf and an
+#: encoding per distinct leaf, which short lists (a level's blocks and
+#: simplexes) and mostly distinct leaves (a matrix of decimals) do not
+#: repay, while a matrix of exponents or a list of digit streams does.
+_REPEATS = 4
 
 
 @functools.cache
@@ -244,18 +318,24 @@ def _leaf_encoder(depth: int):
 
     ``JSONEncoder.encode`` builds a new C encoder on every call; the one
     built here serves every leaf at this depth.  A leaf holds no
-    container, so it needs no check for cycles, and the encoder's
-    ``default`` is never called.  Without the C encoder the pure-Python
+    container, so it needs no check for cycles; an item json cannot
+    write raises json's TypeError.  Without the C encoder the pure-Python
     ``JSONEncoder.encode`` writes the same text.
     """
     separator = ",\n" + "  " * (depth + 1)
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:
+    if _json is None:
+        import json
+
         return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
-    encode = make_encoder(
-        None, None, json.encoder.encode_basestring_ascii, None, ": ", separator, True, False, True
+    ascii_text = _json.encode_basestring_ascii
+    encode = _json.make_encoder(
+        None, _unserializable, ascii_text, None, ": ", separator, True, False, True
     )
     return lambda leaf: "".join(encode(leaf, 0))
+
+
+def _unserializable(obj):
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _leaf_text(obj, depth: int) -> str | None:
@@ -285,9 +365,11 @@ def _write_json(write, obj, depth: int) -> None:
 
     Scalars and leaf containers are written whole where they stand, so
     only containers of containers recurse.  A list of leaf lists is
-    written without recursing: items one by one, or, when every leaf is
-    an int, bool or None, ``_write_plain_rows``'s batches; so is a list
-    of flat objects (``_write_flat_objects``).
+    written without recursing: from ``_write_scalar_rows``' table when
+    the first list's leaves repeat and every leaf is an int, string or
+    None, else in ``_write_plain_rows``' batches when every leaf is an
+    int, bool or None, else items one by one; so is a list of flat
+    objects (``_write_flat_objects``).
     """
     text = _leaf_text(obj, depth)
     if text is not None:
@@ -297,20 +379,20 @@ def _write_json(write, obj, depth: int) -> None:
         brackets = "{}"
         entries = [(f"{_json_key(key)}: ", value) for key, value in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        if (
-            _LIST_TYPES.issuperset(map(type, obj))
-            and all(obj)
-            and _PLAIN_TYPES.issuperset(map(type, chain.from_iterable(obj)))
-        ):
-            _write_plain_rows(write, obj, depth)
-            return
+        if _LIST_TYPES.issuperset(map(type, obj)) and all(obj):
+            if _repeats(obj[0]) and _TABLE_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+                _write_scalar_rows(write, obj, depth)
+                return
+            if _PLAIN_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+                _write_plain_rows(write, obj, depth)
+                return
         if _flat_objects(obj, depth):
             _write_flat_objects(write, obj, depth)
             return
         brackets = "[]"
         entries = [("", value) for value in obj]
-    else:
-        write(json.dumps(obj))
+    else:  # a float, or a subclass of a scalar or of no JSON type
+        write(_leaf_encoder(depth)([obj])[1:-1])
         return
     outer = "\n" + "  " * depth
     inner = outer + "  "
@@ -324,6 +406,41 @@ def _write_json(write, obj, depth: int) -> None:
             write(separator + prefix + text)
         separator = "," + inner
     write(outer + brackets[1])
+
+
+def _repeats(row) -> bool:
+    """Whether row, a leaf list, holds ints, strings and None that repeat ``_REPEATS`` times."""
+    return _TABLE_TYPES.issuperset(map(type, row)) and len(set(row)) * _REPEATS <= len(row)
+
+
+def _write_scalar_rows(write, rows, depth: int) -> None:
+    """Write a list, depth deep, of non-empty lists of ints, strings and None from one table.
+
+    The table encodes each distinct scalar once, when it is first met,
+    so each list is one ``str.join`` of its items' texts, and one piece.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    joiner = "," + inner + "  "
+    text_of = _Texts(_leaf_encoder(depth + 1)).__getitem__
+    opening = "[" + joiner[1:]  # a list's bracket, and its first leaf's line
+    separator = "[" + inner
+    for row in rows:
+        write(f"{separator}{opening}{joiner.join(map(text_of, row))}{inner}]")
+        separator = "," + inner
+    write(inner[:-2] + "]")
+
+
+class _Texts(dict):
+    """Scalars' texts, each written by encode the first time it is asked for."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode) -> None:
+        self.encode = encode
+
+    def __missing__(self, scalar) -> str:
+        text = self[scalar] = self.encode([scalar])[1:-1]
+        return text
 
 
 def _write_plain_rows(write, rows, depth: int) -> None:
@@ -407,8 +524,12 @@ def _json_key(key) -> str:
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {type(key).__name__}"
             )
-        key = json.dumps(key)
-    return json.encoder.encode_basestring_ascii(key)
+        key = _leaf_encoder(0)([key])[1:-1]
+    if _json is None:
+        from json.encoder import encode_basestring_ascii
+
+        return encode_basestring_ascii(key)
+    return _json.encode_basestring_ascii(key)
 
 
 def _is_int(value) -> bool:
@@ -427,7 +548,7 @@ def _is_exponent(value) -> bool:
     return value == "INF" or _is_int(value)
 
 
-def load_input(path: Path) -> tuple[dict, list[list[tuple[int, int]]] | None]:
+def load_input(path: str | os.PathLike) -> tuple[dict, list[list[tuple[int, int]]] | None]:
     """The checked input object and, for matrix input, its exact entries.
 
     The matrix is parsed here once, each entry into an exact
@@ -687,7 +808,7 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
     }
 
 
-def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]:
+def run(config: PipelineConfig, input_path: str | os.PathLike) -> tuple[RunReport, dict, int]:
     """Execute the configured stages; returns (report, outputs, exit code)."""
     report = RunReport()
     outputs: dict[str, dict] = {}
@@ -742,33 +863,51 @@ def run(config: PipelineConfig, input_path: Path) -> tuple[RunReport, dict, int]
     return report, outputs, EXIT_VERIFY if report.failed else EXIT_OK
 
 
-def export_dot(bundle: dict, out_dir: Path) -> list[Path]:
-    """One DOT file per level; node names follow the space labels."""
+def export_dot(bundle: dict, out_dir: str | os.PathLike) -> list[str]:
+    """One DOT file per level; node names follow the space labels.
+
+    Returns the files' paths, spelt as ``_join`` spells them.
+    """
     labels = bundle["space"]["labels"]
     paths = []
     for level_obj in bundle["levels"]:
         nerve = NerveComplex.from_json(level_obj)
-        path = out_dir / f"level_{nerve.level}.dot"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(nerve_to_dot(nerve, labels=labels), encoding="utf-8")
+        path = _join(out_dir, f"level_{nerve.level}.dot")
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(nerve_to_dot(nerve, labels=labels))
         paths.append(path)
     return paths
 
 
-def _write_outputs(outputs: dict, out_dir: Path) -> None:
+def _join(directory: str | os.PathLike, name: str) -> str:
+    """directory/name with no empty or "." parts, as ``pathlib`` spells it on POSIX.
+
+    ``os.path.join(".", name)`` would spell it "./name".  A leading
+    "//" is kept and three or more slashes read as one, as POSIX allows;
+    ".." parts stay, since one after a symbolic link names another file.
+    """
+    directory = os.fspath(directory)
+    parts = [part for part in directory.split(os.sep) if part not in ("", ".")]
+    slashes = len(directory) - len(directory.lstrip(os.sep))
+    root = os.sep * (2 if slashes == 2 else min(slashes, 1))
+    return root + os.sep.join([*parts, name])
+
+
+def _write_outputs(outputs: dict, out_dir: str) -> None:
     for name, obj in outputs.items():
-        _dump_json(out_dir / name, obj)
+        _dump_json(os.path.join(out_dir, name), obj)
 
 
 def _cmd_validate(args) -> int:
     """The validate stage alone, as ``expand`` runs it; writes nothing."""
-    obj, rows = load_input(Path(args.input))
+    obj, rows = load_input(args.input)
     report = RunReport()
     if rows is None:  # the proof that builds the streams' space
         _space_from_input(obj, rows, PipelineConfig(stages=("validate",)), report)
     else:  # a matrix is checked as written, so its entries need not be powers of p
         _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+    _print_json(report.to_json())
     return EXIT_VERIFY if report.failed else EXIT_OK
 
 
@@ -784,17 +923,16 @@ def _cmd_expand(args) -> int:
 
     config = PipelineConfig.load(args.config, overrides)
     try:
-        report, outputs, code = run(config, Path(args.input))
+        report, outputs, code = run(config, args.input)
     except ScheduleError as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    out_dir = Path(config.out or ".")
-    _write_outputs(outputs, out_dir)
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+    _write_outputs(outputs, config.out or ".")
+    _print_json(report.to_json())
     return code
 
 
-def _load_bundle(path: Path, shadow: bool) -> dict:
+def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
     """The expansion bundle at path, with the fields its command reads checked.
 
     DOT export reads ``space.labels`` and each ``levels[i]`` (``level``,
@@ -920,9 +1058,9 @@ def _load_bundle(path: Path, shadow: bool) -> dict:
 def _cmd_shadow(args) -> int:
     from .shadow import shadow_bundle
 
-    result = shadow_bundle(_load_bundle(Path(args.bundle), shadow=True))
-    out_dir = Path(args.out or ".")
-    _dump_json(out_dir / "shadow.json", result)
+    result = shadow_bundle(_load_bundle(args.bundle, shadow=True))
+    out_dir = args.out or "."
+    _dump_json(os.path.join(out_dir, "shadow.json"), result)
     if args.csv:
         _write_theta_csv(result, out_dir)
     if not result["reports"]["dim_preserved"]:
@@ -931,15 +1069,16 @@ def _cmd_shadow(args) -> int:
     return EXIT_OK
 
 
-def _write_theta_csv(shadow: dict, out_dir: Path) -> None:
+def _write_theta_csv(shadow: dict, out_dir: str) -> None:
     """theta.csv from the shadow bundle's theta samples, when it has them."""
     if "theta_samples" not in shadow:
         return
     from .shadow import theta_table_csv
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     table = theta_table_csv(shadow["theta_samples"])
-    (out_dir / "theta.csv").write_text(table, encoding="utf-8")
+    with open(os.path.join(out_dir, "theta.csv"), "w", encoding="utf-8") as fh:
+        fh.write(table)
 
 
 def _cmd_demo_zp(args) -> int:
@@ -958,16 +1097,16 @@ def _cmd_demo_zp(args) -> int:
         list(_digits_of(int(label), args.prime, args.depth)) for label in expansion.space.labels
     ]
     outputs = {"expansion.json": bundle, "shadow.json": shadow_bundle(bundle)}
-    out_dir = Path(args.out or ".")
+    out_dir = args.out or "."
     _write_outputs(outputs, out_dir)
     if args.csv:
         _write_theta_csv(outputs["shadow.json"], out_dir)
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+    _print_json(report.to_json())
     return EXIT_VERIFY if report.failed else EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
-    paths = export_dot(_load_bundle(Path(args.bundle), shadow=False), Path(args.out or "."))
+    paths = export_dot(_load_bundle(args.bundle, shadow=False), args.out or ".")
     for path in paths:
         print(path)
     return EXIT_OK
@@ -1018,9 +1157,6 @@ _GROUPS = {
 }
 #: Every parser's help option, of kind None.
 _HELP = dict.fromkeys(("-h", "--help"), (None, False, "show this help message and exit"))
-#: Tokens that argparse reads as negative numbers, hence as values; compiled
-#: on first use, which only a token such as -5 reaches.
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
@@ -1136,9 +1272,25 @@ def _option(token: str, options: dict, path: str) -> tuple[str | None, str | Non
         _usage_error(path, f"ambiguous option: {token} could match {matches}")
     if found:
         return found[0]
-    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     return None, None
+
+
+def _negative_number(token: str) -> bool:
+    r"""Whether argparse reads token as a negative number, hence as a value.
+
+    argparse matches ``^-\d+$|^-\d*\.\d+$``, where ``\d`` is a decimal
+    digit of any script and ``$`` also matches before a final newline;
+    string methods read the same tokens without loading ``re``.
+    """
+    if not token.startswith("-"):
+        return False
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if body.isdecimal():
+        return True
+    return dot == "." and (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
 def _check_prefixes(tokens: list[str], options: dict, path: str) -> None:

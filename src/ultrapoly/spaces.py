@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 
 from .padic import (
     GAMMA_ZERO,
@@ -889,12 +889,18 @@ class _Embedding(tuple):
     at the least height between them, as the first mismatch of two sorted
     sequences is the least over the neighbours between them (the LCP
     property).  O(n * depth), once per embedding: every level of an
-    expansion holds the same one.
+    expansion holds the same one.  ``c0_embed`` writes each point's keys
+    strictly increasing, one per Baire position, so they are taken as
+    they are when one C-level pass finds them so; other vectors' keys
+    are sorted as a set.
     """
 
     @cached_property
     def tree(self) -> MergeTree:
-        keys = [sorted(set(vector.keys)) for vector in self]
+        keys = [
+            list(k) if all(map(lt, k, k[1:])) else sorted(set(k))
+            for k in (vector.keys for vector in self)
+        ]
         end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
         for k in keys:
             k.append(end)

@@ -425,6 +425,25 @@ def tree_meet(order, heights, x: int, y: int) -> int | None:
     return min(finite) if finite else None
 
 
+def embedding_tree_by_sorting(key_lists) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """(order, heights) of the merge tree of sparse vectors, every key list sorted as a set.
+
+    Each list, closed by an end mark above every key level, orders its
+    point; neighbours meet at the level of the smaller key where their
+    lists first differ (None: equal lists).
+    """
+    keys = [sorted(set(k)) for k in key_lists]
+    end = (max((k[-1][0] for k in keys if k), default=0) + 1,)
+    for k in keys:
+        k.append(end)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    heights = [
+        next((min(x, y)[0] for x, y in zip(keys[v], keys[w]) if x != y), None)
+        for v, w in zip(order, order[1:])
+    ]
+    return tuple(order), tuple(heights)
+
+
 def pairwise_stretched(a, b) -> list[tuple[int, int, int | None, int | None]]:
     """Every pair x < y whose meet in tree b lies below its meet in tree a, meet by meet.
 

@@ -2,12 +2,13 @@
 
 import contextlib
 import io
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ultrapoly.cli import EXIT_INPUT, EXIT_OK, _parse_args
+from ultrapoly.cli import EXIT_INPUT, EXIT_OK, _negative_number, _parse_args
 
 from oracles import argparse_cli
 
@@ -178,3 +179,16 @@ EXITS = [
 def test_help_and_usage_errors_exit_as_argparse_does(argv, code):
     assert _outcome(_parse_args, argv) == ("exit", code, True)
     assert _outcome(argparse_cli, argv)[:2] == ("exit", code)
+
+
+@settings(max_examples=500, deadline=None)
+@given(token=st.text(alphabet="-.0123456789\u0663\u00b2x \n", max_size=6))
+@example(token="-5\n")  # $ matches before a final newline
+@example(token="-5\n\n")
+@example(token="-\u0663")  # a decimal digit of another script
+@example(token="-\u00b2")  # a superscript, which is no decimal digit
+@example(token="-.5")
+@example(token="-1.")
+def test_negative_numbers_are_those_argparse_matches(token):
+    # argparse's own pattern, which the parser reads without loading re
+    assert _negative_number(token) == bool(re.match(r"^-\d+$|^-\d*\.\d+$", token))

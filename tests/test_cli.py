@@ -16,6 +16,7 @@ from ultrapoly.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     PipelineConfig,
+    _join,
     _load_bundle,
     main,
     run,
@@ -281,6 +282,26 @@ def test_export_dot(tmp_path, capsys):
     first = (dots / "level_1.dot").read_bytes()
     assert main(["export", "dot", str(out / "expansion.json"), "--out", str(dots)]) == EXIT_OK
     assert (dots / "level_1.dot").read_bytes() == first
+
+
+@pytest.mark.parametrize("out", ["dots", "./dots/", "dots//sub/.", "dots/../dots"])
+def test_export_dot_prints_paths_as_pathlib_spells_them(tmp_path, capsys, monkeypatch, out):
+    main(["demo", "zp", "--prime", "2", "--depth", "2", "--out", str(tmp_path / "demo")])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dots").mkdir()
+    assert main(["export", "dot", "demo/expansion.json", "--out", out]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [str(Path(out) / f"level_{m}.dot") for m in range(len(printed))]
+    assert all(Path(path).is_file() for path in printed)
+
+
+@given(directory=st.lists(st.sampled_from(["", ".", "..", "a", "b c"]), max_size=5).map("/".join))
+@example(directory="//a")
+@example(directory="///a")
+@example(directory="/")
+def test_paths_are_joined_as_pathlib_joins_them(directory):
+    assert _join(directory, "x.dot") == str(Path(directory) / "x.dot")
 
 
 def test_shadow_command(tmp_path):

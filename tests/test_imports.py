@@ -1,5 +1,6 @@
 """Each command imports only the modules it runs; the package's names load on first use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,19 +48,27 @@ ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 # exact rationals, which load decimal: only the commands that build a Fraction
 # (matrix ingest) need them
 FRACTION_MODULES = ("fractions", "decimal")
+# json's Python layer, whose import compiles its regular expressions: the
+# commands read and write JSON through its C accelerator, _json, alone
+JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner")
+# pathlib, which loads urllib.parse and ipaddress: looked for under `python -S`,
+# since some interpreters' site loads it
+PATH_MODULES = ("pathlib",)
+RECORDED = SLOW_MODULES + FRACTION_MODULES + JSON_MODULES + PATH_MODULES + ("re",)
 
 # runs `python -m ultrapoly <args>` in this interpreter, then records the exit
-# code, the package modules it loaded and which of SLOW_MODULES it loaded
+# code, the package modules it loaded and which of RECORDED it loaded; the
+# record is written as a Python literal, so the probe itself loads no json
 PROBE = f"""
-import json, runpy, sys
+import runpy, sys
 out, sys.argv = sys.argv[1], ["ultrapoly", *sys.argv[2:]]
 try:
     runpy.run_module("ultrapoly", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-modules = sorted(m for m in sys.modules if m.startswith("ultrapoly") or m in {SLOW_MODULES + FRACTION_MODULES})
+modules = sorted(m for m in sys.modules if m.startswith("ultrapoly") or m in {RECORDED})
 with open(out, "w") as fh:
-    json.dump({{"code": code, "modules": modules}}, fh)
+    fh.write(repr({{"code": code, "modules": modules}}))
 """
 
 
@@ -68,7 +77,7 @@ def _loaded(tmp_path: Path, *args: str, prelude: str = "", flags: tuple = ()) ->
 
     flags are interpreter options, such as -S.
     """
-    record = tmp_path / "modules.json"
+    record = tmp_path / "modules.txt"
     src = str(Path(ultrapoly.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
@@ -77,7 +86,7 @@ def _loaded(tmp_path: Path, *args: str, prelude: str = "", flags: tuple = ()) ->
         check=True,
         stdout=subprocess.DEVNULL,
     )
-    result = json.loads(record.read_text())
+    result = ast.literal_eval(record.read_text())
     assert result["code"] == 0, result
     return {m.removeprefix("ultrapoly.") for m in result["modules"]}
 
@@ -199,6 +208,48 @@ def test_probe_sees_argparse_gettext_and_locale(tmp_path, matrix_input):
     prelude = "import argparse\nargparse.ArgumentParser()\n"
     loaded = _loaded(tmp_path, "validate", matrix_input, prelude=prelude, flags=("-S",))
     assert ARGPARSE_MODULES <= loaded
+
+
+def _every_command(tmp_path: Path, bundle: str, matrix_input: str, stream_input: str):
+    streams = ["expand", stream_input, "--stages", "validate,round,expand,verify,shadow"]
+    return {
+        **_commands(tmp_path, bundle, matrix_input),
+        "expand streams": [*streams, "--out", str(tmp_path / "t")],
+    }
+
+
+EVERY_COMMAND = ["expand", "expand streams", "shadow", "export", "validate", "demo"]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_no_command_loads_json_or_pathlib(
+    tmp_path, bundle, matrix_input, stream_input, command
+):
+    argv = _every_command(tmp_path, bundle, matrix_input, stream_input)[command]
+    assert not _loaded(tmp_path, *argv) & set(JSON_MODULES)
+    assert not _loaded(tmp_path, *argv, flags=("-S",)) & set(JSON_MODULES + PATH_MODULES)
+
+
+@pytest.mark.parametrize("module", JSON_MODULES + PATH_MODULES)
+def test_probe_sees_json_and_pathlib(tmp_path, matrix_input, module):
+    # positive control: the same probe, without site, after a run that imports the module
+    prelude = f"import {module}\n"
+    loaded = _loaded(tmp_path, "validate", matrix_input, prelude=prelude, flags=("-S",))
+    assert module in loaded
+
+
+@pytest.mark.parametrize("command", ["expand streams", "shadow", "export", "validate", "demo"])
+def test_only_matrix_rounding_loads_re(tmp_path, bundle, matrix_input, stream_input, command):
+    # the argument parser, which asks of each option it does not know whether
+    # it is a negative number, loads no re; fractions does
+    argv = _every_command(tmp_path, bundle, matrix_input, stream_input)[command]
+    assert "re" not in _loaded(tmp_path, *argv, flags=("-S",))
+
+
+def test_matrix_rounding_loads_re(tmp_path, bundle, matrix_input, stream_input):
+    # positive control: the same probe sees the closure's Fraction load re
+    argv = _every_command(tmp_path, bundle, matrix_input, stream_input)["expand"]
+    assert "re" in _loaded(tmp_path, *argv, flags=("-S",))
 
 
 def test_public_names_are_unchanged_and_resolve():

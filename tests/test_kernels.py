@@ -23,6 +23,8 @@ from ultrapoly import (
     Schedule,
     UltraSpace,
     assemble_expansion,
+    baire_encode,
+    c0_embed,
     group_expansion,
     space_from_points,
     verify_nonstretching,
@@ -35,6 +37,7 @@ from ultrapoly.spectrum import BondingMap, Level
 from corpus import UNDECIDABLE_PRIME, padic_families, random_code_space, replace
 from oracles import (
     difference_exponents,
+    embedding_tree_by_sorting,
     pair_witnesses,
     pairwise_nonstretching,
     per_map_ball_certificate,
@@ -254,6 +257,29 @@ def hand_built_embeddings(draw):
             keys.append(draw(st.sampled_from(keys)))
         key_lists.append(draw(st.permutations(keys)))
     return tuple(C0Vector(keys=tuple(keys)) for keys in key_lists)
+
+
+def _strictly_increasing(vectors):
+    """The vectors with each key list sorted as a set, as ``c0_embed`` writes them."""
+    return tuple(C0Vector(keys=tuple(sorted(set(v.keys)))) for v in vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vectors=st.one_of(
+        hand_built_embeddings(),
+        hand_built_embeddings().map(_strictly_increasing),
+        st.builds(
+            lambda seed, n: c0_embed(baire_encode(random_code_space(random.Random(seed), 3, n))),
+            st.integers(0, 10**6),
+            st.integers(2, 24),
+        ),
+    )
+)
+def test_embedding_tree_matches_sorting_every_key_list(vectors):
+    # keys taken as they are when they increase strictly, sorted as a set otherwise
+    tree = _Embedding(vectors).tree
+    assert (tree.order, tree.heights) == embedding_tree_by_sorting([v.keys for v in vectors])
 
 
 def _ball_images(verts, vectors, scale):

@@ -1,6 +1,7 @@
 """The bundle writer: the bytes of json.dump(sort_keys=True, indent=2) plus a newline."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -92,25 +93,52 @@ def _nested(depth: int) -> dict:
     return obj
 
 
-@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder here")
+@pytest.mark.skipif(cli._json is None, reason="json has no C accelerator here")
 def test_writer_builds_at_most_one_encoder_per_depth(tmp_path, monkeypatch, fresh_encoders):
     separators = []
-    make_encoder = json.encoder.c_make_encoder
+    accelerator = cli._json
 
     def counting(*args):
         separators.append(args[5])  # the item separator: a newline and the indent
-        return make_encoder(*args)
+        return accelerator.make_encoder(*args)
 
-    monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+    monkeypatch.setattr(
+        cli,
+        "_json",
+        SimpleNamespace(
+            make_encoder=counting, encode_basestring_ascii=accelerator.encode_basestring_ascii
+        ),
+    )
     obj = _nested(6)
     path = tmp_path / "out.json"
     for _ in range(2):
         _dump_json(path, obj)
         assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    # 7 levels of nesting and over 100 leaves and scalars, yet one encoder per depth
-    assert len(separators) == len(set(separators)) <= 8
-    json.dumps([1])
-    assert separators[-1] == ", "  # the counter is live
+    # 7 levels of nesting and over 100 leaves and scalars, yet one encoder per depth;
+    # the counter is live: the writer built one at each depth from 1 to 7
+    assert sorted(map(len, separators)) == [2 + 2 * (depth + 1) for depth in range(1, 8)]
+
+
+def test_writer_reads_the_accelerator_through_its_seam(tmp_path, monkeypatch, fresh_encoders):
+    # control for the tests that patch cli._json
+    path, obj = tmp_path / "out.json", {"a": [1, 2], "b": "x"}
+    # an accelerator with no encoder stops the writer: it reads no other
+    monkeypatch.setattr(cli, "_json", SimpleNamespace())
+    with pytest.raises(AttributeError):
+        _dump_json(path, obj)
+    # no accelerator: the writer builds json's pure-Python encoder, one for depth 1
+    built = []
+
+    class Counting(json.JSONEncoder):
+        def __init__(self, **kwargs):
+            built.append(kwargs["separators"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli, "_json", None)
+    monkeypatch.setattr(json, "JSONEncoder", Counting)
+    _leaf_encoder.cache_clear()
+    _dump_json(path, obj)
+    assert built == [(",\n    ", ": ")]
 
 
 @settings(
@@ -118,7 +146,8 @@ def test_writer_builds_at_most_one_encoder_per_depth(tmp_path, monkeypatch, fres
 )
 @given(obj=VALUES)
 def test_writer_without_c_encoder_matches_json_dump(tmp_path, monkeypatch, fresh_encoders, obj):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_json", None)
+    _leaf_encoder.cache_clear()
     path = tmp_path / "out.json"
     _dump_json(path, obj)
     assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -171,29 +200,77 @@ def test_writer_matches_json_dump_on_leaf_lists(
     tmp_path, monkeypatch, fresh_encoders, c_encoder, obj
 ):
     if not c_encoder:
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(cli, "_json", None)
+    _leaf_encoder.cache_clear()
     path = tmp_path / "out.json"
     _dump_json(path, obj)
     assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_only_rows_of_ints_bools_and_none_are_batched(monkeypatch):
-    batched = []
-    original = cli._write_plain_rows
+    routes = []
+    for name in ("_write_plain_rows", "_write_scalar_rows"):
 
-    def spy(write, rows, depth):
-        batched.append(rows)
-        original(write, rows, depth)
+        def spy(write, rows, depth, name=name, original=getattr(cli, name)):
+            routes.append((name, rows))
+            original(write, rows, depth)
 
-    monkeypatch.setattr(cli, "_write_plain_rows", spy)
+        monkeypatch.setattr(cli, name, spy)
     plain = [[1, True, None], (-(10**40),), [0]]
-    for rows in (plain, [[1], ["a,b]"]], [[1], []], [[1], [1.5]]):
+    short = [[1, 2], [3], [4, 5]]
+    # a first list whose leaves repeat, of ints, strings and None: the table
+    exponents = [[0, 1, "INF", None] * 4, (1, 1, 1, 1), ["a,b]"]]
+    # a bool anywhere keeps it out of the table, as True == 1
+    flags = [[True, 1, True, 1, 1, 1, 1, 1]]
+    late_flag = [[1, 1, 1, 1], [True]]
+    decimals = [["0.1", "0.2", "1/3", "4"], ["0.1", "1", "2", "3"]]
+    cases = [
+        plain, short, exponents, flags, late_flag, decimals,
+        [[1], ["a,b]"]], [[1], []], [[1], [1.5]], [[2, 2, 2, 2], [2.0]],
+    ]
+    for rows in cases:
         text = json.dumps(rows, sort_keys=True, indent=2)
         pieces: list[str] = []
         _write_json(pieces.append, rows, 0)
         assert "".join(pieces) == text
-    # strings, empty rows and floats take the route of one item at a time
-    assert batched == [plain]
+    # mostly distinct strings, empty lists and floats take the route of one item at a time
+    assert routes == [
+        ("_write_plain_rows", plain),
+        ("_write_plain_rows", short),
+        ("_write_scalar_rows", exponents),
+        ("_write_plain_rows", flags),
+        ("_write_plain_rows", late_flag),
+    ]
+
+
+# leaves drawn from a few, so that they repeat: values equal as dict keys but
+# written apart (1, True and 1.0), and strings that hold a separator's characters
+REPEATING = st.sampled_from([0, 1, -1, True, False, None, 1.0, 10**40, "INF", "", "a,b]", "\n  "])
+REPEATING_ROWS = st.lists(
+    st.one_of(
+        st.lists(REPEATING, min_size=1, max_size=12), st.lists(st.integers(0, 3), min_size=4)
+    ),
+    min_size=1,
+    max_size=20,
+).flatmap(lambda rows: st.sampled_from([rows, {"k": rows}, [[rows]]]))
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(obj=REPEATING_ROWS)
+@example(obj=[[0, 0, 0, 0, "INF"], [0, "INF", 1, 1]])
+@example(obj=[[1, 1, 1, 1], [True, 1.0, False, 0]])
+def test_writer_matches_json_dump_on_repeating_rows(
+    tmp_path, monkeypatch, fresh_encoders, c_encoder, obj
+):
+    if not c_encoder:
+        monkeypatch.setattr(cli, "_json", None)
+    _leaf_encoder.cache_clear()
+    pieces: list[str] = []
+    _write_json(pieces.append, obj, 0)
+    assert "".join(pieces) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_flat_objects_are_written_one_piece_each():
@@ -202,3 +279,15 @@ def test_flat_objects_are_written_one_piece_each():
     _write_json(pieces.append, {"theta_samples": samples}, 0)
     assert "".join(pieces) == json.dumps({"theta_samples": samples}, sort_keys=True, indent=2)
     assert len(pieces) == len(samples) + 3  # the key, each object, two closing brackets
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@pytest.mark.parametrize("obj", [object(), [1, object()], {"a": {1, 2}}, {(1, 2): 3}, [[1.5, 1j]]])
+def test_writer_refuses_what_json_refuses(monkeypatch, fresh_encoders, c_encoder, obj):
+    if not c_encoder:
+        monkeypatch.setattr(cli, "_json", None)
+    with pytest.raises(TypeError) as refused:
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as written:
+        _write_json([].append, obj, 0)
+    assert str(written.value) == str(refused.value)
