@@ -21,7 +21,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
-from operator import add
+from operator import add, eq
 from types import SimpleNamespace
 
 try:
@@ -40,6 +40,7 @@ from .padic import (
     is_prime,
 )
 from .spaces import (
+    MergeTree,
     NotUltrametricError,
     UltraSpace,
     Violations,
@@ -369,7 +370,8 @@ def _write_json(write, obj, depth: int) -> None:
     the first list's leaves repeat and every leaf is an int, string or
     None, else in ``_write_plain_rows``' batches when every leaf is an
     int, bool or None, else items one by one; so is a list of flat
-    objects (``_write_flat_objects``).
+    objects (``_write_flat_objects``).  A ``_GammaRows`` echo is written
+    row by row from its tree (``_write_echo``).
     """
     text = _leaf_text(obj, depth)
     if text is not None:
@@ -391,6 +393,9 @@ def _write_json(write, obj, depth: int) -> None:
             return
         brackets = "[]"
         entries = [("", value) for value in obj]
+    elif isinstance(obj, _GammaRows):
+        _write_echo(write, obj, depth)
+        return
     else:  # a float, or a subclass of a scalar or of no JSON type
         write(_leaf_encoder(depth)([obj])[1:-1])
         return
@@ -416,18 +421,73 @@ def _repeats(row) -> bool:
 def _write_scalar_rows(write, rows, depth: int) -> None:
     """Write a list, depth deep, of non-empty lists of ints, strings and None from one table.
 
-    The table encodes each distinct scalar once, when it is first met,
-    so each list is one ``str.join`` of its items' texts, and one piece.
+    The table encodes each distinct scalar once, when it is first met.
+    """
+    text_of = _Texts(_leaf_encoder(depth + 1)).__getitem__
+    _write_text_rows(write, (map(text_of, row) for row in rows), depth)
+
+
+def _write_text_rows(write, rows, depth: int) -> None:
+    """Write a list, depth deep, of non-empty lists given as their items' texts.
+
+    Each list is one ``str.join`` of its items' texts, and one piece.
     """
     inner = "\n" + "  " * (depth + 1)
     joiner = "," + inner + "  "
-    text_of = _Texts(_leaf_encoder(depth + 1)).__getitem__
     opening = "[" + joiner[1:]  # a list's bracket, and its first leaf's line
     separator = "[" + inner
-    for row in rows:
-        write(f"{separator}{opening}{joiner.join(map(text_of, row))}{inner}]")
+    for texts in rows:
+        write(f"{separator}{opening}{joiner.join(texts)}{inner}]")
         separator = "," + inner
     write(inner[:-2] + "]")
+
+
+def _echo_value(e: int | None):
+    """An exponent as ``UltraSpace.to_json`` writes it: None (distance 0) is "INF"."""
+    return "INF" if e is None else e
+
+
+class _GammaRows(Sequence):
+    """A space's ``gamma_matrix`` echo, read from its merge tree one row at a time.
+
+    It equals, iterates and indexes as ``UltraSpace.to_json()``'s list of
+    lists, but holds no row: ``_write_json`` writes it row by row, each
+    row made when it is written, so no n x n table is kept.  It is no
+    list subclass, since json's C encoder would read a list's own
+    storage, which is empty.
+    """
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: MergeTree) -> None:
+        self.tree = tree
+
+    def __len__(self) -> int:
+        return len(self.tree.order)
+
+    def __getitem__(self, index):
+        points = range(len(self))[index]  # a range for a slice; an IndexError out of range
+        if isinstance(index, slice):
+            return list(map(list, self.tree._each_row(_echo_value, points)))
+        return list(next(self.tree._each_row(_echo_value, (points,))))
+
+    def __iter__(self):
+        return map(list, self.tree._each_row(_echo_value, range(len(self))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _GammaRows)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, other))
+
+
+def _write_echo(write, echo: _GammaRows, depth: int) -> None:
+    """Write echo depth deep, each row made from the tree as it is written.
+
+    Each distinct exponent's text is encoded once.
+    """
+    encode = _leaf_encoder(depth + 1)
+    rows = echo.tree._each_row(lambda e: encode([_echo_value(e)])[1:-1], range(len(echo)))
+    _write_text_rows(write, rows, depth)
 
 
 class _Texts(dict):
@@ -817,10 +877,15 @@ def run(config: PipelineConfig, input_path: str | os.PathLike) -> tuple[RunRepor
     if space is None:
         return report, outputs, EXIT_VERIFY
 
-    # the bundle's space is space.json less the input as written: one build
-    # serves both, and the bundle keeps the digit streams of the space's own
-    # points, one per label, as shadow reads them (round drops merged points)
-    space_json = space.to_json()
+    # the bundle's space is space.json less the input as written: both hold
+    # one view of the exponent table, which each file writes from the tree,
+    # and the bundle keeps the digit streams of the space's own points, one
+    # per label, as shadow reads them (round drops merged points)
+    space_json = {
+        "labels": list(space.labels),
+        "prime": space.prime,
+        "gamma_matrix": _GammaRows(space.tree),
+    }
     bundle_space = dict(space_json)
     if "padic_points" in obj:
         space_json["padic_points"] = [list(s) for s in obj["padic_points"]]
@@ -946,7 +1011,9 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
     and they hold no other point.  A bonding map's ``from`` and ``to``
     are level numbers of the bundle's levels, its ``vertex_map`` keys are
     exactly the decimal strings of the vertices of the ``from`` level,
-    and its values are vertices of the ``to`` level.  A
+    its values are vertices of the ``to`` level, and it is simplicial:
+    each maximal simplex of the ``from`` level goes into one of the ``to``
+    level, as the ``"affine": true`` that shadow writes for it claims.  A
     missing or mistyped field raises InputFormatError naming its path in
     the bundle.  One pass over the decoded bundle.
     """
@@ -983,6 +1050,7 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
         )
 
     vertices_of: dict[int, list[int]] = {}  # level number: its vertices
+    simplexes_of: dict[int, list[list[int]]] = {}  # level number: its maximal simplexes
     for i, level in enumerate(items("levels")):
         for key in ("level", "scale", "dimL"):
             require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
@@ -997,7 +1065,7 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
         vertices_of[level["level"]] = vertices = require(
             level, "vertices", f"levels[{i}].vertices", points, "a list of point indices"
         )
-        require(
+        simplexes_of[level["level"]] = require(
             level,
             "maximal_simplexes",
             f"levels[{i}].maximal_simplexes",
@@ -1038,6 +1106,19 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
             field,
             lambda value: values.issuperset(value.values()),
             f"valued in vertices of level {coarse}",
+        )
+        # the coarse maximal simplexes partition the level's vertices, so a
+        # simplicial map sends each fine one into exactly one of them
+        simplex_of = {v: s for s, simplex in enumerate(simplexes_of[coarse]) for v in simplex}
+        require(
+            bmap,
+            "vertex_map",
+            field,
+            lambda value: all(
+                len({simplex_of[value[str(v)]] for v in simplex}) == 1
+                for simplex in simplexes_of[fine]
+            ),
+            f"simplicial: each maximal simplex of level {fine} into one of level {coarse}",
         )
     require(bundle, "schedule", "schedule", _is_dict, "an object")
     if "padic_points" in space:

@@ -353,7 +353,8 @@ class MergeTree:
     between their positions (None: there is none).  So the balls of
     radius p^-j are the runs left when the order is cut at every height
     below j, and a set's diameter is the distance of its first and last
-    points in the order.  ``rows`` writes the table of every pair.
+    points in the order.  ``rows`` writes the table of every pair, and
+    ``_each_row`` one row of it at a time.
     """
 
     def __init__(self, order: Sequence[int], heights: Sequence[int | None]):
@@ -377,7 +378,9 @@ class MergeTree:
 
         Each distinct height is mapped once.  The row of ``order[r]`` copies
         the row before it and rewrites the two runs that the gap between
-        them merges, so past the copies the work is O(n * depth).
+        them merges, so past the copies the work is O(n * depth).  The
+        table is n lists of n entries; the CLI does not build it, and
+        reads one row at a time from ``_each_row``.
         """
         order, n = self.order, len(self.order)
         top = max(self.finite_heights(), default=0) + 1  # None ranks above every height
@@ -403,6 +406,61 @@ class MergeTree:
                     row[order[c]] = values[low]
             table[order[r]] = row
         return table
+
+    @cached_property
+    def _steps(self) -> tuple[list[int], list[int], list[int], int]:
+        """The gaps' heights as ranks, with the nearest strictly lower gap on each side.
+
+        A None height (distance 0) ranks ``top``, above every finite
+        height.  ``before[g]`` is the last gap before g of strictly lower
+        rank (-1: none), ``after[g]`` the first one after g (n - 1: none);
+        each is one pass of a stack of ranks that never fall.  O(n).
+        """
+        top = max(self.finite_heights(), default=0) + 1
+        keys = [top if h is None else h for h in self.heights]
+        gaps = len(keys)
+        before, after = [-1] * gaps, [gaps] * gaps
+        for nearest, walk in ((after, range(gaps)), (before, range(gaps - 1, -1, -1))):
+            stack: list[int] = []
+            for g in walk:
+                key = keys[g]
+                while stack and keys[stack[-1]] > key:
+                    nearest[stack.pop()] = g
+                stack.append(g)
+        return keys, before, after, top
+
+    def _each_row(
+        self, value: Callable[[int | None], object], points: Iterable[int]
+    ) -> Iterator[tuple]:
+        """The row of ``rows(value)`` of each of points, as a tuple, one row at a time.
+
+        In the leaf order a point's row is a staircase around its
+        position: going out from it, the meet is a running minimum of the
+        heights, with one step at each strictly lower gap (``_steps``).
+        So a row is O(depth) runs, each one repeat of one value, and one
+        gather over ``position`` puts it in point order: O(n) memory,
+        where ``rows`` keeps n rows.
+        """
+        keys, before, after, top = self._steps
+        values = {k: value(None if k == top else k) for k in {top, *keys}}
+        step = [values[k] for k in keys]  # the value of each gap
+        position = self.position
+        gather = itemgetter(*position) if len(position) > 1 else tuple
+        gaps = len(keys)
+        for x in points:
+            i = position[x]
+            row = [values[top]] * (gaps + 1)
+            g = i - 1
+            while g >= 0:  # positions before[g] + 1 .. g meet x at keys[g]
+                b = before[g]
+                row[b + 1 : g + 1] = [step[g]] * (g - b)
+                g = b
+            g = i
+            while g < gaps:  # positions g + 1 .. after[g] meet x at keys[g]
+                a = after[g]
+                row[g + 1 : a + 1] = [step[g]] * (a - g)
+                g = a
+            yield gather(row)
 
     @property
     def separated(self) -> bool:
@@ -638,6 +696,11 @@ class UltraSpace(Frozen):
         return GammaValue(self.tree.diameter(block))
 
     def to_json(self) -> dict:
+        """Labels, prime and the n x n ``gamma_matrix`` of exponents ("INF": distance 0).
+
+        For library callers and ``demo zp``: the CLI's ``expand`` does
+        not call it, and writes the matrix row by row from the tree.
+        """
         # the tree's integer exponents, as GammaValue.to_json writes them
         return {
             "labels": list(self.labels),

@@ -21,6 +21,7 @@ from ultrapoly.cli import (
     main,
     run,
 )
+from ultrapoly.spaces import MergeTree
 
 from corpus import UNDECIDABLE_PRIME
 
@@ -176,15 +177,22 @@ def test_expand_full_pipeline_bundle(ultra_input, tmp_path):
 
 
 def test_space_is_serialized_once_for_both_outputs(ultra_input, monkeypatch):
+    # both outputs hold one view of the exponent table, read from the tree:
+    # the n x n list of UltraSpace.to_json and MergeTree.rows is never built
     calls = []
-    to_json = UltraSpace.to_json
+    to_json, rows = UltraSpace.to_json, MergeTree.rows
     monkeypatch.setattr(UltraSpace, "to_json", lambda self: calls.append(1) or to_json(self))
+    monkeypatch.setattr(MergeTree, "rows", lambda self, *a: calls.append(2) or rows(self, *a))
     _, outputs, code = run(PipelineConfig(), Path(ultra_input))
     assert code == EXIT_OK
-    assert len(calls) == 1
     space, bundle_space = outputs["space.json"], outputs["expansion.json"]["space"]
     assert bundle_space["gamma_matrix"] is space["gamma_matrix"]
     assert "matrix" in space and "matrix" not in bundle_space
+    assert calls == []
+    # the counters are live, and the view reads as the list they build
+    expected = {"labels": ["a", "b", "c", "d"], "prime": 2, "gamma_matrix": space["gamma_matrix"]}
+    assert expected == to_json(UltraSpace.from_json(space))
+    assert calls == [2]
 
 
 def test_expand_requires_value_group_entries_without_round(tmp_path, capsys):
@@ -733,6 +741,14 @@ def _set_field(bundle, path, value):
             ("levels", 2, "maximal_simplexes"),
             [[0], [1], [2], [3], [0, 1]],
             "levels[2].maximal_simplexes",
+        ),
+        # level 2's simplex {0, 1} goes onto vertices 0 and 1 of level 1, which lie
+        # in two of its maximal simplexes: no simplicial, hence no affine, map
+        (
+            ["shadow"],
+            ("levels", 2, "maximal_simplexes"),
+            [[0, 1], [2], [3]],
+            "bonding[1].vertex_map",
         ),
     ],
 )

@@ -79,7 +79,8 @@ def _run(p, streams, j, k, stage_list=PipelineConfig().stages, labels=None):
     stages = json.loads(json.dumps(report.to_json()["stages"]))
     for stage in stages.values():
         del stage["seconds"]
-    return stages, json.loads(json.dumps(outputs)), code
+    # the echo is a view of the tree, which json reads as the list of its rows
+    return stages, json.loads(json.dumps(outputs, default=list)), code
 
 
 def _up(e):

@@ -1,6 +1,8 @@
 """The bundle writer: the bytes of json.dump(sort_keys=True, indent=2) plus a newline."""
 
 import json
+import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +10,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ultrapoly import cli
-from ultrapoly.cli import _dump_json, _leaf_encoder, _write_json, main
+from ultrapoly.cli import (
+    PipelineConfig,
+    _dump_json,
+    _echo_value,
+    _GammaRows,
+    _leaf_encoder,
+    _write_json,
+    _write_outputs,
+    main,
+    run,
+)
+from ultrapoly.spaces import MergeTree
 
 # strings the encoder must escape: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(
@@ -291,3 +304,83 @@ def test_writer_refuses_what_json_refuses(monkeypatch, fresh_encoders, c_encoder
     with pytest.raises(TypeError) as written:
         _write_json([].append, obj, 0)
     assert str(written.value) == str(refused.value)
+
+
+@st.composite
+def merge_trees(draw):
+    """A tree of 1 to 64 points in any leaf order, with tied, negative and None heights."""
+    n = draw(st.integers(1, 64))
+    order = draw(st.permutations(range(n)))
+    height = st.one_of(st.none(), st.integers(-2, 5))
+    return MergeTree(order, draw(st.lists(height, min_size=n - 1, max_size=n - 1)))
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(tree=merge_trees())
+@example(tree=MergeTree([0], []))
+@example(tree=MergeTree([2, 0, 1, 3], [None, 1, None]))
+def test_the_echo_reads_and_writes_as_the_rows_of_its_tree(
+    monkeypatch, fresh_encoders, c_encoder, tree
+):
+    if not c_encoder:
+        monkeypatch.setattr(cli, "_json", None)
+    _leaf_encoder.cache_clear()
+    rows = tree.rows(lambda e: "INF" if e is None else e)
+    echo = _GammaRows(tree)
+    assert echo == rows and rows == echo and list(echo) == rows and len(echo) == len(rows)
+    assert [echo[x] for x in range(len(rows))] == rows and echo[-1] == rows[-1]
+    assert echo[::-1] == rows[::-1]
+    # the comparison is live: one entry changed makes the tables differ
+    assert echo != [*rows[:-1], [*rows[-1][:-1], "other"]]
+    # at depth 1 in space.json, and at depth 2 in the bundle's space
+    for nest in (dict, lambda space: {"space": space, "levels": []}):
+        pieces: list[str] = []
+        _write_json(pieces.append, nest({"gamma_matrix": echo, "prime": 2}), 0)
+        listed = nest({"gamma_matrix": rows, "prime": 2})
+        assert "".join(pieces) == json.dumps(listed, sort_keys=True, indent=2)
+
+
+def test_writing_a_run_keeps_no_table_of_its_pairs(tmp_path):
+    # 1024 distinct 16-digit 2-adic streams: at most 16 distinct heights
+    n, digits = 1024, 16
+    rng = random.Random(1)
+    points = [[(x >> i) & 1 for i in range(digits)] for x in rng.sample(range(1 << digits), n)]
+    path = tmp_path / "in.json"
+    labels = [f"p{i}" for i in range(n)]
+    path.write_text(json.dumps({"labels": labels, "prime": 2, "padic_points": points}))
+    _, outputs, code = run(PipelineConfig(), path)
+    assert code == 0
+    tree = outputs["space.json"]["gamma_matrix"].tree
+    depth = len(tree.finite_heights())
+    assert depth == digits
+    # 64 bytes per point and distinct height: 1 MiB here, where one n x n
+    # table of pointers alone takes 8 MiB
+    bound = 64 * n * depth
+
+    def traced(write) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def through_rows():
+        # the route of UltraSpace.to_json: the rows listed, then written
+        rows = tree.rows(_echo_value)
+        bundle = outputs["expansion.json"]
+        listed = {
+            "space.json": {**outputs["space.json"], "gamma_matrix": rows},
+            "expansion.json": {**bundle, "space": {**bundle["space"], "gamma_matrix": rows}},
+        }
+        _write_outputs(listed, tmp_path / "rows")
+
+    assert traced(lambda: _write_outputs(outputs, tmp_path / "echo")) < bound
+    # the guard is live: the listed route exceeds it, with the same bytes
+    assert traced(through_rows) > bound
+    for name in ("space.json", "expansion.json"):
+        assert (tmp_path / "echo" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
