@@ -37,6 +37,7 @@ from .padic import (
     Record,
     _digits_of,
     _exact_pair,
+    _exponent_json,
     is_prime,
 )
 from .spaces import (
@@ -442,11 +443,6 @@ def _write_text_rows(write, rows, depth: int) -> None:
     write(inner[:-2] + "]")
 
 
-def _echo_value(e: int | None):
-    """An exponent as ``UltraSpace.to_json`` writes it: None (distance 0) is "INF"."""
-    return "INF" if e is None else e
-
-
 class _GammaRows(Sequence):
     """A space's ``gamma_matrix`` echo, read from its merge tree one row at a time.
 
@@ -468,11 +464,11 @@ class _GammaRows(Sequence):
     def __getitem__(self, index):
         points = range(len(self))[index]  # a range for a slice; an IndexError out of range
         if isinstance(index, slice):
-            return list(map(list, self.tree._each_row(_echo_value, points)))
-        return list(next(self.tree._each_row(_echo_value, (points,))))
+            return list(map(list, self.tree._each_row(_exponent_json, points)))
+        return list(next(self.tree._each_row(_exponent_json, (points,))))
 
     def __iter__(self):
-        return map(list, self.tree._each_row(_echo_value, range(len(self))))
+        return map(list, self.tree._each_row(_exponent_json, range(len(self))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, _GammaRows)):
@@ -486,7 +482,7 @@ def _write_echo(write, echo: _GammaRows, depth: int) -> None:
     Each distinct exponent's text is encoded once.
     """
     encode = _leaf_encoder(depth + 1)
-    rows = echo.tree._each_row(lambda e: encode([_echo_value(e)])[1:-1], range(len(echo)))
+    rows = echo.tree._each_row(lambda e: encode([_exponent_json(e)])[1:-1], range(len(echo)))
     _write_text_rows(write, rows, depth)
 
 
@@ -683,16 +679,20 @@ def load_input(path: str | os.PathLike) -> tuple[dict, list[list[tuple[int, int]
 _TEXT_OR_INT = frozenset({str, int})
 
 
-def _parse_streams(obj: dict, prime: int, precision: int) -> list[PAdic]:
-    """The input's digit streams as p-adic points; a bad digit raises InputFormatError."""
-    try:
-        # the digit budget truncates long streams, so streams that agree on
-        # their first `precision` digits read as distance 0, and round merges them
-        return [
-            PAdic.from_digit_stream(stream[:precision], prime) for stream in obj["padic_points"]
-        ]
-    except ValueError as exc:
-        raise InputFormatError(f"bad digit stream: {exc}") from exc
+def _parse_streams(obj: dict, prime: int, precision: int, path) -> list[PAdic]:
+    """The input's digit streams as p-adic points; a bad one raises InputFormatError naming it."""
+    points = []
+    for i, stream in enumerate(obj["padic_points"]):
+        try:
+            # the digit budget truncates long streams, so streams that agree on
+            # their first `precision` digits read as distance 0, and round merges them
+            points.append(PAdic.from_digit_stream(stream[:precision], prime))
+            if len(stream) > precision:  # the digits past the budget are checked, not read
+                PAdic.from_digit_stream(stream[precision:], prime)
+        except ValueError as exc:
+            where = f"{path}: field 'padic_points' stream {i}"
+            raise InputFormatError(f"{where}: bad digit stream for prime {prime}: {exc}") from exc
+    return points
 
 
 def _validate_matrix(
@@ -721,7 +721,11 @@ def _fail_validate(labels: list[str], violations: Violations, report: RunReport,
 
 
 def _space_from_input(
-    obj: dict, rows: list[list[tuple[int, int]]] | None, config: PipelineConfig, report: RunReport
+    obj: dict,
+    rows: list[list[tuple[int, int]]] | None,
+    config: PipelineConfig,
+    report: RunReport,
+    path: str | os.PathLike,
 ) -> UltraSpace | None:
     """Run the validate/round stages; None means validation failed.
 
@@ -744,7 +748,8 @@ def _space_from_input(
         t0 = time.perf_counter()
         try:
             if rows is None:
-                space = space_from_points(_parse_streams(obj, prime, config.precision), labels)
+                streams = _parse_streams(obj, prime, config.precision, path)
+                space = space_from_points(streams, labels)
             else:
                 space = round_space(labels, rows, prime)
         except NotUltrametricError as exc:
@@ -868,31 +873,37 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
     }
 
 
+def _space_echo(space: UltraSpace, streams: list[list[int]] | None) -> dict:
+    """The space as both outputs echo it, with a view of the tree as its exponent table."""
+    echo = {
+        "labels": list(space.labels),
+        "prime": space.prime,
+        "gamma_matrix": _GammaRows(space.tree),
+    }
+    if streams is not None:
+        echo["padic_points"] = streams
+    return echo
+
+
 def run(config: PipelineConfig, input_path: str | os.PathLike) -> tuple[RunReport, dict, int]:
     """Execute the configured stages; returns (report, outputs, exit code)."""
     report = RunReport()
     outputs: dict[str, dict] = {}
     obj, rows = load_input(input_path)
-    space = _space_from_input(obj, rows, config, report)
+    space = _space_from_input(obj, rows, config, report, input_path)
     if space is None:
         return report, outputs, EXIT_VERIFY
 
     # the bundle's space is space.json less the input as written: both hold
-    # one view of the exponent table, which each file writes from the tree,
-    # and the bundle keeps the digit streams of the space's own points, one
-    # per label, as shadow reads them (round drops merged points)
-    space_json = {
-        "labels": list(space.labels),
-        "prime": space.prime,
-        "gamma_matrix": _GammaRows(space.tree),
-    }
-    bundle_space = dict(space_json)
+    # one view of the exponent table, and the bundle keeps the digit streams
+    # of the space's own points, one per label (round drops merged points)
     if "padic_points" in obj:
-        space_json["padic_points"] = [list(s) for s in obj["padic_points"]]
-        streams = dict(zip(map(str, obj["labels"]), space_json["padic_points"]))
-        bundle_space["padic_points"] = [streams[label] for label in space.labels]
-    if "matrix" in obj:
-        space_json["matrix"] = [[str(e) for e in row] for row in obj["matrix"]]
+        of_label = dict(zip(map(str, obj["labels"]), obj["padic_points"]))
+        bundle_space = _space_echo(space, [of_label[label] for label in space.labels])
+        space_json = dict(bundle_space, padic_points=obj["padic_points"])
+    else:
+        bundle_space = _space_echo(space, None)
+        space_json = dict(bundle_space, matrix=[[str(e) for e in row] for row in obj["matrix"]])
     outputs["space.json"] = space_json
 
     if "expand" not in config.stages:
@@ -969,7 +980,7 @@ def _cmd_validate(args) -> int:
     obj, rows = load_input(args.input)
     report = RunReport()
     if rows is None:  # the proof that builds the streams' space
-        _space_from_input(obj, rows, PipelineConfig(stages=("validate",)), report)
+        _space_from_input(obj, rows, PipelineConfig(stages=("validate",)), report, args.input)
     else:  # a matrix is checked as written, so its entries need not be powers of p
         _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
     _print_json(report.to_json())
@@ -1006,7 +1017,8 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
     ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
     values are point indices into the labels, level numbers differ, and
-    there is one p-adic digit list per label.  A level's maximal
+    there is one non-empty p-adic digit list per label, each digit in
+    [0, prime - 1] for the prime checked first.  A level's maximal
     simplexes partition its vertices: each vertex lies in exactly one,
     and they hold no other point.  A bonding map's ``from`` and ``to``
     are level numbers of the bundle's levels, its ``vertex_map`` keys are
@@ -1122,17 +1134,20 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
         )
     require(bundle, "schedule", "schedule", _is_dict, "an object")
     if "padic_points" in space:
+        prime = require(space, "prime", "space.prime", _is_int, "an integer")
+        _check_prime_field(prime, "space.prime", f"{path}: bundle ")
         require(
             space,
             "padic_points",
             "space.padic_points",
             lambda value: _is_list(value)
             and len(value) == n
-            and all(_is_list(s) and all(map(_is_int, s)) for s in value),
-            "a list of digit lists, one per label",
+            and all(
+                _is_list(s) and s and all(map(_is_int, s)) and 0 <= min(s) and max(s) < prime
+                for s in value
+            ),
+            f"a list of non-empty lists of digits in [0, {prime - 1}], one per label",
         )
-        prime = require(space, "prime", "space.prime", _is_int, "an integer")
-        _check_prime_field(prime, "space.prime", f"{path}: bundle ")
     return bundle
 
 
@@ -1173,10 +1188,9 @@ def _cmd_demo_zp(args) -> int:
     report.add("demo", "passed" if passed else "failed", time.perf_counter() - t0, **group_report)
     summaries = _verify_expansion(expansion, report)
     summaries["group"] = group_report
-    bundle = expansion.to_bundle(summaries)
-    bundle["space"]["padic_points"] = [
-        list(_digits_of(int(label), args.prime, args.depth)) for label in expansion.space.labels
-    ]
+    labels = expansion.space.labels
+    streams = [list(_digits_of(int(label), args.prime, args.depth)) for label in labels]
+    bundle = expansion.to_bundle(summaries, space=_space_echo(expansion.space, streams))
     outputs = {"expansion.json": bundle, "shadow.json": shadow_bundle(bundle)}
     out_dir = args.out or "."
     _write_outputs(outputs, out_dir)

@@ -263,7 +263,7 @@ class GammaValue(Frozen):
         return self.exponent > other.exponent
 
     def to_json(self) -> int | str:
-        return "INF" if self.exponent is None else self.exponent
+        return _exponent_json(self.exponent)
 
     @classmethod
     def from_json(cls, obj: int | str) -> "GammaValue":
@@ -279,6 +279,11 @@ class GammaValue(Frozen):
 
 #: The metric value 0, i.e. p^(-INFINITY).
 GAMMA_ZERO = GammaValue(None)
+
+
+def _exponent_json(exponent: int | None) -> int | str:
+    """An exponent as every output writes it: None (INFINITY, distance 0) is "INF"."""
+    return "INF" if exponent is None else exponent
 
 
 def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:

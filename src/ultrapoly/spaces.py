@@ -25,6 +25,7 @@ from .padic import (
     GammaValue,
     PAdic,
     _exact_pair,
+    _exponent_json,
     _round_pair,
     check_prime,
 )
@@ -353,8 +354,8 @@ class MergeTree:
     between their positions (None: there is none).  So the balls of
     radius p^-j are the runs left when the order is cut at every height
     below j, and a set's diameter is the distance of its first and last
-    points in the order.  ``rows`` writes the table of every pair, and
-    ``_each_row`` one row of it at a time.
+    points in the order.  ``_each_row`` writes the table of every pair
+    one row at a time, and ``rows`` lists it.
     """
 
     def __init__(self, order: Sequence[int], heights: Sequence[int | None]):
@@ -376,45 +377,19 @@ class MergeTree:
     def rows(self, value: Callable[[int | None], object] = lambda e: e) -> list[list]:
         """The exponent of every pair mapped by ``value``, row by row in point order.
 
-        Each distinct height is mapped once.  The row of ``order[r]`` copies
-        the row before it and rewrites the two runs that the gap between
-        them merges, so past the copies the work is O(n * depth).  The
-        table is n lists of n entries; the CLI does not build it, and
-        reads one row at a time from ``_each_row``.
+        Each distinct height is mapped once.  The table is n lists of n
+        entries, each a row of ``_each_row``; the CLI does not build it.
         """
-        order, n = self.order, len(self.order)
-        top = max(self.finite_heights(), default=0) + 1  # None ranks above every height
-        keys = [top if h is None else h for h in self.heights]
-        values = {h: value(None if h == top else h) for h in {top, *keys}}
-        table, row = [None] * n, [None] * n
-        # h: the height of the gap before position r; -inf writes row 0 in full
-        for r, h in enumerate([float("-inf"), *keys]):
-            row = row.copy()
-            if h != top:
-                # the left run now meets point r at h; the right run is a running minimum
-                start = max(r - 1, 0)
-                while start and keys[start - 1] > h:
-                    start -= 1
-                for c in range(start, r):
-                    row[order[c]] = values[h]
-                low = top
-                row[order[r]] = values[top]
-                for c in range(r + 1, n):
-                    low = min(low, keys[c - 1])
-                    if low <= h:
-                        break
-                    row[order[c]] = values[low]
-            table[order[r]] = row
-        return table
+        return list(map(list, self._each_row(value, range(len(self.order)))))
 
-    @cached_property
     def _steps(self) -> tuple[list[int], list[int], list[int], int]:
         """The gaps' heights as ranks, with the nearest strictly lower gap on each side.
 
         A None height (distance 0) ranks ``top``, above every finite
         height.  ``before[g]`` is the last gap before g of strictly lower
         rank (-1: none), ``after[g]`` the first one after g (n - 1: none);
-        each is one pass of a stack of ranks that never fall.  O(n).
+        each is one pass of a stack of ranks that never fall.  O(n), and
+        not kept, so a tree holds only its order, heights and positions.
         """
         top = max(self.finite_heights(), default=0) + 1
         keys = [top if h is None else h for h in self.heights]
@@ -438,10 +413,10 @@ class MergeTree:
         position: going out from it, the meet is a running minimum of the
         heights, with one step at each strictly lower gap (``_steps``).
         So a row is O(depth) runs, each one repeat of one value, and one
-        gather over ``position`` puts it in point order: O(n) memory,
-        where ``rows`` keeps n rows.
+        gather over ``position`` puts it in point order: O(n) memory per
+        row, after one O(n) pass for the steps.
         """
-        keys, before, after, top = self._steps
+        keys, before, after, top = self._steps()
         values = {k: value(None if k == top else k) for k in {top, *keys}}
         step = [values[k] for k in keys]  # the value of each gap
         position = self.position
@@ -675,7 +650,7 @@ class UltraSpace(Frozen):
     @cached_property
     def dist(self) -> tuple[tuple[GammaValue, ...], ...]:
         # every exponent is a merge height or None: one GammaValue each
-        return tuple(map(tuple, self.tree.rows(GammaValue)))
+        return tuple(self.tree._each_row(GammaValue, range(self.n_points)))
 
     @property
     def n_points(self) -> int:
@@ -698,14 +673,13 @@ class UltraSpace(Frozen):
     def to_json(self) -> dict:
         """Labels, prime and the n x n ``gamma_matrix`` of exponents ("INF": distance 0).
 
-        For library callers and ``demo zp``: the CLI's ``expand`` does
-        not call it, and writes the matrix row by row from the tree.
+        For library callers: no command calls it, and each writes the
+        matrix row by row from the tree.
         """
-        # the tree's integer exponents, as GammaValue.to_json writes them
         return {
             "labels": list(self.labels),
             "prime": self.prime,
-            "gamma_matrix": self.tree.rows(lambda e: "INF" if e is None else e),
+            "gamma_matrix": self.tree.rows(_exponent_json),
         }
 
     @classmethod

@@ -526,9 +526,9 @@ def limit_isometry_check(space: UltraSpace, expansion: Expansion) -> dict:
     return {"mismatches": mismatches, "bound": max(steps) - 1 if steps else 0}
 
 
-#: Largest group Z/p^depth that ``residue_space`` builds in full.  The build
-#: and ``_shift_invariant`` compare merge trees, but its ``gamma_matrix``
-#: holds (p^depth)^2 entries, 4M at the cap.
+#: Largest group Z/p^depth that ``residue_space`` builds in full.  The build,
+#: ``_shift_invariant`` and every command read merge trees, and none holds the
+#: table, so the cap bounds only the written ``gamma_matrix`` echo: 4M entries.
 MAX_RESIDUE_ORDER = 2048
 
 #: Most levels ``Schedule.auto`` builds, one per exponent step.  Positive

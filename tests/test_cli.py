@@ -105,6 +105,26 @@ def test_validate_parses_digit_streams(tmp_path, capsys):
     assert "bad digit stream" in capsys.readouterr().err
 
 
+def test_a_bad_digit_stream_is_named_with_the_prime_in_force(tmp_path, capsys):
+    obj = {"labels": ["x", "y"], "prime": 3, "padic_points": [[0, 1], [2, 1]]}
+    path = _write(tmp_path / "in.json", obj)
+    out = str(tmp_path / "o")
+    # the digit 2 is good for the input's prime 3, and bad for the prime 2 of --prime
+    assert main(["expand", path, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["expand", path, "--prime", "2", "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}: field 'padic_points' stream 1:"
+        " bad digit stream for prime 2: digits must lie in [0, p-1]\n"
+    )
+    empty = _write(tmp_path / "empty.json", dict(obj, padic_points=[[1], []]))
+    assert main(["validate", empty]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {empty}: field 'padic_points' stream 1:"
+        " bad digit stream for prime 3: empty digit stream\n"
+    )
+
+
 def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys):
     # unequal windows: [0,1] is at distance 0 from both others, which sit 2^-2 apart
     obj = {"labels": ["a", "b", "c"], "prime": 2, "padic_points": [[0, 1], [0, 1, 1], [0, 1, 0]]}
@@ -193,6 +213,23 @@ def test_space_is_serialized_once_for_both_outputs(ultra_input, monkeypatch):
     expected = {"labels": ["a", "b", "c", "d"], "prime": 2, "gamma_matrix": space["gamma_matrix"]}
     assert expected == to_json(UltraSpace.from_json(space))
     assert calls == [2]
+
+
+def test_demo_lists_no_exponent_table(tmp_path, monkeypatch, capsys):
+    # demo zp echoes its space as expand does: the n x n list of
+    # UltraSpace.to_json and MergeTree.rows is never built
+    calls = []
+    to_json, rows = UltraSpace.to_json, MergeTree.rows
+    monkeypatch.setattr(UltraSpace, "to_json", lambda self: calls.append(1) or to_json(self))
+    monkeypatch.setattr(MergeTree, "rows", lambda self, *a: calls.append(2) or rows(self, *a))
+    out = tmp_path / "zp"
+    assert main(["demo", "zp", "--prime", "3", "--depth", "2", "--out", str(out)]) == EXIT_OK
+    assert calls == []
+    # the counters are live, and the written echo reads as the list they build
+    space = json.loads((out / "expansion.json").read_text())["space"]
+    listed = UltraSpace.from_json(space).to_json()
+    assert listed == {key: space[key] for key in ("labels", "prime", "gamma_matrix")}
+    assert calls == [1, 2]
 
 
 def test_expand_requires_value_group_entries_without_round(tmp_path, capsys):
@@ -501,6 +538,12 @@ def test_missing_field_is_schema_error(tmp_path, capsys):
         ("padic_points", [[0, 1], "ab", [1, 1]]),
         ("padic_points", [[0, 1], [1, "1"], [1, 1]]),
         ("matrix", [["0", "1", "1"], ["1", "0", "1"]]),
+        # a digit at or above the prime, a negative digit, an empty stream
+        ("padic_points", [[0, 1], [2, 1], [1, 1]]),
+        ("padic_points", [[0, 1], [1, 1], [0, -1]]),
+        ("padic_points", [[0, 1], [], [1, 1]]),
+        # a bad digit past the 32 digits that are read
+        ("padic_points", [[0, 1], [1] * 32 + [2], [1, 1]]),
     ],
 )
 def test_malformed_field_is_named(tmp_path, capsys, field, value):
@@ -750,6 +793,10 @@ def _set_field(bundle, path, value):
             [[0, 1], [2], [3]],
             "bonding[1].vertex_map",
         ),
+        # a digit at or above the prime 2, a negative digit, an empty stream
+        (["shadow"], ("space", "padic_points", 1), [1, 2], "space.padic_points"),
+        (["shadow"], ("space", "padic_points", 2), [-1, 0], "space.padic_points"),
+        (["shadow"], ("space", "padic_points", 3), [], "space.padic_points"),
     ],
 )
 def test_bad_level_and_map_fields_are_named(

@@ -332,14 +332,18 @@ def test_theta_samples_refuse_what_the_digit_reader_refuses(tmp_path, capsys, st
     with pytest.raises(ValueError) as got:
         theta_samples([[0, 1], stream], ["a", "b"], 3)
     assert str(got.value) == str(expected.value)
-    # the shadow command exits 2 with that text
+    # the shadow command refuses it when it loads the bundle, naming the field
     assert main(["demo", "zp", "--prime", "3", "--depth", "1", "--out", str(tmp_path)]) == 0
     bundle = json.loads((tmp_path / "expansion.json").read_text())
     bundle["space"]["padic_points"][1] = stream
-    (tmp_path / "bad.json").write_text(json.dumps(bundle))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
     capsys.readouterr()
-    assert main(["shadow", str(tmp_path / "bad.json"), "--out", str(tmp_path / "s")]) == 2
-    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert main(["shadow", str(bad), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: bundle field 'space.padic_points' must be"
+        " a list of non-empty lists of digits in [0, 2], one per label\n"
+    )
 
 
 def test_theta_table_is_a_view_of_the_samples():

@@ -13,7 +13,6 @@ from ultrapoly import cli
 from ultrapoly.cli import (
     PipelineConfig,
     _dump_json,
-    _echo_value,
     _GammaRows,
     _leaf_encoder,
     _write_json,
@@ -21,7 +20,10 @@ from ultrapoly.cli import (
     main,
     run,
 )
+from ultrapoly.padic import _exponent_json
 from ultrapoly.spaces import MergeTree
+
+from oracles import tree_meet
 
 # strings the encoder must escape: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(
@@ -328,7 +330,13 @@ def test_the_echo_reads_and_writes_as_the_rows_of_its_tree(
     if not c_encoder:
         monkeypatch.setattr(cli, "_json", None)
     _leaf_encoder.cache_clear()
-    rows = tree.rows(lambda e: "INF" if e is None else e)
+    # rows() and the echo share one row generator, so each is held to the
+    # exponent read off the tree's order and heights, pair by pair
+    n = len(tree.order)
+    meets = [[tree_meet(tree.order, tree.heights, x, y) for y in range(n)] for x in range(n)]
+    assert tree.rows() == meets
+    rows = [[_exponent_json(e) for e in row] for row in meets]
+    assert tree.rows(_exponent_json) == rows
     echo = _GammaRows(tree)
     assert echo == rows and rows == echo and list(echo) == rows and len(echo) == len(rows)
     assert [echo[x] for x in range(len(rows))] == rows and echo[-1] == rows[-1]
@@ -341,6 +349,8 @@ def test_the_echo_reads_and_writes_as_the_rows_of_its_tree(
         _write_json(pieces.append, nest({"gamma_matrix": echo, "prime": 2}), 0)
         listed = nest({"gamma_matrix": rows, "prime": 2})
         assert "".join(pieces) == json.dumps(listed, sort_keys=True, indent=2)
+    # no call leaves a table, or the steps of its rows, on the tree
+    assert vars(tree).keys() == {"order", "heights", "position"}
 
 
 def test_writing_a_run_keeps_no_table_of_its_pairs(tmp_path):
@@ -371,7 +381,7 @@ def test_writing_a_run_keeps_no_table_of_its_pairs(tmp_path):
 
     def through_rows():
         # the route of UltraSpace.to_json: the rows listed, then written
-        rows = tree.rows(_echo_value)
+        rows = tree.rows(_exponent_json)
         bundle = outputs["expansion.json"]
         listed = {
             "space.json": {**outputs["space.json"], "gamma_matrix": rows},
