@@ -29,7 +29,7 @@ try:
 except ImportError:  # json's Python layer serves where the accelerator is missing
     _json = None
 
-from .nerve import NerveComplex, check_uniform, isolated_point_check, nerve_to_dot
+from .nerve import NerveComplex, _parents, check_uniform, isolated_point_check, nerve_to_dot
 from .padic import (
     GammaValue,
     PAdic,
@@ -38,6 +38,7 @@ from .padic import (
     _digits_of,
     _exact_pair,
     _exponent_json,
+    _stream_fault,
     is_prime,
 )
 from .spaces import (
@@ -66,6 +67,7 @@ EXIT_INPUT = 2
 CONFIG_ENV = "ULTRAPOLY_CONFIG"
 ALL_STAGES = ("validate", "round", "expand", "verify", "shadow")
 DEFAULT_PRECISION = 32  # p-adic digits kept of each input stream
+_DEFAULT_STAGES = ALL_STAGES[:-1]  # every stage but shadow
 
 
 class ParseError(ValueError):
@@ -86,7 +88,7 @@ class PipelineConfig(Record):
         schedule_j: list[int] | str = "auto",
         schedule_k: list[int] | str = "auto",
         b_shift: int = 0,
-        stages: tuple[str, ...] = ("validate", "round", "expand", "verify"),
+        stages: tuple[str, ...] = _DEFAULT_STAGES,
         out: str | None = None,
     ) -> None:
         self.prime = prime
@@ -122,7 +124,7 @@ class PipelineConfig(Record):
             "schedule_j": schedule.get("j", "auto"),
             "schedule_k": schedule.get("k", "auto"),
             "b_shift": schedule.get("b", 0) or 0,
-            "stages": tuple(data.get("stages", ("validate", "round", "expand", "verify"))),
+            "stages": tuple(data.get("stages", _DEFAULT_STAGES)),
             "out": data.get("out"),
         }
         for key, value in overrides.items():
@@ -683,15 +685,12 @@ def _parse_streams(obj: dict, prime: int, precision: int, path) -> list[PAdic]:
     """The input's digit streams as p-adic points; a bad one raises InputFormatError naming it."""
     points = []
     for i, stream in enumerate(obj["padic_points"]):
-        try:
-            # the digit budget truncates long streams, so streams that agree on
-            # their first `precision` digits read as distance 0, and round merges them
-            points.append(PAdic.from_digit_stream(stream[:precision], prime))
-            if len(stream) > precision:  # the digits past the budget are checked, not read
-                PAdic.from_digit_stream(stream[precision:], prime)
-        except ValueError as exc:
+        if fault := _stream_fault(stream, prime):  # the digits past the budget too
             where = f"{path}: field 'padic_points' stream {i}"
-            raise InputFormatError(f"{where}: bad digit stream for prime {prime}: {exc}") from exc
+            raise InputFormatError(f"{where}: bad digit stream for prime {prime}: {fault}")
+        # the digit budget truncates long streams, so streams that agree on
+        # their first `precision` digits read as distance 0, and round merges them
+        points.append(PAdic.from_digit_stream(stream[:precision], prime))
     return points
 
 
@@ -1017,17 +1016,17 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
     ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
     values are point indices into the labels, level numbers differ, and
-    there is one non-empty p-adic digit list per label, each digit in
-    [0, prime - 1] for the prime checked first.  A level's maximal
-    simplexes partition its vertices: each vertex lies in exactly one,
-    and they hold no other point.  A bonding map's ``from`` and ``to``
-    are level numbers of the bundle's levels, its ``vertex_map`` keys are
-    exactly the decimal strings of the vertices of the ``from`` level,
-    its values are vertices of the ``to`` level, and it is simplicial:
-    each maximal simplex of the ``from`` level goes into one of the ``to``
-    level, as the ``"affine": true`` that shadow writes for it claims.  A
-    missing or mistyped field raises InputFormatError naming its path in
-    the bundle.  One pass over the decoded bundle.
+    each label has one digit stream under the prime checked first
+    (``_stream_fault``).  A level's maximal simplexes partition its
+    vertices: each vertex lies in exactly one, and they hold no other
+    point.  A bonding map's ``from`` and ``to`` are level numbers of the
+    bundle's levels, ``to`` the one listed just before ``from``; its
+    ``vertex_map`` keys are exactly the decimal strings of the ``from``
+    level's vertices, its values are vertices of the ``to`` level, and it
+    is simplicial (``_parents``): each maximal simplex of the ``from``
+    level goes into one of the ``to`` level, as the ``"affine": true``
+    that shadow writes for it claims.  A missing or mistyped field raises
+    InputFormatError naming its path in the bundle.  One pass.
     """
     bundle = _load_json(path)
     if not isinstance(bundle, dict):
@@ -1086,6 +1085,7 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
         )
     if not shadow:
         return bundle
+    listed_before = dict(zip(list(vertices_of)[1:], vertices_of))  # each level: the one before
     for i, bmap in enumerate(items("bonding")):
         for key in ("from", "to"):
             require(
@@ -1096,6 +1096,13 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
                 "the level number of a level in the bundle",
             )
         fine, coarse = bmap["from"], bmap["to"]
+        require(
+            bmap,
+            "to",
+            f"bonding[{i}].to",
+            lambda value: value == listed_before.get(fine),
+            f"the level listed just before level {fine} in 'levels'",
+        )
         keys, values = set(map(str, vertices_of[fine])), set(vertices_of[coarse])
         field = f"bonding[{i}].vertex_map"
         require(
@@ -1119,16 +1126,13 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
             lambda value: values.issuperset(value.values()),
             f"valued in vertices of level {coarse}",
         )
-        # the coarse maximal simplexes partition the level's vertices, so a
-        # simplicial map sends each fine one into exactly one of them
         simplex_of = {v: s for s, simplex in enumerate(simplexes_of[coarse]) for v in simplex}
         require(
             bmap,
             "vertex_map",
             field,
-            lambda value: all(
-                len({simplex_of[value[str(v)]] for v in simplex}) == 1
-                for simplex in simplexes_of[fine]
+            lambda value: (
+                None not in _parents(simplexes_of[fine], lambda v: value[str(v)], simplex_of)
             ),
             f"simplicial: each maximal simplex of level {fine} into one of level {coarse}",
         )
@@ -1143,7 +1147,7 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
             lambda value: _is_list(value)
             and len(value) == n
             and all(
-                _is_list(s) and s and all(map(_is_int, s)) and 0 <= min(s) and max(s) < prime
+                _is_list(s) and all(map(_is_int, s)) and not _stream_fault(s, prime)
                 for s in value
             ),
             f"a list of non-empty lists of digits in [0, {prime - 1}], one per label",

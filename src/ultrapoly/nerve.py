@@ -70,6 +70,13 @@ def _crossing_block(
     return None
 
 
+def _parents(simplexes, image, simplex_of: dict[int, int]) -> list[int | None]:
+    """The simplicial rule: each fine maximal simplex's parent, the one coarse maximal
+    simplex (read through ``simplex_of``) that holds the images of all its vertices, or None."""
+    get = simplex_of.get
+    return [h.pop() if len(h := set(map(get, map(image, s)))) == 1 else None for s in simplexes]
+
+
 def cover_tower(space: UltraSpace, j_min: int, j_max: int) -> list[ScaleCover]:
     """Covers for j_min..j_max; each finer block nests in one coarser block."""
     if j_min > j_max:

@@ -14,7 +14,7 @@ INFINITY exponent (p^(-inf)).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, total_ordering
 from math import gcd
 
@@ -381,6 +381,13 @@ def round_to_gamma(r: int | str | Fraction, p: int) -> GammaValue:
     return _round_pair(num, den, p)
 
 
+def _stream_fault(digits: Sequence[int], p: int) -> str | None:
+    """Why the digits are no p-adic digit stream, or None: the digit-stream rule."""
+    if not digits:
+        return "empty digit stream"
+    return "digits must lie in [0, p-1]" if min(digits) < 0 or max(digits) >= p else None
+
+
 class PAdic(Frozen):
     """A p-adic number known exactly on a bounded digit window.
 
@@ -403,8 +410,8 @@ class PAdic(Frozen):
                 raise ValueError("digit vector must have `precision` entries")
             if digits[0] == 0:
                 raise ValueError("leading digit must be nonzero")
-            if any(d < 0 or d >= prime for d in digits):
-                raise ValueError("digits must lie in [0, p-1]")
+            if fault := _stream_fault(digits, prime):
+                raise ValueError(fault)
         super().__init__(prime, valuation, digits, precision)
 
     # -- constructors --------------------------------------------------
@@ -452,15 +459,12 @@ class PAdic(Frozen):
         the stream does, so precision is the count of remaining digits.
         """
         stream = tuple(stream)
-        if not stream:
-            raise ValueError("empty digit stream")
-        if any(d < 0 or d >= p for d in stream):
-            raise ValueError("digits must lie in [0, p-1]")
-        if all(d == 0 for d in stream):
+        if fault := _stream_fault(stream, p):
+            raise ValueError(fault)
+        v = next((i for i, d in enumerate(stream) if d), None)
+        if v is None:
             return cls.zero(p, len(stream))
-        v = next(i for i, d in enumerate(stream) if d != 0)
-        tail = stream[v:]
-        return cls(p, v, tail, len(tail))
+        return cls(p, v, stream[v:], len(stream) - v)
 
     # -- structure -----------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
-from .padic import Frozen, PAdic, _digits_of, check_prime
+from .padic import Frozen, PAdic, _digits_of, _stream_fault, check_prime
 
 # fractions (which loads decimal) is imported by the functions that build a
 # Fraction, so the shadow of a bundle never loads it; type checkers read
@@ -57,11 +57,15 @@ def theta(x: PAdic, n: int) -> Fraction:
         raise UnitBallError("theta is defined on the unit ball only")
     if n > x.known_upto():
         raise PrecisionError(f"only {x.known_upto()} digits are known")
-    p = x.prime
+    return Fraction(*_theta_pair(list(map(x.digit_at, range(n))), x.prime))
+
+
+def _theta_pair(digits: Sequence[int], p: int) -> tuple[int, int]:
+    """theta of the digits a_0 .. a_(n-1) as the integers (sum(a_i p^(n-1-i)), p^n)."""
     num = 0
-    for i in range(n):
-        num = num * p + x.digit_at(i)
-    return Fraction(num, p**n)
+    for d in digits:
+        num = num * p + d
+    return num, p ** len(digits)
 
 
 def theta_nonstretch_check(
@@ -126,9 +130,8 @@ def theta_samples(
 ) -> list[dict]:
     """theta of each digit-stream point, as exact num/den strings in lowest terms.
 
-    The digits a_0 .. a_(n-1) read as sum(a_i p^(n-1-i)) / p^n, which is
-    ``theta`` at the stream's precision n; both parts are integers, and
-    one gcd brings them to lowest terms (0 is 0/1).
+    Each is ``theta`` at the stream's precision, read as integers
+    (``_theta_pair``); one gcd brings them to lowest terms (0 is 0/1).
 
     Raises:
         ValueError: for an empty stream or a digit outside [0, p-1].
@@ -136,14 +139,9 @@ def theta_samples(
     out = []
     for label, stream in zip(labels, padic_points):
         digits = list(stream)
-        if not digits:
-            raise ValueError("empty digit stream")
-        num = 0
-        for d in digits:
-            if d < 0 or d >= p:
-                raise ValueError("digits must lie in [0, p-1]")
-            num = num * p + d
-        den = p ** len(digits)
+        if fault := _stream_fault(digits, p):
+            raise ValueError(fault)
+        num, den = _theta_pair(digits, p)
         g = gcd(num, den)
         out.append({"label": label, "digits": digits, "theta": f"{num // g}/{den // g}"})
     return out

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations, compress
 from operator import ne
 
-from .nerve import NestingError, _crossing_block, build_nerve, realize, scale_cover
+from .nerve import NestingError, _crossing_block, _parents, build_nerve, realize, scale_cover
 from .padic import Frozen, GammaValue, PAdic, check_prime
 from .spaces import (
     C0Vector,
@@ -165,12 +165,12 @@ def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     if block is not None:
         raise NestingError(f"block {block} of level {fine.m} crosses blocks of level {coarse.m}")
     vertex_map = {v: rep_of[v] for v in fine.nerve.vertices}
-    for s in fine.nerve.maximal_simplexes:
-        # coarse simplexes partition the vertices: one container, or none
-        if len({simplex_of[vertex_map[v]] for v in s}) != 1:
-            raise NestingError(
-                f"simplex {s} of level {fine.m} has no containing simplex at level {coarse.m}"
-            )
+    parents = _parents(fine.nerve.maximal_simplexes, vertex_map.__getitem__, simplex_of)
+    if None in parents:
+        raise NestingError(
+            f"simplex {fine.nerve.maximal_simplexes[parents.index(None)]} of level {fine.m}"
+            f" has no containing simplex at level {coarse.m}"
+        )
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
 
 
@@ -356,7 +356,7 @@ class Expansion(Frozen):
 
         With each vertex listed under one simplex that holds it, a finer
         simplex whose images are all listed under one coarser simplex
-        lies in it: that is its parent, and a thread whose every index is
+        lies in it: its parent (``_parents``), and a thread whose every index is
         the parent of the next is coherent.  Each finest cell that holds
         one point x lists at most one thread: it, and a cell per coarser
         level whose support holds x, when they are coherent.  Its preimage
@@ -370,13 +370,10 @@ class Expansion(Frozen):
             len(level.nerve.maximal_simplexes) != len(level.realization.cells) for level in levels
         ):
             return {}
-        parents = []
-        for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
-            parent = []
-            for s in fine.nerve.maximal_simplexes:
-                images = {coarse.nerve.simplex_of.get(bmap.vertex_map.get(v)) for v in s}
-                parent.append(images.pop() if len(images) == 1 else None)
-            parents.append(parent)
+        parents = [
+            _parents(fine.nerve.maximal_simplexes, bmap.vertex_map.get, coarse.nerve.simplex_of)
+            for bmap, fine, coarse in zip(self.bonding, levels[1:], levels)
+        ]
         cell_at = [
             {x: idx for idx, cell in enumerate(level.realization.cells) for x in cell.support}
             for level in levels[:-1]

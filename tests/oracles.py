@@ -812,6 +812,146 @@ def thread_preimage(
     return frozenset(points)
 
 
+def reference_bundle(
+    exponents: list[list[int | None]], prime: int, schedule: dict
+) -> dict | None:
+    """The expansion bundle less its ``space``, built from the definitions.
+
+    ``exponents`` is the exponent table of a separated space (None on the
+    diagonal alone) and ``schedule`` a config's ``{"j": [...], "k": [...]}``,
+    each level's bound b being p^-j.  Every part comes from the pairwise
+    oracles above: blocks from ``closure_classes``, nerves from
+    ``pairwise_nerve``, maps from ``containment_bonding``, and the verify
+    summaries from ``pairwise_nonstretching`` on ``label_ranked_codes``,
+    ``pairwise_diameter`` and ``pairwise_separation``, ``pairwise_isolation``,
+    ``all_pairs_functoriality``, ``thread_preimage`` and
+    ``pairwise_limit_recovery``.  None when no bundle is built: a level's
+    threshold lies below a block diameter, a block or simplex does not
+    nest, or the finest level does not separate the points.
+    """
+    p = Fraction(prime)
+    n = len(exponents)
+    dist = [[Fraction(0) if e is None else p**-e for e in row] for row in exponents]
+    js, ks = list(schedule["j"]), list(schedule["k"])
+
+    def written(value: Fraction) -> int | str:
+        e = gamma_floor(value, prime)
+        return "INF" if e is None else e
+
+    blocks, simplexes, taus = [], [], []
+    for j, k in zip(js, ks):
+        blocks.append(closure_classes(exponents, j))
+        nerve = pairwise_nerve(dist, blocks[-1], p**k, p**-j)
+        if nerve is None:
+            return None
+        taus.append(gamma_floor(nerve[0], prime))
+        simplexes.append(nerve[1])
+    if any(len(s) > 1 for s in blocks[-1] + simplexes[-1]):
+        return None
+    maps = []
+    for m in range(len(js) - 1):
+        kind, found = containment_bonding(
+            blocks[m + 1], blocks[m], simplexes[m + 1], simplexes[m]
+        )
+        if kind != "map":
+            return None
+        maps.append(found)
+
+    block_of = [{b[0]: b for b in level} for level in blocks]
+    # a cell's support: the points of its simplex's blocks
+    supports = [
+        [tuple(sorted(x for v in s for x in block_of[m][v])) for s in simplexes[m]]
+        for m in range(len(js))
+    ]
+    threads = [
+        tuple(
+            next(i for i, s in enumerate(simplexes[m]) if x in supports[m][i])
+            for m in range(len(js))
+        )
+        for x in range(n)
+    ]
+    finite = sorted({e for row in exponents for e in row if e is not None})
+    start, depth = (min(1, finite[0]), finite[-1] + 1) if finite else (1, 1)
+    # the symbols' ranking moves no distance, so any labels serve
+    codes = label_ranked_codes(exponents, [f"{x:06d}" for x in range(n)], start, depth)
+    keys = [list(zip(range(start, depth + 1), code)) for code in codes]
+
+    nonstretching, nondegenerate = [], []
+    for m, vertex_map in enumerate(maps):
+        fine = [s[0] for s in blocks[m + 1]]
+        violations, merged, _, single = pairwise_nonstretching(
+            fine, vertex_map, keys, keys, prime, js[m + 1]
+        )
+        nonstretching.append(
+            {
+                "from": m + 1,
+                "to": m,
+                "violations": [list(pair) for pair in violations],
+                "merged_pairs": len(merged),
+                "single_step_contraction": single,
+            }
+        )
+        collapsed = [
+            i
+            for i, s in enumerate(simplexes[m + 1])
+            if len(s) >= 2 and len({vertex_map[v] for v in s}) == 1
+        ]
+        nondegenerate.append({"from": m + 1, "to": m, "collapsed_simplexes": collapsed})
+    uniformity = []
+    for m, level_supports in enumerate(supports):
+        separation = pairwise_separation(dist, level_supports)
+        diameter = max(pairwise_diameter(dist, support) for support in level_supports)
+        uniformity.append(
+            {
+                "level": m,
+                "sup_diam": written(diameter),
+                "inf_dist": None if separation is None else written(separation),
+                "is_uniform": separation is None or separation > 0,
+            }
+        )
+    _, isolation = pairwise_isolation(
+        dist,
+        [(p**-j, p**-tau, b, s) for j, tau, b, s in zip(js, taus, blocks, simplexes)],
+    )
+    rep_of = [{x: b[0] for b in level for x in b} for level in blocks]
+    vertices = [[b[0] for b in level] for level in blocks]
+    recovery = pairwise_limit_recovery(exponents, taus, threads)
+    return {
+        "schedule": {"j": js, "k": ks, "b": js},
+        "levels": [
+            {
+                "level": m,
+                "scale": j,
+                "threshold": tau,
+                "vertices": vertices[m],
+                "maximal_simplexes": [list(s) for s in simplexes[m]],
+                "dimL": max(len(s) for s in simplexes[m]) - 1,
+                "blocks": [list(b) for b in blocks[m]],
+            }
+            for m, (j, tau) in enumerate(zip(js, taus))
+        ],
+        "bonding": [
+            {"from": m + 1, "to": m, "vertex_map": {str(v): w for v, w in sorted(vmap.items())}}
+            for m, vmap in enumerate(maps)
+        ],
+        "reports": {
+            "nonstretching": nonstretching,
+            "nondegenerate": nondegenerate,
+            "functoriality_ok": not all_pairs_functoriality(rep_of, vertices, maps),
+            "uniformity": uniformity,
+            "isolation_ok": not isolation,
+            "isolation_violations": [list(pair) for pair in isolation],
+            "reconstruct_identity": all(
+                thread_preimage(simplexes, maps, supports, thread) == {x}
+                for x, thread in enumerate(threads)
+            ),
+            "limit_isometry_ok": not recovery["mismatches"],
+            "limit_isometry_mismatches": recovery["mismatches"],
+            "limit_isometry_bound": recovery["bound"],
+        },
+    }
+
+
 def pairwise_shift_invariant(exponents: list[list[int | None]]) -> bool:
     """Whether d(x + 1, y + 1) = d(x, y) for every pair, indices taken mod n.
 

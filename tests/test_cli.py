@@ -2,28 +2,33 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from ultrapoly import UltraSpace
+from ultrapoly import PAdic, Schedule, UltraSpace, assemble_expansion
 from ultrapoly.cli import (
+    DEFAULT_PRECISION,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    InputFormatError,
     PipelineConfig,
     _join,
     _load_bundle,
+    _parse_streams,
     main,
     run,
 )
+from ultrapoly.nerve import _parents
 from ultrapoly.spaces import MergeTree
 
-from corpus import UNDECIDABLE_PRIME
+from corpus import UNDECIDABLE_PRIME, random_code_space, replace
 
 
 def _write(path, obj):
@@ -123,6 +128,26 @@ def test_a_bad_digit_stream_is_named_with_the_prime_in_force(tmp_path, capsys):
         f"error: {empty}: field 'padic_points' stream 1:"
         " bad digit stream for prime 3: empty digit stream\n"
     )
+
+
+def test_a_stream_past_the_budget_builds_one_padic(monkeypatch):
+    # the digits past the 32-digit budget are checked by the digit-stream rule,
+    # not read into a PAdic of their own
+    built = []
+    init = PAdic.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PAdic, "__init__", counted)
+    streams = [[1] * 40, [0, 1] * 20, [0] * 33, [1, 0, 1]]
+    obj = {"labels": ["w", "x", "y", "z"], "prime": 2, "padic_points": streams}
+    points = _parse_streams(obj, 2, DEFAULT_PRECISION, "in.json")
+    assert len(built) == len(points) == 4
+    assert [x.known_upto() for x in points] == [32, 32, 32, 3]
+    with pytest.raises(InputFormatError, match="stream 1: bad digit stream for prime 2: digits"):
+        _parse_streams(dict(obj, padic_points=[[1], [1] * 32 + [2]]), 2, DEFAULT_PRECISION, "x")
 
 
 def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys):
@@ -797,6 +822,14 @@ def _set_field(bundle, path, value):
         (["shadow"], ("space", "padic_points", 1), [1, 2], "space.padic_points"),
         (["shadow"], ("space", "padic_points", 2), [-1, 0], "space.padic_points"),
         (["shadow"], ("space", "padic_points", 3), [], "space.padic_points"),
+        # level 2 sent straight onto level 0 by the composite vertex map: a
+        # simplicial map that skips level 1, listed between them
+        (
+            ["shadow"],
+            ("bonding", 1),
+            {"from": 2, "to": 0, "vertex_map": {"0": 0, "1": 0, "2": 0, "3": 0}},
+            "bonding[1].to",
+        ),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -805,6 +838,52 @@ def test_bad_level_and_map_fields_are_named(
     bad = _write(tmp_path / "bad.json", _set_field(demo_bundle, path, value))
     assert main([*command, bad, "--out", str(tmp_path / "out")]) == EXIT_INPUT
     assert f"bundle field '{field}'" in capsys.readouterr().err
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(2, 12),
+    k=st.integers(1, 2),
+    data=st.data(),
+)
+def test_the_loader_and_the_objects_share_one_simplicial_rule(
+    tmp_path_factory, seed, p, n, k, data
+):
+    # one vertex of one map sent to another vertex of the coarser level: the
+    # loader refuses the bundle exactly where the objects' parent rule finds
+    # a fine simplex with no parent.  The map is drawn, where there is one,
+    # from those out of a level with a simplex of two or more vertices, which
+    # k >= 1 makes common, onto a level of two or more simplexes, and the
+    # vertex from such a simplex.  80 examples take about 0.5 s
+    space = random_code_space(random.Random(seed), p, n)
+    expansion = assemble_expansion(space, Schedule.auto(space, k_shift=k))
+    levels = expansion.levels
+    joined = [
+        [v for s in level.nerve.maximal_simplexes if len(s) > 1 for v in s] for level in levels
+    ]
+    breakable = [
+        m
+        for m in range(len(levels) - 1)
+        if joined[m + 1] and len(levels[m].nerve.maximal_simplexes) > 1
+    ]
+    m = data.draw(st.sampled_from(breakable or range(len(levels) - 1)))
+    fine, coarse, bmap = levels[m + 1], levels[m], expansion.bonding[m]
+    v = data.draw(st.sampled_from(joined[m + 1] or fine.nerve.vertices))
+    vertex_map = {**bmap.vertex_map, v: data.draw(st.sampled_from(coarse.nerve.vertices))}
+    bonding = list(expansion.bonding)
+    bonding[m] = replace(bmap, vertex_map=vertex_map)
+    mutant = replace(expansion, bonding=tuple(bonding))
+    path = _write(tmp_path_factory.mktemp("bundle") / "expansion.json", mutant.to_bundle())
+    parents = _parents(fine.nerve.maximal_simplexes, vertex_map.get, coarse.nerve.simplex_of)
+    event(f"refused: {None in parents}")
+    if None in parents:
+        field = rf"'bonding\[{m}\].vertex_map' must be simplicial"
+        with pytest.raises(InputFormatError, match=field):
+            _load_bundle(path, shadow=True)
+    else:
+        _load_bundle(path, shadow=True)
 
 
 def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
