@@ -1015,14 +1015,15 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
     ``dimL``); shadow also reads ``schedule``, each ``bonding[i]``
     (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
     ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
-    values are point indices into the labels, level numbers differ, and
-    each label has one digit stream under the prime checked first
-    (``_stream_fault``).  A level's maximal simplexes partition its
-    vertices: each vertex lies in exactly one, and they hold no other
-    point.  A bonding map's ``from`` and ``to`` are level numbers of the
-    bundle's levels, ``to`` the one listed just before ``from``; its
-    ``vertex_map`` keys are exactly the decimal strings of the ``from``
-    level's vertices, its values are vertices of the ``to`` level, and it
+    values are point indices into the labels, ``levels`` is not empty,
+    level numbers differ, and each label has one digit stream under the
+    prime checked first (``_stream_fault``).  A level's maximal simplexes
+    partition its vertices: each vertex lies in exactly one, and they
+    hold no other point.  ``bonding`` is the chain of levels: one map
+    fewer than there are levels, ``bonding[i]`` from the level number of
+    ``levels[i + 1]`` to that of ``levels[i]``; its ``vertex_map`` keys
+    are exactly the decimal strings of the ``from`` level's vertices, its
+    values are vertices of the ``to`` level, and it
     is simplicial (``_parents``): each maximal simplex of the ``from``
     level goes into one of the ``to`` level, as the ``"affine": true``
     that shadow writes for it claims.  A missing or mistyped field raises
@@ -1039,8 +1040,9 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
             raise InputFormatError(f"{path}: bundle field {field!r} must be {want}")
         return obj[key]
 
-    def items(key: str) -> list:
-        found = require(bundle, key, key, _is_list, "a list")
+    def items(key: str, count, want: str) -> list:
+        """The list at key, whose length count accepts, of objects."""
+        found = require(bundle, key, key, lambda value: _is_list(value) and count(len(value)), want)
         for i, item in enumerate(found):
             if not isinstance(item, dict):
                 raise InputFormatError(f"{path}: bundle field '{key}[{i}]' must be an object")
@@ -1062,7 +1064,8 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
 
     vertices_of: dict[int, list[int]] = {}  # level number: its vertices
     simplexes_of: dict[int, list[list[int]]] = {}  # level number: its maximal simplexes
-    for i, level in enumerate(items("levels")):
+    levels = items("levels", bool, "a non-empty list")
+    for i, level in enumerate(levels):
         for key in ("level", "scale", "dimL"):
             require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
         require(
@@ -1085,24 +1088,18 @@ def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
         )
     if not shadow:
         return bundle
-    listed_before = dict(zip(list(vertices_of)[1:], vertices_of))  # each level: the one before
-    for i, bmap in enumerate(items("bonding")):
-        for key in ("from", "to"):
+    maps = len(levels) - 1
+    bonding = items("bonding", maps.__eq__, f"a list of {maps} maps, one per level after the first")
+    for i, bmap in enumerate(bonding):
+        fine, coarse = levels[i + 1]["level"], levels[i]["level"]
+        for key, number, at in (("from", fine, i + 1), ("to", coarse, i)):
             require(
                 bmap,
                 key,
                 f"bonding[{i}].{key}",
-                lambda value: _is_int(value) and value in vertices_of,
-                "the level number of a level in the bundle",
+                lambda value: _is_int(value) and value == number,
+                f"{number}, the level number of 'levels[{at}]'",
             )
-        fine, coarse = bmap["from"], bmap["to"]
-        require(
-            bmap,
-            "to",
-            f"bonding[{i}].to",
-            lambda value: value == listed_before.get(fine),
-            f"the level listed just before level {fine} in 'levels'",
-        )
         keys, values = set(map(str, vertices_of[fine])), set(vertices_of[coarse])
         field = f"bonding[{i}].vertex_map"
         require(
@@ -1254,214 +1251,87 @@ _GROUPS = {
     "demo": "built-in demonstrations",
     "export": "export bundle artifacts",
 }
-#: Every parser's help option, of kind None.
-_HELP = dict.fromkeys(("-h", "--help"), (None, False, "show this help message and exit"))
 
 
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
     """The command path that argv names, and the value of each of its fields.
 
-    The grammar is ``_COMMANDS``, read as argparse reads it.  An option
-    is ``--opt value``, ``--opt=value`` or a unique prefix of its name;
-    a token such as ``-5`` is a value; options come before or after the
-    positional, the last repeat wins, and ``--`` ends the options.
-    ``-h`` or ``--help`` prints the help of the command read so far and
-    raises SystemExit(0); a usage error prints the usage and the error to
-    stderr and raises SystemExit(2).  An unknown option or a surplus
-    positional is reported once the whole command is read, so a later
-    ``--help`` still prints its help.
+    The grammar is ``_COMMANDS``.  argv of exact tokens is read here
+    without loading argparse: the command's words, each its own token,
+    then its positional once and its options by their exact names, each
+    value after its option (no ``-`` first, and an integer where the
+    option takes one) and every required option given; the last repeat
+    wins.  Any other argv (help, prefixes, ``=`` forms, ``--``, values
+    that begin with ``-``, and usage errors) is read by ``_argparse``,
+    which reads exact tokens as this reader does.
     """
-    path, at, extras = "", 0, []
-    while path not in _COMMANDS:  # the program or a command group: read a subcommand
-        _check_prefixes(argv[at:], _HELP, path)
-        names = _subcommands(path)
-        while True:
-            if at == len(argv):
-                _usage_error(path, "the following arguments are required: command")
-            token = argv[at]
-            at += 1
-            option = _option(token, _HELP, path)
-            if option is None:
-                if token not in names:
-                    choices = ", ".join(map(repr, names))
-                    _usage_error(path, f"invalid choice: {token!r} (choose from {choices})")
-                path = f"{path} {token}".lstrip()
-                break
-            if option[0] is None:
-                extras.append(token)
-            else:
-                _flag(*option, path)
-    _, _, positional, spec = _COMMANDS[path]
-    options = {**_HELP, **spec}
-    _check_prefixes(argv[at:], options, path)
+    words = 2 if argv[:1] and argv[0] in _GROUPS else 1
+    path = " ".join(argv[:words])
+    if path not in _COMMANDS or path.split() != argv[:words]:
+        return _argparse(argv)
+    _, _, want, spec = _COMMANDS[path]  # want: the positional, while it is unread
     fields = {name[2:]: False if kind is bool else None for name, (kind, _, _) in spec.items()}
-    given = set()
-    want = positional  # the positional, while it is unread
-    while at < len(argv):
-        token = argv[at]
-        at += 1
-        if token == "--":
-            # every later token is a positional, and the first one may fill it
-            if want and at < len(argv):
-                fields[want], want = argv[at], None
-                at += 1
-            else:
-                extras.append(token)
-            extras += argv[at:]
-            break
-        option = _option(token, options, path)
-        if option is None:
-            if not want:
-                extras.append(token)
-                continue
-            fields[want], want = token, None
-            if argv[at : at + 1] == ["--"]:  # a "--" just after the positional ends the options
-                extras += argv[at + 1 :]
-                break
-            continue
-        name, value = option
-        if name is None:
-            extras.append(token)
-            continue
-        kind = options[name][0]
-        if kind is None or kind is bool:
-            _flag(name, value, path)
-            value = True
-        else:
-            if value is None:
-                if at == len(argv) or argv[at] == "--" or _option(argv[at], options, path):
-                    _usage_error(path, f"argument {name}: expected one argument")
-                value = argv[at]
-                at += 1
+    tokens = iter(argv[words:])
+    for token in tokens:
+        kind = spec[token][0] if token in spec else None
+        if kind is bool:
+            fields[token[2:]] = True
+        elif kind is not None:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return _argparse(argv)
             if kind is int:
                 try:
                     value = int(value)
                 except ValueError:
-                    _usage_error(path, f"argument {name}: invalid int value: {value!r}")
-        fields[name[2:]] = value
-        given.add(name)
-    missing = [want] if want else []
-    missing += [name for name, (_, required, _) in spec.items() if required and name not in given]
-    if missing:
-        _usage_error(path, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _usage_error(path, f"unrecognized arguments: {' '.join(extras)}")
+                    return _argparse(argv)
+            fields[token[2:]] = value
+        elif want and not token.startswith("-"):
+            fields[want], want = token, None
+        else:
+            return _argparse(argv)
+    required = [name[2:] for name, (_, needed, _) in spec.items() if needed]
+    if want or None in map(fields.get, required):
+        return _argparse(argv)
     return path, fields
 
 
-def _option(token: str, options: dict, path: str) -> tuple[str | None, str | None] | None:
-    """The option that token names and the value it carries, as (name, value or None).
+def _argparse(argv: list[str]) -> tuple[str, dict]:
+    """argv read by argparse built from ``_COMMANDS`` and ``_GROUPS``, as ``_parse_args`` reads it.
 
-    (None, None) for an unknown option and None for a positional.  A
-    prefix of two or more options' names is a usage error.
+    Help prints to stdout and raises SystemExit(0); a usage error prints
+    the usage and the error to stderr and raises SystemExit(2).  Usage
+    stays on one line at any terminal width.
     """
-    if token in options:
-        return token, None
-    if len(token) < 2 or token[0] != "-" or token == "--":
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in options:
-        return name, value
-    if token[1] == "-":
-        found = [(option, value if eq else None) for option in options if option.startswith(name)]
-    else:  # a one-letter option with its value attached
-        found = [(token[:2], token[2:])] if token[:2] in options else []
-    if len(found) > 1:
-        matches = ", ".join(option for option, _ in found)
-        _usage_error(path, f"ambiguous option: {token} could match {matches}")
-    if found:
-        return found[0]
-    if _negative_number(token) or " " in token:
-        return None
-    return None, None
+    import argparse
 
+    def formatter(prog: str):
+        return argparse.HelpFormatter(prog, width=sys.maxsize)
 
-def _negative_number(token: str) -> bool:
-    r"""Whether argparse reads token as a negative number, hence as a value.
+    def add(subparsers, name: str, about: str):
+        return subparsers.add_parser(
+            name, help=about, description=about, formatter_class=formatter
+        )
 
-    argparse matches ``^-\d+$|^-\d*\.\d+$``, where ``\d`` is a decimal
-    digit of any script and ``$`` also matches before a final newline;
-    string methods read the same tokens without loading ``re``.
-    """
-    if not token.startswith("-"):
-        return False
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, fraction = body.partition(".")
-    if body.isdecimal():
-        return True
-    return dot == "." and (not whole or whole.isdecimal()) and fraction.isdecimal()
-
-
-def _check_prefixes(tokens: list[str], options: dict, path: str) -> None:
-    """Raise the usage error of the first ambiguous prefix before ``--``, as argparse
-    reads every token before it acts on one."""
-    for token in tokens:
-        if token == "--":
-            return
-        _option(token, options, path)
-
-
-def _flag(name: str, value: str | None, path: str) -> None:
-    """Take a flag; help prints the help of path and raises SystemExit(0).
-
-    ``-hh`` is ``-h`` twice, and any other value given to a flag is a
-    usage error.
-    """
-    if value is not None and not (name == "-h" and set(value) == {"h"}):
-        _usage_error(path, f"argument {name}: ignored explicit argument {value!r}")
-    if name in _HELP:
-        print(_help_text(path))
-        raise SystemExit(EXIT_OK)
-
-
-def _subcommands(group: str) -> list[str]:
-    """The names of the commands one word under a group, in table order."""
-    prefix = f"{group} " if group else ""
-    words = (path[len(prefix) :].split()[0] for path in _COMMANDS if path.startswith(prefix))
-    return list(dict.fromkeys(words))
-
-
-def _usage(path: str) -> str:
-    words = ["usage:", f"ultrapoly {path}".rstrip(), "[-h]"]
-    if path not in _COMMANDS:
-        return " ".join([*words, "{" + ",".join(_subcommands(path)) + "}", "..."])
-    _, _, positional, spec = _COMMANDS[path]
-    for name, (kind, required, _) in spec.items():
-        word = _option_text(name, kind)
-        words.append(word if required else f"[{word}]")
-    return " ".join(words + [positional] * bool(positional))
-
-
-def _option_text(name: str, kind) -> str:
-    """An option as usage and help show it: a flag alone, any other with its value's name."""
-    return name if kind is bool else f"{name} {name[2:].upper()}"
-
-
-def _help_text(path: str) -> str:
-    if path in _COMMANDS:
-        _, about, positional, spec = _COMMANDS[path]
-        sections = {"positional arguments": [(positional, "")] if positional else []}
-    else:
-        about, spec = _GROUPS[path], {}
-        commands = [(name, f"{path} {name}".lstrip()) for name in _subcommands(path)]
-        sections = {
-            "commands": [(name, _GROUPS.get(full) or _COMMANDS[full][1]) for name, full in commands]
-        }
-    sections["options"] = [("-h, --help", _HELP["-h"][2])] + [
-        (_option_text(name, kind), text) for name, (kind, _, text) in spec.items()
-    ]
-    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
-    lines = [_usage(path), "", about]
-    for title, rows in sections.items():
-        if rows:
-            lines += ["", f"{title}:", *(f"  {left:{width}}{text}".rstrip() for left, text in rows)]
-    return "\n".join(lines)
-
-
-def _usage_error(path: str, message: str):
-    print(_usage(path), file=sys.stderr)
-    print(f"ultrapoly {path}".rstrip() + f": error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_INPUT)
+    parser = argparse.ArgumentParser(
+        prog="ultrapoly", description=_GROUPS[""], formatter_class=formatter
+    )
+    # each command group's subparsers; every command's parser sets "command" to its path
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (_, about, positional, spec) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            commands = add(subparsers[""], group, _GROUPS[group])
+            subparsers[group] = commands.add_subparsers(dest="command", required=True)
+        command = add(subparsers[group], name, about)
+        command.set_defaults(command=path)
+        if positional:
+            command.add_argument(positional)
+        for option, (kind, required, text) in spec.items():
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            command.add_argument(option, required=required, help=text, **how)
+    fields = vars(parser.parse_args(argv))
+    return fields.pop("command"), fields
 
 
 def main(argv: Sequence[str] | None = None) -> int:

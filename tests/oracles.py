@@ -818,8 +818,9 @@ def reference_bundle(
     """The expansion bundle less its ``space``, built from the definitions.
 
     ``exponents`` is the exponent table of a separated space (None on the
-    diagonal alone) and ``schedule`` a config's ``{"j": [...], "k": [...]}``,
-    each level's bound b being p^-j.  Every part comes from the pairwise
+    diagonal alone) and ``schedule`` a config's ``{"j": [...], "k": [...]}``
+    with its bound's shift ``"b"`` (0 when absent), each level's bound
+    being p^-(j + shift).  Every part comes from the pairwise
     oracles above: blocks from ``closure_classes``, nerves from
     ``pairwise_nerve``, maps from ``containment_bonding``, and the verify
     summaries from ``pairwise_nonstretching`` on ``label_ranked_codes``,
@@ -833,6 +834,7 @@ def reference_bundle(
     n = len(exponents)
     dist = [[Fraction(0) if e is None else p**-e for e in row] for row in exponents]
     js, ks = list(schedule["j"]), list(schedule["k"])
+    shift = schedule.get("b", 0)
 
     def written(value: Fraction) -> int | str:
         e = gamma_floor(value, prime)
@@ -841,7 +843,7 @@ def reference_bundle(
     blocks, simplexes, taus = [], [], []
     for j, k in zip(js, ks):
         blocks.append(closure_classes(exponents, j))
-        nerve = pairwise_nerve(dist, blocks[-1], p**k, p**-j)
+        nerve = pairwise_nerve(dist, blocks[-1], p**k, p ** -(j + shift))
         if nerve is None:
             return None
         taus.append(gamma_floor(nerve[0], prime))
@@ -917,7 +919,7 @@ def reference_bundle(
     vertices = [[b[0] for b in level] for level in blocks]
     recovery = pairwise_limit_recovery(exponents, taus, threads)
     return {
-        "schedule": {"j": js, "k": ks, "b": js},
+        "schedule": {"j": js, "k": ks, "b": [j + shift for j in js]},
         "levels": [
             {
                 "level": m,

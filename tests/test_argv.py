@@ -1,14 +1,19 @@
-"""The argument parser reads every argv as the argparse declaration in oracles.py does."""
+"""The argument parser reads every argv as the argparse declaration in oracles.py does.
+
+``cli._parse_args`` reads argv of exact tokens itself and hands any other
+argv to ``cli._argparse``; the declaration is independent of both.
+"""
 
 import contextlib
 import io
-import re
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrapoly.cli import EXIT_INPUT, EXIT_OK, _negative_number, _parse_args
+from ultrapoly import cli
+from ultrapoly.cli import EXIT_INPUT, EXIT_OK, _parse_args
 
 from oracles import argparse_cli
 
@@ -21,9 +26,9 @@ OPTIONS = ["--config", "--out", "--prime", "--precision", "--stages", "--csv", "
 # options of expand, "--pr" two, "--c" two of no command
 NAMES = sorted({option[:end] for option in OPTIONS for end in range(3, len(option) + 1)})
 VALUES = ["0", "2", "3", "17", "-5", "+3", " 4", "3.5", "two", "x", "", "a.json", "out/dir"]
-# no cluster of one-letter flags such as -hx: argparse 3.13 reads it as help,
-# where 3.10-3.12, and the parser, refuse the x
-JUNK = ["x", "bogus", "-x", "--nope", "-", "", "3"]
+# -hx and -xh are clusters of one-letter flags: argparse 3.13 reads -hx as help,
+# where 3.10-3.12 refuse the x
+JUNK = ["x", "bogus", "-x", "--nope", "-", "", "3", "-hx", "-xh", "-hh"]
 
 
 def _outcome(parse, argv: list[str]):
@@ -48,9 +53,9 @@ def _option_tokens(names):
     )
 
 
-def _pieces(end_marker: bool):
+def _pieces():
     """Runs of tokens of the CLI: commands, options, their prefixes and = forms, help,
-    values, junk, and an option with a value after it, so that repeats are common."""
+    values, junk, ``--``, and an option with a value after it, so that repeats are common."""
     value = st.one_of(st.sampled_from(VALUES), st.integers(-3, 40).map(str))
     tokens = [
         st.sampled_from(WORDS),
@@ -58,9 +63,8 @@ def _pieces(end_marker: bool):
         st.sampled_from(["-h", "--help", "-5"]),
         value,
         st.sampled_from(JUNK),
+        st.just("--"),
     ]
-    if end_marker:
-        tokens.append(st.just("--"))
     option_and_value = st.tuples(st.sampled_from(NAMES), value).map(list)
     return st.one_of(st.one_of(*tokens).map(lambda token: [token]), option_and_value)
 
@@ -76,35 +80,40 @@ OPTIONS_OF = {
 
 
 @st.composite
-def well_formed_argvs(draw):
-    """A command path, then its positional among its own options, each with an
-    integer value after it or after =, so that most parse and repeats are common."""
+def well_formed_argvs(draw, equals: bool = True):
+    """A command path, then its positional and its required options among its own
+    options, each with an integer value after it (or after =, where equals allows),
+    so that most parse and repeats are common."""
     path = draw(st.sampled_from(PATHS))
     takes_value, flags = OPTIONS_OF[" ".join(path)]
     pieces = [st.sampled_from(flags).map(lambda flag: [flag])] if flags else []
+    digit = st.integers(0, 9).map(str)
     if takes_value:
-        pair = st.tuples(st.sampled_from(takes_value), st.integers(0, 9).map(str))
+        pair = st.tuples(st.sampled_from(takes_value), digit)
         pieces.append(pair.map(list))
-        pieces.append(pair.map("=".join).map(lambda token: [token]))
+        if equals:
+            pieces.append(pair.map("=".join).map(lambda token: [token]))
     after = draw(st.lists(st.one_of(*pieces), max_size=6)) if pieces else []
-    if path != ["demo", "zp"]:
-        after.insert(draw(st.integers(0, len(after))), ["in.json"])
+    required = [["--prime", draw(digit)], ["--depth", draw(digit)]]
+    for piece in required if path == ["demo", "zp"] else [["in.json"]]:
+        after.insert(draw(st.integers(0, len(after))), piece)
     return path + sum(after, [])
 
 
 @st.composite
 def any_argvs(draw):
-    """An argv: options, a command path, then tokens.
+    """An argv: options or ``--``, a command path, then tokens.
 
-    ``--`` is drawn only after a full command path: a ``--`` read where
-    a subcommand is due is an edge on which argparse releases have
-    changed, and the parser follows 3.11, which reads it as a name.
+    ``--`` where a subcommand is due, and clusters such as ``-hx``, are
+    edges on which argparse releases differ; the parser hands them to
+    argparse, so it reads them as the running release does.
     """
-    full = draw(st.booleans())
-    path = draw(st.sampled_from(PATHS if full else PARTIAL_PATHS))
-    options = st.one_of(st.sampled_from(["-h", "-x"]), _option_tokens(["--help", "--he", "--nope"]))
+    path = draw(st.sampled_from(PATHS + PARTIAL_PATHS))
+    options = st.one_of(
+        st.sampled_from(["-h", "-x", "-hx", "--"]), _option_tokens(["--help", "--he", "--nope"])
+    )
     before = draw(st.lists(options, max_size=1))
-    after = sum(draw(st.lists(_pieces(end_marker=full), max_size=6)), [])
+    after = sum(draw(st.lists(_pieces(), max_size=6)), [])
     return before + path + after
 
 
@@ -181,14 +190,42 @@ def test_help_and_usage_errors_exit_as_argparse_does(argv, code):
     assert _outcome(argparse_cli, argv)[:2] == ("exit", code)
 
 
-@settings(max_examples=500, deadline=None)
-@given(token=st.text(alphabet="-.0123456789\u0663\u00b2x \n", max_size=6))
-@example(token="-5\n")  # $ matches before a final newline
-@example(token="-5\n\n")
-@example(token="-\u0663")  # a decimal digit of another script
-@example(token="-\u00b2")  # a superscript, which is no decimal digit
-@example(token="-.5")
-@example(token="-1.")
-def test_negative_numbers_are_those_argparse_matches(token):
-    # argparse's own pattern, which the parser reads without loading re
-    assert _negative_number(token) == bool(re.match(r"^-\d+$|^-\d*\.\d+$", token))
+def _argparse_calls(argv: list[str]):
+    """The parser's outcome on argv, and how many times it called ``_argparse``."""
+    calls = []
+    real = cli._argparse
+
+    def counting(argv):
+        calls.append(argv)
+        return real(argv)
+
+    with mock.patch.object(cli, "_argparse", counting):
+        return _outcome(_parse_args, argv), len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=well_formed_argvs(equals=False))
+def test_exact_tokens_are_read_without_argparse(argv):
+    outcome, calls = _argparse_calls(argv)
+    assert calls == 0, argv
+    assert outcome == _outcome(argparse_cli, argv)
+
+
+# argv that the exact-token reader hands to argparse whole
+TO_ARGPARSE = [
+    ["expand", "a", "--conf", "c.json"],  # a prefix
+    ["expand", "a", "--out=x"],  # an = form
+    ["expand", "--", "a"],
+    ["expand", "a", "--prime", "-5"],  # a value that begins with -
+    ["expand", "-h"],
+    ["demo zp", "--prime", "2", "--depth", "2"],  # two command words in one token
+    ["expand", "a", "b"],  # a surplus positional
+    ["demo", "zp", "--prime", "2"],  # a missing --depth
+]
+
+
+@pytest.mark.parametrize("argv", TO_ARGPARSE)
+def test_other_argv_is_read_by_argparse_once(argv):
+    outcome, calls = _argparse_calls(argv)
+    assert calls == 1
+    assert outcome == _outcome(argparse_cli, argv)

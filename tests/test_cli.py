@@ -830,11 +830,26 @@ def _set_field(bundle, path, value):
             {"from": 2, "to": 0, "vertex_map": {"0": 0, "1": 0, "2": 0, "3": 0}},
             "bonding[1].to",
         ),
+        # bonding lists that are not the chain of levels: a map dropped, a map
+        # listed twice, the maps reversed, no maps; and no levels at all
+        (["shadow"], ("bonding",), lambda bundle: bundle["bonding"][:1], "bonding"),
+        (
+            ["shadow"],
+            ("bonding",),
+            lambda bundle: bundle["bonding"][:1] + bundle["bonding"],
+            "bonding",
+        ),
+        (["shadow"], ("bonding",), lambda bundle: bundle["bonding"][::-1], "bonding[0].from"),
+        (["shadow"], ("bonding",), [], "bonding"),
+        (["shadow"], ("levels",), [], "levels"),
+        (["export", "dot"], ("levels",), [], "levels"),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
     tmp_path, capsys, demo_bundle, command, path, value, field
 ):
+    if callable(value):  # a function of the bundle
+        value = value(demo_bundle)
     bad = _write(tmp_path / "bad.json", _set_field(demo_bundle, path, value))
     assert main([*command, bad, "--out", str(tmp_path / "out")]) == EXIT_INPUT
     assert f"bundle field '{field}'" in capsys.readouterr().err
