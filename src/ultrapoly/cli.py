@@ -20,7 +20,7 @@ import sys
 import time
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import add, eq
 from types import SimpleNamespace
 
@@ -590,19 +590,20 @@ def _json_key(key) -> str:
     return _json.encode_basestring_ascii(key)
 
 
-def _is_int(value) -> bool:
+# plain rules of _BUNDLE_FIELDS, which ignore the walk's place in the bundle
+def _is_int(value, _at=None) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_list(value) -> bool:
+def _is_list(value, _at=None) -> bool:
     return isinstance(value, list)
 
 
-def _is_dict(value) -> bool:
+def _is_dict(value, _at=None) -> bool:
     return isinstance(value, dict)
 
 
-def _is_exponent(value) -> bool:
+def _is_exponent(value, _at=None) -> bool:
     return value == "INF" or _is_int(value)
 
 
@@ -1007,148 +1008,145 @@ def _cmd_expand(args) -> int:
     return code
 
 
-def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
-    """The expansion bundle at path, with the fields its command reads checked.
+# who checks a bundle field: both commands, shadow, shadow when the space holds
+# digit streams, or no command (the field is written and read by none)
+_BOTH, _SHADOW, _P_ADIC, _NONE = "export dot, shadow", "shadow", "shadow, p-adic", "none"
+_CHECKS = {"export dot": (_BOTH,), "shadow": (_BOTH, _SHADOW, _P_ADIC)}
 
-    DOT export reads ``space.labels`` and each ``levels[i]`` (``level``,
-    ``scale``, ``threshold``, ``vertices``, ``maximal_simplexes``,
-    ``dimL``); shadow also reads ``schedule``, each ``bonding[i]``
-    (``from``, ``to``, ``vertex_map``) and, for p-adic bundles,
-    ``space.padic_points`` and ``space.prime``.  Vertices and vertex map
-    values are point indices into the labels, ``levels`` is not empty,
-    level numbers differ, and each label has one digit stream under the
-    prime checked first (``_stream_fault``).  A level's maximal simplexes
-    partition its vertices: each vertex lies in exactly one, and they
-    hold no other point.  ``bonding`` is the chain of levels: one map
-    fewer than there are levels, ``bonding[i]`` from the level number of
-    ``levels[i + 1]`` to that of ``levels[i]``; its ``vertex_map`` keys
-    are exactly the decimal strings of the ``from`` level's vertices, its
-    values are vertices of the ``to`` level, and it
-    is simplicial (``_parents``): each maximal simplex of the ``from``
-    level goes into one of the ``to`` level, as the ``"affine": true``
-    that shadow writes for it claims.  A missing or mistyped field raises
-    InputFormatError naming its path in the bundle.  One pass.
-    """
+
+class _Place(SimpleNamespace):
+    """The walk's place in a bundle (item index i, item) and the names rules and wants read."""
+
+    levels = property(lambda at: at.bundle["levels"])
+    count = property(lambda at: len(at.levels))
+    maps = property(lambda at: len(at.levels) - 1)
+    next = property(lambda at: at.i + 1)
+    fine = property(lambda at: at.levels[at.i + 1])  # the levels bonding[i] joins
+    coarse = property(lambda at: at.levels[at.i])
+    top = property(lambda at: at.bundle["space"]["prime"] - 1)  # the largest digit
+
+    def __getitem__(self, name: str):  # a want names them in braces
+        return getattr(self, name)
+
+
+def _points(value, at) -> bool:
+    n = len(at.bundle["space"]["labels"])
+    return type(value) is list and all(type(v) is int and 0 <= v < n for v in value)
+
+
+def _partition(value, at) -> bool:
+    return (
+        type(value) is list
+        and value != []
+        and all(type(s) is list and s != [] for s in value)
+        and _points(points := list(chain.from_iterable(value)), at)
+        and sorted(points) == sorted(set(at.item["vertices"]))
+    )
+
+
+def _simplicial(value, at) -> bool:  # the rule of nerve._parents
+    simplex_of = {v: s for s, simplex in enumerate(at.coarse["maximal_simplexes"]) for v in simplex}
+    return None not in _parents(at.fine["maximal_simplexes"], lambda v: value[str(v)], simplex_of)
+
+
+def _streams(value, at) -> bool:  # the rule of padic._stream_fault, under the space's prime
+    labels, prime = at.bundle["space"]["labels"], at.bundle["space"]["prime"]
+    return (
+        _is_list(value)
+        and len(value) == len(labels)
+        and all(_is_list(s) and all(map(_is_int, s)) and not _stream_fault(s, prime) for s in value)
+    )
+
+
+def _per_level(entry):
+    """The rule of a list of one entry per level, each of which entry accepts."""
+    return lambda value, at: _is_list(value) and len(value) == at.count and all(map(entry, value))
+
+
+#: The expansion bundle, one row per check in the order the checks run: the
+#: field's path ("[]" is each item of a list), the commands that check it,
+#: its rule, a predicate of the value and the walk's place, and what a
+#: refusal says the field must be.  A list's "[]" row checks every item
+#: before the rows of the items' fields run, item by item.  schedule's lists
+#: come last, so a bundle refused before they were checked keeps its message.
+_BUNDLE_FIELDS = (
+    ("space", _BOTH, _is_dict, "an object"),
+    ("space.labels", _BOTH, _is_list, "a list"),
+    ("space.gamma_matrix", _NONE, None, None),
+    ("levels", _BOTH, lambda v, at: _is_list(v) and v != [], "a non-empty list"),
+    ("levels[]", _BOTH, _is_dict, "an object"),
+    ("levels[].level", _BOTH, _is_int, "an integer"),
+    ("levels[].scale", _BOTH, _is_int, "an integer"),
+    ("levels[].dimL", _BOTH, _is_int, "an integer"),
+    ("levels[].level", _BOTH, lambda v, at: at.numbers.setdefault(v, at.i) == at.i,
+     "a level number no other level has"),  # two DOT files would share one name
+    ("levels[].threshold", _BOTH, _is_exponent, 'an integer or "INF"'),
+    ("levels[].vertices", _BOTH, _points, "a list of point indices"),
+    ("levels[].maximal_simplexes", _BOTH, _partition,
+     "a partition of the level's vertices into non-empty lists"),
+    ("levels[].blocks", _NONE, None, None),
+    ("bonding", _SHADOW, lambda v, at: _is_list(v) and len(v) == at.maps,
+     "a list of {maps} maps, one per level after the first"),
+    ("bonding[]", _SHADOW, _is_dict, "an object"),
+    ("bonding[].from", _SHADOW, lambda v, at: _is_int(v) and v == at.fine["level"],
+     "{fine[level]}, the level number of 'levels[{next}]'"),
+    ("bonding[].to", _SHADOW, lambda v, at: _is_int(v) and v == at.coarse["level"],
+     "{coarse[level]}, the level number of 'levels[{i}]'"),
+    ("bonding[].vertex_map", _SHADOW, lambda v, at: _is_dict(v) and _points([*v.values()], at),
+     "an object of point indices"),
+    ("bonding[].vertex_map", _SHADOW, lambda v, at: v.keys() == set(map(str, at.fine["vertices"])),
+     "keyed by the vertices of level {fine[level]}"),
+    ("bonding[].vertex_map", _SHADOW, lambda v, at: set(v.values()) <= set(at.coarse["vertices"]),
+     "valued in vertices of level {coarse[level]}"),
+    ("bonding[].vertex_map", _SHADOW, _simplicial,
+     "simplicial: each maximal simplex of level {fine[level]} into one of level {coarse[level]}"),
+    ("schedule", _SHADOW, _is_dict, "an object"),
+    ("space.prime", _P_ADIC, _is_int, "an integer"),
+    ("space.prime", _P_ADIC, lambda v, at: _check_prime_field(v, "space.prime", at.where) is None,
+     "a prime integer"),  # _check_prime_field raises its own refusal
+    ("space.padic_points", _P_ADIC, _streams,
+     "a list of non-empty lists of digits in [0, {top}], one per label"),
+    ("schedule.j", _SHADOW, _per_level(_is_int), "a list of {count} integers, one per level"),
+    ("schedule.k", _SHADOW, _per_level(_is_int), "a list of {count} integers, one per level"),
+    ("schedule.b", _SHADOW, _per_level(_is_exponent),
+     'a list of {count} integers or "INF", one per level'),
+    ("reports", _NONE, None, None),
+)
+
+
+def _run_of(row) -> tuple[str, bool]:
+    """The list whose items a row checks ("" for none), and whether it checks them whole."""
+    items, brackets, rest = row[0].partition("[]")
+    return (items, not rest) if brackets else ("", False)
+
+
+def _load_bundle(path: str | os.PathLike, shadow: bool) -> dict:
+    """The expansion bundle at path, checked by its command's rows of ``_BUNDLE_FIELDS``: a
+    missing field, or one its rule refuses, raises InputFormatError naming its path."""
     bundle = _load_json(path)
     if not isinstance(bundle, dict):
         raise InputFormatError(f"{path}: a bundle must hold a JSON object")
-
-    def require(obj: dict, key: str, field: str, ok, want: str):
-        if key not in obj:
-            raise InputFormatError(f"{path}: missing bundle field {field!r}")
-        if not ok(obj[key]):
-            raise InputFormatError(f"{path}: bundle field {field!r} must be {want}")
-        return obj[key]
-
-    def items(key: str, count, want: str) -> list:
-        """The list at key, whose length count accepts, of objects."""
-        found = require(bundle, key, key, lambda value: _is_list(value) and count(len(value)), want)
-        for i, item in enumerate(found):
-            if not isinstance(item, dict):
-                raise InputFormatError(f"{path}: bundle field '{key}[{i}]' must be an object")
-        return found
-
-    space = require(bundle, "space", "space", _is_dict, "an object")
-    n = len(require(space, "labels", "space.labels", _is_list, "a list"))
-
-    def points(value) -> bool:
-        return type(value) is list and all(type(v) is int and 0 <= v < n for v in value)
-
-    def partition(value, vertices: list[int]) -> bool:
-        return (
-            type(value) is list
-            and value != []
-            and all(s != [] and points(s) for s in value)
-            and sorted(chain.from_iterable(value)) == sorted(set(vertices))
-        )
-
-    vertices_of: dict[int, list[int]] = {}  # level number: its vertices
-    simplexes_of: dict[int, list[list[int]]] = {}  # level number: its maximal simplexes
-    levels = items("levels", bool, "a non-empty list")
-    for i, level in enumerate(levels):
-        for key in ("level", "scale", "dimL"):
-            require(level, key, f"levels[{i}].{key}", _is_int, "an integer")
-        require(
-            level,
-            "level",
-            f"levels[{i}].level",
-            lambda value: value not in vertices_of,
-            "a level number no other level has",
-        )
-        require(level, "threshold", f"levels[{i}].threshold", _is_exponent, 'an integer or "INF"')
-        vertices_of[level["level"]] = vertices = require(
-            level, "vertices", f"levels[{i}].vertices", points, "a list of point indices"
-        )
-        simplexes_of[level["level"]] = require(
-            level,
-            "maximal_simplexes",
-            f"levels[{i}].maximal_simplexes",
-            lambda value: partition(value, vertices),
-            "a partition of the level's vertices into non-empty lists",
-        )
-    if not shadow:
-        return bundle
-    maps = len(levels) - 1
-    bonding = items("bonding", maps.__eq__, f"a list of {maps} maps, one per level after the first")
-    for i, bmap in enumerate(bonding):
-        fine, coarse = levels[i + 1]["level"], levels[i]["level"]
-        for key, number, at in (("from", fine, i + 1), ("to", coarse, i)):
-            require(
-                bmap,
-                key,
-                f"bonding[{i}].{key}",
-                lambda value: _is_int(value) and value == number,
-                f"{number}, the level number of 'levels[{at}]'",
-            )
-        keys, values = set(map(str, vertices_of[fine])), set(vertices_of[coarse])
-        field = f"bonding[{i}].vertex_map"
-        require(
-            bmap,
-            "vertex_map",
-            field,
-            lambda value: _is_dict(value) and points(list(value.values())),
-            "an object of point indices",
-        )
-        require(
-            bmap,
-            "vertex_map",
-            field,
-            lambda value: keys == value.keys(),
-            f"keyed by the vertices of level {fine}",
-        )
-        require(
-            bmap,
-            "vertex_map",
-            field,
-            lambda value: values.issuperset(value.values()),
-            f"valued in vertices of level {coarse}",
-        )
-        simplex_of = {v: s for s, simplex in enumerate(simplexes_of[coarse]) for v in simplex}
-        require(
-            bmap,
-            "vertex_map",
-            field,
-            lambda value: (
-                None not in _parents(simplexes_of[fine], lambda v: value[str(v)], simplex_of)
-            ),
-            f"simplicial: each maximal simplex of level {fine} into one of level {coarse}",
-        )
-    require(bundle, "schedule", "schedule", _is_dict, "an object")
-    if "padic_points" in space:
-        prime = require(space, "prime", "space.prime", _is_int, "an integer")
-        _check_prime_field(prime, "space.prime", f"{path}: bundle ")
-        require(
-            space,
-            "padic_points",
-            "space.padic_points",
-            lambda value: _is_list(value)
-            and len(value) == n
-            and all(
-                _is_list(s) and all(map(_is_int, s)) and not _stream_fault(s, prime)
-                for s in value
-            ),
-            f"a list of non-empty lists of digits in [0, {prime - 1}], one per label",
-        )
+    checks = _CHECKS["shadow" if shadow else "export dot"]
+    rows = [row for row in _BUNDLE_FIELDS if row[1] in checks]
+    # numbers: the index of the first level with each level number
+    at = _Place(where=f"{path}: bundle ", bundle=bundle, numbers={})
+    for (items, whole), run in groupby(rows, _run_of):
+        run = list(run)
+        for at.i, at.item in enumerate(bundle[items]) if items else [(0, bundle)]:
+            for field, checked_by, rule, want in run:
+                if checked_by == _P_ADIC and "padic_points" not in bundle["space"]:
+                    continue
+                name, value = field.replace("[]", f"[{at.i}]"), at.item
+                if not whole:  # the field's keys below the item
+                    *keys, last = field.rpartition("[].")[2].split(".")
+                    for key in keys:
+                        value = value[key]
+                    if last not in value:
+                        raise InputFormatError(f"{path}: missing bundle field {name!r}")
+                    value = value[last]
+                if not rule(value, at):
+                    want = want.format_map(at)
+                    raise InputFormatError(f"{at.where}field {name!r} must be {want}")
     return bundle
 
 

@@ -19,9 +19,12 @@ from ultrapoly.cli import (
     EXIT_VERIFY,
     InputFormatError,
     PipelineConfig,
+    _BUNDLE_FIELDS,
+    _CHECKS,
     _join,
     _load_bundle,
     _parse_streams,
+    export_dot,
     main,
     run,
 )
@@ -750,6 +753,14 @@ def _set_field(bundle, path, value):
     return bundle
 
 
+# schedule.j a string, a schedule.k entry a string, schedule.b one entry short
+BAD_SCHEDULES = [
+    (("schedule", "j"), "0"),
+    (("schedule", "k", 0), "1"),
+    (("schedule", "b"), lambda bundle: bundle["schedule"]["b"][:-1]),
+]
+
+
 @pytest.mark.parametrize(
     "command, path, value, field",
     [
@@ -843,6 +854,8 @@ def _set_field(bundle, path, value):
         (["shadow"], ("bonding",), [], "bonding"),
         (["shadow"], ("levels",), [], "levels"),
         (["export", "dot"], ("levels",), [], "levels"),
+        # schedules that are not one integer (or "INF" for b) per level
+        *((["shadow"], path, value, path[0] + "." + path[1]) for path, value in BAD_SCHEDULES),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -906,6 +919,113 @@ def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
     bad = _write(tmp_path / "bad.json", bonding)
     assert main(["export", "dot", bad, "--out", str(tmp_path / "dots")]) == EXIT_OK
     assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
+
+
+@pytest.mark.parametrize("path, value", BAD_SCHEDULES)
+def test_export_dot_does_not_read_schedule(tmp_path, capsys, demo_bundle, path, value):
+    if callable(value):
+        value = value(demo_bundle)
+    bad = _write(tmp_path / "bad.json", _set_field(demo_bundle, path, value))
+    assert main(["export", "dot", bad, "--out", str(tmp_path / "dots")]) == EXIT_OK
+    assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
+
+
+FIELD_ROWS = {row[0] for row in _BUNDLE_FIELDS}
+
+
+def _fields_held(obj, path=""):
+    """The field paths obj holds ("[]" for each item of a list), down to the table's depth."""
+    if isinstance(obj, dict):
+        children = [(f"{path}.{key}" if path else key, value) for key, value in obj.items()]
+    else:
+        children = [(f"{path}[]", value) for value in obj] if isinstance(obj, list) else []
+    fields = set()
+    for field, value in children:
+        fields.add(field)
+        if any(row.startswith((f"{field}.", f"{field}[]")) for row in FIELD_ROWS):
+            fields |= _fields_held(value, field)
+    return fields
+
+
+def test_every_written_field_is_a_row(tmp_path, capsys, ultra_input):
+    streams = _write(
+        tmp_path / "streams.json",
+        {"labels": ["a", "b", "c"], "prime": 3, "padic_points": [[0, 1], [0, 2], [1]]},
+    )
+    runs = {
+        "zp": ["demo", "zp", "--prime", "2", "--depth", "2"],
+        **{
+            f"{kind}{stages}": ["expand", source, "--stages", stages]
+            for kind, source in (("streams", streams), ("matrix", ultra_input))
+            for stages in ("validate,round,expand", "validate,round,expand,verify")
+        },
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
+        bundle = json.loads((tmp_path / name / "expansion.json").read_text())
+        assert _fields_held(bundle) <= FIELD_ROWS, name
+    capsys.readouterr()
+    # control: a field the table lacks is found
+    assert _fields_held({**bundle, "version": 1}) - FIELD_ROWS == {"version"}
+
+
+class _Reads(dict):
+    """A bundle object that records the field path of each key read from it."""
+
+    def __init__(self, obj: dict, path: str, reads: set) -> None:
+        self.path, self.reads = path, reads
+        super().__init__(
+            (key, _recording(value, self._field(key), reads)) for key, value in obj.items()
+        )
+
+    def _field(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def __getitem__(self, key):
+        self.reads.add(self._field(key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(self._field(key))
+        return super().get(key, default)
+
+    def __contains__(self, key) -> bool:
+        self.reads.add(self._field(key))
+        return super().__contains__(key)
+
+
+def _recording(value, path: str, reads: set):
+    if isinstance(value, dict):
+        return _Reads(value, path, reads)
+    if isinstance(value, list):
+        return [_recording(item, f"{path}[]", reads) for item in value]
+    return value
+
+
+def _unchecked_reads(reader, command: str, bundle: dict) -> set[str]:
+    """The fields reader reads from bundle that no row checks for command."""
+    reads: set[str] = set()
+    reader(_recording(bundle, "", reads))
+    return reads - {row[0] for row in _BUNDLE_FIELDS if row[1] in _CHECKS[command]}
+
+
+def test_every_field_a_reader_reads_is_checked_for_its_command(tmp_path, capsys, ultra_input):
+    from ultrapoly.shadow import shadow_bundle
+
+    main(["expand", ultra_input, "--out", str(tmp_path / "matrix")])
+    main(["demo", "zp", "--prime", "3", "--depth", "2", "--out", str(tmp_path / "zp")])
+    capsys.readouterr()
+    readers = {
+        "shadow": shadow_bundle,
+        "export dot": lambda bundle: export_dot(bundle, tmp_path / "dots"),
+    }
+    for name in ("matrix", "zp"):
+        bundle = json.loads((tmp_path / name / "expansion.json").read_text())
+        for command, reader in readers.items():
+            assert _unchecked_reads(reader, command, bundle) == set(), (name, command)
+    # control: a shadow reader patched to read the exponent table, which no command checks
+    patched = lambda bundle: (bundle["space"]["gamma_matrix"], shadow_bundle(bundle))
+    assert _unchecked_reads(patched, "shadow", bundle) == {"space.gamma_matrix"}
 
 
 @st.composite

@@ -240,8 +240,9 @@ def test_probe_sees_json_and_pathlib(tmp_path, matrix_input, module):
 
 @pytest.mark.parametrize("command", ["expand streams", "shadow", "export", "validate", "demo"])
 def test_only_matrix_rounding_loads_re(tmp_path, bundle, matrix_input, stream_input, command):
-    # the argument parser, which asks of each option it does not know whether
-    # it is a negative number, loads no re; fractions does
+    # argparse, which loads re, reads any argv that is not exact tokens; these
+    # commands pass exact tokens, which the exact-token reader reads without
+    # re, so this holds.  fractions loads re
     argv = _every_command(tmp_path, bundle, matrix_input, stream_input)[command]
     assert "re" not in _loaded(tmp_path, *argv, flags=("-S",))
 
