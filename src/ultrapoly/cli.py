@@ -18,9 +18,8 @@ import gc
 import os
 import sys
 import time
-from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import accumulate, chain, groupby, repeat
+from itertools import chain, groupby
 from operator import add, eq
 from types import SimpleNamespace
 
@@ -276,10 +275,10 @@ def _dump_json(path: str | os.PathLike, obj) -> None:
     serves one-shot dumps without one.  Most of a bundle sits in leaf
     containers (lists and objects of scalars: matrix rows, blocks,
     simplexes, vertex maps), so each leaf is one C-encoder call and only
-    the containers above the leaves are walked in Python; a list of
-    scalar leaf lists is written from a table of its scalars' texts or
-    encoded in batches.  Pieces are written as they are made: the whole
-    text would set the peak memory.
+    the containers above the leaves are walked in Python; a list of lists
+    of ints and None is written from a table of their texts, one per
+    depth, which strings stay out of.  Pieces are written as they are
+    made: the whole text would set the peak memory.
     """
     directory = os.path.dirname(path)
     if directory:
@@ -296,24 +295,14 @@ def _print_json(obj) -> None:
 
 
 _SCALAR_TYPES = frozenset({int, str, bool, type(None)})
-# scalars whose JSON text holds no comma or bracket
-_PLAIN_TYPES = frozenset({int, bool, type(None)})
-# scalars of which two are equal, as dict keys, only when their texts are:
-# no bool, since True == 1
-_TABLE_TYPES = frozenset({int, str, type(None)})
+# scalars equal as dict keys only when their texts are (True == 1 == 1.0), and
+# few distinct in a bundle, where strings may be a matrix's n^2 decimals
+_TABLE_TYPES = frozenset({int, type(None)})
 _LIST_TYPES = frozenset({list, tuple})
 
-#: Lines in one piece of a list of integer leaf lists, where a list takes
-#: a line per leaf and one per bracket (or one longer list): about one
-#: row of a 64-point distance matrix.
+#: Objects of a list of flat objects whose values under one key are one
+#: encoder call (``_write_flat_objects``).
 _BATCH_LINES = 64
-#: Times, on average, that each distinct leaf of the first list of a list
-#: of scalar lists must appear in it for the list to be written from a
-#: table of its leaves' texts: the table costs a lookup per leaf and an
-#: encoding per distinct leaf, which short lists (a level's blocks and
-#: simplexes) and mostly distinct leaves (a matrix of decimals) do not
-#: repay, while a matrix of exponents or a list of digit streams does.
-_REPEATS = 4
 
 
 @functools.cache
@@ -336,6 +325,25 @@ def _leaf_encoder(depth: int):
         None, _unserializable, ascii_text, None, ": ", separator, True, False, True
     )
     return lambda leaf: "".join(encode(leaf, 0))
+
+
+@functools.cache
+def _leaf_texts(depth: int) -> _Texts:
+    """The texts of ints and None at depth, each encoded once and kept for the process."""
+    return _Texts(_leaf_encoder(depth))
+
+
+class _Texts(dict):
+    """Scalars' texts, each written by encode the first time it is asked for."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode) -> None:
+        self.encode = encode
+
+    def __missing__(self, scalar) -> str:
+        text = self[scalar] = self.encode([scalar])[1:-1]
+        return text
 
 
 def _unserializable(obj):
@@ -368,13 +376,12 @@ def _write_json(write, obj, depth: int) -> None:
     """Write obj nested depth levels deep, in pieces: its items are indented depth + 1 levels.
 
     Scalars and leaf containers are written whole where they stand, so
-    only containers of containers recurse.  A list of leaf lists is
-    written without recursing: from ``_write_scalar_rows``' table when
-    the first list's leaves repeat and every leaf is an int, string or
-    None, else in ``_write_plain_rows``' batches when every leaf is an
-    int, bool or None, else items one by one; so is a list of flat
-    objects (``_write_flat_objects``).  A ``_GammaRows`` echo is written
-    row by row from its tree (``_write_echo``).
+    only containers of containers recurse.  A non-empty list of non-empty
+    lists of ints and None takes its scalars' texts from the depth's
+    ``_leaf_texts`` table, and a ``_GammaRows`` echo is made row by row
+    from its tree; both are written by ``_write_text_rows``.  A list of
+    flat objects is ``_write_flat_objects``', any other list is written
+    item by item.
     """
     text = _leaf_text(obj, depth)
     if text is not None:
@@ -384,20 +391,22 @@ def _write_json(write, obj, depth: int) -> None:
         brackets = "{}"
         entries = [(f"{_json_key(key)}: ", value) for key, value in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        if _LIST_TYPES.issuperset(map(type, obj)) and all(obj):
-            if _repeats(obj[0]) and _TABLE_TYPES.issuperset(map(type, chain.from_iterable(obj))):
-                _write_scalar_rows(write, obj, depth)
-                return
-            if _PLAIN_TYPES.issuperset(map(type, chain.from_iterable(obj))):
-                _write_plain_rows(write, obj, depth)
-                return
+        lists = _LIST_TYPES.issuperset(map(type, obj)) and all(obj)
+        if lists and _TABLE_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+            text_of = _leaf_texts(depth + 1).__getitem__
+            _write_text_rows(write, (map(text_of, row) for row in obj), depth)
+            return
         if _flat_objects(obj, depth):
             _write_flat_objects(write, obj, depth)
             return
         brackets = "[]"
         entries = [("", value) for value in obj]
     elif isinstance(obj, _GammaRows):
-        _write_echo(write, obj, depth)
+        # a row's values are mapped once per distinct exponent, so "INF" stays out of the table
+        rows = obj.tree._each_row(
+            lambda e: _leaf_text(_exponent_json(e), depth + 1), range(len(obj))
+        )
+        _write_text_rows(write, rows, depth)
         return
     else:  # a float, or a subclass of a scalar or of no JSON type
         write(_leaf_encoder(depth)([obj])[1:-1])
@@ -414,20 +423,6 @@ def _write_json(write, obj, depth: int) -> None:
             write(separator + prefix + text)
         separator = "," + inner
     write(outer + brackets[1])
-
-
-def _repeats(row) -> bool:
-    """Whether row, a leaf list, holds ints, strings and None that repeat ``_REPEATS`` times."""
-    return _TABLE_TYPES.issuperset(map(type, row)) and len(set(row)) * _REPEATS <= len(row)
-
-
-def _write_scalar_rows(write, rows, depth: int) -> None:
-    """Write a list, depth deep, of non-empty lists of ints, strings and None from one table.
-
-    The table encodes each distinct scalar once, when it is first met.
-    """
-    text_of = _Texts(_leaf_encoder(depth + 1)).__getitem__
-    _write_text_rows(write, (map(text_of, row) for row in rows), depth)
 
 
 def _write_text_rows(write, rows, depth: int) -> None:
@@ -476,55 +471,6 @@ class _GammaRows(Sequence):
         if not isinstance(other, (list, _GammaRows)):
             return NotImplemented
         return len(other) == len(self) and all(map(eq, self, other))
-
-
-def _write_echo(write, echo: _GammaRows, depth: int) -> None:
-    """Write echo depth deep, each row made from the tree as it is written.
-
-    Each distinct exponent's text is encoded once.
-    """
-    encode = _leaf_encoder(depth + 1)
-    rows = echo.tree._each_row(lambda e: encode([_exponent_json(e)])[1:-1], range(len(echo)))
-    _write_text_rows(write, rows, depth)
-
-
-class _Texts(dict):
-    """Scalars' texts, each written by encode the first time it is asked for."""
-
-    __slots__ = ("encode",)
-
-    def __init__(self, encode) -> None:
-        self.encode = encode
-
-    def __missing__(self, scalar) -> str:
-        text = self[scalar] = self.encode([scalar])[1:-1]
-        return text
-
-
-def _write_plain_rows(write, rows, depth: int) -> None:
-    """Write a list, depth deep, of non-empty lists of ints, bools and None, in batches.
-
-    The depth + 1 encoder writes a batch of rows with every separator
-    between leaves already right; two ``str.replace`` calls open each
-    row onto its own line and close it on one, and no text of such a
-    leaf holds a bracket or a comma.  A batch ends at the row that
-    brings it to ``_BATCH_LINES`` lines.
-    """
-    encode = _leaf_encoder(depth + 1)
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    leaf = inner + "  "
-    ends = list(accumulate(map(add, map(len, rows), repeat(2))))  # lines up to each row
-    start, separator = 0, "[" + inner
-    while start < len(rows):
-        base = ends[start - 1] if start else 0
-        stop = bisect_left(ends, base + _BATCH_LINES, start) + 1
-        # the batch less its outer opening bracket and its last two closing ones
-        text = encode(rows[start:stop])[1:-2]
-        text = text.replace("[", "[" + leaf).replace("]," + leaf, inner + "]," + inner)
-        write(f"{separator}{text}{inner}]")
-        start, separator = stop, "," + inner
-    write(outer + "]")
 
 
 def _flat_objects(objects, depth: int) -> bool:
@@ -1058,6 +1004,11 @@ def _streams(value, at) -> bool:  # the rule of padic._stream_fault, under the s
     )
 
 
+def _scaled_bound(value, at) -> bool:  # Schedule's rule: a level's threshold is b scaled by k
+    schedule = at.bundle["schedule"]
+    return value == GammaValue.from_json(schedule["b"][at.i]).scaled(schedule["k"][at.i]).to_json()
+
+
 def _per_level(entry):
     """The rule of a list of one entry per level, each of which entry accepts."""
     return lambda value, at: _is_list(value) and len(value) == at.count and all(map(entry, value))
@@ -1067,8 +1018,9 @@ def _per_level(entry):
 #: field's path ("[]" is each item of a list), the commands that check it,
 #: its rule, a predicate of the value and the walk's place, and what a
 #: refusal says the field must be.  A list's "[]" row checks every item
-#: before the rows of the items' fields run, item by item.  schedule's lists
-#: come last, so a bundle refused before they were checked keeps its message.
+#: before the rows of the items' fields run, item by item.  schedule's lists,
+#: and then their ties to the levels' scales and thresholds, come last, so a
+#: bundle refused before they were checked keeps its message.
 _BUNDLE_FIELDS = (
     ("space", _BOTH, _is_dict, "an object"),
     ("space.labels", _BOTH, _is_list, "a list"),
@@ -1110,6 +1062,10 @@ _BUNDLE_FIELDS = (
     ("schedule.k", _SHADOW, _per_level(_is_int), "a list of {count} integers, one per level"),
     ("schedule.b", _SHADOW, _per_level(_is_exponent),
      'a list of {count} integers or "INF", one per level'),
+    ("schedule.j", _SHADOW, lambda v, at: v == [level["scale"] for level in at.levels],
+     "the list of the levels' scales"),
+    ("levels[].threshold", _SHADOW, _scaled_bound,
+     'schedule.b[{i}] - schedule.k[{i}], or "INF" where schedule.b[{i}] is "INF"'),
     ("reports", _NONE, None, None),
 )
 

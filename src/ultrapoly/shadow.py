@@ -191,8 +191,10 @@ def shadow_bundle(bundle: dict) -> dict:
         }
         for bmap in bundle["bonding"]
     ]
+    schedule = bundle["schedule"]
     out = {
-        "schedule": bundle["schedule"],
+        # the fields Schedule.to_json writes, and no other the bundle holds
+        "schedule": {key: schedule[key] for key in ("j", "k", "b") if key in schedule},
         "levels": levels_json,
         "bonding": bonding_json,
         "reports": {"dim_preserved": dims_ok},

@@ -759,6 +759,20 @@ BAD_SCHEDULES = [
     (("schedule", "k", 0), "1"),
     (("schedule", "b"), lambda bundle: bundle["schedule"]["b"][:-1]),
 ]
+# schedules of one integer (or "INF" for b) per level that are not the levels'
+# own, each refused at the field it first contradicts: a four-level schedule cut
+# to the demo's three levels (j not the scales 0 to 2, k rising, every b "INF"),
+# and a copy with every k raised by one; the demo's schedule with every k raised
+# by one, or every b "INF": thresholds that are not b scaled by k
+UNTIED_SCHEDULES = [
+    ({"j": [9, 9, 9], "k": [5, 6, 7], "b": ["INF"] * 3}, "schedule.j"),
+    ({"j": [9, 9, 9], "k": [6, 7, 8], "b": ["INF"] * 3}, "schedule.j"),
+    (
+        lambda bundle: {**bundle["schedule"], "k": [k + 1 for k in bundle["schedule"]["k"]]},
+        "levels[0].threshold",
+    ),
+    (lambda bundle: {**bundle["schedule"], "b": ["INF"] * 3}, "levels[0].threshold"),
+]
 
 
 @pytest.mark.parametrize(
@@ -856,6 +870,7 @@ BAD_SCHEDULES = [
         (["export", "dot"], ("levels",), [], "levels"),
         # schedules that are not one integer (or "INF" for b) per level
         *((["shadow"], path, value, path[0] + "." + path[1]) for path, value in BAD_SCHEDULES),
+        *((["shadow"], ("schedule",), value, field) for value, field in UNTIED_SCHEDULES),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -921,13 +936,24 @@ def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
     assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
 
 
-@pytest.mark.parametrize("path, value", BAD_SCHEDULES)
+@pytest.mark.parametrize(
+    "path, value", [*BAD_SCHEDULES, *((("schedule",), value) for value, _ in UNTIED_SCHEDULES)]
+)
 def test_export_dot_does_not_read_schedule(tmp_path, capsys, demo_bundle, path, value):
     if callable(value):
         value = value(demo_bundle)
     bad = _write(tmp_path / "bad.json", _set_field(demo_bundle, path, value))
     assert main(["export", "dot", bad, "--out", str(tmp_path / "dots")]) == EXIT_OK
     assert len(list((tmp_path / "dots").glob("level_*.dot"))) == 3
+
+
+def test_shadow_echoes_only_the_schedule_fields_of_the_table(tmp_path, capsys, demo_bundle):
+    written = dict(demo_bundle["schedule"])
+    extra = _set_field(demo_bundle, ("schedule", "x"), {"anything": [1, 2]})
+    assert main(["shadow", _write(tmp_path / "x.json", extra), "--out", str(tmp_path)]) == EXIT_OK
+    echoed = json.loads((tmp_path / "shadow.json").read_text())["schedule"]
+    rows = {row[0] for row in _BUNDLE_FIELDS if row[0].startswith("schedule.")}
+    assert echoed == written and {f"schedule.{key}" for key in echoed} == rows
 
 
 FIELD_ROWS = {row[0] for row in _BUNDLE_FIELDS}

@@ -15,6 +15,7 @@ from ultrapoly.cli import (
     _dump_json,
     _GammaRows,
     _leaf_encoder,
+    _leaf_texts,
     _write_json,
     _write_outputs,
     main,
@@ -94,10 +95,12 @@ def test_writer_streams_in_pieces():
 
 @pytest.fixture
 def fresh_encoders():
-    """Empty the per-depth encoder cache before and after the test."""
+    """Empty the per-depth encoders and text tables before and after the test."""
     _leaf_encoder.cache_clear()
+    _leaf_texts.cache_clear()
     yield
     _leaf_encoder.cache_clear()
+    _leaf_texts.cache_clear()
 
 
 def _nested(depth: int) -> dict:
@@ -222,25 +225,26 @@ def test_writer_matches_json_dump_on_leaf_lists(
     assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def test_only_rows_of_ints_bools_and_none_are_batched(monkeypatch):
+def test_only_rows_of_ints_and_none_take_the_row_route(monkeypatch):
     routes = []
-    for name in ("_write_plain_rows", "_write_scalar_rows"):
 
-        def spy(write, rows, depth, name=name, original=getattr(cli, name)):
-            routes.append((name, rows))
-            original(write, rows, depth)
+    def spy(write, rows, depth, original=cli._write_text_rows):
+        rows = [list(texts) for texts in rows]
+        routes.append(rows)
+        original(write, rows, depth)
 
-        monkeypatch.setattr(cli, name, spy)
-    plain = [[1, True, None], (-(10**40),), [0]]
+    monkeypatch.setattr(cli, "_write_text_rows", spy)
+    ints = [[1, None, -(10**40)], (0,), (None, None), [7, 7, 7, 7]]
     short = [[1, 2], [3], [4, 5]]
-    # a first list whose leaves repeat, of ints, strings and None: the table
-    exponents = [[0, 1, "INF", None] * 4, (1, 1, 1, 1), ["a,b]"]]
-    # a bool anywhere keeps it out of the table, as True == 1
+    # a bool anywhere keeps rows off the table, as True == 1
+    plain = [[1, True, None], (-(10**40),), [0]]
     flags = [[True, 1, True, 1, 1, 1, 1, 1]]
     late_flag = [[1, 1, 1, 1], [True]]
+    # strings stay off it, so that a matrix's distinct decimals never fill it
+    exponents = [[0, 1, "INF", None] * 4, (1, 1, 1, 1), ["a,b]"]]
     decimals = [["0.1", "0.2", "1/3", "4"], ["0.1", "1", "2", "3"]]
     cases = [
-        plain, short, exponents, flags, late_flag, decimals,
+        ints, short, plain, flags, late_flag, exponents, decimals,
         [[1], ["a,b]"]], [[1], []], [[1], [1.5]], [[2, 2, 2, 2], [2.0]],
     ]
     for rows in cases:
@@ -248,14 +252,32 @@ def test_only_rows_of_ints_bools_and_none_are_batched(monkeypatch):
         pieces: list[str] = []
         _write_json(pieces.append, rows, 0)
         assert "".join(pieces) == text
-    # mostly distinct strings, empty lists and floats take the route of one item at a time
-    assert routes == [
-        ("_write_plain_rows", plain),
-        ("_write_plain_rows", short),
-        ("_write_scalar_rows", exponents),
-        ("_write_plain_rows", flags),
-        ("_write_plain_rows", late_flag),
-    ]
+    # bools, strings, floats and empty lists take the route of one item at a time
+    texts = [[[json.dumps(leaf) for leaf in row] for row in rows] for rows in (ints, short)]
+    assert routes == texts
+
+
+@pytest.mark.parametrize("admitted", [cli._TABLE_TYPES, cli._TABLE_TYPES | {str}])
+def test_no_text_table_holds_a_string(tmp_path, monkeypatch, fresh_encoders, admitted):
+    # the 256-point raw matrix of CI's writer step: its space.json echoes
+    # the matrix's decimals, whose texts no table may keep
+    rng, n = random.Random(3), 256
+    rows: list[list] = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+    path = tmp_path / "raw256.json"
+    labels = [f"r{i}" for i in range(n)]
+    path.write_text(json.dumps({"labels": labels, "prime": 3, "matrix": rows}))
+    monkeypatch.setattr(cli, "_TABLE_TYPES", admitted)
+    _, outputs, code = run(PipelineConfig(), path)
+    assert code == 0
+    _dump_json(tmp_path / "space.json", outputs["space.json"])
+    text = (tmp_path / "space.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    strings = sum(type(key) is str for depth in range(4) for key in _leaf_texts(depth))
+    # the guard is live: a table that admits strings holds the matrix's
+    assert (strings > 0) == (str in admitted)
 
 
 # leaves drawn from a few, so that they repeat: values equal as dict keys but
