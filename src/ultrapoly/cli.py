@@ -37,6 +37,7 @@ from .padic import (
     _digits_of,
     _exact_pair,
     _exponent_json,
+    _schedule_fault,
     _stream_fault,
     is_prime,
 )
@@ -1009,6 +1010,11 @@ def _scaled_bound(value, at) -> bool:  # Schedule's rule: a level's threshold is
     return value == GammaValue.from_json(schedule["b"][at.i]).scaled(schedule["k"][at.i]).to_json()
 
 
+def _ordered_schedule(value, at) -> bool:  # Schedule's order rules, padic._schedule_fault
+    at.fault = _schedule_fault(value["j"], value["k"], [*map(GammaValue.from_json, value["b"])])
+    return at.fault is None
+
+
 def _per_level(entry):
     """The rule of a list of one entry per level, each of which entry accepts."""
     return lambda value, at: _is_list(value) and len(value) == at.count and all(map(entry, value))
@@ -1019,8 +1025,9 @@ def _per_level(entry):
 #: its rule, a predicate of the value and the walk's place, and what a
 #: refusal says the field must be.  A list's "[]" row checks every item
 #: before the rows of the items' fields run, item by item.  schedule's lists,
-#: and then their ties to the levels' scales and thresholds, come last, so a
-#: bundle refused before they were checked keeps its message.
+#: then their ties to the levels' scales and thresholds, then Schedule's order
+#: rules, come last, so a bundle refused before they were checked keeps its
+#: message.
 _BUNDLE_FIELDS = (
     ("space", _BOTH, _is_dict, "an object"),
     ("space.labels", _BOTH, _is_list, "a list"),
@@ -1066,6 +1073,7 @@ _BUNDLE_FIELDS = (
      "the list of the levels' scales"),
     ("levels[].threshold", _SHADOW, _scaled_bound,
      'schedule.b[{i}] - schedule.k[{i}], or "INF" where schedule.b[{i}] is "INF"'),
+    ("schedule", _SHADOW, _ordered_schedule, "a schedule whose order rules hold: {fault}"),
     ("reports", _NONE, None, None),
 )
 

@@ -281,6 +281,31 @@ class GammaValue(Frozen):
 GAMMA_ZERO = GammaValue(None)
 
 
+def _schedule_fault(j: Sequence[int], k: Sequence[int], b: Sequence[GammaValue]) -> str | None:
+    """Why (j, k, b) is no level schedule, or None: the schedule's order rules.
+
+    Equal lengths and at least one level; j increases strictly, k never
+    increases, and the thresholds p^k * b never grow level over level.
+    """
+    if not (len(j) == len(k) == len(b)):
+        return "schedule components must have equal length"
+    if not j:
+        return "schedule must have at least one level"
+    if any(later <= earlier for earlier, later in zip(j, j[1:])):
+        return "ball scales j(m) must increase strictly"
+    if any(later > earlier for earlier, later in zip(k, k[1:])):
+        return "threshold factors must satisfy k(m+1) <= k(m)"
+    # the nerve threshold p^k * b of each level; 0 (INF) is the smallest
+    thresholds = [bound.scaled(factor) for bound, factor in zip(b, k)]
+    for m in range(1, len(thresholds)):
+        if thresholds[m - 1] < thresholds[m]:
+            return (
+                f"the threshold p^k * b of level {m} exceeds that of level {m - 1}:"
+                " thresholds must not grow"
+            )
+    return None
+
+
 def _exponent_json(exponent: int | None) -> int | str:
     """An exponent as every output writes it: None (INFINITY, distance 0) is "INF"."""
     return "INF" if exponent is None else exponent

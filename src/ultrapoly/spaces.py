@@ -195,11 +195,10 @@ def _integer_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _violation_masks(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
-    # rows hold exact, comparable entries: integer keys, or the
-    # constructor's exponent weights.  below[i][k] is the bitset of j with
-    # d(i,j) < d(i,k); (i, j, k) violates exactly when j is in below[i][k]
-    # and in below[k][i].  j = i and j = k never are, because d(k,i) <
-    # d(k,i) and d(i,k) < d(i,k) fail.
+    # rows hold exact, comparable entries: integer keys or weights.
+    # below[i][k] is the bitset of j with d(i,j) < d(i,k); (i, j, k)
+    # violates exactly when j is in below[i][k] and in below[k][i].  j = i
+    # and j = k never are, because d(k,i) < d(k,i) and d(i,k) < d(i,k) fail.
     n = len(rows)
     below = []
     for row in rows:
@@ -286,13 +285,13 @@ def _single_linkage(rows: list[list[int]]) -> Iterator[tuple[int, int, list[int]
             block_of[x] = a
 
 
-def _ultrametric_order(rows: list[list[int]]) -> list[int] | None:
-    """A leaf order of the single-linkage dendrogram; None when rows is not an ultrametric.
+def _proved_order(rows: list[list[int]], labels: Sequence[str]) -> list[int]:
+    """A leaf order of the single-linkage dendrogram of rows, proved an ultrametric.
 
     A symmetric matrix with zero diagonal is an ultrametric exactly when
     every entry equals the weight of the single-linkage merge that joins
     its pair (the minimax path distance never exceeds the entry, with
-    equality for all pairs only in an ultrametric).
+    equality for all pairs only in an ultrametric); else it raises the witness.
     """
     order = [0] if rows else []
     for u, v, a, b in _single_linkage(rows):
@@ -300,7 +299,7 @@ def _ultrametric_order(rows: list[list[int]]) -> list[int] | None:
         for x in a:
             row_x = rows[x]
             if any(row_x[y] != weight for y in b):
-                return None
+                raise NotUltrametricError(Violations(_violation_masks(rows)), labels)
         order = a
     return order
 
@@ -588,33 +587,6 @@ def _check_labels(labels: Sequence[str], prime: int) -> None:
         raise ValueError("labels must be unique")
 
 
-def _proved_tree(labels: Sequence[str], prime: int, rows, exponent=None) -> MergeTree:
-    """The merge tree of ``rows``, each entry read by ``exponent`` (default: as is).
-
-    Every check of a space, raising at the first fault in scan order; the
-    strong triangle inequality is single linkage, O(n^2).
-    """
-    _check_labels(labels, prime)
-    n = len(labels)
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise MatrixShapeError("distance matrix must be square over the labels")
-    expo = tuple(tuple(row if exponent is None else map(exponent, row)) for row in rows)
-    if any(expo[i][i] is not None for i in range(n)) or list(zip(*expo)) != list(expo):
-        for i in range(n):
-            if expo[i][i] is not None:
-                raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
-            for j in range(i + 1, n):
-                if expo[i][j] != expo[j][i]:
-                    raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-    # weights -e: larger for a larger distance, and lowest for the metric value 0 (None)
-    top = max((e for row in expo for e in row if e is not None), default=-1) + 1
-    weights = [[-top if e is None else -e for e in row] for row in expo]
-    order = _ultrametric_order(weights)
-    if order is None:
-        raise NotUltrametricError(Violations(_violation_masks(weights)), labels)
-    return MergeTree(order, [expo[x][y] for x, y in zip(order, order[1:])])
-
-
 class UltraSpace(Frozen):
     """A finite labeled point set with exponent-encoded ultrametric distances.
 
@@ -637,7 +609,25 @@ class UltraSpace(Frozen):
         dist: tuple[tuple[GammaValue, ...], ...],
     ) -> None:
         super().__init__(labels, prime, dist)
-        object.__setattr__(self, "tree", _proved_tree(labels, prime, dist, attrgetter("exponent")))
+        # every check of a space, raising at the first fault in scan order
+        _check_labels(labels, prime)
+        n = len(labels)
+        if len(dist) != n or any(len(row) != n for row in dist):
+            raise MatrixShapeError("distance matrix must be square over the labels")
+        expo = tuple(tuple(map(attrgetter("exponent"), row)) for row in dist)
+        if any(expo[i][i] is not None for i in range(n)) or list(zip(*expo)) != list(expo):
+            for i in range(n):
+                if expo[i][i] is not None:
+                    raise NonzeroDiagonalError(f"diagonal entry at index {i} is nonzero")
+                for j in range(i + 1, n):
+                    if expo[i][j] != expo[j][i]:
+                        raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
+        # weights -e: larger for a larger distance, and lowest for the metric value 0 (None)
+        top = max((e for row in expo for e in row if e is not None), default=-1) + 1
+        weights = [[-top if e is None else -e for e in row] for row in expo]
+        order = _proved_order(weights, labels)
+        tree = MergeTree(order, [expo[x][y] for x, y in zip(order, order[1:])])
+        object.__setattr__(self, "tree", tree)
 
     @classmethod
     def _from_tree(cls, labels: tuple[str, ...], prime: int, tree: MergeTree) -> "UltraSpace":
@@ -706,7 +696,7 @@ def round_space(
     sandwich rounded <= original <= p * rounded.  An entry may also be a
     parsed (numerator, denominator) pair (see ``_exact_rows``).
 
-    ``_ultrametric_order`` proves the keys in O(n^2) integer comparisons,
+    ``_proved_order`` proves the keys in O(n^2) integer comparisons,
     or the witness is the first violating triple in scan order.  Each
     entry is a merge weight that joins two neighbours of the order, so
     each distinct neighbour key (at most n - 1) is rounded once, on its
@@ -717,9 +707,7 @@ def round_space(
         raise MatrixShapeError("labels and matrix size differ")
     keys = _exact_rows(matrix)
     check_prime(p)
-    order = _ultrametric_order(keys)
-    if order is None:
-        raise NotUltrametricError(Violations(_violation_masks(keys)), labels)
+    order = _proved_order(keys, labels)
     labels = tuple(labels)
     _check_labels(labels, p)
     exponent = {0: None}
@@ -735,24 +723,27 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-def _pair_table(order: list[int], sizes: list[int], common: list[int], base: int) -> list[list]:
-    """Each pair's first difference from base (None: a prefix), for windows sorted by order.
+def _pair_weights(order: list[int], sizes: list[int], common: list[int]) -> list[list[int]]:
+    """Each pair's single-linkage weight, for windows sorted by order.
 
     ``sizes`` holds the sorted windows' lengths and ``common`` each
     neighbour pair's common prefix.  Two sorted windows share the least
     common prefix of the neighbours between them, and the first is a
-    prefix of the second exactly when that is its whole length: O(n^2).
+    prefix of the second exactly when that is its whole length.  A pair
+    weighs minus its first difference, or -max(sizes), the lowest, at
+    distance 0 (itself or a prefix); one int per weight: O(n^2).
     """
     n = len(order)
-    table: list[list] = [[None] * n for _ in range(n)]
+    minus = [-c for c in range(max(sizes) + 1)]
+    weights = [[minus[-1]] * n for _ in range(n)]
     for a in range(n):
         x, low = order[a], sizes[a]
         for b in range(a + 1, n):
             if common[b - 1] < low:
                 low = common[b - 1]
             if low < sizes[a]:
-                table[x][order[b]] = table[order[b]][x] = base + low
-    return table
+                weights[x][order[b]] = weights[order[b]][x] = minus[low]
+    return weights
 
 
 def space_from_points(
@@ -775,8 +766,8 @@ def space_from_points(
     differ.  A window's extensions form one run right after it, so one
     pass decides it: ``shortest``, the length of the shortest window that
     is a prefix of the current one, must exceed the common prefix of each
-    neighbour pair that differs.  Only a failed check builds the pair
-    table, O(n^2), for ``_proved_tree`` to name the witness and count.
+    neighbour pair that differs.  Only a failed check weighs each pair,
+    O(n^2), and raises the witness from those weights, with no single linkage.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -804,9 +795,9 @@ def space_from_points(
         if c == sizes[i]:  # a sorted window can only be a prefix of the next
             heights.append(None)
         elif c >= shortest:
-            # a window is a prefix of two that differ: the pair table names the witness
-            table = _pair_table(order, sizes, common, base)
-            return UltraSpace._from_tree(labels, p, _proved_tree(labels, p, table))
+            # a window is a prefix of two that differ: the pair weights name the witness
+            weights = _pair_weights(order, sizes, common)
+            raise NotUltrametricError(Violations(_violation_masks(weights)), labels)
         else:
             heights.append(base + c)
             shortest = sizes[i + 1]

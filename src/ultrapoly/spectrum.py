@@ -20,7 +20,7 @@ from itertools import combinations, compress
 from operator import ne
 
 from .nerve import NestingError, _crossing_block, _parents, build_nerve, realize, scale_cover
-from .padic import Frozen, GammaValue, PAdic, check_prime
+from .padic import Frozen, GammaValue, PAdic, _schedule_fault, check_prime
 from .spaces import (
     C0Vector,
     MergeTree,
@@ -49,31 +49,16 @@ class Schedule(Frozen):
 
     j must increase strictly (covers shrink), k must not increase, and
     the induced thresholds p^k * b must not grow level over level; any
-    other schedule raises ScheduleError.
+    other schedule raises ScheduleError (``padic._schedule_fault``, whose
+    rules the bundle loader shares).
     """
 
     __slots__ = ("j", "k", "b")
 
     def __init__(self, j: tuple[int, ...], k: tuple[int, ...], b: tuple[GammaValue, ...]) -> None:
         super().__init__(j, k, b)
-        if not (len(j) == len(k) == len(b)):
-            raise ScheduleError("schedule components must have equal length")
-        if not j:
-            raise ScheduleError("schedule must have at least one level")
-        for a, b_ in zip(j, j[1:]):
-            if b_ <= a:
-                raise ScheduleError("ball scales j(m) must increase strictly")
-        for a, b_ in zip(k, k[1:]):
-            if b_ > a:
-                raise ScheduleError("threshold factors must satisfy k(m+1) <= k(m)")
-        # the nerve threshold p^k * b of each level; 0 (INF) is the smallest
-        thresholds = [bound.scaled(factor) for bound, factor in zip(b, k)]
-        for m in range(1, len(thresholds)):
-            if thresholds[m - 1] < thresholds[m]:
-                raise ScheduleError(
-                    f"the threshold p^k * b of level {m} exceeds that of level {m - 1}:"
-                    " thresholds must not grow"
-                )
+        if fault := _schedule_fault(j, k, b):
+            raise ScheduleError(fault)
 
     @property
     def depth(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -169,3 +170,63 @@ def prefix_chain_families(draw):
     if draw(st.integers(0, 3)) == 0:
         points.append(PAdic.zero(p, draw(st.integers(1, 6))))
     return draw(st.permutations(points))
+
+
+# ------------------------------------------------------ every small space
+
+
+def small_ultrametrics(n: int, top: int) -> list[list[list[int | None]]]:
+    """Every separated ultrametric on n points with exponents in 0..top, one per
+    relabeling class, as its exponent table (None on the diagonal).
+
+    Such a space is a chain of partitions: the classes of {e >= t} for t = 0
+    to top + 1, from one block to singletons.  Up to relabeling, a block at
+    level t is the multiset of its blocks at level t + 1, each taken up to
+    relabeling in turn, so the classes are built as those multisets directly,
+    with no pass over the n! relabelings.
+    """
+    tables = []
+    for block in _blocks(n, 0, top):
+        table: list[list[int | None]] = [[None] * n for _ in range(n)]
+        _number(block, 0, table, 0)
+        tables.append(table)
+    return tables
+
+
+@functools.cache
+def _blocks(n: int, t: int, top: int) -> tuple:
+    """Each class of a block of n points at level t, as the sorted tuple of its
+    blocks at level t + 1, each (size, class); a point is the empty tuple."""
+    if n == 1:
+        return ((),)
+    if t > top:  # two points at level top + 1 would lie at distance 0
+        return ()
+    parts = [(size, block) for size in range(1, n + 1) for block in _blocks(size, t + 1, top)]
+    return tuple(_multisets(parts, n, 0))
+
+
+def _multisets(parts: list, n: int, first: int):
+    """The multisets of parts from index first on whose sizes sum to n, in index order."""
+    if n == 0:
+        yield ()
+        return
+    for i in range(first, len(parts)):
+        if parts[i][0] <= n:
+            for rest in _multisets(parts, n - parts[i][0], i):
+                yield (parts[i], *rest)
+
+
+def _number(block: tuple, t: int, table: list, start: int) -> list[int]:
+    """The points of block, numbered from start; pairs across its parts meet at t."""
+    if not block:
+        return [start]
+    parts = []
+    for size, part in block:
+        parts.append(_number(part, t + 1, table, start))
+        start += size
+    for a, ours in enumerate(parts):
+        for theirs in parts[a + 1 :]:
+            for x in ours:
+                for y in theirs:
+                    table[x][y] = table[y][x] = t
+    return [x for part in parts for x in part]

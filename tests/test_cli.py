@@ -775,6 +775,28 @@ UNTIED_SCHEDULES = [
 ]
 
 
+def _tied(field, values, **schedule):
+    """A function of the bundle: it sets field of each level to values in turn, and
+    returns the bundle's schedule with the lists in schedule put in."""
+
+    def tie(bundle):
+        for level, value in zip(bundle["levels"], values):
+            level[field] = value
+        return {**bundle["schedule"], **schedule}
+
+    return tie
+
+
+# schedules tied to their levels that break Schedule's order rules: scales that
+# fall, thresholds that grow with every k 0, and k rising with b raised to match
+# each threshold (the demo's are 0 to 2, with every k 0)
+ORDERLESS_SCHEDULES = [
+    _tied("scale", [2, 1, 0], j=[2, 1, 0]),
+    _tied("threshold", [2, 1, 0], b=[2, 1, 0]),
+    _tied("threshold", [0, 1, 2], k=[0, 1, 2], b=[0, 2, 4]),
+]
+
+
 @pytest.mark.parametrize(
     "command, path, value, field",
     [
@@ -871,6 +893,7 @@ UNTIED_SCHEDULES = [
         # schedules that are not one integer (or "INF" for b) per level
         *((["shadow"], path, value, path[0] + "." + path[1]) for path, value in BAD_SCHEDULES),
         *((["shadow"], ("schedule",), value, field) for value, field in UNTIED_SCHEDULES),
+        *((["shadow"], ("schedule",), value, "schedule") for value in ORDERLESS_SCHEDULES),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -937,7 +960,12 @@ def test_export_dot_does_not_read_bonding(tmp_path, capsys, demo_bundle):
 
 
 @pytest.mark.parametrize(
-    "path, value", [*BAD_SCHEDULES, *((("schedule",), value) for value, _ in UNTIED_SCHEDULES)]
+    "path, value",
+    [
+        *BAD_SCHEDULES,
+        *((("schedule",), value) for value, _ in UNTIED_SCHEDULES),
+        *((("schedule",), value) for value in ORDERLESS_SCHEDULES),
+    ],
 )
 def test_export_dot_does_not_read_schedule(tmp_path, capsys, demo_bundle, path, value):
     if callable(value):

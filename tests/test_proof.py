@@ -181,13 +181,13 @@ def counters(monkeypatch):
     monkeypatch.setattr(UltraSpace, "__init__", counted_init)
     monkeypatch.setattr(UltraSpace, "dist", counted)
     # control: the counters see a constructor's proof and a first read of dist;
-    # streams pass their check with no proof, and a failed check's proof, which
-    # names its witness, is one single-linkage pass
+    # streams pass their check with no proof, and a failed check names its
+    # witness from the pair weights, with no proof either
     space = UltraSpace(("a", "b"), 2, ((GAMMA_ZERO, GammaValue(1)), (GammaValue(1), GAMMA_ZERO)))
     assert space_from_points(_streams([1, 0], [1, 1, 1]), ["a", "b"]).dist == space.dist
     with pytest.raises(NotUltrametricError):
         space_from_points(_streams([0, 1], [0, 1, 1], [0, 1, 0]))
-    assert counts == {"linkage": 2, "init": 1, "dist": 1}
+    assert counts == {"linkage": 1, "init": 1, "dist": 1}
     counts.update(linkage=0, init=0, dist=0)
     return counts
 
@@ -214,6 +214,14 @@ def test_the_raw_path_runs_single_linkage_in_closure_and_rounding_only(tmp_path,
     report = _run(tmp_path, obj, ("validate", "round", "expand", "verify", "shadow"))
     assert report.stages["round"]["merged"] == [("f", "b")]
     assert counters == {"linkage": 2, "init": 0, "dist": 0}
+
+
+def test_a_failed_stream_check_runs_no_single_linkage_and_builds_no_space(counters):
+    # [0,1] is a prefix of the other two, which differ: the check fails
+    with pytest.raises(NotUltrametricError) as info:
+        space_from_points(_streams([0, 1], [0, 1, 1], [0, 1, 0]))
+    assert info.value.triple == (1, 0, 2) and len(info.value.violations) == 1
+    assert counters == {"linkage": 0, "init": 0, "dist": 0}
 
 
 def test_the_padic_path_on_windows_that_end_apart_runs_no_single_linkage(tmp_path, counters):

@@ -588,17 +588,17 @@ def one_window_families(draw):
 def test_point_spaces_match_the_difference_oracle(points):
     table = difference_exponents(points)
     one_window = len({x.known_upto() for x in points if not x.is_zero}) <= 1
-    proof = mock.patch.object(spaces_module, "_proved_tree", wraps=spaces_module._proved_tree)
-    with proof as route:
+    weights = mock.patch.object(spaces_module, "_pair_weights", wraps=spaces_module._pair_weights)
+    with weights as route:
         try:
             space = space_from_points(points)
         except NotUltrametricError:
             # only windows that end apart can break the inequality, and only
-            # a failed check builds the pair table and proves it
+            # a failed check weighs every pair to name its witness
             assert not one_window and not strong_triangle_by_thresholds(table)
             assert route.call_count == 1
             return
-    # the sorted windows build every passing family's tree, with no proof
+    # the sorted windows build every passing family's tree, with no pair weights
     assert route.call_count == 0
     assert strong_triangle_by_thresholds(table)
     assert space.tree.rows() == table
