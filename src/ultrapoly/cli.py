@@ -20,7 +20,7 @@ import sys
 import time
 from collections.abc import Sequence
 from itertools import chain, groupby
-from operator import add, eq
+from operator import eq
 from types import SimpleNamespace
 
 try:
@@ -276,10 +276,10 @@ def _dump_json(path: str | os.PathLike, obj) -> None:
     serves one-shot dumps without one.  Most of a bundle sits in leaf
     containers (lists and objects of scalars: matrix rows, blocks,
     simplexes, vertex maps), so each leaf is one C-encoder call and only
-    the containers above the leaves are walked in Python; a list of lists
-    of ints and None is written from a table of their texts, one per
-    depth, which strings stay out of.  Pieces are written as they are
-    made: the whole text would set the peak memory.
+    the containers above the leaves are walked in Python, item by item;
+    a list of lists of ints and None is written from a table of their
+    texts, one per depth, which strings stay out of.  Pieces are written
+    as they are made: the whole text would set the peak memory.
     """
     directory = os.path.dirname(path)
     if directory:
@@ -300,10 +300,6 @@ _SCALAR_TYPES = frozenset({int, str, bool, type(None)})
 # few distinct in a bundle, where strings may be a matrix's n^2 decimals
 _TABLE_TYPES = frozenset({int, type(None)})
 _LIST_TYPES = frozenset({list, tuple})
-
-#: Objects of a list of flat objects whose values under one key are one
-#: encoder call (``_write_flat_objects``).
-_BATCH_LINES = 64
 
 
 @functools.cache
@@ -380,9 +376,8 @@ def _write_json(write, obj, depth: int) -> None:
     only containers of containers recurse.  A non-empty list of non-empty
     lists of ints and None takes its scalars' texts from the depth's
     ``_leaf_texts`` table, and a ``_GammaRows`` echo is made row by row
-    from its tree; both are written by ``_write_text_rows``.  A list of
-    flat objects is ``_write_flat_objects``', any other list is written
-    item by item.
+    from its tree; both are written by ``_write_text_rows``.  Any other
+    list, a list of objects too, is written item by item.
     """
     text = _leaf_text(obj, depth)
     if text is not None:
@@ -396,9 +391,6 @@ def _write_json(write, obj, depth: int) -> None:
         if lists and _TABLE_TYPES.issuperset(map(type, chain.from_iterable(obj))):
             text_of = _leaf_texts(depth + 1).__getitem__
             _write_text_rows(write, (map(text_of, row) for row in obj), depth)
-            return
-        if _flat_objects(obj, depth):
-            _write_flat_objects(write, obj, depth)
             return
         brackets = "[]"
         entries = [("", value) for value in obj]
@@ -472,54 +464,6 @@ class _GammaRows(Sequence):
         if not isinstance(other, (list, _GammaRows)):
             return NotImplemented
         return len(other) == len(self) and all(map(eq, self, other))
-
-
-def _flat_objects(objects, depth: int) -> bool:
-    """Whether objects, a list depth deep, holds objects of one set of string keys
-    whose first one's values are all scalars or leaf containers."""
-    first = objects[0]
-    return (
-        type(first) is dict
-        and bool(first)
-        and all(type(key) is str for key in first)
-        and all(_leaf_text(value, depth + 2) is not None for value in first.values())
-        and all(type(obj) is dict and obj.keys() == first.keys() for obj in objects)
-    )
-
-
-def _write_flat_objects(write, objects, depth: int) -> None:
-    """Write a list, depth deep, of ``_flat_objects``, each object one piece.
-
-    Objects are taken ``_BATCH_LINES`` at a time, and a key's values in a
-    batch, when all are scalars, are one encoder call: its item
-    separator holds a line break, which no scalar's text holds (json
-    escapes control characters), so splitting there parts them.  An
-    object with a value that is no scalar or leaf container is written
-    as any other.
-    """
-    keys = sorted(objects[0])
-    inner = "\n" + "  " * (depth + 1)
-    entry = inner + "  "
-    prefixes = [f"{entry}{_json_key(key)}: " for key in keys]
-    encode = _leaf_encoder(depth + 1)
-    separator = "[" + inner
-    for start in range(0, len(objects), _BATCH_LINES):
-        batch = objects[start : start + _BATCH_LINES]
-        columns = []
-        for key in keys:
-            values = [obj[key] for obj in batch]
-            if _SCALAR_TYPES.issuperset(map(type, values)):
-                columns.append(encode(values)[1:-1].split("," + entry))
-            else:
-                columns.append([_leaf_text(value, depth + 2) for value in values])
-        for obj, texts in zip(batch, zip(*columns)):
-            if None in texts:
-                write(separator)
-                _write_json(write, obj, depth + 1)
-            else:
-                write(f"{separator}{{{','.join(map(add, prefixes, texts))}{inner}}}")
-            separator = "," + inner
-    write(inner[:-2] + "]")
 
 
 def _json_key(key) -> str:

@@ -14,6 +14,7 @@ INFINITY exponent (p^(-inf)).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache, total_ordering
 from math import gcd
@@ -320,7 +321,8 @@ def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
     form (signs, exponents, whitespace, underscores, non-ASCII digits,
     ``1/0``, junk) goes to ``Fraction``.  The fast path reads the digit
     runs in the order ``Fraction`` does, so an over-long run raises the
-    same error.
+    same error.  An exponent form is refused where the decimal it means,
+    written out, would be: before ``Fraction`` builds its power of 10.
     """
     if type(value) is int:
         return value, 1
@@ -342,8 +344,20 @@ def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
                 if den:
                     g = gcd(num, den)
                     return num // g, den // g
-    from fractions import Fraction
+    from fractions import _RATIONAL_FORMAT, Fraction
 
+    form = type(value) is str and _RATIONAL_FORMAT.match(value)
+    if form and form["exp"]:
+        shift = int(form["exp"])
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where int() reads any run
+        whole, fraction = ((form[part] or "").replace("_", "") for part in ("num", "decimal"))
+        # the written-out decimal's whole and fractional runs, as int() would read them
+        for run in (len(whole) + shift, len(fraction) - shift):
+            if 0 < limit < run:
+                raise ValueError(
+                    f"Exceeds the limit ({limit} digits) for integer string conversion: "
+                    f"value has {run} digits; use sys.set_int_max_str_digits() to increase the limit"
+                )
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator, value.denominator

