@@ -46,6 +46,7 @@ from .spaces import (
     NotUltrametricError,
     UltraSpace,
     Violations,
+    _exact_rows,
     quotient_zero,
     round_space,
     space_from_points,
@@ -587,10 +588,12 @@ def _parse_streams(obj: dict, prime: int, precision: int, path) -> list[PAdic]:
 
 
 def _validate_matrix(
-    labels: list[str], rows: list[list[tuple[int, int]]], report: RunReport, rounding: bool
+    labels: list[str], rows: Sequence[list], report: RunReport, rounding: bool, t0: float
 ) -> bool:
-    """The validate stage on matrix input; violations fail it unless rounding follows."""
-    t0 = time.perf_counter()
+    """The validate stage on matrix input, begun at t0; violations fail it unless rounding follows.
+
+    rows may be the keys of ``spaces._exact_rows``, so a matrix is keyed once.
+    """
     violations = validate_ultrametric(labels, rows)
     if violations and not rounding:
         _fail_validate(labels, violations, report, t0)
@@ -630,11 +633,14 @@ def _space_from_input(
     do_round = "round" in config.stages
 
     if rows is not None and do_round:
-        # a violation passes validate here: it is what the closure mends
-        if do_validate:
-            _validate_matrix(labels, rows, report, rounding=True)
+        # the rows are keyed once, for validate and the closure; a violation
+        # passes validate here: it is what the closure mends
         t0 = time.perf_counter()
-        space = round_space(labels, subdominant_closure(rows), prime)
+        keys = _exact_rows(rows)
+        if do_validate:
+            _validate_matrix(labels, keys, report, rounding=True, t0=t0)
+            t0 = time.perf_counter()
+        space = round_space(labels, subdominant_closure(keys), prime)
     else:
         t0 = time.perf_counter()
         try:
@@ -873,7 +879,8 @@ def _cmd_validate(args) -> int:
     if rows is None:  # the proof that builds the streams' space
         _space_from_input(obj, rows, PipelineConfig(stages=("validate",)), report, args.input)
     else:  # a matrix is checked as written, so its entries need not be powers of p
-        _validate_matrix([str(s) for s in obj["labels"]], rows, report, rounding=False)
+        labels = [str(s) for s in obj["labels"]]
+        _validate_matrix(labels, rows, report, rounding=False, t0=time.perf_counter())
     _print_json(report.to_json())
     return EXIT_VERIFY if report.failed else EXIT_OK
 

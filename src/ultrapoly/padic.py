@@ -321,7 +321,8 @@ def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
     form (signs, exponents, whitespace, underscores, non-ASCII digits,
     ``1/0``, junk) goes to ``Fraction``.  The fast path reads the digit
     runs in the order ``Fraction`` does, so an over-long run raises the
-    same error.  An exponent form is refused where the decimal it means,
+    same error, and before it builds any power of 10, so that error
+    costs no more than the run's own text.  An exponent form is refused where the decimal it means,
     written out, would be: before ``Fraction`` builds its power of 10.
     """
     if type(value) is int:
@@ -329,9 +330,11 @@ def _exact_pair(value: int | str | Fraction) -> tuple[int, int]:
     if type(value) is str and value.isascii():
         whole, dot, digits = value.partition(".")
         if dot:
-            if (whole + digits).isdigit():
+            # each run is checked on its own, with no joined copy of the text
+            if value != "." and (whole or "0").isdigit() and (digits or "0").isdigit():
+                head, tail = int(whole or "0"), int(digits or "0")
                 scale = 10 ** len(digits)
-                num = int(whole or "0") * scale + int(digits or "0")
+                num = head * scale + tail
                 g = gcd(num, scale)
                 return num // g, scale // g
         else:

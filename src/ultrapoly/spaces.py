@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import chain, islice
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, eq, itemgetter, lt
 
 from .padic import (
     GAMMA_ZERO,
@@ -80,24 +80,42 @@ def _entry_pair(entry) -> tuple[int, int]:
     return _exact_pair(entry)
 
 
+class _Keys(list):
+    """The rows of ``_exact_rows``: the integer keys of a matrix, with the matrix.
+
+    ``_exact_rows`` hands such rows back as they are, so a caller that
+    keys a matrix once can pass the keys to each step that reads it, and
+    a step reads an entry's value from ``matrix``.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, rows: Iterable[list[int]], matrix: Sequence[Sequence]) -> None:
+        super().__init__(rows)
+        self.matrix = matrix
+
+
 def _exact_rows(
     matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]],
-) -> list[list[int]]:
+) -> _Keys:
     """The integer keys of a checked dissimilarity matrix, row by row.
 
     An entry is an int, a str or a Fraction, read as ``Fraction`` reads
     it, or a pair (a, b) of ints with b > 0 standing for a/b, as
     ``cli.load_input`` makes them.  Each distinct entry object is read
     once, and keyed once by ``_integer_keys``; the rows are then C-level
-    lookups by ``id``.  So the rows of ``subdominant_closure``, which
-    share one object per merge weight, cost a lookup per entry.  Keys
-    are equal exactly where the values are, so shape, diagonal, sign and
-    symmetry are checked on them, with the errors and texts of a scan in
-    order i, then j > i.  A caller that needs an entry's value reads it
-    again with ``_entry_pair``.
+    lookups by ``id``.  Keys are equal exactly where the values are, so
+    shape, diagonal, sign and symmetry are checked on them, with the
+    errors and texts of a scan in order i, then j > i.  Rows that are
+    already keys (a ``_Keys``) are returned as they are, so the CLI keys
+    a matrix once for ``validate_ultrametric`` and ``subdominant_closure``.
+    A caller that needs an entry's value reads it from ``matrix`` with
+    ``_entry_pair``.
     """
+    if type(matrix) is _Keys:
+        return matrix
     if not matrix:
-        return []
+        return _Keys((), matrix)
     # the list holds every entry, so no two live entries share an id,
     # even in rows that make a new object on each read
     flat = list(chain.from_iterable(matrix))
@@ -108,7 +126,7 @@ def _exact_rows(
         raise MatrixShapeError("distance matrix must be square")
     key_of = dict(zip(entries, _integer_keys(pairs)))
     flat_keys = list(map(key_of.__getitem__, map(id, flat)))
-    keys = [flat_keys[start : start + n] for start in range(0, n * n, n)]
+    keys = _Keys((flat_keys[start : start + n] for start in range(0, n * n, n)), matrix)
     if (
         any(keys[i][i] for i in range(n))
         or min(map(min, keys), default=0) < 0
@@ -304,43 +322,89 @@ def _proved_order(rows: list[list[int]], labels: Sequence[str]) -> list[int]:
     return order
 
 
-@cache
-def _fraction_zero() -> Fraction:
-    """The zero the closure's diagonal shares, built on first use, once per process."""
-    from fractions import Fraction
+class _Closure(Sequence):
+    """The rows of ``subdominant_closure``, read from its dendrogram one row at a time.
 
-    return Fraction(0)
+    It holds a leaf order of the single-linkage dendrogram and, for each
+    gap between neighbours of it, the key of the merge that made the gap
+    and one input entry of that weight.  It equals, iterates and indexes
+    as the list of ``Fraction`` rows, and builds rows only when they are
+    read, one ``Fraction`` per distinct weight per read.  ``round_space``
+    reads the gaps alone.  It is no list subclass, as ``cli._GammaRows``
+    is none: a list's own storage would be the n x n table it avoids.
+    """
+
+    __slots__ = ("order", "keys", "entries")
+
+    def __init__(self, order: list[int], keys: list[int], entries: list) -> None:
+        self.order = order
+        self.keys = keys
+        self.entries = entries
+
+    @classmethod
+    def _of_edges(cls, order: list[int], edges: Iterable[tuple[int, int]], keys: _Keys) -> _Closure:
+        """The gaps of order, each the merge of its edge (u, v) in keys."""
+        edges = list(edges)
+        return cls(order, [keys[u][v] for u, v in edges], [keys.matrix[u][v] for u, v in edges])
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def _rows(self, points: Iterable[int]) -> Iterator[list[Fraction]]:
+        from fractions import Fraction
+
+        # a pair's weight is the largest key between their positions, so
+        # the merge heights are the keys negated, and the diagonal is None
+        tree = MergeTree(self.order, [-key for key in self.keys])
+        entry_of = dict(zip(self.keys, self.entries))
+
+        def value(height: int | None) -> Fraction:
+            return Fraction(0) if height is None else Fraction(*_entry_pair(entry_of[-height]))
+
+        return map(list, tree._each_row(value, points))
+
+    def __getitem__(self, index):
+        points = range(len(self))[index]  # a range for a slice; an IndexError out of range
+        if isinstance(index, slice):
+            return list(self._rows(points))
+        return next(self._rows((points,)))
+
+    def __iter__(self) -> Iterator[list[Fraction]]:
+        return self._rows(range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _Closure)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def subdominant_closure(
     matrix: Sequence[Sequence[int | str | Fraction | tuple[int, int]]],
-) -> list[list[Fraction]]:
+) -> _Closure:
     """Maximal ultrametric pointwise below the input (minimax path distance).
 
     Idempotent, and the identity exactly when the input is already an
     ultrametric.  Computed as single linkage on the integer keys of
-    ``_exact_rows`` (an entry may also be a parsed pair): Prim's spanning
-    tree in O(n^2) integer comparisons, then each merge's weight is
-    written into the block it joins, so every output entry is an input
-    entry.  One ``Fraction`` is built per distinct merge weight, and the
-    rows share it.
+    ``_exact_rows`` (an entry may also be a parsed pair, and the rows may
+    be keys already): one pass of Prim's spanning tree in O(n^2) integer
+    comparisons.  Each merge joins the last point of one block to the
+    first of the other, so each gap of the final leaf order is one merge,
+    and a pair's weight is the largest between them.  The result is a
+    ``_Closure``: it equals the list of ``Fraction`` rows, every entry an
+    input entry, but holds only the order and the n - 1 gaps, and builds
+    a row when it is read.
     """
-    from fractions import Fraction
-
     keys = _exact_rows(matrix)
     n = len(keys)
-    zero = _fraction_zero()
-    out = [[zero] * n for _ in range(n)]
-    last = value = None
+    order = [0] if keys else []
+    edge_after = [None] * n  # the merge that joins a point to its right neighbour
     for u, v, a, b in _single_linkage(keys):
-        weight = keys[u][v]
-        if weight != last:  # merges come in ascending order, so ties are adjacent
-            last, value = weight, Fraction(*_entry_pair(matrix[u][v]))
-        for x in a:
-            out_x = out[x]
-            for y in b:
-                out_x[y] = out[y][x] = value
-    return out
+        edge_after[a[-1]] = (u, v)
+        order = a
+    return _Closure._of_edges(order, map(edge_after.__getitem__, order[:-1]), keys)
 
 
 class MergeTree:
@@ -696,26 +760,33 @@ def round_space(
     sandwich rounded <= original <= p * rounded.  An entry may also be a
     parsed (numerator, denominator) pair (see ``_exact_rows``).
 
-    ``_proved_order`` proves the keys in O(n^2) integer comparisons,
-    or the witness is the first violating triple in scan order.  Each
-    entry is a merge weight that joins two neighbours of the order, so
-    each distinct neighbour key (at most n - 1) is rounded once, on its
-    numerator and denominator; rounding is monotone, so the order still
-    holds every ball as a run, and the rounded tree needs no check.
+    A ``_Closure``, as ``subdominant_closure`` returns it, is an
+    ultrametric by construction, and its gaps are the tree: each distinct
+    gap weight (at most n - 1) is rounded once, on its numerator and
+    denominator, with no keying and no proof.  Any other matrix is keyed
+    by ``_exact_rows`` and proved by ``_proved_order`` in O(n^2) integer
+    comparisons, or the witness is the first violating triple in scan
+    order; every entry is then the weight of a gap between neighbours of
+    the order, and those gaps are rounded the same way.  Rounding is
+    monotone, so the order still holds every ball as a run, and the
+    rounded tree needs no check.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
-    keys = _exact_rows(matrix)
-    check_prime(p)
-    order = _proved_order(keys, labels)
+    closure = matrix
+    if type(closure) is not _Closure:
+        keys = _exact_rows(matrix)
+        check_prime(p)  # a bad prime is refused before a failed proof
+        order = _proved_order(keys, labels)
+        closure = _Closure._of_edges(order, zip(order, order[1:]), keys)
     labels = tuple(labels)
     _check_labels(labels, p)
     exponent = {0: None}
-    for x, y in zip(order, order[1:]):
-        if keys[x][y] not in exponent:
-            exponent[keys[x][y]] = _round_pair(*_entry_pair(matrix[x][y]), p).exponent
-    heights = [exponent[keys[x][y]] for x, y in zip(order, order[1:])]
-    return UltraSpace._from_tree(labels, p, MergeTree(order, heights))
+    for key, entry in zip(closure.keys, closure.entries):
+        if key not in exponent:
+            exponent[key] = _round_pair(*_entry_pair(entry), p).exponent
+    heights = list(map(exponent.__getitem__, closure.keys))
+    return UltraSpace._from_tree(labels, p, MergeTree(closure.order, heights))
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -46,7 +46,7 @@ SUBMODULES = {"padic", "spaces", "nerve", "spectrum", "shadow"}
 SLOW_MODULES = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 # exact rationals, which load decimal: only the commands that build a Fraction
-# (matrix ingest) need them
+# (a matrix entry that only Fraction reads, such as an exponent form) need them
 FRACTION_MODULES = ("fractions", "decimal")
 # json's Python layer, whose import compiles its regular expressions: the
 # commands read and write JSON through its C accelerator, _json, alone
@@ -112,6 +112,15 @@ def matrix_input(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def exponent_input(tmp_path):
+    # "1e-1" is read by Fraction, as are all exponent forms
+    path = tmp_path / "exponent.json"
+    matrix = [["0", "1e-1", "1/2"], ["1e-1", "0", "1/2"], ["1/2", "1/2", "0"]]
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "prime": 2, "matrix": matrix}))
+    return str(path)
+
+
 def test_export_dot_loads_neither_spectrum_nor_shadow(tmp_path, bundle):
     loaded = _loaded(tmp_path, "export", "dot", bundle, "--out", str(tmp_path / "dot"))
     assert "nerve" in loaded
@@ -141,19 +150,21 @@ def stream_input(tmp_path):
     return str(path)
 
 
-def test_streams_and_dot_export_load_no_fractions(tmp_path, stream_input, bundle):
+def test_streams_and_dot_export_load_no_fractions(tmp_path, stream_input, matrix_input, bundle):
     # without site, which on some interpreters loads more than it needs;
-    # the shadow reads theta off the digits as integers
+    # the shadow reads theta off the digits as integers, and a matrix of
+    # ints, a/b and plain decimals is read, closed and rounded on integers
     expand = ["expand", stream_input, "--out", str(tmp_path / "e")]
+    matrix = ["expand", matrix_input, "--out", str(tmp_path / "m")]
     export = ["export", "dot", bundle, "--out", str(tmp_path / "d")]
     shadow = ["shadow", bundle, "--csv", "--out", str(tmp_path / "s")]
-    for argv in (expand, export, shadow):
+    for argv in (expand, matrix, export, shadow):
         assert not _loaded(tmp_path, *argv, flags=("-S",)) & set(FRACTION_MODULES), argv
 
 
-def test_matrix_expand_and_shadow_load_fractions(tmp_path, matrix_input):
-    # positive control: the same probe sees matrix ingest, which builds a Fraction
-    expand = ["expand", matrix_input, "--out", str(tmp_path / "e")]
+def test_matrix_expand_and_shadow_load_fractions(tmp_path, exponent_input):
+    # positive control: the same probe sees matrix ingest that builds a Fraction
+    expand = ["expand", exponent_input, "--out", str(tmp_path / "e")]
     assert set(FRACTION_MODULES) <= _loaded(tmp_path, *expand, flags=("-S",))
 
 
@@ -215,6 +226,7 @@ def _every_command(tmp_path: Path, bundle: str, matrix_input: str, stream_input:
     return {
         **_commands(tmp_path, bundle, matrix_input),
         "expand streams": [*streams, "--out", str(tmp_path / "t")],
+        "expand default": ["expand", matrix_input, "--out", str(tmp_path / "m")],
     }
 
 
@@ -238,18 +250,21 @@ def test_probe_sees_json_and_pathlib(tmp_path, matrix_input, module):
     assert module in loaded
 
 
-@pytest.mark.parametrize("command", ["expand streams", "shadow", "export", "validate", "demo"])
+@pytest.mark.parametrize(
+    "command", ["expand", "expand default", "expand streams", "shadow", "export", "validate", "demo"]
+)
 def test_only_matrix_rounding_loads_re(tmp_path, bundle, matrix_input, stream_input, command):
     # argparse, which loads re, reads any argv that is not exact tokens; these
     # commands pass exact tokens, which the exact-token reader reads without
-    # re, so this holds.  fractions loads re
+    # re, so this holds.  fractions loads re, and only a matrix entry that
+    # only Fraction reads loads fractions
     argv = _every_command(tmp_path, bundle, matrix_input, stream_input)[command]
     assert "re" not in _loaded(tmp_path, *argv, flags=("-S",))
 
 
-def test_matrix_rounding_loads_re(tmp_path, bundle, matrix_input, stream_input):
-    # positive control: the same probe sees the closure's Fraction load re
-    argv = _every_command(tmp_path, bundle, matrix_input, stream_input)["expand"]
+def test_matrix_rounding_loads_re(tmp_path, exponent_input):
+    # positive control: the same probe sees the Fraction of an exponent form load re
+    argv = ["expand", exponent_input, "--out", str(tmp_path / "e")]
     assert "re" in _loaded(tmp_path, *argv, flags=("-S",))
 
 

@@ -3,8 +3,11 @@
 - The entry parser against ``Fraction(str)``, by value or by the error.
 - The integer kernels (closure, violation masks, rounding and its
   witness) against the Fraction routes of ``oracles.py``.
-- A guard that the CLI raw path builds one ``Fraction`` per distinct
-  merge weight and no other.
+- A guard that the CLI raw path builds no ``Fraction``, and that the
+  closure's rows, when read, build one per distinct merge weight.
+- The CLI's raw ``round`` space against the library's route on the
+  materialized closure and against the Fraction single-linkage oracle,
+  and the closure view against the list of its rows.
 - Metamorphic relations between CLI runs on transformed matrices:
   scaling by 1/p, a duplicated point and a relabeling.  They share no
   code with either route.  A digit-stream family and its distance
@@ -20,6 +23,7 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 from ultrapoly import (
     NotUltrametricError,
     UnseparatedSpaceError,
+    quotient_zero,
     round_space,
     subdominant_closure,
     validate_ultrametric,
@@ -165,6 +170,26 @@ def test_an_exponent_form_is_refused_before_any_fraction_is_built(monkeypatch):
         with pytest.raises(ValueError, match=rf"\({limit} digits\) .*: value has {run} digits;"):
             _exact_pair(text)
     assert built == []
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string digit limit"
+)
+def test_an_over_long_decimal_is_refused_before_its_power_of_ten_is_built():
+    digits = 4 * 10**6
+    text = "0." + "0" * (digits - 1) + "1"
+    # 10**digits has more than 3 bits per digit
+    power_bytes = digits * 3 // 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^Exceeds the limit .*: value has {digits} digits;"):
+            _exact_pair(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one copy of the digit run that splitting the text makes is in
+    # proportion to the text; beyond it, less than the power is allocated
+    assert peak - len(text) < power_bytes
 
 
 @pytest.mark.skipif(
@@ -312,7 +337,7 @@ def _guard_matrix(n: int, seed: int) -> list[list[str]]:
     return text
 
 
-def test_the_cli_raw_path_builds_one_fraction_per_distinct_merge_weight(tmp_path, monkeypatch):
+def test_the_cli_raw_path_builds_no_fraction(tmp_path, monkeypatch):
     matrix = _guard_matrix(32, seed=32)
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"labels": [f"x{i}" for i in range(32)], "prime": 3, "matrix": matrix}))
@@ -326,8 +351,6 @@ def test_the_cli_raw_path_builds_one_fraction_per_distinct_merge_weight(tmp_path
         built.append(args)
         return original(cls, *args, **kwargs)
 
-    # the diagonal's shared zero is built once per process, on first use
-    subdominant_closure([["0"]])
     monkeypatch.setattr(Fraction, "__new__", counted)
     # control: the counter sees the Fractions the old parse would build
     [[Fraction(entry) for entry in row] for row in matrix]
@@ -335,7 +358,14 @@ def test_the_cli_raw_path_builds_one_fraction_per_distinct_merge_weight(tmp_path
     built.clear()
     report, outputs, code = run(PipelineConfig(), path)
     assert code == 0 and "expansion.json" in outputs
-    assert 0 < len(built) <= len(weights)
+    assert built == []
+    # the closure builds its rows when they are read: one Fraction per
+    # distinct merge weight, and the diagonal's zero
+    closed = subdominant_closure(load_input(path)[1])
+    assert built == []
+    rows = list(closed)
+    assert len(built) == len(weights) + 1
+    assert rows == fraction_closure(exact)
 
 
 # ------------------------------------------------------- metamorphic relations
@@ -376,6 +406,58 @@ def _run_text(text, stages):
     stages = json.loads(json.dumps(report.to_json()["stages"]))
     # the echo is a view of the tree, which json reads as the list of its rows
     return stages, json.loads(json.dumps(outputs, default=list)), code
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=written_inputs(), p=st.sampled_from([2, 3, 5]))
+def test_the_cli_raw_round_space_is_the_closure_rounded(case, p):
+    exact, tokens = case
+    n = len(exact)
+    labels = [f"v{i}" for i in range(n)]
+    stages, outputs, code = _run(labels, tokens, p, ("validate", "round"))
+    assert code == EXIT_OK
+    echo = outputs["space.json"]
+    # the library's route on the closure's rows as a list: keyed, proved and rounded again
+    space, merged = quotient_zero(round_space(labels, list(subdominant_closure(exact)), p))
+    assert echo["labels"] == list(space.labels)
+    assert echo["gamma_matrix"] == space.to_json()["gamma_matrix"]
+    assert stages["round"]["merged"] == [list(pair) for pair in sorted(merged.items())]
+    # the oracle: each merge weight of single linkage on Fractions, rounded
+    exponents = [[None] * n for _ in range(n)]
+    for weight, a, b in fraction_single_linkage(exact):
+        for x in a:
+            for y in b:
+                exponents[x][y] = exponents[y][x] = gamma_floor(weight, p)
+    kept = [labels.index(label) for label in echo["labels"]]
+    assert echo["gamma_matrix"] == [
+        ["INF" if exponents[x][y] is None else exponents[x][y] for y in kept] for x in kept
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mixed_matrices(), data=st.data())
+def test_the_closure_reads_as_the_list_of_its_rows(case, data):
+    exact, written = case
+    closed = subdominant_closure(written)
+    rows = list(closed)
+    n = len(rows)
+    assert len(closed) == n and rows == fraction_closure(exact)
+    assert [list(row) for row in closed] == rows
+    index = data.draw(st.integers(-n, n - 1))
+    assert closed[index] == rows[index]
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            closed[outside]
+    bounds = st.none() | st.integers(-n - 1, n + 1)
+    steps = st.none() | st.sampled_from([-2, -1, 1, 2])
+    window = slice(data.draw(bounds), data.draw(bounds), data.draw(steps))
+    assert closed[window] == rows[window]
+    assert closed == rows and rows == closed and not closed != rows
+    assert closed == subdominant_closure(exact) == subdominant_closure(closed)
+    other = [row[:] for row in rows]
+    other[-1][0] += 1
+    assert closed != other and closed != rows[:-1] and closed != tuple(rows)
+    assert repr(closed) == repr(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -716,6 +798,7 @@ def test_a_matrix_without_round_is_proved_once_and_rounded_once(tmp_path, monkey
     path.write_text(json.dumps({"labels": labels, "prime": 2, "matrix": matrix}))
     calls = Counter()
     for module, name in (
+        (spaces, "_integer_keys"),
         (spaces, "_violation_masks"),
         (spaces, "_single_linkage"),
         (padic, "_floor_log"),
@@ -726,14 +809,16 @@ def test_a_matrix_without_round_is_proved_once_and_rounded_once(tmp_path, monkey
         calls.clear()
         report, outputs, code = run(PipelineConfig(stages=stages), path)
         assert code == EXIT_OK and "expansion.json" in outputs
-        return calls["_violation_masks"], calls["_single_linkage"], calls["_floor_log"]
+        names = ("_integer_keys", "_violation_masks", "_single_linkage", "_floor_log")
+        return tuple(map(calls.__getitem__, names))
 
-    # control: with round the counter sees validate's masks, the closure and the proof
-    masks, linkages, logs = counts(("validate", "round", "expand", "verify"))
-    assert (masks, linkages) == (1, 2) and 0 < logs <= n - 1
+    # control: with round the counters see one keying for validate's masks and
+    # the closure, and the closure's one pass, whose gaps rounding reads
+    keyings, masks, linkages, logs = counts(("validate", "round", "expand", "verify"))
+    assert (keyings, masks, linkages) == (1, 1, 1) and 0 < logs <= n - 1
     # without round the proof is the validate stage, and each distinct distance is rounded once
-    masks, linkages, logs = counts(("validate", "expand", "verify"))
-    assert (masks, linkages) == (0, 1) and 0 < logs <= n - 1
+    keyings, masks, linkages, logs = counts(("validate", "expand", "verify"))
+    assert (keyings, masks, linkages) == (1, 0, 1) and 0 < logs <= n - 1
 
 
 def _counted(calls: Counter, name: str, function):
