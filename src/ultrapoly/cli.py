@@ -20,7 +20,6 @@ import sys
 import time
 from collections.abc import Sequence
 from itertools import chain, groupby
-from operator import eq
 from types import SimpleNamespace
 
 try:
@@ -42,11 +41,11 @@ from .padic import (
     is_prime,
 )
 from .spaces import (
-    MergeTree,
     NotUltrametricError,
     UltraSpace,
     Violations,
     _exact_rows,
+    _Table,
     quotient_zero,
     round_space,
     space_from_points,
@@ -376,9 +375,11 @@ def _write_json(write, obj, depth: int) -> None:
     Scalars and leaf containers are written whole where they stand, so
     only containers of containers recurse.  A non-empty list of non-empty
     lists of ints and None takes its scalars' texts from the depth's
-    ``_leaf_texts`` table, and a ``_GammaRows`` echo is made row by row
-    from its tree; both are written by ``_write_text_rows``.  Any other
-    list, a list of objects too, is written item by item.
+    ``_leaf_texts`` table, and a ``spaces._Table`` (the echo) is made
+    row by row from its tree, its ``value`` mapped once per distinct
+    height; both are written by ``_write_text_rows``.  Any other list, a
+    list of objects too, is written item by item.  A subclass of
+    ``_Table`` (a closure of ``Fraction`` rows) is no JSON type.
     """
     text = _leaf_text(obj, depth)
     if text is not None:
@@ -395,11 +396,9 @@ def _write_json(write, obj, depth: int) -> None:
             return
         brackets = "[]"
         entries = [("", value) for value in obj]
-    elif isinstance(obj, _GammaRows):
-        # a row's values are mapped once per distinct exponent, so "INF" stays out of the table
-        rows = obj.tree._each_row(
-            lambda e: _leaf_text(_exponent_json(e), depth + 1), range(len(obj))
-        )
+    elif type(obj) is _Table:
+        # a row's values are mapped once per distinct height, so "INF" stays out of the table
+        rows = obj.tree._each_row(lambda e: _leaf_text(obj.value(e), depth + 1), range(len(obj)))
         _write_text_rows(write, rows, depth)
         return
     else:  # a float, or a subclass of a scalar or of no JSON type
@@ -432,39 +431,6 @@ def _write_text_rows(write, rows, depth: int) -> None:
         write(f"{separator}{opening}{joiner.join(texts)}{inner}]")
         separator = "," + inner
     write(inner[:-2] + "]")
-
-
-class _GammaRows(Sequence):
-    """A space's ``gamma_matrix`` echo, read from its merge tree one row at a time.
-
-    It equals, iterates and indexes as ``UltraSpace.to_json()``'s list of
-    lists, but holds no row: ``_write_json`` writes it row by row, each
-    row made when it is written, so no n x n table is kept.  It is no
-    list subclass, since json's C encoder would read a list's own
-    storage, which is empty.
-    """
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: MergeTree) -> None:
-        self.tree = tree
-
-    def __len__(self) -> int:
-        return len(self.tree.order)
-
-    def __getitem__(self, index):
-        points = range(len(self))[index]  # a range for a slice; an IndexError out of range
-        if isinstance(index, slice):
-            return list(map(list, self.tree._each_row(_exponent_json, points)))
-        return list(next(self.tree._each_row(_exponent_json, (points,))))
-
-    def __iter__(self):
-        return map(list, self.tree._each_row(_exponent_json, range(len(self))))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, _GammaRows)):
-            return NotImplemented
-        return len(other) == len(self) and all(map(eq, self, other))
 
 
 def _json_key(key) -> str:
@@ -771,11 +737,16 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
 
 
 def _space_echo(space: UltraSpace, streams: list[list[int]] | None) -> dict:
-    """The space as both outputs echo it, with a view of the tree as its exponent table."""
+    """The space as both outputs echo it: its ``gamma_matrix`` is a ``_Table`` of the tree.
+
+    The table equals ``UltraSpace.to_json()``'s list of exponent lists
+    ("INF": distance 0) but holds no row; the writer makes each row as
+    it writes it, so no n x n table is kept.
+    """
     echo = {
         "labels": list(space.labels),
         "prime": space.prime,
-        "gamma_matrix": _GammaRows(space.tree),
+        "gamma_matrix": _Table(space.tree, _exponent_json),
     }
     if streams is not None:
         echo["padic_points"] = streams

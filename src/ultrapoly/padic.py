@@ -63,15 +63,8 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _pocklington(n: int) -> bool | None:
-    """Prove n prime from a factored part F of n - 1 with F^2 > n.
-
-    Pocklington-Lehmer: if every prime q | F has a base a with
-    a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n), every prime
-    factor of n is 1 mod F, hence above sqrt(n).  Returns False when a
-    base proves n composite, None when n - 1 does not factor far enough
-    by trial division or no base certifies a factor.
-    """
+def _factored_part(n: int) -> list[int] | None:
+    """The primes of a part F of n - 1 with F^2 > n, found by trial division; None if F^2 <= n."""
     rest, factored, factors = n - 1, 1, []
     for q in (2, *range(3, _POCKLINGTON_TRIAL, 2)):
         if rest % q == 0:
@@ -82,8 +75,17 @@ def _pocklington(n: int) -> bool | None:
     if 1 < rest < MR_EXACT_BELOW and is_prime(rest):
         factors.append(rest)
         factored *= rest
-    if factored * factored <= n:
-        return None
+    return None if factored * factored <= n else factors
+
+
+def _pocklington(n: int, factors: list[int]) -> bool | None:
+    """Prove n prime from the primes of a factored part F of n - 1 with F^2 > n.
+
+    Pocklington-Lehmer: if every prime q | F has a base a with
+    a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n), every prime
+    factor of n is 1 mod F, hence above sqrt(n).  Returns False when a
+    base proves n composite, None when no base certifies a factor.
+    """
     for q in factors:
         for a in range(2, 200):
             if pow(a, n - 1, n) != 1:
@@ -105,11 +107,14 @@ def is_prime(n: int) -> bool:
     Trial division by the primes up to 41, then Miller-Rabin to those 13
     bases, which is exact below ``MR_EXACT_BELOW`` (about 3.3e24).  A
     larger n that passes needs a Pocklington certificate built by trial
-    factoring n - 1.
+    factoring n - 1.  Above the bound that factoring runs right after the
+    base-2 round, so an n with no certificate costs one modular power,
+    not 13, to refuse.
 
     Raises:
-        PrimalityUnknownError: n >= MR_EXACT_BELOW passes Miller-Rabin
-            but has no certificate.
+        PrimalityUnknownError: n >= MR_EXACT_BELOW passes the base-2
+            round but n - 1 does not factor far enough, or it passes
+            Miller-Rabin but no base certifies it.
     """
     if n < 2:
         return False
@@ -118,18 +123,22 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 43 * 43:
         return True
-    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+    if not _strong_probable_prime(n, 2):
         return False
     if n < MR_EXACT_BELOW:
-        return True
-    verdict = _pocklington(n)
-    if verdict is None:
-        raise PrimalityUnknownError(
-            f"cannot decide whether {n} is prime: it lies above {MR_EXACT_BELOW}, "
-            "where Miller-Rabin is not exact, and n - 1 does not factor far enough "
-            "for a Pocklington certificate"
-        )
-    return verdict
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES[1:])
+    factors = _factored_part(n)
+    if factors is not None:
+        if not all(_strong_probable_prime(n, a) for a in _MR_BASES[1:]):
+            return False
+        verdict = _pocklington(n, factors)
+        if verdict is not None:
+            return verdict
+    raise PrimalityUnknownError(
+        f"cannot decide whether {n} is prime: it lies above {MR_EXACT_BELOW}, "
+        "where Miller-Rabin is not exact, and n - 1 does not factor far enough "
+        "for a Pocklington certificate"
+    )
 
 
 def check_prime(p: int) -> int:

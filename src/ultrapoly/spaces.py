@@ -303,65 +303,28 @@ def _single_linkage(rows: list[list[int]]) -> Iterator[tuple[int, int, list[int]
             block_of[x] = a
 
 
-def _proved_order(rows: list[list[int]], labels: Sequence[str]) -> list[int]:
-    """A leaf order of the single-linkage dendrogram of rows, proved an ultrametric.
+class _Table(Sequence):
+    """The table of every pair of a merge tree, each meet mapped by ``value``, one row at a time.
 
-    A symmetric matrix with zero diagonal is an ultrametric exactly when
-    every entry equals the weight of the single-linkage merge that joins
-    its pair (the minimax path distance never exceeds the entry, with
-    equality for all pairs only in an ultrametric); else it raises the witness.
-    """
-    order = [0] if rows else []
-    for u, v, a, b in _single_linkage(rows):
-        weight = rows[u][v]
-        for x in a:
-            row_x = rows[x]
-            if any(row_x[y] != weight for y in b):
-                raise NotUltrametricError(Violations(_violation_masks(rows)), labels)
-        order = a
-    return order
-
-
-class _Closure(Sequence):
-    """The rows of ``subdominant_closure``, read from its dendrogram one row at a time.
-
-    It holds a leaf order of the single-linkage dendrogram and, for each
-    gap between neighbours of it, the key of the merge that made the gap
-    and one input entry of that weight.  It equals, iterates and indexes
-    as the list of ``Fraction`` rows, and builds rows only when they are
-    read, one ``Fraction`` per distinct weight per read.  ``round_space``
-    reads the gaps alone.  It is no list subclass, as ``cli._GammaRows``
-    is none: a list's own storage would be the n x n table it avoids.
+    It indexes, slices, iterates, equals and reprs as the list of its
+    rows, each a list in point order, but holds no row: a row is made by
+    ``MergeTree._each_row`` when it is read, with ``value`` called once
+    per distinct height per read.  It is no list subclass, since a list's
+    own storage would be the n x n table it avoids, and json's C encoder
+    would read that storage, which is empty.
     """
 
-    __slots__ = ("order", "keys", "entries")
+    __slots__ = ("tree", "value")
 
-    def __init__(self, order: list[int], keys: list[int], entries: list) -> None:
-        self.order = order
-        self.keys = keys
-        self.entries = entries
-
-    @classmethod
-    def _of_edges(cls, order: list[int], edges: Iterable[tuple[int, int]], keys: _Keys) -> _Closure:
-        """The gaps of order, each the merge of its edge (u, v) in keys."""
-        edges = list(edges)
-        return cls(order, [keys[u][v] for u, v in edges], [keys.matrix[u][v] for u, v in edges])
+    def __init__(self, tree: MergeTree, value: Callable[[int | None], object]) -> None:
+        self.tree = tree
+        self.value = value
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.tree.order)
 
-    def _rows(self, points: Iterable[int]) -> Iterator[list[Fraction]]:
-        from fractions import Fraction
-
-        # a pair's weight is the largest key between their positions, so
-        # the merge heights are the keys negated, and the diagonal is None
-        tree = MergeTree(self.order, [-key for key in self.keys])
-        entry_of = dict(zip(self.keys, self.entries))
-
-        def value(height: int | None) -> Fraction:
-            return Fraction(0) if height is None else Fraction(*_entry_pair(entry_of[-height]))
-
-        return map(list, tree._each_row(value, points))
+    def _rows(self, points: Iterable[int]) -> Iterator[list]:
+        return map(list, self.tree._each_row(self.value, points))
 
     def __getitem__(self, index):
         points = range(len(self))[index]  # a range for a slice; an IndexError out of range
@@ -369,16 +332,42 @@ class _Closure(Sequence):
             return list(self._rows(points))
         return next(self._rows((points,)))
 
-    def __iter__(self) -> Iterator[list[Fraction]]:
+    def __iter__(self) -> Iterator[list]:
         return self._rows(range(len(self)))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, _Closure)):
+        if not isinstance(other, (list, _Table)):
             return NotImplemented
         return len(other) == len(self) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+class _Closure(_Table):
+    """The rows of ``subdominant_closure``: a ``_Table`` of ``Fraction`` rows, with its gaps.
+
+    For each gap between neighbours of the leaf order it keeps the key of
+    the merge that made the gap and one input entry of that weight.  A
+    pair's weight is the largest key between their positions, so the
+    tree's heights are the keys negated, the diagonal is None, and a
+    height reads as its entry's ``Fraction``.  ``round_space`` reads the
+    gaps alone.
+    """
+
+    __slots__ = ("keys", "entries")
+
+    def __init__(self, order: list[int], keys: list[int], entries: list) -> None:
+        entry_of = dict(zip(keys, entries))
+
+        def value(height: int | None) -> Fraction:
+            from fractions import Fraction
+
+            return Fraction(0) if height is None else Fraction(*_entry_pair(entry_of[-height]))
+
+        super().__init__(MergeTree(order, [-key for key in keys]), value)
+        self.keys = keys
+        self.entries = entries
 
 
 def subdominant_closure(
@@ -394,17 +383,32 @@ def subdominant_closure(
     first of the other, so each gap of the final leaf order is one merge,
     and a pair's weight is the largest between them.  The result is a
     ``_Closure``: it equals the list of ``Fraction`` rows, every entry an
-    input entry, but holds only the order and the n - 1 gaps, and builds
-    a row when it is read.
+    input entry, but holds only the leaf order and the n - 1 gaps, each
+    with the key and the entry of its merge's spanning-tree edge.
     """
     keys = _exact_rows(matrix)
-    n = len(keys)
     order = [0] if keys else []
-    edge_after = [None] * n  # the merge that joins a point to its right neighbour
+    edge_after = [None] * len(keys)  # the merge that joins a point to its right neighbour
     for u, v, a, b in _single_linkage(keys):
         edge_after[a[-1]] = (u, v)
         order = a
-    return _Closure._of_edges(order, map(edge_after.__getitem__, order[:-1]), keys)
+    edges = list(map(edge_after.__getitem__, order[:-1]))
+    return _Closure(order, [keys[u][v] for u, v in edges], [keys.matrix[u][v] for u, v in edges])
+
+
+def _proved_closure(keys: _Keys, labels: Sequence[str]) -> _Closure:
+    """The subdominant closure of keys, proved equal to them; else raise the witness.
+
+    A matrix is an ultrametric exactly when it equals its subdominant
+    closure, so the closure's key table (0 on the diagonal, every other
+    entry its merge key) is compared with keys row by row, each row made
+    from the tree in O(n).  On a mismatch the witness is the first
+    violating triple in scan order.
+    """
+    closure = subdominant_closure(keys)
+    if _Table(closure.tree, lambda height: 0 if height is None else -height) != keys:
+        raise NotUltrametricError(Violations(_violation_masks(keys)), labels)
+    return closure
 
 
 class MergeTree:
@@ -418,7 +422,8 @@ class MergeTree:
     radius p^-j are the runs left when the order is cut at every height
     below j, and a set's diameter is the distance of its first and last
     points in the order.  ``_each_row`` writes the table of every pair
-    one row at a time, and ``rows`` lists it.
+    one row at a time, ``_Table`` reads that table as a sequence, and
+    ``rows`` lists it.
     """
 
     def __init__(self, order: Sequence[int], heights: Sequence[int | None]):
@@ -441,9 +446,9 @@ class MergeTree:
         """The exponent of every pair mapped by ``value``, row by row in point order.
 
         Each distinct height is mapped once.  The table is n lists of n
-        entries, each a row of ``_each_row``; the CLI does not build it.
+        entries, the rows of ``_Table(self, value)``; the CLI does not build it.
         """
-        return list(map(list, self._each_row(value, range(len(self.order)))))
+        return list(_Table(self, value))
 
     def _steps(self) -> tuple[list[int], list[int], list[int], int]:
         """The gaps' heights as ranks, with the nearest strictly lower gap on each side.
@@ -686,12 +691,12 @@ class UltraSpace(Frozen):
                 for j in range(i + 1, n):
                     if expo[i][j] != expo[j][i]:
                         raise AsymmetricMatrixError(f"entries ({i},{j}) and ({j},{i}) differ")
-        # weights -e: larger for a larger distance, and lowest for the metric value 0 (None)
+        # keys top - e: larger for a larger distance, and 0 for the metric value 0 (None);
+        # each gap's entry is then the exponent of its merge
         top = max((e for row in expo for e in row if e is not None), default=-1) + 1
-        weights = [[-top if e is None else -e for e in row] for row in expo]
-        order = _proved_order(weights, labels)
-        tree = MergeTree(order, [expo[x][y] for x, y in zip(order, order[1:])])
-        object.__setattr__(self, "tree", tree)
+        keys = _Keys([[0 if e is None else top - e for e in row] for row in expo], expo)
+        closure = _proved_closure(keys, labels)
+        object.__setattr__(self, "tree", MergeTree(closure.tree.order, closure.entries))
 
     @classmethod
     def _from_tree(cls, labels: tuple[str, ...], prime: int, tree: MergeTree) -> "UltraSpace":
@@ -764,12 +769,11 @@ def round_space(
     ultrametric by construction, and its gaps are the tree: each distinct
     gap weight (at most n - 1) is rounded once, on its numerator and
     denominator, with no keying and no proof.  Any other matrix is keyed
-    by ``_exact_rows`` and proved by ``_proved_order`` in O(n^2) integer
-    comparisons, or the witness is the first violating triple in scan
-    order; every entry is then the weight of a gap between neighbours of
-    the order, and those gaps are rounded the same way.  Rounding is
-    monotone, so the order still holds every ball as a run, and the
-    rounded tree needs no check.
+    by ``_exact_rows`` and proved equal to its own closure by
+    ``_proved_closure``, in O(n^2) integer comparisons, or the witness is
+    the first violating triple in scan order; that closure's gaps are
+    then rounded the same way.  Rounding is monotone, so the order still
+    holds every ball as a run, and the rounded tree needs no check.
     """
     if len(labels) != len(matrix):
         raise MatrixShapeError("labels and matrix size differ")
@@ -777,8 +781,7 @@ def round_space(
     if type(closure) is not _Closure:
         keys = _exact_rows(matrix)
         check_prime(p)  # a bad prime is refused before a failed proof
-        order = _proved_order(keys, labels)
-        closure = _Closure._of_edges(order, zip(order, order[1:]), keys)
+        closure = _proved_closure(keys, labels)
     labels = tuple(labels)
     _check_labels(labels, p)
     exponent = {0: None}
@@ -786,7 +789,7 @@ def round_space(
         if key not in exponent:
             exponent[key] = _round_pair(*_entry_pair(entry), p).exponent
     heights = list(map(exponent.__getitem__, closure.keys))
-    return UltraSpace._from_tree(labels, p, MergeTree(closure.order, heights))
+    return UltraSpace._from_tree(labels, p, MergeTree(closure.tree.order, heights))
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:

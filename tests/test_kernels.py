@@ -26,6 +26,7 @@ from ultrapoly import (
     baire_encode,
     c0_embed,
     group_expansion,
+    padic,
     space_from_points,
     verify_nonstretching,
 )
@@ -444,7 +445,7 @@ def test_strong_triangle_check_matches_threshold_oracle(expo, p):
     else:
         with pytest.raises(NotUltrametricError) as err:
             UltraSpace(labels=labels, prime=p, dist=dist)
-        assert err.value.triple == brute[0]
+        assert err.value.triple == brute[0] and len(err.value.violations) == len(brute)
 
 
 # ---------------------------------------------------------- pair norms
@@ -506,6 +507,26 @@ def test_primality_beyond_certificates_is_not_guessed():
     with pytest.raises(PrimalityUnknownError):
         is_prime(UNDECIDABLE_PRIME)
     assert not is_prime(UNDECIDABLE_PRIME * 43)  # no factor up to 41: Miller-Rabin decides
+
+
+def test_a_prime_with_no_certificate_is_refused_after_one_modular_power(monkeypatch):
+    # 2^1279 - 1 is prime, and 2^1279 - 2 does not factor by trial division far
+    # enough for a certificate: the factoring runs after the base-2 round alone
+    calls = []
+
+    def counted_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(padic, "pow", counted_pow, raising=False)
+    is_prime.cache_clear()
+    with pytest.raises(PrimalityUnknownError):
+        is_prime(2**1279 - 1)
+    assert len(calls) <= 1
+    # control: the spy sees every round of a prime below the bound
+    calls.clear()
+    is_prime.cache_clear()
+    assert is_prime(2**61 - 1) and len(calls) == 13
 
 
 # ------------------------------------------------------- cost guards

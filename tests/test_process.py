@@ -339,3 +339,33 @@ def test_python_m_ultrapoly_reads_its_arguments_as_ci_checks(tmp_path):
             lines = proc.stderr.decode().splitlines()
             assert proc.stdout == b"" and lines[0].startswith("usage: ultrapoly"), args
             assert len(lines) == 2 and ": error: " in lines[1], args
+
+
+def test_python_m_ultrapoly_writes_a_usage_error_in_two_lines_at_any_width(tmp_path):
+    # the CI step's narrow terminal: usage and error stay one line each
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrapoly", "expand"],
+        capture_output=True,
+        cwd=tmp_path,
+        env=dict(_module_env(), COLUMNS="20"),
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_INPUT and proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("usage: ultrapoly"), lines
+
+
+def test_a_bundle_behind_a_byte_order_mark_or_before_more_data_is_refused(tmp_path, capsys):
+    # the CI step's copies of the demo bundle, each refused with json's own message
+    assert main(["demo", "zp", "--prime", "2", "--depth", "3", "--out", str(tmp_path / "zp")]) == 0
+    text = (tmp_path / "zp" / "expansion.json").read_text(encoding="utf-8")
+    bom, trailing = tmp_path / "bom.json", tmp_path / "trailing.json"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    trailing.write_text(text + "{}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["shadow", str(bom), "--out", str(tmp_path / "shadows")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)" in err, err
+    assert main(["export", "dot", str(trailing), "--out", str(tmp_path / "dots")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert ": Extra data" in err, err

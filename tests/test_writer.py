@@ -13,7 +13,6 @@ from ultrapoly import cli
 from ultrapoly.cli import (
     PipelineConfig,
     _dump_json,
-    _GammaRows,
     _leaf_encoder,
     _leaf_texts,
     _write_json,
@@ -22,7 +21,7 @@ from ultrapoly.cli import (
     run,
 )
 from ultrapoly.padic import _exponent_json
-from ultrapoly.spaces import MergeTree
+from ultrapoly.spaces import MergeTree, _Table, subdominant_closure
 
 from oracles import tree_meet
 
@@ -318,7 +317,18 @@ def test_lists_of_objects_are_written_as_json_dumps_writes_them():
 
 
 @pytest.mark.parametrize("c_encoder", [True, False])
-@pytest.mark.parametrize("obj", [object(), [1, object()], {"a": {1, 2}}, {(1, 2): 3}, [[1.5, 1j]]])
+# the last a closure: a table of Fraction rows, which only the echo's own class writes
+@pytest.mark.parametrize(
+    "obj",
+    [
+        object(),
+        [1, object()],
+        {"a": {1, 2}},
+        {(1, 2): 3},
+        [[1.5, 1j]],
+        {"gamma_matrix": subdominant_closure([[0, 1], [1, 0]])},
+    ],
+)
 def test_writer_refuses_what_json_refuses(monkeypatch, fresh_encoders, c_encoder, obj):
     if not c_encoder:
         monkeypatch.setattr(cli, "_json", None)
@@ -358,7 +368,7 @@ def test_the_echo_reads_and_writes_as_the_rows_of_its_tree(
     assert tree.rows() == meets
     rows = [[_exponent_json(e) for e in row] for row in meets]
     assert tree.rows(_exponent_json) == rows
-    echo = _GammaRows(tree)
+    echo = _Table(tree, _exponent_json)
     assert echo == rows and rows == echo and list(echo) == rows and len(echo) == len(rows)
     assert [echo[x] for x in range(len(rows))] == rows and echo[-1] == rows[-1]
     assert echo[::-1] == rows[::-1]
