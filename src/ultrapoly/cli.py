@@ -27,7 +27,14 @@ try:
 except ImportError:  # json's Python layer serves where the accelerator is missing
     _json = None
 
-from .nerve import NerveComplex, _parents, check_uniform, isolated_point_check, nerve_to_dot
+from .nerve import (
+    NerveComplex,
+    ThresholdError,
+    _parents,
+    check_uniform,
+    isolated_point_check,
+    nerve_to_dot,
+)
 from .padic import (
     GammaValue,
     PAdic,
@@ -147,6 +154,7 @@ def _check_config(data: dict, path: str) -> None:
         require("precision", _is_int(value) and value >= 1, "a positive integer", value)
     if data.get("prime") is not None:
         require("prime", _is_int(data["prime"]), "an integer", data["prime"])
+        _check_prime_field(data["prime"], "prime", f"{path}: config ")
     if "stages" in data:
         value = data["stages"]
         ok = isinstance(value, list) and all(isinstance(stage, str) for stage in value)
@@ -164,14 +172,14 @@ def _check_config(data: dict, path: str) -> None:
         require("schedule.b", _is_int(schedule["b"]), "an integer", schedule["b"])
 
 
-def _check_prime_field(value, field: str, where: str = "") -> None:
-    """Raise InputFormatError naming the field unless value is a prime integer."""
+def _check_prime_field(value, field: str, where: str = "", kind: str = "field") -> None:
+    """Raise InputFormatError naming the field (or option) unless value is a prime integer."""
     try:
         ok = _is_int(value) and is_prime(value)
     except PrimalityUnknownError as exc:
-        raise InputFormatError(f"{where}field {field!r}: {exc}") from exc
+        raise InputFormatError(f"{where}{kind} {field!r}: {exc}") from exc
     if not ok:
-        raise InputFormatError(f"{where}field {field!r} must be a prime integer, got {value!r}")
+        raise InputFormatError(f"{where}{kind} {field!r} must be a prime integer, got {value!r}")
 
 
 class RunReport(Record):
@@ -864,12 +872,14 @@ def _cmd_expand(args) -> int:
     }
     if args.stages:
         overrides["stages"] = tuple(args.stages.split(","))
+    if args.prime is not None:
+        _check_prime_field(args.prime, "--prime", kind="option")
     from .spectrum import ScheduleError
 
     config = PipelineConfig.load(args.config, overrides)
     try:
         report, outputs, code = run(config, args.input)
-    except ScheduleError as exc:
+    except (ScheduleError, ThresholdError) as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _write_outputs(outputs, config.out or ".")

@@ -159,9 +159,12 @@ def build_nerve(
     if b is None:
         b = sup_diam
     threshold = b.scaled(k)
+    if level is None:
+        level = cover.level
     if threshold < sup_diam:
         raise ThresholdError(
-            f"threshold {threshold!r} is below the block diameter bound {sup_diam!r}"
+            f"level {level}: threshold (exponent {threshold.to_json()}) is below "
+            f"the block diameter bound (exponent {sup_diam.to_json()})"
         )
     ball = tree.cut(threshold.exponent)
     classes: dict[int, list[int]] = {}
@@ -169,7 +172,7 @@ def build_nerve(
     for rep in reps:
         classes.setdefault(ball[rep], []).append(rep)
     return NerveComplex(
-        level=cover.level if level is None else level,
+        level=level,
         scale=cover.level,
         threshold=threshold,
         vertices=reps,

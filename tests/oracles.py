@@ -102,20 +102,27 @@ def violating_triples(matrix: list[list[Fraction]]) -> list[tuple[int, int, int]
 
 
 def fraction_violation_masks(matrix: list[list[Fraction]]) -> list[tuple[int, int, int]]:
-    """(i, k, bitset of the middle points j) per violating pair, rows sorted as fractions.
+    """(i, k, bitset of the middle points j) per violating pair, each row sorted.
 
-    The row-sort route of the library before it compared integer keys:
-    below[i][k] is the bitset of j with d(i,j) < d(i,k), and (i, j, k)
-    violates when j is in below[i][k] and in below[k][i].
+    The library's route before its ascending sweep, on any comparable
+    entries: below[i][k] is the bitset of j with d(i,j) < d(i,k), built
+    from one sort of row i, and (i, j, k) violates when j is in
+    below[i][k] and in below[k][i].  It holds n^2 sets of n bits, and
+    one more per violating pair: n^3 bits on a noisy matrix.
     """
     n = len(matrix)
     below = []
     for row in matrix:
         sets = [0] * n
-        for k in range(n):
-            for j in range(n):
-                if row[j] < row[k]:
-                    sets[k] |= 1 << j
+        closer = tied = 0
+        last = None
+        for j in sorted(range(n), key=row.__getitem__):
+            if row[j] != last:
+                closer |= tied
+                tied = 0
+                last = row[j]
+            sets[j] = closer
+            tied |= 1 << j
         below.append(sets)
     return [
         (i, k, below[i][k] & below[k][i])

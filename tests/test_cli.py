@@ -465,6 +465,11 @@ def test_schedule_rejection_is_an_input_error(ultra_input, tmp_path, capsys):
         ({"schedule": {"j": [0, 1], "k": "auto"}}, "j and k must both be lists or both 'auto'"),
         # auto j and k: one level per exponent step, 10^9 of them, refused before any is built
         ({"schedule": {"b": -(10**9)}}, "the auto schedule needs 1000000004 levels, more than 4096"),
+        # b = 5 at k = 1: level 0's threshold p^-4 lies below its one block's diameter p^-1
+        (
+            {"schedule": {"j": [0, 1], "k": [1, 1], "b": 5}},
+            "level 0: threshold (exponent 4) is below the block diameter bound (exponent 1)",
+        ),
     ],
 )
 def test_a_config_schedule_that_cannot_be_built_is_rejected(
@@ -710,6 +715,34 @@ def test_malformed_config_field_is_named(ultra_input, tmp_path, capsys, config, 
     code = main(["expand", ultra_input, "--config", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_INPUT
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_a_config_prime_that_is_no_prime_names_its_config_file(
+    ultra_input, tmp_path, capsys, monkeypatch
+):
+    # the input file's own refusal names no config; a config's, by option or by
+    # environment variable, names its file and its config field
+    obj = {**json.loads(Path(ultra_input).read_text()), "prime": 4}
+    bad_input = _write(tmp_path / "bad.json", obj)
+    assert main(["validate", bad_input]) == EXIT_INPUT
+    refusal = f"error: {bad_input}: field 'prime' must be a prime integer, got 4\n"
+    assert capsys.readouterr().err == refusal
+    config = _write(tmp_path / "cfg.json", {"prime": 4})
+    expected = f"error: {config}: config field 'prime' must be a prime integer, got 4\n"
+    out = str(tmp_path / "out")
+    assert main(["expand", ultra_input, "--config", config, "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == expected
+    monkeypatch.setenv("ULTRAPOLY_CONFIG", config)
+    assert main(["expand", ultra_input, "--out", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == expected
+
+
+def test_a_prime_option_that_is_no_prime_names_the_option(ultra_input, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["expand", ultra_input, "--prime", "4", "--out", out]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: option '--prime' must be a prime integer, got 4\n"
+    assert captured.out == "" and not Path(out).exists()
 
 
 def test_mersenne_prime_input_is_accepted(tmp_path, capsys):

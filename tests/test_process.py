@@ -241,6 +241,7 @@ CI_INPUTS = {
     },
     "zero.json": {"labels": ["a", "b"], "prime": 2, "matrix": [["0", "0"], ["0", "0"]]},
     "huge.json": {"schedule": {"b": -1000000000}},
+    "below.json": {"schedule": {"j": [0, 1], "k": [1, 1], "b": 5}},
     "skip.json": {
         "labels": ["a", "b", "c", "d"],
         "prime": 2,
@@ -261,6 +262,7 @@ CI_RUNS = [
     (["expand", "crooked.json", "--stages", "expand", "--out", "exits"], EXIT_VERIFY, False),
     (["expand", "zero.json", "--stages", "validate,expand", "--out", "exits"], EXIT_INPUT, False),
     (["expand", "ok.json", "--config", "huge.json", "--out", "exits"], EXIT_INPUT, False),
+    (["expand", "ok.json", "--config", "below.json", "--out", "exits"], EXIT_INPUT, False),
     (["expand", "skip.json", "--config", "skip_config.json", "--out", "exits"], EXIT_VERIFY, True),
     (["demo", "zp", "--prime", "2", "--depth", "3", "--out", "zp"], EXIT_OK, True),
     (["shadow", "from_7.json", "--out", "shadows"], EXIT_INPUT, False),

@@ -1,7 +1,9 @@
 """Validation, closure, rounding, quotient, coding, and the exact embedding."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,10 @@ from ultrapoly import spaces
 from ultrapoly.padic import _exact_pair
 from ultrapoly.spaces import Violations
 
-from corpus import random_code_space
+from corpus import mixed_matrices, padic_families, prefix_chain_families, random_code_space
 from oracles import (
     closure_classes,
+    difference_exponents,
     first_difference,
     floyd_warshall_closure,
     fraction_violation_masks,
@@ -224,10 +227,11 @@ def written_matrices(draw):
 def test_integer_keys_match_the_fraction_route(matrix):
     rows = [[Fraction(entry) for entry in row] for row in matrix]
     masks = fraction_violation_masks(rows)
-    assert spaces._violation_masks(rows) == masks
+    # the sweep on the integer keys, and on the fractions themselves
     found = validate_ultrametric([f"v{i}" for i in range(len(matrix))], matrix)
-    assert found == Violations(masks)
-    assert list(found) == violating_triples(rows)
+    assert spaces._sweep(spaces._exact_rows(matrix)) == spaces._sweep(rows)
+    assert len(found) == sum(mask.bit_count() for _, _, mask in masks)
+    assert found == Violations(rows) == violating_triples(rows)
 
 
 def test_integer_keys_tie_equal_values_written_differently():
@@ -571,6 +575,127 @@ def test_space_rejects_a_finite_diagonal_and_an_asymmetric_matrix():
             prime=2,
             dist=((GAMMA_ZERO, GammaValue(1)), (GammaValue(2), GAMMA_ZERO)),
         )
+
+
+def _assert_reads_as(found: Violations, triples: list[tuple[int, int, int]]) -> None:
+    """found reads as the list of triples: its count, first, last, full list, == and repr."""
+    assert len(found) == len(triples)
+    assert list(found) == triples and found == triples
+    if triples:
+        assert found[0] == triples[0] and found[-1] == triples[-1]
+        assert repr(found) == f"Violations(count={len(triples)}, first={triples[0]})"
+    else:
+        assert repr(found) == "Violations(count=0)"
+
+
+def _assert_raised_as(build, labels, triples) -> Violations | None:
+    """build raises the triples' violations and message, or returns None when there are none."""
+    if not triples:
+        build()
+        return None
+    with pytest.raises(NotUltrametricError) as info:
+        build()
+    _assert_reads_as(info.value.violations, triples)
+    a, b, c = (labels[x] for x in triples[0])
+    assert info.value.triple == triples[0]
+    assert str(info.value) == (
+        f"ultrametric inequality fails on ({a}, {b}, {c}): d({a},{c}) > max(d({a},{b}), d({b},{c}))"
+    )
+    return info.value.violations
+
+
+def _assert_swept_alike(exact: list[list], written: list[list], p: int) -> None:
+    """Every matrix raise site reads the violations of written as the full scan of exact does."""
+    labels = [f"v{i}" for i in range(len(exact))]
+    triples = violating_triples(exact)
+    found = validate_ultrametric(labels, written)
+    _assert_reads_as(found, triples)
+    # the constructor's exponents keep the order of the entries: rank r is p^r, 0 is INF
+    ranks = sorted({value for row in exact for value in row})
+    dist = tuple(
+        tuple(GAMMA_ZERO if value == 0 else GammaValue(-ranks.index(value)) for value in row)
+        for row in exact
+    )
+    proofs = (partial(round_space, labels, written, p), partial(UltraSpace, tuple(labels), p, dist))
+    for build in proofs:
+        raised = _assert_raised_as(build, labels, triples)
+        assert raised is None or raised == found
+
+
+def sweep_parity(n_max: int, per_size: int, seed: int = 0) -> int:
+    """Hold the sweep to ``violating_triples`` on seeded matrices of 1 to n_max points.
+
+    Each matrix draws its entries from a few small ints and 0, so ties
+    and zeros are common, and about half copy one row onto another (a
+    duplicate row); each is read by every raise site
+    (``_assert_swept_alike``).  Returns the number of matrices.
+    """
+    rng = random.Random(seed)
+    runs = 0
+    for n in range(1, n_max + 1):
+        for _ in range(per_size):
+            pool = [0, *rng.sample(range(1, 9), rng.randint(1, 4))]
+            matrix = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    matrix[i][j] = matrix[j][i] = rng.choice(pool)
+            if n >= 3 and rng.random() < 0.5:  # y copies x
+                x, y = rng.sample(range(n), 2)
+                for k in range(n):
+                    if k != y:
+                        matrix[y][k] = matrix[k][y] = matrix[x][k]
+                matrix[x][y] = matrix[y][x] = 0
+            _assert_swept_alike(matrix, matrix, rng.choice([2, 3, 5]))
+            runs += 1
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mixed_matrices(n_max=9), p=st.sampled_from([2, 3, 5]))
+def test_the_sweep_reads_as_the_scan_at_every_matrix_raise_site(case, p):
+    exact, written = case
+    _assert_swept_alike(exact, written, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.one_of(padic_families(), prefix_chain_families()))
+def test_the_sweep_reads_as_the_scan_on_a_failed_stream_check(points):
+    p = points[0].prime
+    exponents = difference_exponents(points)
+    exact = [[Fraction(0) if e is None else Fraction(p) ** -e for e in row] for row in exponents]
+    labels = [f"x{i}" for i in range(len(points))]
+    _assert_raised_as(partial(space_from_points, points), labels, violating_triples(exact))
+
+
+def test_the_sweep_holds_seeded_matrices_to_the_scan():
+    # CI runs the same check up to 24 points
+    assert sweep_parity(12, 10) == 120
+
+
+def test_the_sweep_holds_o_n2_memory_where_a_set_per_pair_held_n3_bits():
+    n = 256
+    rng = random.Random(256)
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+    keys = spaces._exact_rows(matrix)  # keyed before tracing, so the peak is the count's
+    labels = [str(i) for i in range(n)]
+    bound = 56 * n * n  # bytes; the sweep peaks near 37 n^2 on Python 3.11
+
+    def peak(count) -> int:
+        tracemalloc.start()
+        try:
+            count(keys)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    found = []
+    assert peak(lambda rows: found.append(validate_ultrametric(labels, rows))) < bound
+    assert len(found[0]) > n**3 // 8  # noisy: most triples violate
+    # live control: the route before the sweep, a set of middle points per pair, exceeds it
+    assert peak(fraction_violation_masks) > bound
 
 
 def test_violations_read_as_the_list_of_triples():
