@@ -870,16 +870,16 @@ def _cmd_expand(args) -> int:
         "precision": args.precision,
         "out": args.out,
     }
-    if args.stages:
+    if args.stages is not None:  # "" names one empty stage, which is refused
         overrides["stages"] = tuple(args.stages.split(","))
     if args.prime is not None:
         _check_prime_field(args.prime, "--prime", kind="option")
-    from .spectrum import ScheduleError
+    from .spectrum import ScheduleError, SeparationError
 
     config = PipelineConfig.load(args.config, overrides)
     try:
         report, outputs, code = run(config, args.input)
-    except (ScheduleError, ThresholdError) as exc:
+    except (ScheduleError, SeparationError, ThresholdError) as exc:
         print(f"schedule rejected: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _write_outputs(outputs, config.out or ".")
@@ -973,6 +973,8 @@ _BUNDLE_FIELDS = (
      "a level number no other level has"),  # two DOT files would share one name
     ("levels[].threshold", _BOTH, _is_exponent, 'an integer or "INF"'),
     ("levels[].vertices", _BOTH, _points, "a list of point indices"),
+    ("levels[].vertices", _BOTH, lambda v, at: len(set(v)) == len(v),
+     "a list of distinct point indices"),
     ("levels[].maximal_simplexes", _BOTH, _partition,
      "a partition of the level's vertices into non-empty lists"),
     ("levels[].blocks", _NONE, None, None),

@@ -433,10 +433,14 @@ def assemble_expansion(space: UltraSpace, schedule: Schedule | None = None) -> E
         for m in range(schedule.depth)
     )
     finest = levels[-1]
-    if any(len(block) > 1 for block in finest.cover.blocks) or any(
-        len(s) > 1 for s in finest.nerve.maximal_simplexes
-    ):
-        raise SeparationError("the finest level does not separate the points")
+    for kind, groups in ("block", finest.cover.blocks), ("simplex", finest.nerve.maximal_simplexes):
+        joined = next((group for group in groups if len(group) > 1), None)
+        if joined is not None:  # a simplex's vertices are points once every block is one
+            a, b = (space.labels[x] for x in joined[:2])
+            raise SeparationError(
+                f"level {finest.m}, the finest, does not separate {a} and {b}:"
+                f" they lie in one {kind} of {len(joined)} points"
+            )
     bonding = tuple(
         bonding_map(levels[m + 1], levels[m]) for m in range(len(levels) - 1)
     )

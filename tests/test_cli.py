@@ -153,6 +153,7 @@ def test_a_stream_past_the_budget_builds_one_padic(monkeypatch):
         _parse_streams(dict(obj, padic_points=[[1], [1] * 32 + [2]]), 2, DEFAULT_PRECISION, "x")
 
 
+# the windows.json rows of tests/cli_cases.py, with the witness and the files checked
 def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys):
     # unequal windows: [0,1] is at distance 0 from both others, which sit 2^-2 apart
     obj = {"labels": ["a", "b", "c"], "prime": 2, "padic_points": [[0, 1], [0, 1, 1], [0, 1, 0]]}
@@ -171,6 +172,7 @@ def test_validate_checks_the_pair_exponents_of_digit_streams(tmp_path, capsys):
     assert not out.exists()
 
 
+# the twice.json rows of tests/cli_cases.py, on both kinds of input
 @pytest.mark.parametrize("command", ["validate", "expand"])
 @pytest.mark.parametrize("kind", ["matrix", "padic_points"])
 @pytest.mark.parametrize("labels", [["a", "a"], [1, "1"]])
@@ -258,20 +260,6 @@ def test_demo_lists_no_exponent_table(tmp_path, monkeypatch, capsys):
     listed = UltraSpace.from_json(space).to_json()
     assert listed == {key: space[key] for key in ("labels", "prime", "gamma_matrix")}
     assert calls == [1, 2]
-
-
-def test_expand_requires_value_group_entries_without_round(tmp_path, capsys):
-    path = _write(
-        tmp_path / "raw.json",
-        {
-            "labels": ["a", "b"],
-            "prime": 2,
-            "matrix": [["0", "0.7"], ["0.7", "0"]],
-        },
-    )
-    code = main(["expand", path, "--stages", "validate,expand"])
-    assert code == EXIT_INPUT
-    assert "round" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["0.000064", "6.4E-5", "64e-6"])
@@ -459,6 +447,7 @@ def test_schedule_rejection_is_an_input_error(ultra_input, tmp_path, capsys):
     assert "schedule rejected" in capsys.readouterr().err
 
 
+# the huge.json and below.json rows of tests/cli_cases.py, with the whole message
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -484,6 +473,7 @@ def test_a_config_schedule_that_cannot_be_built_is_rejected(
     assert captured.out == "" and not out.exists()
 
 
+# the crooked.json rows of tests/cli_cases.py, with the witness and a negative entry
 @pytest.mark.parametrize("stages", ["validate,expand", "expand"])
 def test_a_matrix_without_round_fails_as_its_validate_stage_would(tmp_path, capsys, stages):
     # 3 is no power of 2 and breaks the ultrametric: the failed proof comes first
@@ -830,6 +820,7 @@ ORDERLESS_SCHEDULES = [
 ]
 
 
+# the rows of tests/cli_cases.py refuse some of these bundles by the whole command
 @pytest.mark.parametrize(
     "command, path, value, field",
     [
@@ -927,6 +918,8 @@ ORDERLESS_SCHEDULES = [
         *((["shadow"], path, value, path[0] + "." + path[1]) for path, value in BAD_SCHEDULES),
         *((["shadow"], ("schedule",), value, field) for value, field in UNTIED_SCHEDULES),
         *((["shadow"], ("schedule",), value, "schedule") for value in ORDERLESS_SCHEDULES),
+        # a vertex listed twice, which a partition of the level's vertices would not see
+        (["export", "dot"], ("levels", 1, "vertices"), [0, 0], "levels[1].vertices"),
     ],
 )
 def test_bad_level_and_map_fields_are_named(
@@ -1142,7 +1135,7 @@ def expand_inputs(draw):
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=expand_inputs())
-# the CI step's four points on a schedule that skips scales: limit recovery fails
+# the skip.json row of tests/cli_cases.py: limit recovery fails on skipped scales
 @example(
     case=(
         {

@@ -3,15 +3,15 @@
 That is safe while no command leaves cyclic garbage that grows with its
 input, so reference counting alone frees a command's data; the first
 test below checks every command for it.  ``main`` leaves the collector
-as it finds it, and ``python -m ultrapoly`` keeps the exit-code contract
-and flushes its output.
+as it finds it.  Every row of the exit-code contract, ``tests/cli_cases.py``,
+holds in process, and some hold through ``python -m ultrapoly``, which
+flushes its output at exit.
 """
 
 import gc
 import json
 import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +20,8 @@ import pytest
 import ultrapoly
 from ultrapoly import cli
 from ultrapoly.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+
+from cli_cases import CASES, command, in_process, run_case
 
 ALL = "validate,round,expand,verify,shadow"  # every stage
 N = 32  # points of the smaller input; the larger has 4 N
@@ -146,49 +148,33 @@ def test_a_command_leaves_no_cyclic_garbage_that_grows_with_its_input(tmp_path, 
     assert found == [0, 0], found
 
 
+# a row of the contract for each way main ends
 MAIN_CALLS = {
-    "passed": (lambda w: ["expand", _stream_input(w, 8), "--out", str(w / "out")], EXIT_OK),
-    "failed verify": (lambda w: ["validate", _line_input(w, 4)], EXIT_VERIFY),
-    "failed proof": (
-        lambda w: ["expand", _line_input(w, 4), "--stages", "expand", "--out", str(w / "out")],
-        EXIT_VERIFY,
-    ),
-    "malformed input": (lambda w: ["validate", _write(w / "bad.json", [])], EXIT_INPUT),
-    "schedule rejected": (
-        lambda w: [
-            "expand",
-            _stream_input(w, 8),
-            "--config",
-            _write(w / "huge.json", {"schedule": {"b": -(10**9)}}),
-            "--out",
-            str(w / "out"),
-        ],
-        EXIT_INPUT,
-    ),
+    "passed": "expand chain.json --out exits",
+    "failed verify": "validate windows.json",
+    "failed proof": "expand crooked.json --stages expand --out exits",
+    "malformed input": "validate twice.json",
+    "schedule rejected": "expand ok.json --config huge.json --out exits",
+    "usage error": "expand",  # argparse's SystemExit
 }
+
+
+def _row(line):
+    return next(case for case in CASES if case.line == line)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("call", sorted(MAIN_CALLS))
-def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys, call, enabled):
-    make, expected = MAIN_CALLS[call]
-    argv = make(tmp_path)
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, call, enabled):
     frozen = gc.get_freeze_count()
     if not enabled:
         gc.disable()
     try:
-        assert main(argv) == expected
+        run_case(_row(MAIN_CALLS[call]), in_process, tmp_path)
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == frozen
     finally:
         gc.enable()
-
-
-def test_main_leaves_the_collector_alone_on_a_usage_error(capsys):
-    frozen = gc.get_freeze_count()
-    with pytest.raises(SystemExit):
-        main(["expand"])
-    assert gc.isenabled() and gc.get_freeze_count() == frozen
 
 
 def test_console_runs_main_with_the_collector_off_and_freezes_the_heap(
@@ -219,155 +205,27 @@ def test_the_console_script_is_the_process_entry():
     assert scripts.split() == ["ultrapoly", "=", '"ultrapoly.cli:console"']
 
 
-# the inputs of the CI step that checks the console script's exit statuses
-CI_INPUTS = {
-    "windows.json": {
-        "labels": ["a", "b", "c"],
-        "prime": 2,
-        "padic_points": [[0, 1], [0, 1, 1], [0, 1, 0]],
-    },
-    "twice.json": {"labels": ["a", "a"], "prime": 2, "padic_points": [[0, 1], [1, 1]]},
-    "ok.json": {"labels": ["a", "b"], "prime": 2, "padic_points": [[0, 1], [1, 1]]},
-    "chain.json": {
-        "labels": ["a", "b", "c", "d"],
-        "prime": 2,
-        "padic_points": [[1], [1, 0], [1, 0, 1], [0, 1]],
-    },
-    "raw.json": {"labels": ["a", "b"], "prime": 2, "matrix": [["0", "0.7"], ["0.7", "0"]]},
-    "crooked.json": {
-        "labels": ["a", "b", "c"],
-        "prime": 2,
-        "matrix": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
-    },
-    "zero.json": {"labels": ["a", "b"], "prime": 2, "matrix": [["0", "0"], ["0", "0"]]},
-    "huge.json": {"schedule": {"b": -1000000000}},
-    "below.json": {"schedule": {"j": [0, 1], "k": [1, 1], "b": 5}},
-    "skip.json": {
-        "labels": ["a", "b", "c", "d"],
-        "prime": 2,
-        "padic_points": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]],
-    },
-    "skip_config.json": {"schedule": {"j": [0, 2, 4], "k": [1, 1, 1]}},
-}
-# arguments, exit status, and whether stdout holds a run report
-CI_RUNS = [
-    (["validate", "windows.json"], EXIT_VERIFY, True),
-    (["expand", "windows.json", "--out", "exits"], EXIT_VERIFY, True),
-    (["validate", "twice.json"], EXIT_INPUT, False),
-    (["expand", "twice.json", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "ok.json", "--stages", "verify", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "chain.json", "--out", "exits"], EXIT_OK, True),
-    (["expand", "raw.json", "--stages", "validate,expand", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "crooked.json", "--stages", "validate,expand", "--out", "exits"], EXIT_VERIFY, True),
-    (["expand", "crooked.json", "--stages", "expand", "--out", "exits"], EXIT_VERIFY, False),
-    (["expand", "zero.json", "--stages", "validate,expand", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "ok.json", "--config", "huge.json", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "ok.json", "--config", "below.json", "--out", "exits"], EXIT_INPUT, False),
-    (["expand", "skip.json", "--config", "skip_config.json", "--out", "exits"], EXIT_VERIFY, True),
-    (["demo", "zp", "--prime", "2", "--depth", "3", "--out", "zp"], EXIT_OK, True),
-    (["shadow", "from_7.json", "--out", "shadows"], EXIT_INPUT, False),
-    (["shadow", "extra_key.json", "--out", "shadows"], EXIT_INPUT, False),
-]
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.line or "no arguments")
+def test_a_contract_case_holds_in_process(tmp_path, case):
+    run_case(case, in_process, tmp_path)
 
 
-def _module_env() -> dict:
-    """The environment in which ``python -m ultrapoly`` runs this checkout's package."""
+def _python_m(monkeypatch):  # python -m ultrapoly, on this checkout's package
     src = str(Path(ultrapoly.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return command(sys.executable, "-m", "ultrapoly")
 
 
-def test_python_m_ultrapoly_keeps_the_exit_statuses_and_flushes_its_report(tmp_path):
-    for name, obj in CI_INPUTS.items():
-        _write(tmp_path / name, obj)
-    env = _module_env()
-    for i, (args, expected, reports) in enumerate(CI_RUNS):
-        if args[1] == "from_7.json":  # copies of the demo bundle the run before wrote
-            bundle = json.loads((tmp_path / "zp" / "expansion.json").read_text())
-            bundle["bonding"][0]["from"] = 7
-            _write(tmp_path / "from_7.json", bundle)
-            bundle["bonding"][0]["from"] = 1
-            bundle["bonding"][0]["vertex_map"]["x"] = 0
-            _write(tmp_path / "extra_key.json", bundle)
-        stdout = tmp_path / f"stdout_{i}.txt"
-        with stdout.open("wb") as out:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ultrapoly", *args],
-                stdout=out,
-                stderr=subprocess.PIPE,
-                cwd=tmp_path,
-                env=env,
-                timeout=60,
-            )
-        assert proc.returncode == expected, (args, proc.stderr)
-        assert b"Traceback" not in proc.stderr
-        text = stdout.read_text(encoding="utf-8")
-        if reports:
-            assert json.loads(text)["failed"] is (expected == EXIT_VERIFY), args
-        else:
-            assert text == "" and proc.stderr.startswith((b"error: ", b"schedule rejected: "))
+def test_python_m_ultrapoly_keeps_the_exit_statuses_and_flushes_its_report(tmp_path, monkeypatch):
+    # reports that passed and failed, flushed at the process's exit, a refusal, and help
+    for line in (
+        "expand chain.json --out exits",
+        "expand skip.json --config skip_config.json --out exits",
+        "expand ok.json --config below.json --out exits",
+        "expand --help",
+    ):
+        run_case(_row(line), _python_m(monkeypatch), tmp_path)
 
 
-# the CI step's argument cases and their exit statuses
-CI_ARGUMENT_RUNS = [
-    (["--help"], EXIT_OK),
-    (["expand", "--help"], EXIT_OK),
-    ([], EXIT_INPUT),
-    (["expand"], EXIT_INPUT),
-    (["expand", "ok.json", "--precision", "two"], EXIT_INPUT),
-    (["expand", "ok.json", "--p", "3"], EXIT_INPUT),
-    (["export"], EXIT_INPUT),
-    (["expand", "ok.json", "--conf", "precision.json", "--out=exits"], EXIT_OK),
-]
-
-
-def test_python_m_ultrapoly_reads_its_arguments_as_ci_checks(tmp_path):
-    _write(tmp_path / "ok.json", CI_INPUTS["ok.json"])
-    _write(tmp_path / "precision.json", {"precision": 8})
-    for args, expected in CI_ARGUMENT_RUNS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "ultrapoly", *args],
-            capture_output=True,
-            cwd=tmp_path,
-            env=_module_env(),
-            timeout=60,
-        )
-        assert proc.returncode == expected, (args, proc.stderr)
-        if "--out=exits" in args:  # a run: its report, and the bundle where --out= says
-            assert json.loads(proc.stdout)["failed"] is False
-            assert (tmp_path / "exits" / "expansion.json").is_file()
-        elif expected == EXIT_OK:  # help, on stdout
-            assert proc.stdout.startswith(b"usage: ultrapoly") and proc.stderr == b"", args
-        else:  # the usage and the error, on stderr
-            lines = proc.stderr.decode().splitlines()
-            assert proc.stdout == b"" and lines[0].startswith("usage: ultrapoly"), args
-            assert len(lines) == 2 and ": error: " in lines[1], args
-
-
-def test_python_m_ultrapoly_writes_a_usage_error_in_two_lines_at_any_width(tmp_path):
-    # the CI step's narrow terminal: usage and error stay one line each
-    proc = subprocess.run(
-        [sys.executable, "-m", "ultrapoly", "expand"],
-        capture_output=True,
-        cwd=tmp_path,
-        env=dict(_module_env(), COLUMNS="20"),
-        timeout=60,
-    )
-    assert proc.returncode == EXIT_INPUT and proc.stdout == b""
-    lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 2 and lines[0].startswith("usage: ultrapoly"), lines
-
-
-def test_a_bundle_behind_a_byte_order_mark_or_before_more_data_is_refused(tmp_path, capsys):
-    # the CI step's copies of the demo bundle, each refused with json's own message
-    assert main(["demo", "zp", "--prime", "2", "--depth", "3", "--out", str(tmp_path / "zp")]) == 0
-    text = (tmp_path / "zp" / "expansion.json").read_text(encoding="utf-8")
-    bom, trailing = tmp_path / "bom.json", tmp_path / "trailing.json"
-    bom.write_text("\ufeff" + text, encoding="utf-8")
-    trailing.write_text(text + "{}\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["shadow", str(bom), "--out", str(tmp_path / "shadows")]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)" in err, err
-    assert main(["export", "dot", str(trailing), "--out", str(tmp_path / "dots")]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert ": Extra data" in err, err
+def test_python_m_ultrapoly_writes_a_usage_error_in_two_lines_at_any_width(tmp_path, monkeypatch):
+    run_case(_row("COLUMNS=20 expand"), _python_m(monkeypatch), tmp_path)

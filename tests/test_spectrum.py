@@ -227,7 +227,7 @@ def test_functoriality_on_random_16_point_space():
 def test_assembly_rejects_nonseparating_schedule():
     space = random_code_space(random.Random(9), 3, 12)
     schedule = Schedule(j=(0, 1), k=(0, 0), b=(GammaValue(0), GammaValue(1)))
-    with pytest.raises(SeparationError):
+    with pytest.raises(SeparationError, match="level 1, the finest, does not separate "):
         assemble_expansion(space, schedule)
 
 
