@@ -41,6 +41,7 @@ from .padic import (
     PrimalityUnknownError,
     Record,
     _digits_of,
+    _echo,
     _exact_pair,
     _exponent_json,
     _schedule_fault,
@@ -179,7 +180,9 @@ def _check_prime_field(value, field: str, where: str = "", kind: str = "field") 
     except PrimalityUnknownError as exc:
         raise InputFormatError(f"{where}{kind} {field!r}: {exc}") from exc
     if not ok:
-        raise InputFormatError(f"{where}{kind} {field!r} must be a prime integer, got {value!r}")
+        raise InputFormatError(
+            f"{where}{kind} {field!r} must be a prime integer, got {_echo(value)}"
+        )
 
 
 class RunReport(Record):
@@ -676,7 +679,8 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
     Each check returns its entry as the bundle stores it.  The verify
     stage fails when a check does, and ``first_failure`` names the first
     check that failed.  A thread that breaks between levels does not
-    reconstruct its point.
+    reconstruct its point.  The stage's ``checks`` holds each check's
+    seconds; like the stage's own, they stay out of the bundle.
     """
     from .spectrum import (
         IncoherentThreadError,
@@ -691,21 +695,45 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
         except IncoherentThreadError:
             return False
 
+    def functorial() -> bool:
+        try:
+            return not expansion.verify_functoriality()
+        except KeyError:  # a chain of maps leaves a map's domain
+            return False
+
+    seconds: dict[str, float] = {}
+
+    def timed(name: str, check):
+        start = time.perf_counter()
+        result = check()
+        seconds[name] = round(time.perf_counter() - start, 6)
+        return result
+
     t0 = time.perf_counter()
-    space, levels = expansion.space, expansion.levels
-    nonstretch = []
-    degenerate = []
-    for m, bmap in enumerate(expansion.bonding):
-        nonstretch.append(verify_nonstretching(bmap, levels[m + 1], levels[m]))
-        degenerate.append(verify_nondegenerate(bmap, levels[m + 1]))
-    try:
-        functorial = not expansion.verify_functoriality()
-    except KeyError:  # a chain of maps leaves a map's domain
-        functorial = False
-    uniform = [{"level": level.m, **check_uniform(space, level.realization)} for level in levels]
-    iso = isolated_point_check(space, [(level.cover, level.nerve) for level in levels])
-    reconstructed = all(map(reconstructs, range(space.n_points), expansion._threads))
-    isometry = limit_isometry_check(space, expansion)
+    space, levels, bonding = expansion.space, expansion.levels, expansion.bonding
+    pairs = list(zip(bonding, levels[1:], levels))
+    nonstretch = timed(
+        "nonstretching", lambda: [verify_nonstretching(*pair) for pair in pairs]
+    )
+    degenerate = timed(
+        "nondegenerate", lambda: [verify_nondegenerate(bmap, fine) for bmap, fine, _ in pairs]
+    )
+    functorial = timed("functoriality", functorial)
+    uniform = timed(
+        "uniformity",
+        lambda: [
+            {"level": level.m, **check_uniform(space, level.realization)} for level in levels
+        ],
+    )
+    iso = timed(
+        "isolation",
+        lambda: isolated_point_check(space, [(level.cover, level.nerve) for level in levels]),
+    )
+    reconstructed = timed(
+        "reconstruct",
+        lambda: all(map(reconstructs, range(space.n_points), expansion._threads)),
+    )
+    isometry = timed("limit_isometry", lambda: limit_isometry_check(space, expansion))
     passed = {
         "nonstretching": not any(entry["violations"] for entry in nonstretch),
         "functoriality_ok": functorial,
@@ -729,6 +757,7 @@ def _verify_expansion(expansion, report: RunReport) -> dict:
         "failed" if failed else "passed",
         time.perf_counter() - t0,
         **witness,
+        checks=seconds,
     )
     return {
         "nonstretching": nonstretch,

@@ -100,6 +100,28 @@ def _pocklington(n: int, factors: list[int]) -> bool | None:
     return True
 
 
+#: Most digits of an integer a refusal writes out; a longer one is written as
+#: its leading ``_ECHO_LEAD`` digits, an ellipsis and its digit count.
+_ECHO_DIGITS = 50
+_ECHO_LEAD = 20
+
+
+def _echo(value) -> str:
+    """``repr(value)``, with an int of more than ``_ECHO_DIGITS`` digits cut short.
+
+    The digit count is exact, and found without writing the int out, so
+    it holds past the interpreter's limit on int-to-text conversion.
+    """
+    if type(value) is not int or abs(value) < 10**_ECHO_DIGITS:
+        return repr(value)
+    magnitude = abs(value)
+    digits = magnitude.bit_length() * 30103 // 100000  # never more than the count
+    while 10**digits <= magnitude:
+        digits += 1
+    lead = magnitude // 10 ** (digits - _ECHO_LEAD)
+    return f"{'-' if value < 0 else ''}{lead}... ({digits} digits)"
+
+
 @lru_cache(maxsize=32)
 def is_prime(n: int) -> bool:
     """Exact primality test; never a probabilistic guess.
@@ -135,7 +157,7 @@ def is_prime(n: int) -> bool:
         if verdict is not None:
             return verdict
     raise PrimalityUnknownError(
-        f"cannot decide whether {n} is prime: it lies above {MR_EXACT_BELOW}, "
+        f"cannot decide whether {_echo(n)} is prime: it lies above {MR_EXACT_BELOW}, "
         "where Miller-Rabin is not exact, and n - 1 does not factor far enough "
         "for a Pocklington certificate"
     )

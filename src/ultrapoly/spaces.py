@@ -552,6 +552,44 @@ class MergeTree:
             block[x] = number
         return block
 
+    @cached_property
+    def _by_height(self) -> tuple[list[int], list[int]]:
+        """The gaps of finite height sorted by height, each as the position
+        after it, and their heights.
+
+        The gaps that ``cut(j)`` cuts are the prefix below j.  Built once
+        per tree, with ``_place``, each point's position as a dict.
+        """
+        heights = self.heights
+        gaps = sorted((g for g, h in enumerate(heights) if h is not None), key=heights.__getitem__)
+        return [g + 1 for g in gaps], list(map(heights.__getitem__, gaps))
+
+    @cached_property
+    def _place(self) -> dict[int, int]:
+        return dict(zip(self.order, range(len(self.order))))
+
+    def bounds(self, j: int | None) -> tuple[int, ...]:
+        """Where the blocks of ``cut(j)`` start in the order, then n.
+
+        Block b is ``order[bounds[b]:bounds[b + 1]]``: a block starts
+        after each gap below j (each finite gap when j is None), the
+        prefix of the gaps sorted by height.  O(b log b) for b blocks.
+        """
+        starts, heights = self._by_height
+        end = len(starts) if j is None else bisect_left(heights, j)
+        return (0, *sorted(starts[:end]), len(self.order))
+
+    def straddle(self, j: int | None) -> tuple[int | None, int | None]:
+        """The largest finite height below j and the smallest at or above it (None: none).
+
+        Under ``cut(j)`` the first is the exponent of the least distance
+        between two blocks and the second that of the largest block
+        diameter, or None where every block has diameter 0.  O(log n).
+        """
+        heights = self._by_height[1]
+        end = len(heights) if j is None else bisect_left(heights, j)
+        return heights[end - 1] if end else None, heights[end] if end < len(heights) else None
+
     def classes(self, j: int | None) -> list[tuple[int, ...]]:
         """The blocks of ``cut(j)``, sorted by smallest member."""
         members: dict[int, list[int]] = {}
@@ -1040,11 +1078,23 @@ class _Embedding(tuple):
         return MergeTree(order, heights)
 
 
+    def _isometric(self, tree: MergeTree) -> bool:
+        """Whether this tree and ``tree`` meet every pair of points at one height.
+
+        So when neither stretches the other (``MergeTree.stretched``): the
+        embedding then keeps every distance of the space whose tree that
+        is.  Decided once for the last tree asked about.
+        """
+        known = self.__dict__.get("_isometry")
+        if known is None or known[0] is not tree:
+            mine = self.tree
+            same = len(mine.order) == len(tree.order)
+            known = tree, same and not mine.stretched(tree) and not tree.stretched(mine)
+            self.__dict__["_isometry"] = known
+        return known[1]
+
+
 def c0_embed(codes: BaireCodes) -> tuple[C0Vector, ...]:
     """One sparse vector per point; pairwise distances equal the source metric."""
-    return _Embedding(
-        C0Vector(
-            keys=tuple((pos, code[offset]) for offset, pos in enumerate(codes.positions)),
-        )
-        for code in codes.codes
-    )
+    positions = codes.positions
+    return _Embedding(C0Vector(keys=tuple(zip(positions, code))) for code in codes.codes)

@@ -13,13 +13,22 @@ levels of the infinite-system picture are constant and carry nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from operator import ne
 
-from .nerve import NestingError, _crossing_block, _parents, build_nerve, realize, scale_cover
+from .nerve import (
+    NestingError,
+    _crossing_block,
+    _first_inside,
+    _parents,
+    build_nerve,
+    realize,
+    scale_cover,
+)
 from .padic import Frozen, GammaValue, PAdic, _schedule_fault, check_prime
 from .spaces import (
     C0Vector,
@@ -139,24 +148,52 @@ class BondingMap(Frozen):
 def bonding_map(fine: Level, coarse: Level) -> BondingMap:
     """Send each fine block to the coarse block containing it: its parent pointer.
 
-    The vertex map is the coarse cover's ``rep_of`` on the fine vertices.
+    The vertex map sends each fine vertex to the head of the coarse run
+    that holds it, one bisection into the coarse cut positions.  Under
+    that map a fine simplex lies in one coarse simplex exactly when no
+    coarse threshold cut position falls inside its threshold run, where
+    both nerves are cut from one tree over their covers; other nerves
+    follow the simplicial rule (``_parents``).
 
     Raises:
         NestingError: if some fine block crosses coarse blocks.
         NestingError: if some fine simplex has no containing coarse simplex.
     """
-    rep_of, simplex_of = coarse.cover.rep_of, coarse.nerve.simplex_of
-    block = _crossing_block(fine.cover.rep_of, rep_of)
+    block = _crossing_block(fine.cover, coarse.cover)
     if block is not None:
         raise NestingError(f"block {block} of level {fine.m} crosses blocks of level {coarse.m}")
-    vertex_map = {v: rep_of[v] for v in fine.nerve.vertices}
-    parents = _parents(fine.nerve.maximal_simplexes, vertex_map.__getitem__, simplex_of)
-    if None in parents:
+    vertex_map = _containment(fine, coarse)
+    if None in vertex_map.values():
+        raise KeyError(next(v for v, w in vertex_map.items() if w is None))
+    f, c = fine.nerve._cut_over(fine.cover), coarse.nerve._cut_over(coarse.cover)
+    if f is not None and c is not None and f.order is c.order:
+        first = _first_inside(f, c)
+    else:
+        simplexes, simplex_of = fine.nerve.maximal_simplexes, coarse.nerve.simplex_of
+        parents = _parents(simplexes, vertex_map.__getitem__, simplex_of)
+        first = parents.index(None) if None in parents else None
+    if first is not None:
         raise NestingError(
-            f"simplex {fine.nerve.maximal_simplexes[parents.index(None)]} of level {fine.m}"
+            f"simplex {fine.nerve.maximal_simplexes[first]} of level {fine.m}"
             f" has no containing simplex at level {coarse.m}"
         )
     return BondingMap(fine=fine.m, coarse=coarse.m, vertex_map=vertex_map)
+
+
+def _containment(fine: Level, coarse: Level) -> dict:
+    """Each fine vertex sent to the head of the coarse run that holds it (None: none).
+
+    Where the fine nerve is cut over its cover and the fine runs nest in
+    the coarse ones on one order, the coarse run of fine run i is the
+    count of coarse cut positions among the fine ones up to i's start.
+    """
+    f, c = fine.cover._runs, coarse.cover._runs
+    nested = f.order is c.order and _first_inside(f, c) is None
+    if nested and fine.nerve._cut_over(fine.cover) is not None:
+        counts = accumulate(map(set(c.bounds).__contains__, f.bounds[:-1]))
+        images = list(map([None, *c.heads].__getitem__, counts))
+        return dict(zip(map(f.heads.__getitem__, f.ranked), map(images.__getitem__, f.ranked)))
+    return {v: c.rep(v) for v in fine.nerve.vertices}
 
 
 def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
@@ -181,8 +218,37 @@ def verify_nonstretching(bmap: BondingMap, fine: Level, coarse: Level) -> dict:
     step + 1.  A map onto containing balls keeps the fine tree's order,
     so both trees share it and a passing map costs O(n); any other costs
     O(n) per height.  Each embedding's tree is built once.
+
+    Between two covers cut from one tree, a map that sends each fine
+    block into the coarse block that holds it (``_containment``), on an
+    embedding that keeps every distance of the space (``_isometric``),
+    stretches no pair: two blocks in one coarse ball merge, and two in
+    different ones keep their distance.  Its merged pairs are the pairs
+    of fine runs inside one coarse run, which sit at p^-step exactly when
+    every fine cut position inside a coarse run is at height step: one
+    pass over the cut positions.
     """
     step = fine.cover.level - 1  # exponent of a one-scale-step merged pair
+    f, c, vectors = fine.cover._runs, coarse.cover._runs, fine.realization.vectors
+    if (
+        f.tree is not None
+        and f.order is c.order
+        and fine.nerve._cut_over(fine.cover) is not None
+        and coarse.realization.vectors is vectors
+        and vectors._isometric(f.tree)
+        and _first_inside(f, c) is None
+        and bmap.vertex_map == _containment(fine, coarse)
+    ):
+        cuts = set(c.bounds)
+        inside = [b for b in f.bounds[1:-1] if b not in cuts]
+        splits = Counter(bisect_right(c.bounds, b) for b in inside)
+        return {
+            "from": bmap.fine,
+            "to": bmap.coarse,
+            "violations": [],
+            "merged_pairs": sum(k * (k + 1) // 2 for k in splits.values()),
+            "single_step_contraction": all(f.tree.heights[b - 1] == step for b in inside),
+        }
     verts = fine.nerve.vertices
     # an image that is no point of the space counts as unmapped
     n_points = len(coarse.realization.vectors)
@@ -268,39 +334,45 @@ class Expansion(Frozen):
         if self._functorial():
             return ()
         levels = self.levels
-        # direct containment sends each fine vertex to its coarse representative
+
+        def direct(fine_m: int, coarse_m: int) -> dict[int, int]:
+            # each fine vertex sent to its coarse representative; KeyError if it has none
+            runs = levels[coarse_m].cover._runs
+            return {v: runs.heads[runs.found(v)] for v in levels[fine_m].nerve.vertices}
+
         return tuple(
             (fine_m, coarse_m)
             for fine_m in range(self.depth)
             for coarse_m in range(fine_m + 1)
-            if self.composite_vertex_map(fine_m, coarse_m)
-            != {v: levels[coarse_m].cover.rep_of[v] for v in levels[fine_m].nerve.vertices}
+            if self.composite_vertex_map(fine_m, coarse_m) != direct(fine_m, coarse_m)
         )
 
     def _functorial(self) -> bool:
         """Certificate that every composite map equals direct containment.
 
-        It asks that every vertex be its own representative, that each
-        consecutive map be direct containment into the coarser vertices,
-        and that level c + 1 nest in level c (``nerve._crossing_block``):
-        ``rep_of[c][rep_of[c + 1][x]] == rep_of[c][x]`` for every point x
-        of level c + 1.  Then, by induction down the levels, the composite
-        from level f to level c sends each vertex v to ``rep_of[c][v]``,
+        It asks that every vertex be the head of its run (so on a nerve
+        cut over its cover), that each consecutive map be direct
+        containment into the coarser vertices (``_containment``), and
+        that level c + 1 nest in level c (``nerve._crossing_block``).
+        Then, by induction down the levels, the composite from level f
+        to level c sends each vertex v to its level-c representative,
         which is the direct map.
         """
         levels = self.levels
         if len(self.bonding) < len(levels) - 1:
             return False
         for level in levels:
-            if any(level.cover.rep_of.get(v) != v for v in level.nerve.vertices):
+            rep = level.cover._runs.rep
+            if level.nerve._cut_over(level.cover) is None and any(
+                rep(v) != v for v in level.nerve.vertices
+            ):
                 return False
         for bmap, fine, coarse in zip(self.bonding, levels[1:], levels):
-            rep_of = coarse.cover.rep_of
-            direct = {v: rep_of.get(v) for v in fine.nerve.vertices}
+            direct = _containment(fine, coarse)
             if (
                 bmap.vertex_map != direct
                 or not set(coarse.nerve.vertices).issuperset(direct.values())
-                or _crossing_block(fine.cover.rep_of, rep_of) is not None
+                or _crossing_block(fine.cover, coarse.cover) is not None
             ):
                 return False
         return True
@@ -309,9 +381,34 @@ class Expansion(Frozen):
         """The maximal simplex index, per level, of the simplex containing the point's block."""
         if not 0 <= point < self.space.n_points:
             raise KeyError(f"unknown point index {point}")
-        return tuple(
-            level.nerve.simplex_of[level.cover.rep_of[point]] for level in self.levels
-        )
+        thread = tuple([column[point] for column in self._columns])
+        if None in thread:
+            raise KeyError(point)
+        return thread
+
+    @cached_property
+    def _columns(self) -> tuple[list[int | None], ...]:
+        """Per level, each point's maximal simplex index (None: none), one pass per level.
+
+        On a nerve cut from the space's tree over its cover, each
+        threshold run gives its simplex index to its positions at once.
+        Otherwise a point's block is found in the cover's runs and its
+        head's simplex through ``simplex_of``.
+        """
+        tree, n = self.space.tree, self.space.n_points
+        columns = []
+        for level in self.levels:
+            cut = level.nerve._cut_over(level.cover)
+            if cut is not None and cut.tree is tree:
+                at: list[int | None] = [None] * n
+                bounds = cut.bounds
+                for idx, i in enumerate(cut.ranked):
+                    at[bounds[i] : bounds[i + 1]] = [idx] * (bounds[i + 1] - bounds[i])
+                columns.append(list(map(at.__getitem__, tree.position)))
+            else:
+                rep, get = level.cover._runs.rep, level.nerve.simplex_of.get
+                columns.append([get(rep(x)) for x in range(n)])
+        return tuple(columns)
 
     @cached_property
     def _threads(self) -> tuple[tuple[int, ...], ...]:
@@ -339,40 +436,34 @@ class Expansion(Frozen):
     def _certified_threads(self) -> dict[tuple[int, ...], int]:
         """The threads whose reconstruction is proved, each with its one point.
 
-        With each vertex listed under one simplex that holds it, a finer
-        simplex whose images are all listed under one coarser simplex
-        lies in it: its parent (``_parents``), and a thread whose every index is
-        the parent of the next is coherent.  Each finest cell that holds
-        one point x lists at most one thread: it, and a cell per coarser
-        level whose support holds x, when they are coherent.  Its preimage
-        is then {x}: x lies in every cell, and the finest holds nothing
-        else.  Decided once per expansion, whose levels and maps are not
-        to be changed afterwards: O(n * depth).  Levels whose cells and
-        simplexes differ in number, or too few maps, list no thread.
+        Where every level's nerve and cells are its threshold cut of the
+        space's tree over its cover, every map is direct containment
+        (``_containment``) and every coarser threshold cut position is a
+        finer one, each fine simplex maps into the coarse simplex whose
+        run holds its own.  So every point's thread is coherent, and its
+        preimage is the finest threshold run that holds the point; the
+        thread of each point alone in its finest run is its point.
+        Decided once per expansion, whose levels and maps are not to be
+        changed afterwards: O(n + depth * vertices).  Any other
+        expansion, or too few maps, lists no thread.
         """
-        levels = self.levels
-        if len(self.bonding) < len(levels) - 1 or any(
-            len(level.nerve.maximal_simplexes) != len(level.realization.cells) for level in levels
+        levels, tree = self.levels, self.space.tree
+        cuts = [level.nerve._cut_over(level.cover) for level in levels]
+        if (
+            len(self.bonding) < len(levels) - 1
+            or any(
+                cut is None or cut.tree is not tree or level.realization._cut(tree) is not cut
+                for cut, level in zip(cuts, levels)
+            )
+            or any(
+                bmap.vertex_map != _containment(fine, coarse)
+                for bmap, fine, coarse in zip(self.bonding, levels[1:], levels)
+            )
+            or any(_first_inside(fine, coarse) is not None for fine, coarse in zip(cuts[1:], cuts))
         ):
             return {}
-        parents = [
-            _parents(fine.nerve.maximal_simplexes, bmap.vertex_map.get, coarse.nerve.simplex_of)
-            for bmap, fine, coarse in zip(self.bonding, levels[1:], levels)
-        ]
-        cell_at = [
-            {x: idx for idx, cell in enumerate(level.realization.cells) for x in cell.support}
-            for level in levels[:-1]
-        ]
-        certified = {}
-        for finest, cell in enumerate(levels[-1].realization.cells):
-            if len(set(cell.support)) == 1:
-                x = cell.support[0]
-                thread = (*(cells.get(x) for cells in cell_at), finest)
-                if None not in thread and all(
-                    parent[idx] == up for parent, idx, up in zip(parents, thread[1:], thread)
-                ):
-                    certified[thread] = x
-        return certified
+        threads, order, bounds = self._threads, cuts[-1].order, cuts[-1].bounds
+        return {threads[order[s]]: order[s] for s, e in zip(bounds, bounds[1:]) if e - s == 1}
 
     def reconstruct(self, thread: Sequence[int]) -> frozenset[int]:
         """Intersect the preimages of the thread's simplexes over all levels.

@@ -35,6 +35,7 @@ class Case(NamedTuple):
     stdout: str | None = None  # its start where stderr is empty; None for a run report,
     report: dict = {}  # whose "failed" is code == 1, and whose stages hold these fields
     timeout: float | None = None  # seconds within which it must finish
+    longest: int | None = None  # the most bytes stderr may take
 
 
 def _set(*path, to):
@@ -99,6 +100,8 @@ INPUTS = {
     "big_digit.json": _streams([0, 1], [2, 1]),
     "late_digit.json": _streams([0, 1], [1] * 32 + [2]),  # past the 32-digit budget
     "precision.json": {"precision": 8},
+    # 10^4201 + 1, which 11 divides: a prime field of 4,202 digits
+    "long_prime.json": {**_streams([0, 1], [1, 1]), "prime": 10**4201 + 1},
 }
 # each edit of a fresh copy of the demo bundle (levels 0 to 3, level m with 2^m
 # vertices); it returns the file's JSON value, or its text
@@ -182,6 +185,10 @@ CASES = [
     Case("shadow big_digit_bundle.json --out shadows", INPUT, ERROR,
          "bundle field 'space.padic_points' must be"),
     Case("expand late_digit.json --out exits", INPUT, ERROR, "stream 1: bad digit stream"),
+    # a long prime field is echoed as its leading digits and its digit count
+    Case("validate long_prime.json", INPUT, ERROR,
+         "field 'prime' must be a prime integer, got 10000000000000000000... (4202 digits)",
+         longest=200),
     # refused with json's own message, as json.loads refuses them
     Case("shadow bom.json --out shadows", INPUT, ERROR,
          "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
@@ -257,6 +264,7 @@ def run_case(case, invoke, work):
     assert code == case.code and "Traceback" not in err, seen
     assert err.startswith(case.stderr) and case.grep in err and (case.stderr or not err), seen
     assert case.timeout is None or seconds <= case.timeout, seen
+    assert case.longest is None or len(err.encode()) <= case.longest, seen
     if case.stderr == USAGE:
         lines = err.splitlines()
         assert len(lines) == 2 and ": error: " in lines[1], seen

@@ -732,6 +732,7 @@ def _outcome(labels, tokens, prime, stages):
         return EXIT_INPUT, None, None, (type(exc), str(exc))
     for stage in report.values():
         del stage["seconds"]
+        stage.pop("checks", None)  # the verify stage's seconds per check
     return code, report, outputs, None
 
 

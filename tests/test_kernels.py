@@ -509,6 +509,26 @@ def test_primality_beyond_certificates_is_not_guessed():
     assert not is_prime(UNDECIDABLE_PRIME * 43)  # no factor up to 41: Miller-Rabin decides
 
 
+# 2q + 1 for a q of 60 digits with no factor below 2^16: a base-2 probable
+# prime past the exact bound, which no certificate decides
+LONG_UNDECIDABLE = 1061082831412964098588329806973690902551277063805026923335203
+
+
+def test_a_long_refused_number_is_echoed_by_its_leading_digits():
+    with pytest.raises(PrimalityUnknownError) as raised:
+        is_prime(LONG_UNDECIDABLE)
+    assert str(raised.value).startswith(
+        "cannot decide whether 10610828314129640985... (61 digits) is prime: "
+    )
+    # fifty digits or fewer are written out, as before
+    with pytest.raises(PrimalityUnknownError, match=f"whether {UNDECIDABLE_PRIME} is prime"):
+        is_prime(UNDECIDABLE_PRIME)
+    assert padic._echo(10**50 - 1) == "9" * 50
+    assert padic._echo(-(10**50)) == "-10000000000000000000... (51 digits)"
+    assert padic._echo(2**20000).endswith("... (6021 digits)")  # past int-to-text's limit
+    assert padic._echo("7") == "'7'" and padic._echo(True) == "True"
+
+
 def test_a_prime_with_no_certificate_is_refused_after_one_modular_power(monkeypatch):
     # 2^1279 - 1 is prime, and 2^1279 - 2 does not factor by trial division far
     # enough for a certificate: the factoring runs after the base-2 round alone

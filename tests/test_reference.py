@@ -13,6 +13,7 @@ oracles.
 
 import io
 import json
+import random
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -28,17 +29,17 @@ from corpus import mixed_matrices, padic_families, small_ultrametrics
 from oracles import fraction_closure, reference_bundle, stepwise_gamma_exponent
 
 
-def _schedules(draw, last: int) -> dict:
+def _schedules(integers, last: int) -> dict:
     """An explicit schedule of scales up to last + 1 that may skip some and may end
     before the points separate, with factors k, 0 or 1, that do not increase, and
-    now and then a bound's shift b."""
-    js = set(draw(st.lists(st.integers(-1, last + 1), min_size=1, max_size=5)))
-    if draw(st.integers(0, 3)):  # mostly a last level that separates the points
+    now and then a bound's shift b.  ``integers(a, b)`` draws an int from a to b."""
+    js = {integers(-1, last + 1) for _ in range(integers(1, 5))}
+    if integers(0, 3):  # mostly a last level that separates the points
         js.add(last + 1)
-    ks = draw(st.lists(st.sampled_from([0, 1]), min_size=len(js), max_size=len(js)))
+    ks = [integers(0, 1) for _ in js]
     schedule = {"j": sorted(js), "k": sorted(ks, reverse=True)}
-    if draw(st.integers(0, 2)) == 0:
-        schedule["b"] = draw(st.integers(-1, 1))
+    if integers(0, 2) == 0:
+        schedule["b"] = integers(-1, 1)
     return schedule
 
 
@@ -54,7 +55,7 @@ def families_and_schedules(draw):
     streams = [[0] * max(x.valuation, 0) + list(x.digits) if x.digits else [0] for x in points]
     length = max(map(len, streams))
     streams = [list(s) for s in dict.fromkeys(tuple(s + [0] * (length - len(s))) for s in streams)]
-    return points[0].prime, streams, _schedules(draw, length)
+    return points[0].prime, streams, _schedules(lambda a, b: draw(st.integers(a, b)), length)
 
 
 def _expand(path, config, out) -> int:
@@ -85,30 +86,69 @@ def _check(bundle, want, code) -> None:
     assert code == (EXIT_OK if passed else EXIT_VERIFY)
 
 
-# 100 examples, two runs each: about 2 s on one core of a 2.1 GHz Xeon
-@settings(max_examples=100, deadline=None)
-@given(case=families_and_schedules())
-def test_expand_writes_the_reference_bundle_on_both_paths(tmp_path_factory, case):
-    p, streams, schedule = case
+def _expand_both_paths(p, streams, schedule, directory) -> list[int]:
+    """Expand the streams, then their distance matrix as "1/p^h" texts, under the
+    schedule in directory; hold each bundle to the reference and return the exit codes."""
     # two streams lie p^-h apart, where h is the first digit at which they differ
     exponents = [
         [next((h for h, (a, b) in enumerate(zip(s, t)) if a != b), None) for t in streams]
         for s in streams
     ]
     want = reference_bundle(exponents, p, schedule)
-    skips = any(b - a > 1 for a, b in zip(schedule["j"], schedule["j"][1:]))
-    event(f"{len(streams)} points, {'skipped scales' if skips else 'consecutive scales'}")
-    tmp = tmp_path_factory.mktemp("reference")
-    config = tmp / "config.json"
+    config = directory / "config.json"
     config.write_text(json.dumps({"schedule": schedule}))
     matrix = [["0" if e is None else f"1/{p**e}" for e in row] for row in exponents]
     labels = [f"v{i}" for i in range(len(streams))]
+    codes = []
     for field in ({"padic_points": streams}, {"matrix": matrix}):
-        path, out = tmp / "input.json", tmp / next(iter(field))
+        path, out = directory / "input.json", directory / next(iter(field))
         path.write_text(json.dumps({"labels": labels, "prime": p, **field}))
-        code = _expand(path, config, out)
+        shutil.rmtree(out, ignore_errors=True)
+        codes.append(_expand(path, config, out))
+        _check(out / "expansion.json", want, codes[-1])
+    return codes
+
+
+# 100 examples, two runs each: about 2 s on one core of a 2.1 GHz Xeon
+@settings(max_examples=100, deadline=None)
+@given(case=families_and_schedules())
+def test_expand_writes_the_reference_bundle_on_both_paths(tmp_path_factory, case):
+    p, streams, schedule = case
+    skips = any(b - a > 1 for a, b in zip(schedule["j"], schedule["j"][1:]))
+    event(f"{len(streams)} points, {'skipped scales' if skips else 'consecutive scales'}")
+    for code in _expand_both_paths(p, streams, schedule, tmp_path_factory.mktemp("reference")):
         event(f"exit {code}")
-        _check(out / "expansion.json", want, code)
+
+
+def expand_seeded_families(count: int, seed: int, directory) -> int:
+    """Run count seeded p-adic families of 10 to 24 points through expand on both
+    input paths, each held to the reference bundle; return the number of runs.
+
+    Family c of a seed draws from its own ``random.Random``: a prime 2, 3 or
+    5, a length a few digits past the fewest that hold 2n distinct streams,
+    and distinct streams of random lengths up to it, padded with zeros to it;
+    then a schedule under ``_schedules``' rules, which may skip scales from
+    j = -1 and shift b.
+    """
+    directory, runs = Path(directory), 0
+    for case in range(count):
+        rng = random.Random(f"{seed}:{case}")
+        p, n = rng.choice([2, 3, 5]), rng.randint(10, 24)
+        width = next(w for w in range(1, 64) if p**w >= 2 * n)
+        length = rng.randint(width, width + 4)
+        streams: dict[tuple[int, ...], None] = {}
+        while len(streams) < n:
+            stream = [rng.randrange(p) for _ in range(rng.randint(1, length))]
+            streams[tuple(stream + [0] * (length - len(stream)))] = None
+        schedule = _schedules(rng.randint, length)
+        runs += len(_expand_both_paths(p, list(map(list, streams)), schedule, directory))
+    return runs
+
+
+# 24 families, two runs each: under 1 s on one core of a 2.1 GHz Xeon; CI runs 300
+# families of seed 1, 600 runs in about 14 s
+def test_expand_writes_the_reference_bundle_of_seeded_families(tmp_path):
+    assert expand_seeded_families(24, 0, tmp_path) == 48
 
 
 @st.composite
@@ -117,7 +157,8 @@ def matrices_and_schedules(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     exact, written = draw(mixed_matrices())
     # the pool's entries lie between 1/1000 and 3: exponents -1 to 10 for p = 2
-    return p, exact, written, _schedules(draw, {2: 10, 3: 7, 5: 5}[p])
+    last = {2: 10, 3: 7, 5: 5}[p]
+    return p, exact, written, _schedules(lambda a, b: draw(st.integers(a, b)), last)
 
 
 def _json_entry(entry):

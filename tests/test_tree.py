@@ -47,7 +47,7 @@ from ultrapoly import space_from_points
 from ultrapoly.cli import RunReport, _verify_expansion
 from ultrapoly.nerve import RealizedCell
 from ultrapoly.spaces import MergeTree
-from ultrapoly.spectrum import Level, _shift_invariant
+from ultrapoly.spectrum import BondingMap, Level, _containment, _shift_invariant
 
 from corpus import padic_families, prefix_chain_families, random_code_space, replace
 from oracles import (
@@ -513,6 +513,44 @@ def test_functoriality_mutants_of_z27_are_flagged():
         assert flagged
     # the finer map still sends points to 4, which the map out of level 2 no longer knows
     assert _assert_functoriality_matches(_vertex_dropped(expansion, 2, 4)) is KeyError
+
+
+def test_a_cover_with_a_moved_point_keeps_the_nesting_refusals():
+    # Z/27 at level 2: point 1 moved into the block of 0, which then crosses
+    # the classes mod 3 of level 1; the cover is read by its own order
+    expansion, _ = group_expansion(3, 3)
+    level_1, moved = expansion.levels[1], _moved(expansion, 2, 1, 0)
+    assert moved.levels[2].cover.blocks[:2] == ((0, 1, 9, 18), (2, 11, 20))
+    with pytest.raises(NestingError) as raised:
+        bonding_map(moved.levels[2], level_1)
+    assert str(raised.value) == "block (0, 1, 9, 18) of level 2 crosses blocks of level 1"
+    served = iter([level_1.cover, moved.levels[2].cover])
+    with mock.patch.object(nerve_module, "scale_cover", lambda space, j: next(served)):
+        with pytest.raises(NestingError) as raised:
+            cover_tower(expansion.space, 1, 2)
+    assert str(raised.value) == "block (0, 1, 9, 18) at scale 2 crosses blocks at scale 1"
+    # the certificate refuses, and the pairs are those of every composite
+    assert not moved._functorial()
+    assert _assert_functoriality_matches(moved) == [(2, 2), (3, 2)]
+
+
+def test_threads_are_certified_only_where_each_threshold_cut_nests_in_the_one_above():
+    # Z/27 with threshold factor 1, levels 0, 2, 1, 3: level 1's simplexes lie
+    # across level 2's, so no thread through them is coherent, while level 3's
+    # threshold cut still holds every cut position of level 2's
+    space = residue_space(3, 3)
+    expansion = assemble_expansion(space, Schedule.auto(space, k_shift=1))
+    levels = list(expansion.levels)
+    levels[1], levels[2] = replace(levels[2], m=1), replace(levels[1], m=2)
+    bonding = [
+        BondingMap(fine=m + 1, coarse=m, vertex_map=_containment(levels[m + 1], levels[m]))
+        for m in range(len(levels) - 1)
+    ]
+    mixed = replace(expansion, levels=tuple(levels), bonding=tuple(bonding))
+    assert mixed._certified_threads == {}
+    for x in range(space.n_points):
+        thread = mixed.thread(x)
+        assert _reconstructed(mixed, thread) is _preimage(mixed, thread) is None
 
 
 def test_functoriality_is_decided_once_per_expansion(monkeypatch):

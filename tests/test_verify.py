@@ -7,6 +7,7 @@ the limit isometry, by skipping every other scale); ``first_failure`` is
 that check's name as the bundle stores it.
 """
 
+import json
 import random
 
 import pytest
@@ -135,6 +136,26 @@ def test_unmutated_expansions_pass_every_check():
         stage, summaries = _verify(expansion)
         assert stage["status"] == "passed" and "first_failure" not in stage
         assert all(_passed(summaries).values())
+
+
+CHECK_NAMES = [
+    "nonstretching",
+    "nondegenerate",
+    "functoriality",
+    "uniformity",
+    "isolation",
+    "reconstruct",
+    "limit_isometry",
+]
+
+
+@pytest.mark.parametrize("check", [None, *MUTANTS])
+def test_the_stage_times_each_check_and_keeps_the_times_out_of_the_bundle(check):
+    expansion = _z9() if check is None else MUTANTS[check]()
+    stage, summaries = _verify(expansion)
+    assert list(stage["checks"]) == CHECK_NAMES
+    assert all(type(s) is float and s >= 0 for s in stage["checks"].values())
+    assert "checks" not in json.dumps(expansion.to_bundle(summaries))
 
 
 @pytest.mark.parametrize("check", list(MUTANTS))
